@@ -2,7 +2,8 @@
 
 WMMSE alternates closed-form receiver and weight updates with a Gauss-Seidel
 sweep of per-BS precoder solves; each BS shares one nonnegative power
-multiplier found by bisection. GD and NAGD run Armijo backtracking on the
+multiplier, found by a doubling bracket refined with safeguarded Illinois
+false position on 1/sqrt(power). GD and NAGD run Armijo backtracking on the
 negated objective and renormalize to the per-BS power budget after every
 accepted step so all solvers are compared on the same feasible set.
 """
@@ -60,7 +61,7 @@ class WmmseState:
 
     u: np.ndarray  # (K,) complex receive coefficients
     W: np.ndarray  # (K,) MMSE weights, >= 1
-    lam: np.ndarray  # (B,) bisection multipliers, >= 0
+    lam: np.ndarray  # (B,) power multipliers from bisect_power's false-position search, >= 0
 
     def __post_init__(self):
         if np.any(self.W < 1.0 - 1e-9):
@@ -103,7 +104,12 @@ def bisect_power(power_fn, rho_l: float, tol: float = 1e-10, max_doublings: int 
     """Find lam >= 0 with |power(lam) - rho_l| <= tol * rho_l.
 
     power must be strictly decreasing in lam; returns 0 when the unconstrained
-    point is already feasible.
+    point is already feasible. The root is bracketed by doubling from lam = 1
+    and then refined by false position with the Illinois modification on
+    psi(lam) = 1/sqrt(power(lam)) - 1/sqrt(rho_l), which is nearly linear in
+    lam for power = sum_i s_i / (e_i + lam)^2 (More & Sorensen, 1983). A step
+    that leaves the open bracket, or comes after three steps that together
+    failed to halve it, falls back to the midpoint.
     """
     if not rho_l > 0:
         raise ValueError("rho_l must be > 0")
@@ -130,15 +136,37 @@ def bisect_power(power_fn, rho_l: float, tol: float = 1e-10, max_doublings: int 
             f"failed to bracket the power multiplier within {max_doublings} doublings: "
             f"power({hi / 2.0}) = {p_lo}, target {rho_l}"
         )
+    if rho_l - p_hi <= tol * rho_l:
+        return hi
+
+    inv_sqrt_rho = 1.0 / math.sqrt(rho_l)
+
+    def psi(p):
+        # power(lo) = inf (a zero eigenvalue with nonzero weight) gives psi = -1/sqrt(rho_l)
+        return (1.0 / math.sqrt(p) if p > 0.0 else math.inf) - inv_sqrt_rho
+
+    f_lo, f_hi = psi(p_lo), psi(p_hi)
+    side = 0  # +1 after hi moved, -1 after lo moved
+    widths = deque([math.inf] * 3, maxlen=3)  # bracket widths of the last three steps
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        pm = power_fn(mid)
+        width = hi - lo
+        x = hi - f_hi * width / (f_hi - f_lo)
+        if not lo < x < hi or width > 0.5 * widths[0]:
+            x = 0.5 * (lo + hi)
+        widths.append(width)
+        pm = power_fn(x)
         if abs(pm - rho_l) <= tol * rho_l:
-            return mid
+            return x
         if pm > rho_l:
-            lo = mid
+            lo, f_lo = x, psi(pm)
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
         else:
-            hi = mid
+            hi, f_hi = x, psi(pm)
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
         if hi - lo <= 1e-16 * max(1.0, hi):
             break
     return hi  # bracket collapsed; hi is on the feasible side
@@ -170,6 +198,7 @@ def wmmse_step(
     u = np.conj(np.diag(amps)) / r_check
     big_w = 1.0 + a / r
     coef = w * big_w * np.abs(u) ** 2
+    desired_coef = w * big_w * np.conj(u)
 
     cblocks = state.complex_blocks().copy()
     amps_live = amps.copy()
@@ -180,26 +209,29 @@ def wmmse_step(
             continue
         cols = layout.bs_uts[l]
         h_l = ch.entries[l]  # (K, M_t)
-        contrib = h_l.conj() @ cblocks[rows].T  # (K, n_l)
+        h_l_conj = h_l.conj()
+        contrib = h_l_conj @ cblocks[rows].T  # (K, n_l)
         cross = amps_live[:, cols] - contrib  # amplitudes excluding BS l
-        desired = (w * big_w * np.conj(u))[cols][None, :] * h_l[cols].T
+        desired = desired_coef[cols][None, :] * h_l[cols].T
         rhs = desired - h_l.T @ (coef[:, None] * cross)  # (M_t, n_l)
-        gram = (h_l.T * coef) @ h_l.conj()
+        gram = (h_l.T * coef) @ h_l_conj
         gram = 0.5 * (gram + gram.conj().T)
         evals, vecs = np.linalg.eigh(gram)
         evals = np.maximum(evals, 0.0)
         z = vecs.conj().T @ rhs
-        z2 = np.abs(z) ** 2
+        s = np.sum(np.abs(z) ** 2, axis=1)  # power weight of each eigendirection
+        live = s > 0.0
+        e_live, s_live = evals[live], s[live]
+        singular = bool(np.any(e_live == 0.0))  # power(0) = inf
 
-        def power(lam_val, z2=z2, evals=evals):
-            denom = (evals[:, None] + lam_val) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(z2 > 0.0, z2 / denom, 0.0)
-            return float(np.sum(terms))
+        def power(lam_val, e=e_live, s=s_live, singular=singular):
+            if singular and lam_val == 0.0:
+                return math.inf
+            return float(np.sum(s / (e + lam_val) ** 2))
 
         lam_l = bisect_power(power, float(rho.rho[l]), power_tol)
         new_blocks = vecs @ (z / (evals + lam_l)[:, None])  # (M_t, n_l)
-        amps_live[:, cols] += h_l.conj() @ new_blocks - contrib
+        amps_live[:, cols] += h_l_conj @ new_blocks - contrib
         cblocks[rows] = new_blocks.T
         lam_out[l] = lam_l
 

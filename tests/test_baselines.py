@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ucnprec as u
 from ucnprec.baselines import BisectionError, wmmse_step
+from ucnprec.harness import build_instance, initial_precoder
 from ucnprec.objective import ObjectiveEval
 from conftest import make_instance, random_state
 
@@ -48,6 +52,26 @@ class InconsistentObjective:
         self.grad_evals += 1
         grad = u.PrecoderState(self.layout, np.ones(state.blocks.shape))
         return ObjectiveEval(g_value=0.0, wsr_bits=0.0, grad=grad, terms=None)
+
+
+REPO = Path(__file__).resolve().parent.parent
+FROZEN_WSR = json.loads((REPO / "tests" / "data" / "wmmse_wsr_bisection.json").read_text())["cases"]
+
+
+def _random_quadratics(n=20):
+    """(power, rho_l) pairs with power(lam) = sum_i z2_i / (evals_i + lam)^2."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for _ in range(n):
+        evals = rng.uniform(0.0, 4.0, 6)
+        z2 = rng.uniform(0.0, 2.0, 6)
+        rho_l = float(rng.uniform(0.05, 1.0))
+
+        def power(lam, evals=evals, z2=z2):
+            return float(np.sum(z2 / (evals + lam) ** 2))
+
+        cases.append((power, rho_l))
+    return cases
 
 
 def _single_pair_layout(m_t=4):
@@ -131,6 +155,25 @@ class TestWmmse:
             assert np.all(ws.W >= 1.0 - 1e-9)
             assert np.all(ws.lam >= 0.0)
 
+    @pytest.mark.parametrize(
+        "case", FROZEN_WSR, ids=lambda c: f"{c['config']}-seed{c['seed']}"
+    )
+    def test_matches_frozen_bisection_trace(self, case):
+        # WSR per sweep recorded with the midpoint bisection; the multiplier
+        # search may change how lam is found, never where the sweep lands
+        cfg = u.load_config(REPO / "configs" / case["config"])
+        _, ch, clusters = build_instance(cfg, case["seed"])
+        rho, w = cfg.power_budget(), cfg.weights()
+        state = initial_precoder(cfg, ch, clusters, rho, case["seed"])
+        mask = state.layout.nonempty_bs
+        wsr_trace = []
+        for _ in range(case["sweeps"]):
+            state, _, wsr_bits = wmmse_step(state, ch, clusters, rho, w)
+            wsr_trace.append(wsr_bits)
+            powers = u.bs_block_norms(state)
+            assert np.all(np.abs(powers[mask] - rho.rho[mask]) <= 1e-10 * rho.rho[mask])
+        np.testing.assert_allclose(wsr_trace, case["wsr_bits"], rtol=1e-9, atol=0.0)
+
     def test_iterate_returns_trace(self, small_instance):
         init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         state, trace = u.wmmse_iterate(
@@ -150,6 +193,36 @@ class TestBisection:
     def test_scalar_toy(self):
         lam = u.bisect_power(lambda lam: 1.0 / (1.0 + lam) ** 2, 0.25, tol=1e-12)
         assert lam == pytest.approx(1.0, rel=1e-6)
+
+    def test_call_count_on_random_quadratics(self):
+        calls = []
+        for power, rho_l in _random_quadratics():
+            counted = []
+            u.bisect_power(lambda lam: counted.append(lam) or power(lam), rho_l, tol=1e-10)
+            calls.append(len(counted))
+        assert np.mean(calls) <= 15
+
+    def test_singular_zero_eigenvalue(self):
+        # a zero eigenvalue with nonzero weight: power(0) = inf
+        s, e = np.array([0.5, 2.0]), np.array([0.0, 1.5])
+
+        def power(lam):
+            return np.inf if lam == 0.0 else float(np.sum(s / (e + lam) ** 2))
+
+        lam = u.bisect_power(power, 0.3, tol=1e-10)
+        assert lam > 0.0
+        assert abs(power(lam) - 0.3) <= 1e-10 * 0.3
+
+    def test_target_hit_at_doubling_point(self):
+        calls = []
+
+        def power(lam):
+            calls.append(lam)
+            return 1.0 / (1.0 + lam) ** 2
+
+        # the bracket probes 0, 1, 2, 4; power(4) = 1/25 exactly
+        assert u.bisect_power(power, 1.0 / 25.0, tol=1e-10) == 4.0
+        assert calls == [0.0, 1.0, 2.0, 4.0]
 
     def test_postcondition_on_random_quadratics(self):
         rng = np.random.default_rng(3)

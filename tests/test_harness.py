@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,15 @@ class TestCli:
         out = tmp_path / "out"
         assert harness.main(["run", "--config", str(cfg_path), "--solvers", "rzf", "--out", str(out)]) == 0
         assert (out / "summary.csv").exists()
+
+    def test_module_entry_point(self):
+        src = str(Path(u.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucnprec", "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "probe-complexity" in proc.stdout
 
     def test_missing_config_is_error(self, tmp_path, capsys):
         code = harness.main(["run", "--config", str(tmp_path / "nope.cfg")])
