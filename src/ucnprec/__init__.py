@@ -32,7 +32,6 @@ from .channel import (
 )
 from .embedding import (
     BlockLayout,
-    MomentumState,
     PowerBudget,
     PrecoderState,
     RealChannel,
@@ -75,7 +74,6 @@ from .symplectic import (
     SolverDivergence,
     SymplecticStepRecord,
     constraint_apply_G,
-    constraint_apply_GT,
     flow_multiplier,
     rattle_step,
     solve,

@@ -115,6 +115,7 @@ class BlockLayout:
         self.n_blocks = len(self.pairs)
         self.dim = self.n_blocks * self.block_len
         self.row_bs = np.array([l for l, _ in self.pairs], dtype=int)
+        self.row_ut = np.array([k for _, k in self.pairs], dtype=int)
         self.nonempty_bs = np.array([len(u) > 0 for u in self.bs_uts], dtype=bool)
 
     def row(self, l: int, k: int) -> int:
@@ -166,13 +167,6 @@ class PrecoderState:
         m = self.layout.M_t
         return self.blocks[:, :m] + 1j * self.blocks[:, m:]
 
-    def with_blocks(self, blocks: np.ndarray) -> "PrecoderState":
-        return PrecoderState(self.layout, blocks)
-
-
-# Momenta share the container and layout of the precoder they accompany.
-MomentumState = PrecoderState
-
 
 def stack(state: PrecoderState) -> np.ndarray:
     """Concatenate all active blocks in canonical order into one flat vector."""
@@ -200,15 +194,15 @@ def renormalize_power(state: PrecoderState, budget: PowerBudget) -> PrecoderStat
     """Scale each nonempty BS block group to exactly its power limit."""
     if budget.n_bs != state.layout.n_bs:
         raise ValueError("power budget length must match the number of BSs")
+    lay = state.layout
     powers = bs_block_norms(state)
-    blocks = np.array(state.blocks)
-    for l, rows in enumerate(state.layout.bs_rows):
-        if rows.stop == rows.start:
-            continue
-        if powers[l] <= 0.0:
-            raise ValueError(f"cannot renormalize zero-power blocks of BS {l}")
-        blocks[rows] *= np.sqrt(budget.rho[l] / powers[l])
-    return PrecoderState(state.layout, blocks, copy=False)
+    nonempty = lay.nonempty_bs
+    dead = np.flatnonzero(nonempty & (powers <= 0.0))
+    if dead.size:
+        raise ValueError(f"cannot renormalize zero-power blocks of BS {dead[0]}")
+    scale = np.ones(lay.n_bs)
+    scale[nonempty] = np.sqrt(budget.rho[nonempty] / powers[nonempty])
+    return PrecoderState(lay, scale[lay.row_bs][:, None] * state.blocks, copy=False)
 
 
 def save_precoder(path, state: PrecoderState) -> None:

@@ -5,6 +5,10 @@ bits. Desired and interfering amplitudes are accumulated in the complex domain
 (one K x |U_l| product per BS), which is numerically identical to evaluating
 the real-embedded forms; the test suite cross-checks both routes and validates
 the gradient against central finite differences.
+
+WsrObjective memoizes the amplitude matrix and rate terms of the last state it
+saw, so each iterate's amplitudes are computed once even when a line search's
+value() is followed by evaluate() or wsr_bits() at the accepted candidate.
 """
 
 import math
@@ -62,10 +66,13 @@ class RateTerms:
     rate_bits: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.a < 0) or np.any(self.r <= 0):
+        # fmin/fmax skip NaN entries, as the elementwise comparisons do
+        if np.fmin.reduce(self.a) < 0 or np.fmin.reduce(self.r) <= 0:
             raise ValueError("signal power must be >= 0 and interference+noise > 0")
-        if np.any(self.b <= 0) or np.any(self.b > 1.0 + 1e-12):
+        if np.fmin.reduce(self.b) <= 0 or np.fmax.reduce(self.b) > 1.0 + 1e-12:
             raise ValueError("b must lie in (0, 1]")
+        for arr in (self.a, self.r, self.b, self.rate_nats, self.rate_bits):
+            arr.setflags(write=False)  # WsrObjective hands one instance to many callers
 
 
 def amplitude_matrix(
@@ -132,26 +139,34 @@ def _gradient_blocks(
     with alpha = 2 w b / r and beta = 2 w a b / r^2; the real block is its
     [Re; Im] stacking. The factor 2 makes this the exact gradient of the
     real-embedded objective (validated against finite differences).
+
+    The cross sum is one product per BS; the diagonal term and the real/imag
+    split then run once over all pairs, with the same floating-point
+    operations in the same order as a per-BS evaluation, so the result is
+    bit-identical to it (solver runs amplify any last-bit change).
     """
     lay = state.layout
     w = weights.w
     alpha = 2.0 * w * terms.b / terms.r
     beta = 2.0 * w * terms.a * terms.b / terms.r**2
-    out = np.zeros((lay.n_blocks, lay.block_len))
     m = lay.M_t
+    grad_c = np.empty((lay.n_blocks, m), dtype=complex)
+    out = np.empty((lay.n_blocks, lay.block_len))
+    h_pair = out.view(complex)  # h_{l,k} per pair, kept in out's storage until the split
     for l, rows in enumerate(lay.bs_rows):
-        n_l = rows.stop - rows.start
-        if n_l == 0:
+        if rows.stop == rows.start:
             continue
         cols = lay.bs_uts[l]
         h_l = ch.entries[l]
-        cross = h_l.T @ (beta[:, None] * amps[:, cols])  # (M_t, n_l)
-        diag_coef = (alpha[cols] + beta[cols]) * amps[cols, cols]
-        grad_c = (cross - diag_coef[None, :] * h_l[cols].T).T  # (n_l, M_t)
-        out[rows, :m] = grad_c.real
-        out[rows, m:] = grad_c.imag
-        if counter is not None:
-            counter.add(ch.n_ut * m * n_l + m * n_l)
+        grad_c[rows] = (h_l.T @ (beta[:, None] * amps[:, cols])).T
+        h_pair[rows] = h_l[cols]
+    ut = lay.row_ut
+    diag_coef = (alpha[ut] + beta[ut]) * amps[ut, ut]
+    grad_c -= np.multiply(diag_coef[:, None], h_pair, out=h_pair)
+    out[:, :m] = grad_c.real
+    out[:, m:] = grad_c.imag
+    if counter is not None:
+        counter.add((ch.n_ut + 1) * m * lay.n_blocks)
     return out
 
 
@@ -223,6 +238,15 @@ class WsrObjective:
     evaluate() shares one amplitude matrix between the rate terms and the
     gradient and increments grad_evals; value() is the cheap rate-only path
     used by line searches.
+
+    The amplitude matrix and rate terms of the last state seen are memoized,
+    keyed by the state's identity (states are frozen value objects), so an
+    Armijo candidate accepted by value() is not recomputed by the evaluate()
+    or wsr_bits() that follows. The memo holds a strong reference to its
+    state, so a recycled id() never matches. evaluate() then keeps only the
+    rate terms, since no solver evaluates one state twice. A hit changes no
+    count: evaluate() always charges the counter for the amplitudes and the
+    gradient, and value() never does.
     """
 
     def __init__(
@@ -239,9 +263,20 @@ class WsrObjective:
         self.weights = weights
         self.counter = counter
         self.grad_evals = 0
+        self._memo = None  # (state, amplitude matrix, RateTerms) of the last state seen
+
+    def _entry(self, state: PrecoderState, need_amps: bool):
+        memo = self._memo
+        if memo is not None and memo[0] is state and (memo[1] is not None or not need_amps):
+            return memo
+        # release the old entry (its state and amplitudes) before allocating the new one
+        memo = self._memo = None
+        amps = amplitude_matrix(state, self.ch)
+        self._memo = (state, amps, terms_from_amplitudes(amps, self.ch.noise_power))
+        return self._memo
 
     def terms(self, state: PrecoderState) -> RateTerms:
-        return terms_from_amplitudes(amplitude_matrix(state, self.ch), self.ch.noise_power)
+        return self._entry(state, need_amps=False)[2]
 
     def value(self, state: PrecoderState) -> float:
         terms = self.terms(state)
@@ -252,11 +287,13 @@ class WsrObjective:
         return float(np.dot(self.weights.w, terms.rate_bits))
 
     def evaluate(self, state: PrecoderState) -> ObjectiveEval:
-        amps = amplitude_matrix(state, self.ch, self.counter)
+        _, amps, terms = self._entry(state, need_amps=True)
+        lay = state.layout
         if self.counter is not None:
-            self.counter.add(self.ch.n_ut * self.ch.n_ut)
-        terms = terms_from_amplitudes(amps, self.ch.noise_power)
+            # amplitude products plus the |A|^2 energies feeding a, r, b
+            self.counter.add(self.ch.n_ut * (lay.M_t * lay.n_blocks + self.ch.n_ut))
         blocks = _gradient_blocks(state, self.ch, self.weights, amps, terms, self.counter)
+        self._memo = (state, None, terms)  # later hits need only the rates
         self.grad_evals += 1
         return ObjectiveEval(
             g_value=-float(np.dot(self.weights.w, terms.rate_nats)),

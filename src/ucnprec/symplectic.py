@@ -100,14 +100,6 @@ def constraint_apply_G(p: PrecoderState, v: PrecoderState) -> np.ndarray:
     return np.bincount(p.layout.row_bs, weights=dots, minlength=p.layout.n_bs)
 
 
-def constraint_apply_GT(p: PrecoderState, lam: np.ndarray) -> PrecoderState:
-    """Apply the transposed Jacobian: block (l, k) becomes lam_l * p_hat_{l,k}."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (p.layout.n_bs,):
-        raise ValueError("lam must have one entry per BS")
-    return PrecoderState(p.layout, lam[p.layout.row_bs][:, None] * p.blocks, copy=False)
-
-
 def flow_multiplier(
     p: PrecoderState, q: PrecoderState, grad: PrecoderState, rho: PowerBudget
 ) -> np.ndarray:

@@ -158,3 +158,15 @@ def test_precoder_file_roundtrip(tmp_path, small_instance):
     loaded = u.load_precoder(path)
     assert loaded.layout.same_as(state.layout)
     assert np.array_equal(loaded.blocks, state.blocks)
+
+
+def test_renormalize_matches_per_bs_loop_bitwise(small_instance):
+    layout, rho = small_instance["layout"], small_instance["rho"]
+    rng = np.random.default_rng(10)
+    state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
+    powers = u.bs_block_norms(state)
+    ref = np.array(state.blocks)
+    for l, rows in enumerate(layout.bs_rows):
+        if rows.stop > rows.start:
+            ref[rows] *= np.sqrt(rho.rho[l] / powers[l])
+    assert np.array_equal(u.renormalize_power(state, rho).blocks, ref)

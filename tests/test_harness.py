@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,11 @@ import pytest
 
 import ucnprec as u
 from ucnprec import baselines, harness
+
+REPO = Path(__file__).resolve().parent.parent
+FROZEN_SUMMARY = REPO / "tests" / "data" / "solver_summary_frozen.json"
+FROZEN_SOLVERS = ("symplectic", "gd", "nagd")
+FROZEN_SEEDS = (0, 1, 2, 3, 4)
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -47,7 +53,7 @@ class TestLoadConfig:
             u.load_config(write_cfg(tmp_path, "B_sc = 25\n"))
 
     def test_full_scale_preset_parses(self):
-        cfg = u.load_config("configs/table1.cfg")
+        cfg = u.load_config(REPO / "configs" / "table1.cfg")
         assert cfg.n_bs == 21
         assert cfg.M_t == 128
         assert cfg.K == 300
@@ -139,6 +145,32 @@ class TestRunExperiment:
         assert np.allclose(powers[mask], rho.rho[mask], rtol=1e-12)
 
 
+def frozen_summary_rows(config_name, out_dir):
+    """Summary fields of the gradient-family solvers on seeds 0-4 of a preset."""
+    cfg = dataclasses.replace(u.load_config(REPO / "configs" / config_name), seeds=FROZEN_SEEDS)
+    summary = u.run_experiment(cfg, FROZEN_SOLVERS, out_dir)
+    return [
+        {
+            "solver": r.solver,
+            "seed": r.seed,
+            "wsr_bits": repr(r.wsr_bits),
+            "iterations": r.iterations,
+            "grad_evals": r.grad_evals,
+            "multiply_adds": r.multiply_adds,
+        }
+        for r in summary.rows
+    ]
+
+
+class TestFrozenSolverSummary:
+    @pytest.mark.parametrize("config_name", ["desk.cfg", "high_power.cfg"])
+    def test_matches_frozen_summary(self, config_name, tmp_path):
+        # guards bit identity: the high_power runs amplify a last-bit change
+        # in the gradient into a visibly different WSR within 50 steps
+        frozen = json.loads(FROZEN_SUMMARY.read_text())["configs"][config_name]
+        assert frozen_summary_rows(config_name, tmp_path) == frozen
+
+
 class TestComplexityProbe:
     def test_small_grid_ratios_and_linearity(self):
         report = u.complexity_probe(
@@ -218,3 +250,26 @@ class TestCli:
         assert harness.main(["probe-complexity"]) == 0
         out = capsys.readouterr().out
         assert "ratio range" in out
+
+
+if __name__ == "__main__":
+    # Re-record the frozen summary: PYTHONPATH=src python tests/test_harness.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = {
+            name: frozen_summary_rows(name, os.path.join(tmp, name))
+            for name in ("desk.cfg", "high_power.cfg")
+        }
+    FROZEN_SUMMARY.write_text(
+        json.dumps(
+            {
+                "description": "Final WSR (repr of the float), iterations, gradient evaluations "
+                "and multiply-adds of run_experiment for the symplectic, gd and nagd solvers "
+                "on seeds 0-4 of each preset.",
+                "configs": configs,
+            },
+            indent=1,
+        )
+        + "\n"
+    )

@@ -230,3 +230,103 @@ class TestWeightsAndCounter:
         )
         assert np.array_equal(ev.grad.blocks, grad.blocks)
         assert obj.grad_evals == 1
+
+
+def loop_gradient_blocks(state, ch, weights, amps, terms):
+    """The per-BS loop the flattened _gradient_blocks must match bit for bit."""
+    lay = state.layout
+    alpha = 2.0 * weights.w * terms.b / terms.r
+    beta = 2.0 * weights.w * terms.a * terms.b / terms.r**2
+    out = np.zeros((lay.n_blocks, lay.block_len))
+    m = lay.M_t
+    for l, rows in enumerate(lay.bs_rows):
+        if rows.stop == rows.start:
+            continue
+        cols = lay.bs_uts[l]
+        h_l = ch.entries[l]
+        cross = h_l.T @ (beta[:, None] * amps[:, cols])
+        diag_coef = (alpha[cols] + beta[cols]) * amps[cols, cols]
+        grad_c = (cross - diag_coef[None, :] * h_l[cols].T).T
+        out[rows, :m] = grad_c.real
+        out[rows, m:] = grad_c.imag
+    return out
+
+
+def evaluation_fields(ev):
+    return (ev.g_value, ev.wsr_bits, ev.grad.blocks, ev.terms.a, ev.terms.r, ev.terms.rate_nats)
+
+
+def assert_same_evaluation(ev, ref):
+    for x, y in zip(evaluation_fields(ev), evaluation_fields(ref)):
+        assert np.array_equal(x, y)
+
+
+class TestObjectiveMemo:
+    def _objective(self, inst):
+        counter = OpCounter()
+        return u.WsrObjective(inst["ch"], inst["clusters"], inst["w"], counter), counter
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_gradient_matches_loop_bitwise(self, seed):
+        # B_sc = 1 over 7 BSs leaves some BSs without UTs
+        inst = make_instance(seed=seed, M_t=4, K=6, B_sc=1 + seed % 3)
+        state = random_state(inst["layout"], inst["rho"], seed)
+        ev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
+        amps = amplitude_matrix(state, inst["ch"])
+        ref = loop_gradient_blocks(state, inst["ch"], inst["w"], amps, ev.terms)
+        assert np.array_equal(ev.grad.blocks, ref)
+
+    def test_evaluate_after_value_matches_fresh(self, small_instance):
+        state = random_state(small_instance["layout"], small_instance["rho"], 20)
+        obj, counter = self._objective(small_instance)
+        obj.value(state)
+        ev = obj.evaluate(state)
+        fresh, fresh_counter = self._objective(small_instance)
+        ref = fresh.evaluate(state)
+        assert_same_evaluation(ev, ref)
+        assert obj.grad_evals == fresh.grad_evals == 1
+        assert counter.multiply_adds == fresh_counter.multiply_adds > 0
+
+    def test_one_amplitude_matrix_per_state(self, small_instance, monkeypatch):
+        from ucnprec import objective
+
+        calls = []
+
+        def counted(state, ch, counter=None):
+            calls.append(state)
+            return amplitude_matrix(state, ch, counter)
+
+        monkeypatch.setattr(objective, "amplitude_matrix", counted)
+        state = random_state(small_instance["layout"], small_instance["rho"], 21)
+        obj, _ = self._objective(small_instance)
+        f = obj.value(state)
+        ev = obj.evaluate(state)
+        assert obj.wsr_bits(state) == ev.wsr_bits
+        assert obj.value(state) == f == ev.g_value
+        assert len(calls) == 1
+        # an equal but distinct state is a new key
+        obj.value(u.PrecoderState(state.layout, state.blocks))
+        assert len(calls) == 2
+
+    def test_value_then_evaluate_other_state(self, small_instance):
+        s1 = random_state(small_instance["layout"], small_instance["rho"], 22)
+        s2 = random_state(small_instance["layout"], small_instance["rho"], 23)
+        obj, counter = self._objective(small_instance)
+        f1 = obj.value(s1)
+        ev2 = obj.evaluate(s2)
+        fresh, fresh_counter = self._objective(small_instance)
+        assert_same_evaluation(ev2, fresh.evaluate(s2))
+        assert counter.multiply_adds == fresh_counter.multiply_adds
+        assert f1 != ev2.g_value
+        assert obj.value(s1) == f1
+
+    def test_memo_key_is_frozen(self, small_instance):
+        # the memo trusts that a state's blocks never change after construction
+        state = random_state(small_instance["layout"], small_instance["rho"], 24)
+        obj, _ = self._objective(small_instance)
+        f = obj.value(state)
+        with pytest.raises(ValueError):
+            state.blocks[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            obj.terms(state).rate_nats[0] = 0.0
+        assert obj.value(state) == f
