@@ -12,6 +12,7 @@ from .baselines import (
     bisect_power,
     gd_solve,
     nagd_solve,
+    newton_multiplier,
     rzf_init,
     wmmse_iterate,
     wmmse_step,

@@ -2,10 +2,14 @@
 
 WMMSE alternates closed-form receiver and weight updates with a Gauss-Seidel
 sweep of per-BS precoder solves; each BS shares one nonnegative power
-multiplier, found by a doubling bracket refined with safeguarded Illinois
-false position on 1/sqrt(power). GD and NAGD run Armijo backtracking on the
-negated objective and renormalize to the per-BS power budget after every
-accepted step so all solvers are compared on the same feasible set.
+multiplier. One eigendecomposition of the BS's weighted gram gives the power
+as a closed-form secular function of the multiplier, whose root is found by
+safeguarded Newton steps on 1/sqrt(power) (newton_multiplier), started from
+the multiplier of the previous sweep. bisect_power solves the same equation
+for any decreasing scalar power function by bracketing and false position.
+GD and NAGD run Armijo backtracking on the negated objective and renormalize
+to the per-BS power budget after every accepted step so all solvers are
+compared on the same feasible set.
 """
 
 import math
@@ -61,7 +65,8 @@ class WmmseState:
 
     u: np.ndarray  # (K,) complex receive coefficients
     W: np.ndarray  # (K,) MMSE weights, >= 1
-    lam: np.ndarray  # (B,) power multipliers from bisect_power's false-position search, >= 0
+    lam: np.ndarray  # (B,) power multipliers from newton_multiplier, >= 0; warm-start the next sweep
+    power_evals: np.ndarray  # (B,) power evaluations each BS's multiplier search took, 0 if empty
 
     def __post_init__(self):
         if np.any(self.W < 1.0 - 1e-9):
@@ -172,6 +177,79 @@ def bisect_power(power_fn, rho_l: float, tol: float = 1e-10, max_doublings: int 
     return hi  # bracket collapsed; hi is on the feasible side
 
 
+def newton_multiplier(
+    e: np.ndarray,
+    s: np.ndarray,
+    rho_l: float,
+    tol: float = 1e-10,
+    lam0: float | None = None,
+):
+    """Find lam >= 0 with |P(lam) - rho_l| <= tol * rho_l, P(lam) = sum_i s_i / (e_i + lam)^2.
+
+    e holds eigenvalues in ascending order, clamped at 0, as np.linalg.eigh
+    returns them; s >= 0 is the power weight of each eigendirection. Returns
+    (lam, number of evaluations of P). lam = 0 is returned when the
+    unconstrained point is already feasible, including the hard case where
+    every zero eigenvalue carries zero weight.
+
+    Newton's method runs on psi(lam) = 1/sqrt(P(lam)) - 1/sqrt(rho_l), which
+    is concave and nearly linear in lam (More & Sorensen, 1983), so steps
+    from below the root stay below it. The bracket starts as [0, hi] with
+    hi = sqrt(sum(s) / rho_l) - e_0, feasible because P(lam) <= sum(s) /
+    (e_0 + lam)^2. The search starts from lam0, normally the previous sweep's
+    multiplier, or else from the geometric mean of hi and the lower bound
+    max_i sqrt(s_i / rho_l) - e_i on the root (from 0 if that bound is not
+    positive). A step that leaves the bracket tries an end not yet evaluated,
+    else bisects; if the bracket collapses, its feasible upper end is
+    returned.
+    """
+    if not rho_l > 0:
+        raise ValueError("rho_l must be > 0")
+    e_min = float(e[0])
+    hi = math.sqrt(float(s.sum()) / rho_l) - e_min
+    if hi <= 0.0:
+        return 0.0, 0  # P(0) <= sum(s) / e_0^2 <= rho_l
+    lo = 0.0
+    lo_tried = hi_tried = False  # P(lo) > rho_l and P(hi) <= rho_l once evaluated
+    if lam0 is None:
+        low = float(np.max(np.sqrt(s / rho_l) - e))  # P(lam) >= s_i / (e_i + lam)^2
+        lam0 = math.sqrt(low * hi) if low > 0.0 else 0.0
+    lam = min(max(float(lam0), 0.0), hi)
+    for n in range(1, 101):
+        if lam == 0.0 and e_min == 0.0:
+            zero = e == 0.0
+            s_zero = float(s[zero].sum())
+            if s_zero > 0.0:  # P(0) is infinite
+                lo, lo_tried = 0.0, True
+                lam = math.sqrt(s_zero / rho_l)  # psi's Newton step from 0
+                continue
+            inv = 1.0 / e[~zero]  # the hard case: zero eigenvalues without weight
+            t = s[~zero] * inv * inv
+        else:
+            inv = 1.0 / (e + lam)
+            t = s * inv * inv
+        p = float(t.sum())
+        if abs(p - rho_l) <= tol * rho_l or (lam == 0.0 and p <= rho_l):
+            return lam, n
+        if p > rho_l:
+            lo, lo_tried = lam, True
+        else:
+            hi, hi_tried = lam, True
+        if lo_tried and hi - lo <= 4e-16 * hi:
+            return hi, n  # bracket collapsed to a few ulps; hi is on the feasible side
+        # psi / psi' with psi' = P^(-3/2) sum_i s_i / (e_i + lam)^3
+        x = lam + p / float(t @ inv) * (math.sqrt(p / rho_l) - 1.0)
+        if lo < x < hi:
+            lam = x
+        elif x >= hi and not hi_tried:
+            lam = hi
+        elif x <= lo and not lo_tried:
+            lam = lo
+        else:
+            lam = 0.5 * (lo + hi)
+    raise BisectionError("power multiplier not found within 100 evaluations")
+
+
 def wmmse_step(
     state: PrecoderState,
     ch: ChannelSet,
@@ -179,66 +257,69 @@ def wmmse_step(
     rho: PowerBudget,
     weights: Weights,
     power_tol: float = 1e-10,
+    lam0: np.ndarray | None = None,
 ):
     """One WMMSE outer iteration.
 
     Returns (new_state, WmmseState, wsr_bits) with wsr_bits evaluated at the
     new precoder. Receiver coefficients and weights are held fixed while the
     per-BS solves sweep in ascending BS order using the latest precoders.
+    lam0 holds each BS's starting multiplier, normally the previous sweep's
+    WmmseState.lam; without it every multiplier search starts cold (see
+    newton_multiplier).
     """
     layout = state.layout
     w = weights.w
     sigma2 = ch.noise_power
+    entries = ch.entries
 
     amps = amplitude_matrix(state, ch)
-    a = np.abs(np.diag(amps)) ** 2
-    total = np.sum(np.abs(amps) ** 2, axis=1)
+    diag = np.diagonal(amps)
+    a = diag.real**2 + diag.imag**2
+    total = np.add.reduce(amps.real**2 + amps.imag**2, axis=1)
     r = total - a + sigma2
-    r_check = total + sigma2  # full received energy
-    u = np.conj(np.diag(amps)) / r_check
+    u = np.conj(diag) / (total + sigma2)  # full received energy
     big_w = 1.0 + a / r
-    coef = w * big_w * np.abs(u) ** 2
-    desired_coef = w * big_w * np.conj(u)
+    coef = w * big_w * (u.real**2 + u.imag**2)
+    # desired-signal term of every (BS, UT) row: w_k W_k conj(u_k) h_{l,k}
+    served = entries[layout.row_bs, layout.row_ut]  # (n_blocks, M_t)
+    desired = (w * big_w * np.conj(u))[layout.row_ut, None] * served
 
-    cblocks = state.complex_blocks().copy()
+    cblocks = state.complex_blocks()
     amps_live = amps.copy()
     lam_out = np.zeros(layout.n_bs)
+    evals_out = np.zeros(layout.n_bs, dtype=int)
     for l, rows in enumerate(layout.bs_rows):
-        n_l = rows.stop - rows.start
-        if n_l == 0:
+        if rows.start == rows.stop:
             continue
         cols = layout.bs_uts[l]
-        h_l = ch.entries[l]  # (K, M_t)
+        h_l = entries[l]  # (K, M_t)
         h_l_conj = h_l.conj()
-        contrib = h_l_conj @ cblocks[rows].T  # (K, n_l)
-        cross = amps_live[:, cols] - contrib  # amplitudes excluding BS l
-        desired = desired_coef[cols][None, :] * h_l[cols].T
-        rhs = desired - h_l.T @ (coef[:, None] * cross)  # (M_t, n_l)
-        gram = (h_l.T * coef) @ h_l_conj
-        gram = 0.5 * (gram + gram.conj().T)
-        evals, vecs = np.linalg.eigh(gram)
-        evals = np.maximum(evals, 0.0)
-        z = vecs.conj().T @ rhs
-        s = np.sum(np.abs(z) ** 2, axis=1)  # power weight of each eigendirection
-        live = s > 0.0
-        e_live, s_live = evals[live], s[live]
-        singular = bool(np.any(e_live == 0.0))  # power(0) = inf
-
-        def power(lam_val, e=e_live, s=s_live, singular=singular):
-            if singular and lam_val == 0.0:
-                return math.inf
-            return float(np.sum(s / (e + lam_val) ** 2))
-
-        lam_l = bisect_power(power, float(rho.rho[l]), power_tol)
-        new_blocks = vecs @ (z / (evals + lam_l)[:, None])  # (M_t, n_l)
-        amps_live[:, cols] += h_l_conj @ new_blocks - contrib
+        h_coef = h_l.T * coef  # (M_t, K), columns coef_k h_{l,k}
+        cross = amps_live[:, cols] - h_l_conj @ cblocks[rows].T  # amplitudes excluding BS l
+        rhs = desired[rows].T - h_coef @ cross  # (M_t, n_l)
+        # eigh reads only the lower triangle, so the gram needs no hermitization
+        e, vecs = np.linalg.eigh(h_coef @ h_l_conj)
+        np.maximum(e, 0.0, out=e)
+        z = vecs.conj().T @ rhs  # (M_t, n_l)
+        z_ri = z.view(np.float64)
+        s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
+        lam_l, n_evals = newton_multiplier(
+            e, s, float(rho.rho[l]), power_tol, None if lam0 is None else lam0[l]
+        )
+        d = e + lam_l
+        if lam_l == 0.0 and e[0] == 0.0:
+            d[d == 0.0] = np.inf  # hard case: the minimum-norm solution leaves these out
+        new_blocks = vecs @ (z / d[:, None])  # (M_t, n_l)
+        amps_live[:, cols] = cross + h_l_conj @ new_blocks
         cblocks[rows] = new_blocks.T
         lam_out[l] = lam_l
+        evals_out[l] = n_evals
 
     new_state = PrecoderState.from_complex(layout, cblocks)
     terms = terms_from_amplitudes(amplitude_matrix(new_state, ch), sigma2)
     wsr_bits = float(np.dot(w, terms.rate_bits))
-    return new_state, WmmseState(u=u, W=big_w, lam=lam_out), wsr_bits
+    return new_state, WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out), wsr_bits
 
 
 def wmmse_iterate(
@@ -250,12 +331,18 @@ def wmmse_iterate(
     n_iters: int,
     power_tol: float = 1e-10,
 ):
-    """Run n_iters WMMSE outer iterations; returns (state, per-iteration WSR)."""
+    """Run n_iters WMMSE outer iterations; returns (state, per-iteration WSR).
+
+    Each sweep's multiplier searches start from the previous sweep's
+    multipliers.
+    """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     wsr_trace = np.zeros(n_iters)
+    lam = None
     for i in range(n_iters):
-        state, _, wsr_bits = wmmse_step(state, ch, clusters, rho, weights, power_tol)
+        state, ws, wsr_bits = wmmse_step(state, ch, clusters, rho, weights, power_tol, lam)
+        lam = ws.lam
         wsr_trace[i] = wsr_bits
     return state, wsr_trace
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from ucnprec.baselines import BisectionError, wmmse_step
 from ucnprec.harness import build_instance, initial_precoder
 from ucnprec.objective import ObjectiveEval
 from conftest import make_instance, random_state
+from oracles import reference_wmmse_step
 
 
 class QuadraticObjective:
@@ -72,6 +74,44 @@ def _random_quadratics(n=20):
 
         cases.append((power, rho_l))
     return cases
+
+
+def _secular_problems(n=20):
+    """(e ascending, s, rho_l) with P(lam) = sum_i s_i / (e_i + lam)^2 > rho_l at 0."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(n):
+        e = np.sort(rng.uniform(0.0, 4.0, 6))
+        s = rng.uniform(0.0, 2.0, 6)
+        rho_l = float(rng.uniform(0.05, 0.9) * np.sum(s / e**2))
+        cases.append((e, s, rho_l))
+    return cases
+
+
+def _secular(e, s, lam):
+    return float(np.sum(s / (e + lam) ** 2))
+
+
+@pytest.fixture(scope="module")
+def warm_frozen_runs():
+    """Warm-started sweeps over every frozen case: (WSR trace, worst power error, evals)."""
+    runs = {}
+    for case in FROZEN_WSR:
+        cfg = u.load_config(REPO / "configs" / case["config"])
+        _, ch, clusters = build_instance(cfg, case["seed"])
+        rho, w = cfg.power_budget(), cfg.weights()
+        state = initial_precoder(cfg, ch, clusters, rho, case["seed"])
+        mask = state.layout.nonempty_bs
+        lam, wsr_trace, worst, evals = None, [], 0.0, []
+        for _ in range(case["sweeps"]):
+            state, ws, wsr_bits = wmmse_step(state, ch, clusters, rho, w, lam0=lam)
+            lam = ws.lam
+            wsr_trace.append(wsr_bits)
+            powers = u.bs_block_norms(state)
+            worst = max(worst, float(np.max(np.abs(powers[mask] / rho.rho[mask] - 1.0))))
+            evals.extend(ws.power_evals[mask])
+        runs[(case["config"], case["seed"])] = (wsr_trace, worst, evals)
+    return runs
 
 
 def _single_pair_layout(m_t=4):
@@ -174,6 +214,70 @@ class TestWmmse:
             assert np.all(np.abs(powers[mask] - rho.rho[mask]) <= 1e-10 * rho.rho[mask])
         np.testing.assert_allclose(wsr_trace, case["wsr_bits"], rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "case", FROZEN_WSR, ids=lambda c: f"{c['config']}-seed{c['seed']}"
+    )
+    def test_warm_started_matches_frozen_bisection_trace(self, case, warm_frozen_runs):
+        # each sweep starts its multiplier searches from the previous sweep's
+        wsr_trace, worst_power_err, _ = warm_frozen_runs[(case["config"], case["seed"])]
+        assert worst_power_err <= 1e-10
+        np.testing.assert_allclose(wsr_trace, case["wsr_bits"], rtol=1e-9, atol=0.0)
+
+    def test_warm_start_evaluation_count(self, warm_frozen_runs):
+        evals = [
+            n
+            for (config, _), (_, _, per_bs) in warm_frozen_runs.items()
+            if config == "high_power.cfg"
+            for n in per_bs
+        ]
+        assert len(evals) >= 5 * 50
+        assert np.mean(evals) <= 5.0
+
+    def test_iterate_threads_multipliers(self, small_instance):
+        args = (small_instance["ch"], small_instance["clusters"],
+                small_instance["rho"], small_instance["w"])
+        init = u.rzf_init(*args[:3])
+        _, trace = u.wmmse_iterate(init, *args, 6)
+        state, lam, manual = init, None, []
+        for _ in range(6):
+            state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
+            lam = ws.lam
+            manual.append(wsr_bits)
+        assert trace.tolist() == manual
+
+    def test_matches_reference_sweep_on_singular_grams(self):
+        # K < M_t: every gram is rank deficient
+        for seed in range(6):
+            inst = make_instance(seed=seed, gnb_count=3, M_t=8, K=5, B_sc=2)
+            args = (inst["ch"], inst["clusters"], inst["rho"], inst["w"])
+            state = ref = u.rzf_init(*args[:3])
+            lam = None
+            for _ in range(15):
+                state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
+                lam = ws.lam
+                ref, _, ref_bits = reference_wmmse_step(ref, *args)
+                assert wsr_bits == pytest.approx(ref_bits, rel=1e-9)
+
+    def test_zero_weight_bs_stays_finite(self):
+        # one weighted UT, B_sc = 1: a BS serving only zero-weight UTs gets a
+        # vanishing right-hand side against a singular gram (the hard case)
+        for seed in range(40):
+            inst = make_instance(
+                seed=seed, gnb_count=3, M_t=8, K=4, B_sc=1, tx_power_dbm=40.0
+            )
+            w = u.Weights(np.array([1.0, 0.0, 0.0, 0.0]))
+            args = (inst["ch"], inst["clusters"], inst["rho"], w)
+            state = u.rzf_init(*args[:3])
+            prev = u.wsr(state, inst["ch"], inst["clusters"], w)
+            lam = None
+            for _ in range(30):
+                state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
+                lam = ws.lam
+                assert np.all(np.isfinite(state.blocks))
+                assert np.all(u.bs_block_norms(state) <= inst["rho"].rho * (1.0 + 1e-10))
+                assert wsr_bits >= prev - 1e-9 * max(1.0, abs(prev))
+                prev = wsr_bits
+
     def test_iterate_returns_trace(self, small_instance):
         init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         state, trace = u.wmmse_iterate(
@@ -251,6 +355,69 @@ class TestBisection:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             u.bisect_power(lambda lam: 1.0, 0.0)
+
+
+class TestNewtonMultiplier:
+    def test_zero_multiplier_when_feasible(self):
+        e, s = np.array([0.1, 10.0]), np.array([1e-4, 50.0])
+        assert _secular(e, s, 0.0) < 1.0
+        assert u.newton_multiplier(e, s, 1.0) == (0.0, 1)
+        # here the bound sum(s) / e_0^2 <= rho_l already decides it
+        assert u.newton_multiplier(np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1.0) == (0.0, 0)
+
+    @pytest.mark.parametrize("lam0", [None, 0.0])
+    def test_singular_zero_eigenvalue(self, lam0):
+        # a zero eigenvalue with nonzero weight: P(0) = inf
+        e, s = np.array([0.0, 1.5]), np.array([0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, _ = u.newton_multiplier(e, s, 0.3, 1e-10, lam0)
+        assert lam > 0.0
+        assert abs(_secular(e, s, lam) - 0.3) <= 1e-10 * 0.3
+
+    @pytest.mark.parametrize("lam0", [None, 0.0])
+    def test_hard_case(self, lam0):
+        # zero eigenvalues whose weight is zero must not give 0/0
+        e, s = np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert u.newton_multiplier(e, s, 1.0, 1e-10, lam0)[0] == 0.0  # P(0) = 1/4
+            lam, _ = u.newton_multiplier(e, s, 1.0 / 16.0, 1e-10, lam0)
+        assert lam == pytest.approx(2.0, rel=1e-9)  # 1 / (2 + lam)^2 = 1/16
+        assert u.newton_multiplier(e, np.zeros(3), 1.0) == (0.0, 0)
+
+    @pytest.mark.parametrize("side", [0.5, 1.5])
+    def test_warm_start_either_side_of_root(self, side):
+        for e, s, rho_l in _secular_problems():
+            root, _ = u.newton_multiplier(e, s, rho_l, 1e-14)
+            assert root > 0.0
+            lam, n = u.newton_multiplier(e, s, rho_l, 1e-10, side * root)
+            assert abs(_secular(e, s, lam) - rho_l) <= 1e-10 * rho_l
+            assert n <= 8
+            lam, n = u.newton_multiplier(e, s, rho_l, 1e-10, root * (1.0 + 1e-3 * (side - 1.0)))
+            assert abs(_secular(e, s, lam) - rho_l) <= 1e-10 * rho_l
+            assert n <= 3
+
+    def test_cold_start_on_random_problems(self):
+        calls = []
+        for e, s, rho_l in _secular_problems():
+            lam, n = u.newton_multiplier(e, s, rho_l, 1e-10)
+            assert abs(_secular(e, s, lam) - rho_l) <= 1e-10 * rho_l
+            calls.append(n)
+        assert np.mean(calls) <= 5
+
+    def test_bracket_collapse_returns_feasible_end(self):
+        # tol = 0 asks for an exact root; the search stops when the bracket
+        # can no longer shrink and returns its feasible end
+        for e, s, rho_l in _secular_problems():
+            lam, n = u.newton_multiplier(e, s, rho_l, 0.0)
+            assert _secular(e, s, lam) <= rho_l * (1.0 + 1e-15)  # rounding of the sum
+            assert _secular(e, s, lam * (1.0 - 1e-14)) > rho_l
+            assert n < 100
+
+    def test_rejects_bad_target(self):
+        with pytest.raises(ValueError):
+            u.newton_multiplier(np.array([1.0]), np.array([1.0]), 0.0)
 
 
 class TestGd:
