@@ -268,8 +268,18 @@ def wmmse_step(
     WmmseState.lam; without it every multiplier search starts cold (see
     newton_multiplier).
     """
+    cblocks, ws = _wmmse_sweep(state, ch, rho, weights.w, power_tol, lam0)
+    # the sweep's K x K and per-pair arrays are released before the closing amplitudes
+    new_state = PrecoderState.from_complex(state.layout, cblocks)
+    del cblocks
+    terms = terms_from_amplitudes(amplitude_matrix(new_state, ch), ch.noise_power)
+    wsr_bits = float(np.dot(weights.w, terms.rate_bits))
+    return new_state, ws, wsr_bits
+
+
+def _wmmse_sweep(state, ch, rho, w, power_tol, lam0):
+    """Receiver and weight update plus the per-BS sweep; returns (complex blocks, WmmseState)."""
     layout = state.layout
-    w = weights.w
     sigma2 = ch.noise_power
     entries = ch.entries
 
@@ -315,11 +325,7 @@ def wmmse_step(
         cblocks[rows] = new_blocks.T
         lam_out[l] = lam_l
         evals_out[l] = n_evals
-
-    new_state = PrecoderState.from_complex(layout, cblocks)
-    terms = terms_from_amplitudes(amplitude_matrix(new_state, ch), sigma2)
-    wsr_bits = float(np.dot(w, terms.rate_bits))
-    return new_state, WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out), wsr_bits
+    return cblocks, WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out)
 
 
 def wmmse_iterate(
@@ -482,6 +488,7 @@ def nagd_solve(
         step = None  # (alpha, state, wsr)
         if mu_momentum > 0.0 and p_prev is not p:
             y_blocks = p.blocks + mu_momentum * (p.blocks - p_prev.blocks)
+            p_prev = None  # reassigned below on every path; not held through the line search
             y = PrecoderState(layout, y_blocks, copy=False)
             ev_y = objective.evaluate(y)
             grad_blocks = ev_y.grad.blocks

@@ -7,6 +7,7 @@ in parallel without shared state.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ class ChannelSet:
     noise_power: float  # sigma_z^2, linear watts
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
+        self.entries = np.ascontiguousarray(self.entries, dtype=complex)
         if self.entries.ndim != 3:
             raise ValueError("entries must have shape (B, K, M_t)")
         if not np.all(np.isfinite(self.entries)):
@@ -314,6 +315,21 @@ def save_channels(path, ch: ChannelSet) -> None:
                 row.tofile(f)
 
 
+def check_file_size(f, what: str, dims: tuple, size: int) -> None:
+    """Reject a header with a negative dimension or a size other than the file's.
+
+    size is the file size in bytes that the header's dims imply; loaders call
+    this before they allocate anything from the header.
+    """
+    if min(dims) < 0:
+        raise ValueError(f"corrupt {what} file header: negative dimension in {dims}")
+    actual = os.fstat(f.fileno()).st_size
+    if actual < size:
+        raise ValueError(f"truncated {what} file body: header implies {size} bytes, file has {actual}")
+    if actual > size:
+        raise ValueError(f"{actual - size} trailing bytes after the {what} file body")
+
+
 def load_channels(path) -> ChannelSet:
     """Inverse of save_channels."""
     with open(path, "rb") as f:
@@ -324,6 +340,7 @@ def load_channels(path) -> ChannelSet:
         noise = np.fromfile(f, dtype=np.float64, count=1)
         if noise.size != 1:
             raise ValueError("truncated channel file header")
+        check_file_size(f, "channel", (b, k_ut, m), 32 + b * k_ut * 16 * (1 + m))
         entries = np.zeros((b, k_ut, m), dtype=complex)
         for l in range(b):
             for k in range(k_ut):

@@ -10,11 +10,12 @@ BS-major with ascending UT index inside each BS, which every solver and file
 format in this package relies on.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ClusterMap, dbm_to_watt
+from .channel import ClusterMap, check_file_size, dbm_to_watt
 
 
 @dataclass
@@ -118,6 +119,27 @@ class BlockLayout:
         self.row_ut = np.array([k for _, k in self.pairs], dtype=int)
         self.nonempty_bs = np.array([len(u) > 0 for u in self.bs_uts], dtype=bool)
 
+    # the objective's gather indices are built on its first use: rzf_init and
+    # the file loaders build layouts that need not reach an objective
+
+    @functools.cached_property
+    def pair_index(self) -> np.ndarray:
+        """Row of each pair in a (B*K, ...) array indexed by l * K + k."""
+        return self.row_bs * self.n_ut + self.row_ut
+
+    @functools.cached_property
+    def serving_rows(self) -> np.ndarray:
+        """serving_rows[r, k]: row of UT k's r-th serving BS in ascending BS order.
+
+        A UT served by fewer than r + 1 BSs gets n_blocks, one past the last row.
+        """
+        n_serving = np.bincount(self.row_ut, minlength=self.n_ut)
+        by_ut = np.argsort(self.row_ut, kind="stable")
+        rank = np.arange(self.n_blocks) - np.repeat(np.cumsum(n_serving) - n_serving, n_serving)
+        rows = np.full((n_serving.max(initial=0), self.n_ut), self.n_blocks, dtype=np.intp)
+        rows[rank, self.row_ut[by_ut]] = by_ut
+        return rows
+
     def row(self, l: int, k: int) -> int:
         try:
             return self._row[(l, k)]
@@ -125,7 +147,7 @@ class BlockLayout:
             raise KeyError(f"pair (BS {l}, UT {k}) is not active") from None
 
     def same_as(self, other: "BlockLayout") -> bool:
-        return self.M_t == other.M_t and self.pairs == other.pairs
+        return self is other or (self.M_t == other.M_t and self.pairs == other.pairs)
 
 
 class PrecoderState:
@@ -134,6 +156,12 @@ class PrecoderState:
     blocks has shape (n_blocks, 2*M_t) with rows in the canonical layout
     order. Instances are value objects: the array is frozen on construction so
     states can be shared across threads read-only.
+
+    The constructor checks shape and finiteness. trusted() neither copies nor
+    re-scans; internal paths use it for fresh arrays of the right shape that
+    are finite by construction or checked where they are consumed: rattle_step
+    tests its iterates itself, and the gradient reaches the iterates only
+    through that test or through the checked Armijo candidates.
     """
 
     def __init__(self, layout: BlockLayout, blocks: np.ndarray, copy: bool = True):
@@ -143,11 +171,20 @@ class PrecoderState:
                 f"blocks must have shape {(layout.n_blocks, layout.block_len)}, "
                 f"got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("precoder blocks must be finite")
         arr.setflags(write=False)
         self.layout = layout
         self.blocks = arr
+
+    @classmethod
+    def trusted(cls, layout: BlockLayout, blocks: np.ndarray) -> "PrecoderState":
+        """Freeze and wrap a float array without the constructor's copy, shape and finiteness checks."""
+        blocks.setflags(write=False)
+        state = cls.__new__(cls)
+        state.layout = layout
+        state.blocks = blocks
+        return state
 
     @classmethod
     def zeros(cls, layout: BlockLayout) -> "PrecoderState":
@@ -202,7 +239,11 @@ def renormalize_power(state: PrecoderState, budget: PowerBudget) -> PrecoderStat
         raise ValueError(f"cannot renormalize zero-power blocks of BS {dead[0]}")
     scale = np.ones(lay.n_bs)
     scale[nonempty] = np.sqrt(budget.rho[nonempty] / powers[nonempty])
-    return PrecoderState(lay, scale[lay.row_bs][:, None] * state.blocks, copy=False)
+    # a finite scale leaves every entry of a finite state below about sqrt(rho_l),
+    # so the product needs no finiteness scan
+    if not np.isfinite(scale).all():
+        raise ValueError("precoder blocks must be finite")
+    return PrecoderState.trusted(lay, scale[lay.row_bs][:, None] * state.blocks)
 
 
 def save_precoder(path, state: PrecoderState) -> None:
@@ -226,6 +267,7 @@ def load_precoder(path) -> PrecoderState:
         if header.size != 4:
             raise ValueError("truncated precoder file header")
         n_bs, n_ut, m_t, n_blocks = (int(x) for x in header)
+        check_file_size(f, "precoder", (n_bs, n_ut, m_t, n_blocks), 32 + n_blocks * 16 * (1 + m_t))
         pairs = []
         rows = np.zeros((n_blocks, 2 * m_t))
         for i in range(n_blocks):
@@ -233,7 +275,10 @@ def load_precoder(path) -> PrecoderState:
             data = np.fromfile(f, dtype=np.float64, count=2 * m_t)
             if idx.size != 2 or data.size != 2 * m_t:
                 raise ValueError("truncated precoder file body")
-            pairs.append((int(idx[0]), int(idx[1])))
+            l, k = int(idx[0]), int(idx[1])
+            if not (0 <= l < n_bs and 0 <= k < n_ut):
+                raise ValueError(f"precoder file pair (BS {l}, UT {k}) out of range")
+            pairs.append((l, k))
             rows[i] = data
     serving = [[] for _ in range(n_ut)]
     for l, k in pairs:

@@ -100,6 +100,8 @@ class ScenarioConfig:
             raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct: each seed writes its own trace files")
         if self.wmmse_iters is not None and self.wmmse_iters < 1:
             raise ValueError("wmmse_iters must be >= 1")
         if not 0.0 <= self.nagd_momentum < 1.0:

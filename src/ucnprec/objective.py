@@ -6,6 +6,16 @@ bits. Desired and interfering amplitudes are accumulated in the complex domain
 the real-embedded forms; the test suite cross-checks both routes and validates
 the gradient against central finite differences.
 
+The per-BS products land in the columns of one buffer, and each UT's
+amplitudes are then summed from zero in ascending BS order, into a C-contiguous
+array. That is the order and memory layout of a per-BS scatter loop, so the
+amplitudes and the gradient GEMMs that read them are bit-identical to it.
+This must stay so: the dissipative solver amplifies a last-bit change into a
+visibly different WSR within 50 steps, and the tests pin trace bytes. (A
+padded batched GEMM over all BSs is faster but not bit-identical: OpenBLAS's
+zgemm changes the last bits of the first columns once the padded width
+crosses a multiple of 4.)
+
 WsrObjective memoizes the amplitude matrix and rate terms of the last state it
 saw, so each iterate's amplitudes are computed once even when a line search's
 value() is followed by evaluate() or wsr_bits() at the accepted candidate.
@@ -85,15 +95,22 @@ def amplitude_matrix(
     n_ut = ch.n_ut
     if lay.n_bs != ch.n_bs or lay.n_ut != n_ut:
         raise ValueError("state layout does not match the channel set")
-    amps = np.zeros((n_ut, n_ut), dtype=complex)
     cblocks = state.complex_blocks()
+    # column i of buf holds pair i's amplitudes h_{l,.}^H p_{l,k}; the last is zero
+    buf = np.empty((n_ut, lay.n_blocks + 1), dtype=complex)
+    buf[:, -1] = 0.0
     for l, rows in enumerate(lay.bs_rows):
-        n_l = rows.stop - rows.start
-        if n_l == 0:
+        if rows.stop == rows.start:
             continue
-        amps[:, lay.bs_uts[l]] += ch.entries[l].conj() @ cblocks[rows].T
-        if counter is not None:
-            counter.add(n_ut * lay.M_t * n_l)
+        np.matmul(ch.entries[l].conj(), cblocks[rows].T, out=buf[:, rows])
+    del cblocks  # freed before the gather allocates
+    if counter is not None:
+        counter.add(n_ut * lay.M_t * lay.n_blocks)
+    # add each UT's columns in ascending BS order, as a per-BS scatter would;
+    # take() keeps the result C-contiguous, which the gradient's BLAS path expects
+    amps = np.zeros((n_ut, n_ut), dtype=complex)
+    for rank_rows in lay.serving_rows:
+        amps += buf.take(rank_rows, axis=1)
     return amps
 
 
@@ -140,10 +157,10 @@ def _gradient_blocks(
     [Re; Im] stacking. The factor 2 makes this the exact gradient of the
     real-embedded objective (validated against finite differences).
 
-    The cross sum is one product per BS; the diagonal term and the real/imag
-    split then run once over all pairs, with the same floating-point
-    operations in the same order as a per-BS evaluation, so the result is
-    bit-identical to it (solver runs amplify any last-bit change).
+    The cross sum is one product per BS; the h_{l,k} gather, the diagonal
+    term and the real/imag split run once over all pairs, with the same
+    floating-point operations in the same order as a per-BS evaluation, so the
+    result is bit-identical to it (solver runs amplify any last-bit change).
     """
     lay = state.layout
     w = weights.w
@@ -153,13 +170,12 @@ def _gradient_blocks(
     grad_c = np.empty((lay.n_blocks, m), dtype=complex)
     out = np.empty((lay.n_blocks, lay.block_len))
     h_pair = out.view(complex)  # h_{l,k} per pair, kept in out's storage until the split
+    ch.entries.reshape(-1, m).take(lay.pair_index, axis=0, out=h_pair, mode="clip")
     for l, rows in enumerate(lay.bs_rows):
         if rows.stop == rows.start:
             continue
-        cols = lay.bs_uts[l]
         h_l = ch.entries[l]
-        grad_c[rows] = (h_l.T @ (beta[:, None] * amps[:, cols])).T
-        h_pair[rows] = h_l[cols]
+        grad_c[rows] = (h_l.T @ (beta[:, None] * amps[:, lay.bs_uts[l]])).T
     ut = lay.row_ut
     diag_coef = (alpha[ut] + beta[ut]) * amps[ut, ut]
     grad_c -= np.multiply(diag_coef[:, None], h_pair, out=h_pair)
@@ -247,6 +263,10 @@ class WsrObjective:
     rate terms, since no solver evaluates one state twice. A hit changes no
     count: evaluate() always charges the counter for the amplitudes and the
     gradient, and value() never does.
+
+    evaluate() wraps the gradient with PrecoderState.trusted, without a
+    finiteness scan: a non-finite gradient is caught where an iterate is
+    built from it (rattle_step's check, the Armijo candidates' constructor).
     """
 
     def __init__(
@@ -298,6 +318,6 @@ class WsrObjective:
         return ObjectiveEval(
             g_value=-float(np.dot(self.weights.w, terms.rate_nats)),
             wsr_bits=float(np.dot(self.weights.w, terms.rate_bits)),
-            grad=PrecoderState(state.layout, blocks, copy=False),
+            grad=PrecoderState.trusted(state.layout, blocks),
             terms=terms,
         )

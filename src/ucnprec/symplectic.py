@@ -96,8 +96,7 @@ def constraint_apply_G(p: PrecoderState, v: PrecoderState) -> np.ndarray:
     """Apply the constraint Jacobian: entry l is p_hat_l . v_hat_l."""
     if not p.layout.same_as(v.layout):
         raise ValueError("states must share one layout")
-    dots = np.sum(p.blocks * v.blocks, axis=1)
-    return np.bincount(p.layout.row_bs, weights=dots, minlength=p.layout.n_bs)
+    return _bs_dots(p.layout, p.blocks, v.blocks)
 
 
 def flow_multiplier(
@@ -132,8 +131,13 @@ def velocity_multiplier(
     return num / (h * rho.rho)
 
 
+def _bs_dots(layout, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.add.reduce is what np.sum runs, without its Python-level dispatch
+    return np.bincount(layout.row_bs, weights=np.add.reduce(a * b, axis=1), minlength=layout.n_bs)
+
+
 def _bs_powers(layout, blocks: np.ndarray) -> np.ndarray:
-    return np.bincount(layout.row_bs, weights=np.sum(blocks**2, axis=1), minlength=layout.n_bs)
+    return _bs_dots(layout, blocks, blocks)
 
 
 def _project_rows(layout, blocks: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -173,18 +177,19 @@ def rattle_step(
     p_next_blocks = p.blocks + h * q_half_blocks
     if config.project_positions:
         p_next_blocks = _project_rows(lay, p_next_blocks, rho.rho)
-    if not np.all(np.isfinite(p_next_blocks)):
+    if not np.isfinite(p_next_blocks).all():
         raise SolverDivergence(f"non-finite precoder at iteration {iteration}")
-    p_next = PrecoderState(lay, p_next_blocks, copy=False)
-    q_half = PrecoderState(lay, q_half_blocks, copy=False)
+    # q_half is finite too: p_next = p + h * q_half (then rescaled) would not be
+    p_next = PrecoderState.trusted(lay, p_next_blocks)
+    q_half = PrecoderState.trusted(lay, q_half_blocks)
 
     ev1 = objective.evaluate(p_next)
     mu = velocity_multiplier(p_next, q_half, ev1.grad, rho, h)
     force1 = ev1.grad.blocks + mu[row_bs][:, None] * p_next.blocks
     q_next_blocks = decay * (q_half.blocks - 0.5 * h * force1)
-    if not np.all(np.isfinite(q_next_blocks)):
+    if not np.isfinite(q_next_blocks).all():
         raise SolverDivergence(f"non-finite momentum at iteration {iteration}")
-    q_next = PrecoderState(lay, q_next_blocks, copy=False)
+    q_next = PrecoderState.trusted(lay, q_next_blocks)
 
     delta = float(
         np.linalg.norm(p.blocks - p_next.blocks - 0.5 * h * (ev0.grad.blocks + ev1.grad.blocks))

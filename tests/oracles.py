@@ -105,3 +105,19 @@ def reference_wmmse_step(state, ch, clusters, rho, weights, power_tol=1e-10):
         cblocks[rows] = new.T
     new_state = PrecoderState.from_complex(layout, cblocks)
     return new_state, lam, naive_wsr_bits(ch, clusters, new_state, weights)
+
+
+def reference_amplitude_matrix(state, ch):
+    """The per-BS scatter loop amplitude_matrix must match bit for bit.
+
+    One conj(H_l) @ P_l^T product per BS, added into the columns of the UTs
+    that BS serves, in ascending BS order.
+    """
+    lay = state.layout
+    amps = np.zeros((ch.n_ut, ch.n_ut), dtype=complex)
+    cblocks = state.complex_blocks()
+    for l, rows in enumerate(lay.bs_rows):
+        if rows.stop == rows.start:
+            continue
+        amps[:, lay.bs_uts[l]] += ch.entries[l].conj() @ cblocks[rows].T
+    return amps

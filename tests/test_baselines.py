@@ -520,3 +520,57 @@ class TestNagd:
         result = u.nagd_solve(init, obj, small_instance["rho"], 0.9, max_iters=40, rel_tol=1e-300)
         ws = np.array([rec.wsr_bits for rec in result.trace])
         assert np.all(np.diff(ws) >= -1e-9 * np.maximum(1.0, np.abs(ws[:-1])))
+
+
+def nan_gradient_after(monkeypatch, n_good):
+    """Make every gradient after the first n_good ones NaN."""
+    from ucnprec import objective
+
+    real = objective._gradient_blocks
+    calls = [0]
+
+    def patched(*args):
+        out = real(*args)
+        calls[0] += 1
+        if calls[0] > n_good:
+            out[:] = np.nan
+        return out
+
+    monkeypatch.setattr(objective, "_gradient_blocks", patched)
+
+
+class TestNonFiniteGradient:
+    """The gradient's state is not re-scanned; the solvers' own checks still stop a NaN."""
+
+    @pytest.mark.parametrize("budget", [True, False])
+    @pytest.mark.parametrize("n_good", [0, 3])
+    @pytest.mark.parametrize("solver", ["gd", "nagd"])
+    def test_descent_raises(self, solver, n_good, budget, monkeypatch):
+        # without a budget the Armijo candidate's constructor is the only check left
+        inst = make_instance(seed=2)
+        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        obj = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        nan_gradient_after(monkeypatch, n_good)
+        solve = u.gd_solve if solver == "gd" else u.nagd_solve
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="precoder blocks must be finite"):
+            solve(init, obj, inst["rho"] if budget else None)
+
+    def test_symplectic_raises_divergence(self, monkeypatch):
+        inst = make_instance(seed=2)
+        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        nan_gradient_after(monkeypatch, 3)
+        config = u.SolverConfig(gamma=20.0, h0=0.002, h_max=0.005)
+        with np.errstate(invalid="ignore"), pytest.raises(u.SolverDivergence, match="iteration 2"):
+            u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
+
+    def test_run_experiment_records_error_row(self, tmp_path, monkeypatch):
+        from ucnprec.harness import ScenarioConfig
+
+        nan_gradient_after(monkeypatch, 3)
+        cfg = ScenarioConfig(seeds=(0,), max_iters=20)
+        with np.errstate(invalid="ignore"):
+            summary = u.run_experiment(cfg, ["gd", "rzf"], tmp_path)
+        gd_row = summary.row("gd", 0)
+        assert gd_row.error == "ValueError: precoder blocks must be finite"
+        assert not gd_row.converged and np.isnan(gd_row.wsr_bits)
+        assert summary.row("rzf", 0).error == ""

@@ -236,3 +236,30 @@ def test_channel_file_truncation_detected(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ValueError):
         u.load_channels(path)
+
+
+def _channel_header(b, k_ut, m):
+    return np.array([b, k_ut, m], dtype=np.int64).tobytes() + np.array([1e-13]).tobytes()
+
+
+def test_channel_file_huge_header_rejected(tmp_path):
+    path = tmp_path / "channels.bin"
+    path.write_bytes(_channel_header(2**20, 2**20, 4))  # 2^40 channel vectors
+    with pytest.raises(ValueError, match="truncated"):
+        u.load_channels(path)
+
+
+def test_channel_file_negative_dimension_rejected(tmp_path):
+    path = tmp_path / "channels.bin"
+    path.write_bytes(_channel_header(-1, 2, 2))
+    with pytest.raises(ValueError, match="negative dimension"):
+        u.load_channels(path)
+
+
+def test_channel_file_trailing_byte_rejected(tmp_path):
+    ch = make_instance(seed=13, K=3, M_t=2)["ch"]
+    path = tmp_path / "channels.bin"
+    u.save_channels(path, ch)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        u.load_channels(path)

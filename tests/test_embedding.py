@@ -112,6 +112,27 @@ class TestLayoutAndState:
         with pytest.raises(ValueError):
             u.PrecoderState(layout, blocks)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_state_rejects_infinite(self, small_instance, bad):
+        layout = small_instance["layout"]
+        blocks = np.zeros((layout.n_blocks, layout.block_len))
+        blocks[-1, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            u.PrecoderState(layout, blocks, copy=False)
+
+    def test_state_rejects_wrong_shape(self, small_instance):
+        layout = small_instance["layout"]
+        with pytest.raises(ValueError, match="shape"):
+            u.PrecoderState(layout, np.zeros((layout.n_blocks, layout.block_len + 1)))
+        with pytest.raises(ValueError, match="shape"):
+            u.PrecoderState(layout, np.zeros(layout.dim))
+
+    def test_renormalize_rejects_underflowing_power(self):
+        layout = u.BlockLayout(u.ClusterMap.from_serving([[0]], 1), 1)
+        tiny = u.PrecoderState(layout, np.array([[1e-160, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            u.renormalize_power(tiny, u.PowerBudget.uniform(1, 1.0))
+
 
 class TestPower:
     def test_zero_state_zero_norms(self, small_instance):
@@ -170,3 +191,37 @@ def test_renormalize_matches_per_bs_loop_bitwise(small_instance):
         if rows.stop > rows.start:
             ref[rows] *= np.sqrt(rho.rho[l] / powers[l])
     assert np.array_equal(u.renormalize_power(state, rho).blocks, ref)
+
+
+def _precoder_header(n_bs, n_ut, m_t, n_blocks):
+    return np.array([n_bs, n_ut, m_t, n_blocks], dtype=np.int64).tobytes()
+
+
+def test_precoder_file_huge_block_count_rejected(tmp_path):
+    path = tmp_path / "precoder.bin"
+    path.write_bytes(_precoder_header(2, 3, 4, 2**40))
+    with pytest.raises(ValueError, match="truncated"):
+        u.load_precoder(path)
+
+
+def test_precoder_file_negative_dimension_rejected(tmp_path):
+    path = tmp_path / "precoder.bin"
+    path.write_bytes(_precoder_header(2, -3, 4, 0))
+    with pytest.raises(ValueError, match="negative dimension"):
+        u.load_precoder(path)
+
+
+def test_precoder_file_trailing_byte_rejected(tmp_path, small_instance):
+    path = tmp_path / "precoder.bin"
+    u.save_precoder(path, random_state(small_instance["layout"], small_instance["rho"], 4))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        u.load_precoder(path)
+
+
+def test_precoder_file_pair_out_of_range_rejected(tmp_path):
+    path = tmp_path / "precoder.bin"
+    body = np.array([0, -1], dtype=np.int64).tobytes() + np.zeros(2).tobytes()
+    path.write_bytes(_precoder_header(1, 2, 1, 1) + body)
+    with pytest.raises(ValueError, match="out of range"):
+        u.load_precoder(path)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from ucnprec import baselines, harness
 
 REPO = Path(__file__).resolve().parent.parent
 FROZEN_SUMMARY = REPO / "tests" / "data" / "solver_summary_frozen.json"
-FROZEN_SOLVERS = ("symplectic", "gd", "nagd")
+FROZEN_SOLVERS = ("symplectic", "wmmse", "gd", "nagd")
 FROZEN_SEEDS = (0, 1, 2, 3, 4)
 
 
@@ -47,6 +48,14 @@ class TestLoadConfig:
     def test_missing_equals_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="key = value"):
             u.load_config(write_cfg(tmp_path, "justakey\n"))
+
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        # a repeated seed would write two summary rows and overwrite its trace files
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            u.load_config(write_cfg(tmp_path, "seeds = 0, 1, 0\n"))
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            u.run_experiment(_fast_cfg(seeds=(3, 3)), ["rzf"], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_range_cluster_size_named(self, tmp_path):
         with pytest.raises(ValueError, match="B_sc"):
@@ -146,7 +155,7 @@ class TestRunExperiment:
 
 
 def frozen_summary_rows(config_name, out_dir):
-    """Summary fields of the gradient-family solvers on seeds 0-4 of a preset."""
+    """Summary fields and trace CSV digests of the iterative solvers on seeds 0-4 of a preset."""
     cfg = dataclasses.replace(u.load_config(REPO / "configs" / config_name), seeds=FROZEN_SEEDS)
     summary = u.run_experiment(cfg, FROZEN_SOLVERS, out_dir)
     return [
@@ -157,6 +166,9 @@ def frozen_summary_rows(config_name, out_dir):
             "iterations": r.iterations,
             "grad_evals": r.grad_evals,
             "multiply_adds": r.multiply_adds,
+            "trace_sha256": hashlib.sha256(
+                Path(out_dir, f"trace_{r.solver}_seed{r.seed}.csv").read_bytes()
+            ).hexdigest(),
         }
         for r in summary.rows
     ]
@@ -264,9 +276,9 @@ if __name__ == "__main__":
     FROZEN_SUMMARY.write_text(
         json.dumps(
             {
-                "description": "Final WSR (repr of the float), iterations, gradient evaluations "
-                "and multiply-adds of run_experiment for the symplectic, gd and nagd solvers "
-                "on seeds 0-4 of each preset.",
+                "description": "Final WSR (repr of the float), iterations, gradient evaluations, "
+                "multiply-adds and the sha256 of the trace CSV of run_experiment for the "
+                "symplectic, wmmse, gd and nagd solvers on seeds 0-4 of each preset.",
                 "configs": configs,
             },
             indent=1,

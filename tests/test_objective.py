@@ -4,7 +4,12 @@ import pytest
 import ucnprec as u
 from ucnprec.objective import OpCounter, amplitude_matrix
 from conftest import make_instance, random_state
-from oracles import complex_blocks_dict, naive_signal_and_interference, naive_wsr_bits
+from oracles import (
+    complex_blocks_dict,
+    naive_signal_and_interference,
+    naive_wsr_bits,
+    reference_amplitude_matrix,
+)
 
 
 def scalar_world():
@@ -330,3 +335,51 @@ class TestObjectiveMemo:
         with pytest.raises(ValueError):
             obj.terms(state).rate_nats[0] = 0.0
         assert obj.value(state) == f
+
+
+def random_served_instance(seed):
+    """Random channels and serving sets: UTs served by 0, 1, 2 and 3 BSs, an empty BS, K < M_t."""
+    rng = np.random.default_rng(seed)
+    n_bs = 5
+    n_ut = int(rng.integers(4, 8))
+    m_t = n_ut + int(rng.integers(1, 4))
+    sizes = [0, 1, 2, 3] + list(rng.integers(0, 4, size=n_ut - 4))
+    rng.shuffle(sizes)
+    empty_bs = int(rng.integers(n_bs))
+    others = [l for l in range(n_bs) if l != empty_bs]
+    serving = [sorted(rng.choice(others, size=n, replace=False).tolist()) for n in sizes]
+    entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
+    ch = u.ChannelSet(entries=entries, noise_power=0.1)
+    clusters = u.ClusterMap.from_serving(serving, n_bs)
+    layout = u.BlockLayout(clusters, m_t)
+    state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
+    return ch, clusters, state
+
+
+class TestAmplitudeMatrix:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scatter_loop_bitwise(self, seed):
+        ch, _, state = random_served_instance(seed)
+        lay = state.layout
+        assert not lay.nonempty_bs.all()
+        assert set(np.bincount(lay.row_ut, minlength=lay.n_ut)) == {0, 1, 2, 3}
+        assert ch.n_ut < lay.M_t
+        amps = amplitude_matrix(state, ch)
+        assert amps.flags.c_contiguous
+        ref = reference_amplitude_matrix(state, ch)
+        # equal bit patterns, so signed zeros count too
+        assert np.array_equal(amps.view(np.int64), ref.view(np.int64))
+
+    def test_counts_one_product_per_pair(self):
+        ch, _, state = random_served_instance(0)
+        counter = OpCounter()
+        amplitude_matrix(state, ch, counter)
+        assert counter.multiply_adds == ch.n_ut * state.layout.M_t * state.layout.n_blocks
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_matches_loop_on_uneven_clusters(self, seed):
+        ch, clusters, state = random_served_instance(seed)
+        w = u.Weights(np.random.default_rng(seed).uniform(0.5, 2.0, ch.n_ut))
+        ev = u.WsrObjective(ch, clusters, w).evaluate(state)
+        ref = loop_gradient_blocks(state, ch, w, reference_amplitude_matrix(state, ch), ev.terms)
+        assert np.array_equal(ev.grad.blocks, ref)
