@@ -73,7 +73,7 @@ from .symplectic import (
     SolveResult,
     SolverConfig,
     SolverDivergence,
-    SymplecticStepRecord,
+    StepRecord,
     constraint_apply_G,
     flow_multiplier,
     rattle_step,

@@ -9,7 +9,8 @@ the multiplier of the previous sweep. bisect_power solves the same equation
 for any decreasing scalar power function by bracketing and false position.
 GD and NAGD run Armijo backtracking on the negated objective and renormalize
 to the per-BS power budget after every accepted step so all solvers are
-compared on the same feasible set.
+compared on the same feasible set. GD is NAGD without momentum: both are one
+step function run by symplectic.iterate.
 """
 
 import math
@@ -24,6 +25,7 @@ from .embedding import (
     PowerBudget,
     PrecoderState,
     bs_block_norms,
+    power_residual,
     renormalize_power,
 )
 from .objective import (
@@ -32,7 +34,7 @@ from .objective import (
     amplitude_matrix,
     terms_from_amplitudes,
 )
-from .symplectic import SolveResult, SymplecticStepRecord
+from .symplectic import SolveResult, StepRecord, iterate
 
 
 class BisectionError(RuntimeError):
@@ -375,25 +377,8 @@ def _armijo(objective, layout, base_blocks, f0, grad_blocks, gnorm2, start, ls, 
 
 
 def _descent_record(wsr_bits, alpha, state, rho):
-    residual = None
-    if rho is not None:
-        powers = bs_block_norms(state)
-        mask = state.layout.nonempty_bs
-        residual = (
-            float(np.max(np.abs(powers[mask] - rho.rho[mask]) / rho.rho[mask]))
-            if mask.any()
-            else 0.0
-        )
-    return SymplecticStepRecord(
-        lam=None,
-        mu=None,
-        delta=None,
-        h_used=alpha,
-        hamiltonian=None,
-        wsr_bits=wsr_bits,
-        constraint_residual=residual,
-        hidden_residual=None,
-    )
+    residual = None if rho is None else power_residual(state.layout, bs_block_norms(state), rho)
+    return StepRecord(h_used=alpha, wsr_bits=wsr_bits, constraint_residual=residual)
 
 
 def gd_solve(
@@ -404,52 +389,13 @@ def gd_solve(
     max_iters: int = 100,
     rel_tol: float = 1e-5,
 ) -> SolveResult:
-    """Steepest descent with Armijo backtracking.
+    """Steepest descent with Armijo backtracking: the momentum-free descent.
 
     With a power budget, every accepted step is renormalized to full per-BS
     power; rho=None runs the plain unconstrained descent (used by the
     quadratic convergence checks).
     """
-    ls = ls if ls is not None else LineSearchConfig()
-    layout = init.layout
-    p = renormalize_power(init, rho) if rho is not None else init
-    ev = objective.evaluate(p)
-    best_wsr, best_state = ev.wsr_bits, p
-    prev_wsr = ev.wsr_bits
-    start = ls.alpha0
-    consec_failures = 0
-    trace = []
-    recent = deque(maxlen=3)
-    converged = False
-    for _ in range(max_iters):
-        grad_blocks = ev.grad.blocks
-        gnorm2 = float(np.sum(grad_blocks**2))
-        if gnorm2 == 0.0:
-            converged = True
-            break
-        alpha, cand = _armijo(objective, layout, p.blocks, ev.g_value, grad_blocks, gnorm2, start, ls, rho)
-        if cand is None:
-            start *= 0.5
-            consec_failures += 1
-            trace.append(_descent_record(prev_wsr, 0.0, p, rho))
-            recent.clear()
-            if consec_failures >= 10:
-                break  # stalled line search
-            continue
-        consec_failures = 0
-        start = min(ls.alpha0, alpha / ls.backtrack)  # warm start, one notch above
-        p = cand
-        ev = objective.evaluate(p)
-        trace.append(_descent_record(ev.wsr_bits, alpha, p, rho))
-        if ev.wsr_bits > best_wsr:
-            best_wsr, best_state = ev.wsr_bits, p
-        rel = abs(ev.wsr_bits - prev_wsr) / max(abs(prev_wsr), 1e-300)
-        prev_wsr = ev.wsr_bits
-        recent.append(rel)
-        if len(recent) == 3 and all(x < rel_tol for x in recent):
-            converged = True
-            break
-    return SolveResult(precoder=best_state, trace=trace, converged=converged, iterations=len(trace))
+    return _descent(init, objective, rho, 0.0, ls, max_iters, rel_tol)
 
 
 def nagd_solve(
@@ -465,30 +411,34 @@ def nagd_solve(
 
     The gradient and the Armijo condition are taken at the extrapolated point
     p + mu (p - p_prev); the first iteration has no predecessor so it matches
-    plain descent, and mu_momentum = 0 reproduces the gd_solve iterates. An
-    extrapolated step that would lower the WSR triggers an adaptive restart:
-    the momentum memory is dropped and the iteration falls back to a plain
-    gradient step from the current point, so the trace stays monotone.
+    plain descent, and mu_momentum = 0 is gd_solve. An extrapolated step that
+    would lower the WSR triggers an adaptive restart: the momentum memory is
+    dropped and the iteration falls back to a plain gradient step from the
+    current point, so the trace stays monotone.
     """
     if not 0.0 <= mu_momentum < 1.0:
         raise ValueError("mu_momentum must lie in [0, 1)")
+    return _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol)
+
+
+def _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol) -> SolveResult:
+    """GD (mu_momentum = 0) and NAGD as one step for symplectic.iterate.
+
+    The gradient at an iterate is taken when a step first needs it, so none is
+    taken at the final iterate.
+    """
     ls = ls if ls is not None else LineSearchConfig()
     layout = init.layout
-    p = renormalize_power(init, rho) if rho is not None else init
-    p_prev = p
-    best_wsr = objective.wsr_bits(p)
-    best_state = p
-    prev_wsr = best_wsr
+    p_prev = None  # the previous iterate, while momentum may extrapolate from it
+    ev_p = None  # evaluation at the current iterate, kept across failed line searches
     start = ls.alpha0
-    consec_failures = 0
-    trace = []
-    recent = deque(maxlen=3)
-    converged = False
-    for _ in range(max_iters):
-        step = None  # (alpha, state, wsr)
-        if mu_momentum > 0.0 and p_prev is not p:
+
+    def step(p, wsr):
+        nonlocal p_prev, ev_p, start
+        found = None  # (alpha, state, wsr)
+        if p_prev is not None:
             y_blocks = p.blocks + mu_momentum * (p.blocks - p_prev.blocks)
-            p_prev = None  # reassigned below on every path; not held through the line search
+            p_prev = None  # not held through the line search; an accepted step sets it again
             y = PrecoderState(layout, y_blocks, copy=False)
             ev_y = objective.evaluate(y)
             grad_blocks = ev_y.grad.blocks
@@ -499,41 +449,30 @@ def nagd_solve(
                 )
                 if cand is not None:
                     wsr_cand = objective.wsr_bits(cand)
-                    if wsr_cand >= prev_wsr - 1e-12 * max(1.0, abs(prev_wsr)):
-                        step = (alpha, cand, wsr_cand)
-        if step is None:
-            # first iteration, failed extrapolation, or adaptive restart
-            ev_p = objective.evaluate(p)
+                    if wsr_cand >= wsr - 1e-12 * max(1.0, abs(wsr)):
+                        found = (alpha, cand, wsr_cand)
+        if found is None:
+            # plain descent, first iteration, failed extrapolation or adaptive restart
+            if ev_p is None:
+                ev_p = objective.evaluate(p)
             grad_blocks = ev_p.grad.blocks
             gnorm2 = float(np.sum(grad_blocks**2))
             if gnorm2 == 0.0:
-                converged = True
-                break
+                return None
             alpha, cand = _armijo(
                 objective, layout, p.blocks, ev_p.g_value, grad_blocks, gnorm2, start, ls, rho
             )
             if cand is None:
                 start *= 0.5
-                consec_failures += 1
-                p_prev = p
-                trace.append(_descent_record(prev_wsr, 0.0, p, rho))
-                recent.clear()
-                if consec_failures >= 10:
-                    break
-                continue
-            step = (alpha, cand, objective.wsr_bits(cand))
-        consec_failures = 0
-        alpha, cand, wsr_now = step
+                return p, _descent_record(wsr, 0.0, p, rho)
+            found = (alpha, cand, objective.wsr_bits(cand))
+        alpha, cand, wsr_now = found
         start = min(ls.alpha0, alpha / ls.backtrack)  # warm start, one notch above
-        p_prev = p
-        p = cand
-        trace.append(_descent_record(wsr_now, alpha, p, rho))
-        if wsr_now > best_wsr:
-            best_wsr, best_state = wsr_now, p
-        rel = abs(wsr_now - prev_wsr) / max(abs(prev_wsr), 1e-300)
-        prev_wsr = wsr_now
-        recent.append(rel)
-        if len(recent) == 3 and all(x < rel_tol for x in recent):
-            converged = True
-            break
-    return SolveResult(precoder=best_state, trace=trace, converged=converged, iterations=len(trace))
+        p_prev = p if mu_momentum > 0.0 else None
+        ev_p = None
+        return cand, _descent_record(wsr_now, alpha, cand, rho)
+
+    p0 = [renormalize_power(init, rho) if rho is not None else init]
+    wsr0 = objective.wsr_bits(p0[0])
+    # popped, not named: this frame must not keep the start alive once iterate() drops it
+    return iterate(step, p0.pop(), wsr0, max_iters, rel_tol)

@@ -227,6 +227,14 @@ def bs_block_norms(state: PrecoderState) -> np.ndarray:
     return out
 
 
+def power_residual(layout: BlockLayout, powers: np.ndarray, budget: PowerBudget) -> float:
+    """Largest |P_l - rho_l| / rho_l over the nonempty BSs, 0 if there are none."""
+    mask = layout.nonempty_bs
+    if not mask.any():
+        return 0.0
+    return float(np.max(np.abs(powers[mask] - budget.rho[mask]) / budget.rho[mask]))
+
+
 def renormalize_power(state: PrecoderState, budget: PowerBudget) -> PrecoderState:
     """Scale each nonempty BS block group to exactly its power limit."""
     if budget.n_bs != state.layout.n_bs:

@@ -13,6 +13,7 @@ import dataclasses
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,26 +147,6 @@ class ScenarioConfig:
         )
 
 
-def high_power_preset(**overrides) -> ScenarioConfig:
-    """Interference-limited comparison preset: 24 dBm with an edge-riding controller.
-
-    Used for the solver head-to-head runs; the stopping rule is effectively
-    disabled so every solver spends its full iteration budget.
-    """
-    params = dict(
-        tx_power_dbm=24.0,
-        gamma=8.0,
-        h0=0.01,
-        r_ctrl=1.0,
-        theta=0.5,
-        h_max=1.0,
-        rel_tol=1e-12,
-        max_iters=50,
-    )
-    params.update(overrides)
-    return dataclasses.replace(ScenarioConfig(), **params)
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -188,42 +169,15 @@ def _optional(parser):
     return parse
 
 
-_FIELD_PARSERS = {
-    "gnb_count": int,
-    "sectors_per_gnb": int,
-    "M_t": int,
-    "K": int,
-    "B_sc": int,
-    "deployment_radius_m": float,
-    "isd_m": _optional(float),
-    "carrier_freq_hz": float,
-    "bs_height_m": float,
-    "ut_height_m": float,
-    "noise_dbm": float,
-    "tx_power_dbm": float,
-    "uniform_weight": float,
-    "pl_exponent": float,
-    "pl0_db": _optional(float),
-    "sector_phi3db_deg": float,
-    "sector_backlobe_db": float,
-    "seeds": _parse_seeds,
-    "init": str,
-    "max_iters": int,
-    "rel_tol": float,
-    "gamma": float,
-    "h0": float,
-    "r_ctrl": float,
-    "theta": float,
-    "h_min": float,
-    "h_max": float,
-    "project_positions": _parse_bool,
-    "wmmse_iters": _optional(int),
-    "armijo_alpha0": float,
-    "armijo_backtrack": float,
-    "armijo_c1": float,
-    "armijo_max_backtracks": int,
-    "nagd_momentum": float,
-}
+def _field_parser(annotation):
+    """Value parser of a ScenarioConfig field from its annotation."""
+    inner = [t for t in typing.get_args(annotation) if t is not type(None)]
+    if inner:  # X | None
+        return _optional(_field_parser(inner[0]))
+    return {bool: _parse_bool, tuple: _parse_seeds}.get(annotation, annotation)
+
+
+_FIELD_PARSERS = {f.name: _field_parser(f.type) for f in dataclasses.fields(ScenarioConfig)}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -349,20 +303,10 @@ def _dispatch(name, config, ch, clusters, rho, weights, init, objective) -> Solv
     if name == "wmmse":
         n_iters = config.wmmse_iters if config.wmmse_iters is not None else config.max_iters
         state, wsr_trace = baselines.wmmse_iterate(init, ch, clusters, rho, weights, n_iters)
-        trace = [
-            symplectic.SymplecticStepRecord(
-                lam=None,
-                mu=None,
-                delta=None,
-                h_used=None,
-                hamiltonian=None,
-                wsr_bits=float(v),
-                constraint_residual=None,
-                hidden_residual=None,
-            )
-            for v in wsr_trace
-        ]
-        return SolveResult(precoder=state, trace=trace, converged=True, iterations=len(trace))
+        trace = [symplectic.StepRecord(wsr_bits=float(v)) for v in wsr_trace]
+        # a fixed number of sweeps: converged says whether the stopping rule holds at the end
+        converged = symplectic.settled(wsr_trace, config.rel_tol)
+        return SolveResult(precoder=state, trace=trace, converged=converged, iterations=len(trace))
     if name == "gd":
         return baselines.gd_solve(
             init, objective, rho, config.line_search_config(), config.max_iters, config.rel_tol

@@ -13,19 +13,22 @@ The constraint Jacobian G has one row per BS containing that BS's stacked
 precoder block (the 1/2-scaled Jacobian of the quadratic constraint; the
 multipliers absorb the constant). G is never materialized: both G v and
 G^T lam are per-BS block operations.
+
+iterate() is the loop this solver, GD and NAGD share: the stopping rule,
+the best-iterate choice, the trace and the stall rule exist only there.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSet, ClusterMap
-from .embedding import PowerBudget, PrecoderState, renormalize_power
+from .embedding import PowerBudget, PrecoderState, power_residual, renormalize_power
 from .objective import ObjectiveEval, Weights, WsrObjective
 
 _HIDDEN_FLOOR = 1e-30
+_MAX_STALLS = 10  # failed line searches in a row that end a run
 
 
 class SolverDivergence(RuntimeError):
@@ -64,22 +67,21 @@ class SolverConfig:
             raise ValueError("need 0 < h_min <= h_max")
 
 
-@dataclass
-class SymplecticStepRecord:
-    """Diagnostics of one solver iteration.
+@dataclass(kw_only=True)
+class StepRecord:
+    """Diagnostics of one solver iteration; one trace schema for every solver.
 
-    Baseline solvers reuse this record with the fields they do not produce set
-    to None so all trace files share one schema.
+    A solver leaves the fields it does not produce at None.
     """
 
-    lam: np.ndarray | None
-    mu: np.ndarray | None
-    delta: float | None
-    h_used: float | None
-    hamiltonian: float | None
+    lam: np.ndarray | None = None
+    mu: np.ndarray | None = None
+    delta: float | None = None
+    h_used: float | None = None
+    hamiltonian: float | None = None
     wsr_bits: float
-    constraint_residual: float | None
-    hidden_residual: float | None
+    constraint_residual: float | None = None
+    hidden_residual: float | None = None
 
 
 @dataclass
@@ -196,23 +198,19 @@ def rattle_step(
     )
 
     powers = _bs_powers(lay, p_next.blocks)
-    mask = lay.nonempty_bs
-    constraint_residual = (
-        float(np.max(np.abs(powers[mask] - rho.rho[mask]) / rho.rho[mask])) if mask.any() else 0.0
-    )
     dots = np.abs(constraint_apply_G(p_next, q_next))
     q_norms = np.sqrt(_bs_powers(lay, q_next.blocks))
     hidden = dots / (np.sqrt(powers) * q_norms + _HIDDEN_FLOOR)
     hidden_residual = float(hidden.max()) if hidden.size else 0.0
 
-    record = SymplecticStepRecord(
+    record = StepRecord(
         lam=lam,
         mu=mu,
         delta=delta,
         h_used=float(h),
         hamiltonian=0.5 * float(np.sum(q_next.blocks**2)) + ev1.g_value,
         wsr_bits=ev1.wsr_bits,
-        constraint_residual=constraint_residual,
+        constraint_residual=power_residual(lay, powers, rho),
         hidden_residual=hidden_residual,
     )
     return p_next, q_next, record, ev1
@@ -230,6 +228,53 @@ def step_controller(delta: float, h: float, config: SolverConfig) -> float:
     return float(np.clip(h_new, config.h_min, config.h_max))
 
 
+def settled(wsrs, rel_tol: float) -> bool:
+    """The stopping rule: the last three relative changes in wsrs are all below rel_tol."""
+    last = wsrs[-4:]
+    return len(last) == 4 and all(
+        abs(b - a) / max(abs(a), 1e-300) < rel_tol for a, b in zip(last[:-1], last[1:])
+    )
+
+
+def iterate(step, p, wsr: float, max_iters: int, rel_tol: float) -> SolveResult:
+    """The iteration loop every gradient-based solver shares.
+
+    step(p, wsr) returns (p_next, record), with record.wsr_bits the WSR at
+    p_next, or None once the gradient vanishes (converged). Returning p itself
+    marks a failed line search: it empties the stopping rule's window, and
+    _MAX_STALLS in a row end the run unconverged. The run converges when
+    settled() holds for the WSRs since the last failure or the start. Returns
+    the best iterate by WSR (the start included) and one record per step.
+    """
+    best, best_wsr = p, wsr
+    window = [wsr]
+    trace = []
+    stalls = 0
+    converged = False
+    for _ in range(max_iters):
+        out = step(p, wsr)
+        if out is None:
+            converged = True
+            break
+        p_next, record = out
+        trace.append(record)
+        if p_next is p:
+            stalls += 1
+            window = [wsr]
+            if stalls == _MAX_STALLS:
+                break
+            continue
+        stalls = 0
+        p, wsr = p_next, record.wsr_bits
+        if wsr > best_wsr:
+            best, best_wsr = p, wsr
+        window.append(wsr)
+        if settled(window, rel_tol):
+            converged = True
+            break
+    return SolveResult(precoder=best, trace=trace, converged=converged, iterations=len(trace))
+
+
 def solve(
     ch: ChannelSet,
     clusters: ClusterMap,
@@ -239,44 +284,24 @@ def solve(
     config: SolverConfig,
     objective: WsrObjective | None = None,
 ) -> SolveResult:
-    """Run the dissipative constrained iteration from a full-power start.
-
-    Stops once the relative WSR change stays below rel_tol for 3 consecutive
-    iterations or the iteration cap is hit; returns the best iterate by WSR
-    (the initial point included) together with the full trace.
-    """
+    """Run the dissipative constrained iteration from a full-power start through iterate()."""
     if objective is None:
         objective = WsrObjective(ch, clusters, weights)
-    p = renormalize_power(init, rho)
-    q = PrecoderState.zeros(p.layout)
-
-    ev = objective.evaluate(p)
-    best_wsr = ev.wsr_bits
-    best_state = p
-    prev_wsr = ev.wsr_bits
-
+    start = [renormalize_power(init, rho)]
+    q = PrecoderState.zeros(init.layout)
+    ev = objective.evaluate(start[0])
     h = config.h0
-    trace = []
-    recent = deque(maxlen=3)
-    converged = False
-    for n in range(config.max_iters):
-        p, q, record, ev = rattle_step(
-            p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n
-        )
-        trace.append(record)
-        if record.wsr_bits > best_wsr:
-            best_wsr = record.wsr_bits
-            best_state = p
-        rel = abs(record.wsr_bits - prev_wsr) / max(abs(prev_wsr), 1e-300)
-        prev_wsr = record.wsr_bits
-        recent.append(rel)
-        if len(recent) == 3 and all(x < config.rel_tol for x in recent):
-            converged = True
-            break
+    n = 0
+
+    def step(p, wsr):
+        nonlocal q, ev, h, n
+        p, q, record, ev = rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
+        n += 1
         h = step_controller(record.delta, h, config)
-    return SolveResult(
-        precoder=best_state, trace=trace, converged=converged, iterations=len(trace)
-    )
+        return p, record
+
+    # popped, not named: this frame must not keep the start alive once iterate() drops it
+    return iterate(step, start.pop(), ev.wsr_bits, config.max_iters, config.rel_tol)
 
 
 TRACE_COLUMNS = (

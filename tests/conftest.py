@@ -1,10 +1,18 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ucnprec as u
-from ucnprec.harness import ScenarioConfig, build_instance
+from ucnprec.harness import ScenarioConfig, build_instance, load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def load_preset(name):
+    """Parse one of the shipped config files, e.g. load_preset("high_power.cfg")."""
+    return load_config(CONFIGS / name)
 
 
 def make_instance(seed=0, **overrides):

@@ -13,8 +13,8 @@ import pytest
 
 import ucnprec as u
 from ucnprec.baselines import wmmse_step
-from ucnprec.harness import ScenarioConfig, build_instance, high_power_preset
-from conftest import make_instance
+from ucnprec.harness import ScenarioConfig, build_instance
+from conftest import load_preset, make_instance
 
 N_SEEDS = 20
 
@@ -31,7 +31,7 @@ def _to95(wsr_trace):
 
 @pytest.fixture(scope="module")
 def hp_instances():
-    cfg = high_power_preset()
+    cfg = load_preset("high_power.cfg")
     out = []
     for seed in range(N_SEEDS):
         _, ch, clusters = build_instance(cfg, seed)

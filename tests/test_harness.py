@@ -68,11 +68,24 @@ class TestLoadConfig:
         assert cfg.K == 300
         assert cfg.noise_dbm == -104.0
 
-    def test_high_power_preset_helper(self):
-        cfg = harness.high_power_preset(max_iters=10)
-        cfg.validate()
+    def test_high_power_preset_parses(self):
+        cfg = u.load_config(REPO / "configs" / "high_power.cfg")
         assert cfg.tx_power_dbm == 24.0
-        assert cfg.max_iters == 10
+        assert cfg.max_iters == 50
+
+    def test_every_field_default_round_trips(self, tmp_path):
+        def text(value):
+            if value is None:
+                return "none"
+            if isinstance(value, tuple):
+                return ",".join(map(str, value))
+            return str(value)
+
+        defaults = harness.ScenarioConfig()
+        lines = [f"{f.name} = {text(getattr(defaults, f.name))}" for f in dataclasses.fields(defaults)]
+        assert len(lines) == len(harness._FIELD_PARSERS)
+        assert u.load_config(write_cfg(tmp_path, "\n".join(lines) + "\n")) == defaults
+        assert not u.load_config(write_cfg(tmp_path, "project_positions = off\n")).project_positions
 
 
 def _fast_cfg(**overrides):
@@ -129,6 +142,22 @@ class TestRunExperiment:
         assert all("synthetic failure" in r.error for r in wmmse_rows)
         assert all(not r.converged for r in wmmse_rows)
         assert all(r.error == "" for r in rzf_rows)
+
+    @pytest.mark.parametrize("rel_tol, flag", [(1e-300, False), (1e9, True)])
+    def test_wmmse_converged_is_stopping_rule(self, tmp_path, rel_tol, flag):
+        # four sweeps give three WSR changes: the rule holds for a large
+        # tolerance and, as the WSR still moves, not for a vanishing one;
+        # either way every sweep runs
+        summary = u.run_experiment(_fast_cfg(wmmse_iters=4, rel_tol=rel_tol), ["wmmse"], tmp_path)
+        for row in summary.rows:
+            assert row.converged is flag
+            assert row.iterations == 4
+
+    def test_gd_takes_no_gradient_at_final_iterate(self, tmp_path):
+        cfg = dataclasses.replace(u.load_config(REPO / "configs" / "desk.cfg"), seeds=(0,))
+        row = u.run_experiment(cfg, ["gd"], tmp_path).row("gd", 0)
+        assert row.iterations == 196
+        assert row.grad_evals == row.iterations
 
     def test_summary_columns(self, tmp_path):
         u.run_experiment(_fast_cfg(seeds=(0,)), ["rzf"], tmp_path)

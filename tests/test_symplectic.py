@@ -5,6 +5,7 @@ import pytest
 
 import ucnprec as u
 from ucnprec.objective import ObjectiveEval
+from ucnprec.symplectic import iterate
 from conftest import make_instance, random_state
 from oracles import dense_constraint_jacobian
 
@@ -344,6 +345,91 @@ class TestSolve:
             u.solve(ch, cm, rho, u.Weights(np.ones(1)), init, config)
 
 
+STALL = "stall"
+
+
+class Point:
+    """Stand-in iterate: the driver only compares iterates by identity."""
+
+    def __init__(self, n):
+        self.n = n  # the step that produced it, 0 for the start
+
+
+def scripted_step(script):
+    """A fake step that plays script: a WSR accepts a new iterate, STALL fails, None ends."""
+    moves = enumerate(script, start=1)
+
+    def step(p, wsr):
+        n, move = next(moves)
+        if move is None:
+            return None
+        if move == STALL:
+            return p, u.StepRecord(wsr_bits=wsr, h_used=0.0)
+        return Point(n), u.StepRecord(wsr_bits=move)
+
+    return step
+
+
+def run_script(script, start_wsr=1.0, max_iters=50, rel_tol=1e-6):
+    return iterate(scripted_step(script), Point(0), start_wsr, max_iters, rel_tol)
+
+
+class TestIterate:
+    def test_stops_at_third_small_change(self):
+        # changes 1, 0, 0, 1, 0, 0, 0: the third small change in a row is step 7
+        result = run_script([2.0, 2.0, 2.0, 4.0, 4.0, 4.0, 4.0, 8.0])
+        assert result.converged
+        assert result.iterations == 7
+        assert [r.wsr_bits for r in result.trace] == [2.0, 2.0, 2.0, 4.0, 4.0, 4.0, 4.0]
+
+    def test_change_at_tolerance_is_not_small(self):
+        # each relative change is exactly 2**-10 in floating point
+        result = run_script([(1 + 2**-10) ** k for k in (1, 2, 3)], rel_tol=2**-10, max_iters=3)
+        assert not result.converged
+        assert result.iterations == 3
+
+    def test_stall_clears_window(self):
+        # without the clear, the small changes of steps 2, 3 and 5 would stop the run at step 5
+        result = run_script([2.0, 2.0, 2.0, STALL, 2.0, 2.0, 2.0, 9.0])
+        assert result.converged
+        assert result.iterations == 7
+        assert result.trace[3].h_used == 0.0
+
+    def test_ten_stalls_end_unconverged(self):
+        result = run_script([STALL] * 10 + [2.0])
+        assert not result.converged
+        assert result.iterations == 10
+
+    def test_accepted_step_resets_stall_count(self):
+        result = run_script([STALL] * 9 + [2.0] + [STALL] * 10 + [3.0])
+        assert not result.converged
+        assert result.iterations == 20
+        assert result.trace[9].wsr_bits == 2.0
+
+    def test_vanished_gradient_on_first_step(self):
+        result = run_script([None])
+        assert result.converged
+        assert result.iterations == 0
+        assert result.trace == []
+        assert result.precoder.n == 0
+
+    def test_best_iterate_can_be_start(self):
+        result = run_script([4.0, 3.0, 3.0, 3.0, 3.0], start_wsr=5.0)
+        assert result.converged
+        assert result.iterations == 5
+        assert result.precoder.n == 0
+
+    def test_best_iterate_is_first_of_equals(self):
+        result = run_script([2.0, 3.0, 1.0, 3.0], max_iters=4)
+        assert not result.converged
+        assert result.precoder.n == 2
+
+    def test_cap_ends_unconverged(self):
+        result = run_script([2.0, 3.0, 4.0], max_iters=3)
+        assert not result.converged
+        assert result.iterations == 3
+
+
 class TestTraceCsv:
     def test_schema_and_empty_cells(self, tmp_path):
         inst = make_instance(seed=0)
@@ -353,10 +439,7 @@ class TestTraceCsv:
             h_max=0.005,
         )
         result = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
-        baseline_record = u.SymplecticStepRecord(
-            lam=None, mu=None, delta=None, h_used=None, hamiltonian=None,
-            wsr_bits=1.5, constraint_residual=None, hidden_residual=None,
-        )
+        baseline_record = u.StepRecord(wsr_bits=1.5)
         path = tmp_path / "trace.csv"
         u.write_trace_csv(path, result.trace + [baseline_record])
         lines = path.read_text().strip().split("\n")
