@@ -5,6 +5,8 @@ problem with a dissipative constrained-Hamiltonian iteration and benchmarks it
 against RZF, WMMSE, GD and NAGD on synthetic multi-cell channels.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     BisectionError,
     LineSearchConfig,
@@ -35,16 +37,10 @@ from .embedding import (
     BlockLayout,
     PowerBudget,
     PrecoderState,
-    RealChannel,
     bs_block_norms,
-    embed_channel,
-    embed_precoder,
-    extract_precoder,
     load_precoder,
     renormalize_power,
     save_precoder,
-    stack,
-    unstack,
 )
 from .harness import (
     ComplexityReport,
@@ -64,10 +60,6 @@ from .objective import (
     WsrObjective,
     central_difference,
     fd_gradient,
-    g_value,
-    gradient,
-    rate_terms,
-    wsr,
 )
 from .symplectic import (
     SolveResult,
@@ -83,4 +75,5 @@ from .symplectic import (
     write_trace_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules themselves are importable but not star-exported
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

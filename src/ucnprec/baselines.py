@@ -77,20 +77,13 @@ class WmmseState:
             raise ValueError("power multipliers must be nonnegative")
 
 
-def rzf_init(
-    ch: ChannelSet,
-    clusters: ClusterMap,
-    rho: PowerBudget,
-    alpha_reg: float | None = None,
-) -> PrecoderState:
+def rzf_init(ch: ChannelSet, clusters: ClusterMap, rho: PowerBudget) -> PrecoderState:
     """Per-BS regularized zero-forcing directions scaled to full power.
 
-    p_{l,k} ~ (sum_{j in U_l} h_{l,j} h_{l,j}^H + alpha I)^(-1) h_{l,k}, each
-    BS block group scaled so its power equals rho_l. alpha defaults to
-    |U_l| * sigma_z^2 / rho_l per BS.
+    p_{l,k} ~ (sum_{j in U_l} h_{l,j} h_{l,j}^H + alpha_l I)^(-1) h_{l,k}, each
+    BS block group scaled so its power equals rho_l, with the regularizer
+    alpha_l = |U_l| * sigma_z^2 / rho_l.
     """
-    if alpha_reg is not None and not alpha_reg > 0:
-        raise ValueError("alpha_reg must be > 0")
     layout = BlockLayout(clusters, ch.M_t)
     cblocks = np.zeros((layout.n_blocks, ch.M_t), dtype=complex)
     for l, rows in enumerate(layout.bs_rows):
@@ -99,7 +92,7 @@ def rzf_init(
             continue
         cols = layout.bs_uts[l]
         h_cols = ch.entries[l][cols].T  # (M_t, n_l), columns h_{l,k}
-        reg = alpha_reg if alpha_reg is not None else n_l * ch.noise_power / rho.rho[l]
+        reg = n_l * ch.noise_power / rho.rho[l]
         gram = h_cols @ h_cols.conj().T
         dirs = np.linalg.solve(gram + reg * np.eye(ch.M_t), h_cols)
         power = float(np.sum(np.abs(dirs) ** 2))
@@ -255,7 +248,6 @@ def newton_multiplier(
 def wmmse_step(
     state: PrecoderState,
     ch: ChannelSet,
-    clusters: ClusterMap,
     rho: PowerBudget,
     weights: Weights,
     power_tol: float = 1e-10,
@@ -333,7 +325,6 @@ def _wmmse_sweep(state, ch, rho, w, power_tol, lam0):
 def wmmse_iterate(
     state: PrecoderState,
     ch: ChannelSet,
-    clusters: ClusterMap,
     rho: PowerBudget,
     weights: Weights,
     n_iters: int,
@@ -349,7 +340,7 @@ def wmmse_iterate(
     wsr_trace = np.zeros(n_iters)
     lam = None
     for i in range(n_iters):
-        state, ws, wsr_bits = wmmse_step(state, ch, clusters, rho, weights, power_tol, lam)
+        state, ws, wsr_bits = wmmse_step(state, ch, rho, weights, power_tol, lam)
         lam = ws.lam
         wsr_trace[i] = wsr_bits
     return state, wsr_trace

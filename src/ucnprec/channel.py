@@ -164,9 +164,6 @@ class ChannelSet:
     def M_t(self) -> int:
         return self.entries.shape[2]
 
-    def entry(self, l: int, k: int) -> np.ndarray:
-        return self.entries[l, k]
-
 
 def path_gains(topo: Topology, pathloss: PathlossParams) -> np.ndarray:
     """Linear power gain g[l, k] from the documented pathloss + sector pattern."""
@@ -296,6 +293,11 @@ def build_clusters(rsrp: RsrpTable, b_sc: int) -> ClusterMap:
     return ClusterMap.from_serving(serving, n_bs)
 
 
+def record_dtype(m_t: int) -> np.dtype:
+    """One row of a channel or precoder file: int64 (l, k), then 2*M_t float64."""
+    return np.dtype([("lk", np.int64, 2), ("v", np.float64, 2 * m_t)])
+
+
 def save_channels(path, ch: ChannelSet) -> None:
     """Dump a ChannelSet as flat binary.
 
@@ -303,16 +305,13 @@ def save_channels(path, ch: ChannelSet) -> None:
     int64 l, int64 k, 2*M_t float64 (re, im interleaved per antenna).
     """
     b, k_ut, m = ch.entries.shape
+    rows = np.empty(b * k_ut, dtype=record_dtype(m))
+    rows["lk"] = np.indices((b, k_ut)).reshape(2, -1).T
+    rows["v"] = ch.entries.reshape(b * k_ut, m).view(np.float64)
     with open(path, "wb") as f:
         np.array([b, k_ut, m], dtype=np.int64).tofile(f)
         np.array([ch.noise_power], dtype=np.float64).tofile(f)
-        for l in range(b):
-            for k in range(k_ut):
-                np.array([l, k], dtype=np.int64).tofile(f)
-                row = np.empty(2 * m, dtype=np.float64)
-                row[0::2] = ch.entries[l, k].real
-                row[1::2] = ch.entries[l, k].imag
-                row.tofile(f)
+        rows.tofile(f)
 
 
 def check_file_size(f, what: str, dims: tuple, size: int) -> None:
@@ -341,14 +340,8 @@ def load_channels(path) -> ChannelSet:
         if noise.size != 1:
             raise ValueError("truncated channel file header")
         check_file_size(f, "channel", (b, k_ut, m), 32 + b * k_ut * 16 * (1 + m))
-        entries = np.zeros((b, k_ut, m), dtype=complex)
-        for l in range(b):
-            for k in range(k_ut):
-                idx = np.fromfile(f, dtype=np.int64, count=2)
-                row = np.fromfile(f, dtype=np.float64, count=2 * m)
-                if idx.size != 2 or row.size != 2 * m:
-                    raise ValueError("truncated channel file body")
-                if (int(idx[0]), int(idx[1])) != (l, k):
-                    raise ValueError("channel file rows out of canonical order")
-                entries[l, k] = row[0::2] + 1j * row[1::2]
+        rows = np.fromfile(f, dtype=record_dtype(m), count=b * k_ut)  # size checked above
+    if not np.array_equal(rows["lk"], np.indices((b, k_ut)).reshape(2, -1).T):
+        raise ValueError("channel file rows out of canonical order")
+    entries = np.ascontiguousarray(rows["v"]).view(complex).reshape(b, k_ut, m)
     return ChannelSet(entries=entries, noise_power=float(noise[0]))

@@ -1,8 +1,8 @@
-"""Real embedding of complex quantities and the block-sparse precoder model.
+"""The block-sparse real precoder model, its per-BS power budget and file format.
 
-A complex vector u maps to [Re u; Im u]. A complex MISO channel h maps to the
-(2 M_t) x 2 block matrix [[Re h, -Im h], [Im h, Re h]], so that mat.T @ p_hat
-is the embedding of the scalar h^H p. Both maps preserve Euclidean norms.
+A complex precoder block p maps to the real block p_hat = [Re p; Im p], which
+preserves Euclidean norms; the solvers work on p_hat, and the objective turns
+it back into complex blocks to evaluate channel products.
 
 Precoders live only on the active (BS, UT) pairs selected by the serving
 clusters; inactive pairs are implicitly zero. The canonical stacking order is
@@ -15,51 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ClusterMap, check_file_size, dbm_to_watt
-
-
-@dataclass
-class RealChannel:
-    """Real block form of one complex channel vector."""
-
-    mat: np.ndarray  # (2*M_t, 2)
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=float)
-        if self.mat.ndim != 2 or self.mat.shape[1] != 2 or self.mat.shape[0] % 2:
-            raise ValueError("RealChannel.mat must have shape (2*M_t, 2)")
-
-    def to_complex(self) -> np.ndarray:
-        m = self.mat.shape[0] // 2
-        return self.mat[:m, 0] + 1j * self.mat[m:, 0]
-
-
-def embed_channel(h: np.ndarray) -> RealChannel:
-    """Embed a complex channel vector as its (2*M_t) x 2 real block matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 1:
-        raise ValueError("expected a 1-D complex channel vector")
-    re, im = h.real, h.imag
-    top = np.column_stack([re, -im])
-    bottom = np.column_stack([im, re])
-    return RealChannel(mat=np.vstack([top, bottom]))
-
-
-def embed_precoder(p: np.ndarray) -> np.ndarray:
-    """Stack real over imaginary parts of a complex vector."""
-    p = np.asarray(p, dtype=complex)
-    if p.ndim != 1:
-        raise ValueError("expected a 1-D complex vector")
-    return np.concatenate([p.real, p.imag])
-
-
-def extract_precoder(v: np.ndarray) -> np.ndarray:
-    """Inverse of embed_precoder."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size % 2:
-        raise ValueError("real vector must have even length")
-    m = v.size // 2
-    return v[:m] + 1j * v[m:]
+from .channel import ClusterMap, check_file_size, dbm_to_watt, record_dtype
 
 
 @dataclass
@@ -205,19 +161,6 @@ class PrecoderState:
         return self.blocks[:, :m] + 1j * self.blocks[:, m:]
 
 
-def stack(state: PrecoderState) -> np.ndarray:
-    """Concatenate all active blocks in canonical order into one flat vector."""
-    return state.blocks.ravel().copy()
-
-
-def unstack(vec: np.ndarray, layout: BlockLayout) -> PrecoderState:
-    """Inverse of stack for the given layout."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or vec.size != layout.dim:
-        raise ValueError(f"stacked vector must have length {layout.dim}, got {vec.size}")
-    return PrecoderState(layout, vec.reshape(layout.n_blocks, layout.block_len))
-
-
 def bs_block_norms(state: PrecoderState) -> np.ndarray:
     """Per-BS transmit power: entry l is sum_{k in U_l} ||p_hat_{l,k}||^2."""
     row_power = np.sum(state.blocks**2, axis=1)
@@ -261,11 +204,13 @@ def save_precoder(path, state: PrecoderState) -> None:
     order: int64 l, int64 k, 2*M_t float64 (stacked re parts then im parts).
     """
     lay = state.layout
+    rows = np.empty(lay.n_blocks, dtype=record_dtype(lay.M_t))
+    rows["lk"][:, 0] = lay.row_bs
+    rows["lk"][:, 1] = lay.row_ut
+    rows["v"] = state.blocks
     with open(path, "wb") as f:
         np.array([lay.n_bs, lay.n_ut, lay.M_t, lay.n_blocks], dtype=np.int64).tofile(f)
-        for i, (l, k) in enumerate(lay.pairs):
-            np.array([l, k], dtype=np.int64).tofile(f)
-            state.blocks[i].astype(np.float64).tofile(f)
+        rows.tofile(f)
 
 
 def load_precoder(path) -> PrecoderState:
@@ -276,24 +221,15 @@ def load_precoder(path) -> PrecoderState:
             raise ValueError("truncated precoder file header")
         n_bs, n_ut, m_t, n_blocks = (int(x) for x in header)
         check_file_size(f, "precoder", (n_bs, n_ut, m_t, n_blocks), 32 + n_blocks * 16 * (1 + m_t))
-        pairs = []
-        rows = np.zeros((n_blocks, 2 * m_t))
-        for i in range(n_blocks):
-            idx = np.fromfile(f, dtype=np.int64, count=2)
-            data = np.fromfile(f, dtype=np.float64, count=2 * m_t)
-            if idx.size != 2 or data.size != 2 * m_t:
-                raise ValueError("truncated precoder file body")
-            l, k = int(idx[0]), int(idx[1])
-            if not (0 <= l < n_bs and 0 <= k < n_ut):
-                raise ValueError(f"precoder file pair (BS {l}, UT {k}) out of range")
-            pairs.append((l, k))
-            rows[i] = data
+        rows = np.fromfile(f, dtype=record_dtype(m_t), count=n_blocks)  # size checked above
+    l, k = rows["lk"].T
+    bad = np.flatnonzero((l < 0) | (l >= n_bs) | (k < 0) | (k >= n_ut))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"precoder file pair (BS {l[i]}, UT {k[i]}) out of range")
     serving = [[] for _ in range(n_ut)]
-    for l, k in pairs:
-        serving[k].append(l)
-    clusters = ClusterMap.from_serving(serving, n_bs)
-    layout = BlockLayout(clusters, m_t)
-    blocks = np.zeros((layout.n_blocks, layout.block_len))
-    for (l, k), row in zip(pairs, rows):
-        blocks[layout.row(l, k)] = row
-    return PrecoderState(layout, blocks, copy=False)
+    for l_i, k_i in zip(l.tolist(), k.tolist()):
+        serving[k_i].append(l_i)
+    layout = BlockLayout(ClusterMap.from_serving(serving, n_bs), m_t)
+    # canonical order: ascending BS, then ascending UT
+    return PrecoderState(layout, rows["v"][np.lexsort((k, l))], copy=False)

@@ -21,7 +21,7 @@ import numpy as np
 from . import baselines, symplectic
 from .channel import PathlossParams, build_clusters, compute_rsrp, generate_channels, generate_topology
 from .embedding import BlockLayout, PowerBudget, PrecoderState, renormalize_power
-from .objective import OpCounter, Weights, WsrObjective, gradient, fd_gradient
+from .objective import OpCounter, Weights, WsrObjective, fd_gradient
 from .symplectic import SolverConfig, SolveResult, write_trace_csv
 
 _INIT_STREAM = 2
@@ -302,7 +302,7 @@ def _dispatch(name, config, ch, clusters, rho, weights, init, objective) -> Solv
         )
     if name == "wmmse":
         n_iters = config.wmmse_iters if config.wmmse_iters is not None else config.max_iters
-        state, wsr_trace = baselines.wmmse_iterate(init, ch, clusters, rho, weights, n_iters)
+        state, wsr_trace = baselines.wmmse_iterate(init, ch, rho, weights, n_iters)
         trace = [symplectic.StepRecord(wsr_bits=float(v)) for v in wsr_trace]
         # a fixed number of sweeps: converged says whether the stopping rule holds at the end
         converged = symplectic.settled(wsr_trace, config.rel_tol)
@@ -446,7 +446,7 @@ def complexity_probe(
                 rho = cfg.power_budget()
                 counter = OpCounter()
                 state = random_precoder(BlockLayout(clusters, m_t), rho, seed)
-                gradient(state, ch, clusters, cfg.weights(), counter)
+                WsrObjective(ch, clusters, cfg.weights(), counter).evaluate(state)
                 row = ProbeRow(
                     M_t=m_t,
                     K=k_ut,
@@ -485,7 +485,7 @@ def gradcheck(trials: int = 20, seed0: int = 0, eps: float = 1e-5) -> float:
         rho = cfg.power_budget()
         state = random_precoder(BlockLayout(clusters, cfg.M_t), rho, seed)
         weights = cfg.weights()
-        analytic = gradient(state, ch, clusters, weights).blocks.ravel()
+        analytic = WsrObjective(ch, clusters, weights).evaluate(state).grad.blocks.ravel()
         numeric = fd_gradient(state, ch, clusters, weights, eps).blocks.ravel()
         err = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         worst = max(worst, float(err))

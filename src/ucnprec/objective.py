@@ -1,5 +1,7 @@
 """Per-UT rates, the weighted sum-rate objective and its analytic gradient.
 
+WsrObjective is the one evaluator, and the one place that charges the
+multiply-add counter: the solvers, the CLI and fd_gradient all go through it.
 Optimization runs on the negated objective in nats; reported sum rates are in
 bits. Desired and interfering amplitudes are accumulated in the complex domain
 (one K x |U_l| product per BS), which is numerically identical to evaluating
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, ClusterMap
-from .embedding import PrecoderState, unstack
+from .embedding import PrecoderState
 
 _LN2 = math.log(2.0)
 
@@ -61,9 +63,6 @@ class OpCounter:
     def add(self, n: int) -> None:
         self.multiply_adds += int(n)
 
-    def reset(self) -> None:
-        self.multiply_adds = 0
-
 
 @dataclass
 class RateTerms:
@@ -85,11 +84,7 @@ class RateTerms:
             arr.setflags(write=False)  # WsrObjective hands one instance to many callers
 
 
-def amplitude_matrix(
-    state: PrecoderState,
-    ch: ChannelSet,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
+def amplitude_matrix(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
     """A[k, t] = sum_{m in B_t} h_{m,k}^H p_{m,t} for the current precoder."""
     lay = state.layout
     n_ut = ch.n_ut
@@ -104,8 +99,6 @@ def amplitude_matrix(
             continue
         np.matmul(ch.entries[l].conj(), cblocks[rows].T, out=buf[:, rows])
     del cblocks  # freed before the gather allocates
-    if counter is not None:
-        counter.add(n_ut * lay.M_t * lay.n_blocks)
     # add each UT's columns in ascending BS order, as a per-BS scatter would;
     # take() keeps the result C-contiguous, which the gradient's BLAS path expects
     amps = np.zeros((n_ut, n_ut), dtype=complex)
@@ -123,31 +116,12 @@ def terms_from_amplitudes(amps: np.ndarray, noise_power: float) -> RateTerms:
     return RateTerms(a=a, r=r, b=b, rate_nats=rate_nats, rate_bits=rate_nats / _LN2)
 
 
-def rate_terms(state: PrecoderState, ch: ChannelSet, clusters: ClusterMap) -> RateTerms:
-    """Evaluate a_k, r_k, b_k and the per-UT rates for a precoder."""
-    _check_clusters(state, clusters)
-    return terms_from_amplitudes(amplitude_matrix(state, ch), ch.noise_power)
-
-
-def wsr(state: PrecoderState, ch: ChannelSet, clusters: ClusterMap, weights: Weights) -> float:
-    """Weighted sum rate in bits."""
-    terms = rate_terms(state, ch, clusters)
-    return float(np.dot(weights.w, terms.rate_bits))
-
-
-def g_value(state: PrecoderState, ch: ChannelSet, clusters: ClusterMap, weights: Weights) -> float:
-    """Negated weighted sum rate in nats; the quantity every solver minimizes."""
-    terms = rate_terms(state, ch, clusters)
-    return -float(np.dot(weights.w, terms.rate_nats))
-
-
 def _gradient_blocks(
     state: PrecoderState,
     ch: ChannelSet,
     weights: Weights,
     amps: np.ndarray,
     terms: RateTerms,
-    counter: OpCounter | None,
 ) -> np.ndarray:
     """Real gradient blocks of g_value, shaped like state.blocks.
 
@@ -181,26 +155,7 @@ def _gradient_blocks(
     grad_c -= np.multiply(diag_coef[:, None], h_pair, out=h_pair)
     out[:, :m] = grad_c.real
     out[:, m:] = grad_c.imag
-    if counter is not None:
-        counter.add((ch.n_ut + 1) * m * lay.n_blocks)
     return out
-
-
-def gradient(
-    state: PrecoderState,
-    ch: ChannelSet,
-    clusters: ClusterMap,
-    weights: Weights,
-    counter: OpCounter | None = None,
-) -> PrecoderState:
-    """Analytic gradient of g_value with respect to the stacked real precoder."""
-    _check_clusters(state, clusters)
-    amps = amplitude_matrix(state, ch, counter)
-    if counter is not None:
-        counter.add(ch.n_ut * ch.n_ut)  # |A|^2 energies feeding a, r, b
-    terms = terms_from_amplitudes(amps, ch.noise_power)
-    blocks = _gradient_blocks(state, ch, weights, amps, terms, counter)
-    return PrecoderState(state.layout, blocks, copy=False)
 
 
 def central_difference(f, x: np.ndarray, eps: float) -> np.ndarray:
@@ -225,17 +180,13 @@ def fd_gradient(
 ) -> PrecoderState:
     """Finite-difference oracle for the gradient, independent of the analytic path."""
     lay = state.layout
+    objective = WsrObjective(ch, clusters, weights)
 
     def f(vec):
-        return g_value(unstack(vec, lay), ch, clusters, weights)
+        return objective.value(PrecoderState(lay, vec.reshape(lay.n_blocks, lay.block_len)))
 
     grad = central_difference(f, state.blocks.ravel(), eps)
     return PrecoderState(lay, grad.reshape(lay.n_blocks, lay.block_len), copy=False)
-
-
-def _check_clusters(state: PrecoderState, clusters: ClusterMap) -> None:
-    if state.layout.n_bs != clusters.n_bs or state.layout.n_ut != clusters.n_ut:
-        raise ValueError("state layout does not match the cluster map")
 
 
 @dataclass
@@ -308,11 +259,13 @@ class WsrObjective:
 
     def evaluate(self, state: PrecoderState) -> ObjectiveEval:
         _, amps, terms = self._entry(state, need_amps=True)
-        lay = state.layout
         if self.counter is not None:
-            # amplitude products plus the |A|^2 energies feeding a, r, b
-            self.counter.add(self.ch.n_ut * (lay.M_t * lay.n_blocks + self.ch.n_ut))
-        blocks = _gradient_blocks(state, self.ch, self.weights, amps, terms, self.counter)
+            # amplitude products, the |A|^2 energies feeding a, r, b, and the gradient's
+            # cross products plus diagonal term
+            lay, n_ut = state.layout, self.ch.n_ut
+            pair_macs = lay.M_t * lay.n_blocks
+            self.counter.add(n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs)
+        blocks = _gradient_blocks(state, self.ch, self.weights, amps, terms)
         self._memo = (state, None, terms)  # later hits need only the rates
         self.grad_evals += 1
         return ObjectiveEval(

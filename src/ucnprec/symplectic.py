@@ -28,6 +28,7 @@ from .embedding import PowerBudget, PrecoderState, power_residual, renormalize_p
 from .objective import ObjectiveEval, Weights, WsrObjective
 
 _HIDDEN_FLOOR = 1e-30
+_DELTA_FLOOR = 1e-30  # error estimates at or below this take the largest step
 _MAX_STALLS = 10  # failed line searches in a row that end a run
 
 
@@ -48,7 +49,6 @@ class SolverConfig:
     project_positions: bool = True
     h_min: float = 1e-5
     h_max: float = 1.0
-    delta_floor: float = 1e-30
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -222,7 +222,7 @@ def step_controller(delta: float, h: float, config: SolverConfig) -> float:
         raise ValueError("delta must be >= 0")
     if not h > 0:
         raise ValueError("h must be > 0")
-    if delta <= config.delta_floor:
+    if delta <= _DELTA_FLOOR:
         return config.h_max
     h_new = (config.r_ctrl / delta) ** (config.theta / 2.0) * h
     return float(np.clip(h_new, config.h_min, config.h_max))

@@ -38,6 +38,25 @@ def random_state(layout, rho, seed):
     return u.renormalize_power(u.PrecoderState(layout, blocks), rho)
 
 
+def random_served_instance(seed):
+    """Random channels and serving sets: UTs served by 0, 1, 2 and 3 BSs, an empty BS, K < M_t."""
+    rng = np.random.default_rng(seed)
+    n_bs = 5
+    n_ut = int(rng.integers(4, 8))
+    m_t = n_ut + int(rng.integers(1, 4))
+    sizes = [0, 1, 2, 3] + list(rng.integers(0, 4, size=n_ut - 4))
+    rng.shuffle(sizes)
+    empty_bs = int(rng.integers(n_bs))
+    others = [l for l in range(n_bs) if l != empty_bs]
+    serving = [sorted(rng.choice(others, size=n, replace=False).tolist()) for n in sizes]
+    entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
+    ch = u.ChannelSet(entries=entries, noise_power=0.1)
+    clusters = u.ClusterMap.from_serving(serving, n_bs)
+    layout = u.BlockLayout(clusters, m_t)
+    state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
+    return ch, clusters, state
+
+
 @pytest.fixture
 def small_instance():
     """3 BSs, 4 antennas, 5 UTs, clusters of 2; the gradient-check geometry."""

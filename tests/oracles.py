@@ -1,10 +1,63 @@
 """Independent reference computations used to validate the fast paths.
 
-Everything here is written as plain loops over the defining formulas in the
-complex domain, deliberately sharing no code with the package internals.
+Everything here is written as plain loops over the defining formulas,
+deliberately sharing no code with the package internals: complex-domain rates
+and powers, the real embedding of channels and precoders that the objective's
+complex evaluation must agree with, the pre-Newton WMMSE sweep, the per-BS
+amplitude scatter and the per-row file writers.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass
+class RealChannel:
+    """Real block form of one complex channel vector."""
+
+    mat: np.ndarray  # (2*M_t, 2)
+
+    def __post_init__(self):
+        self.mat = np.asarray(self.mat, dtype=float)
+        if self.mat.ndim != 2 or self.mat.shape[1] != 2 or self.mat.shape[0] % 2:
+            raise ValueError("RealChannel.mat must have shape (2*M_t, 2)")
+
+    def to_complex(self) -> np.ndarray:
+        m = self.mat.shape[0] // 2
+        return self.mat[:m, 0] + 1j * self.mat[m:, 0]
+
+
+def embed_channel(h: np.ndarray) -> RealChannel:
+    """Embed a complex channel vector h as [[Re h, -Im h], [Im h, Re h]], (2*M_t) x 2.
+
+    mat.T @ embed_precoder(p) is then the embedding of the scalar h^H p, and
+    both maps preserve Euclidean norms.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 1:
+        raise ValueError("expected a 1-D complex channel vector")
+    re, im = h.real, h.imag
+    top = np.column_stack([re, -im])
+    bottom = np.column_stack([im, re])
+    return RealChannel(mat=np.vstack([top, bottom]))
+
+
+def embed_precoder(p: np.ndarray) -> np.ndarray:
+    """Stack real over imaginary parts of a complex vector."""
+    p = np.asarray(p, dtype=complex)
+    if p.ndim != 1:
+        raise ValueError("expected a 1-D complex vector")
+    return np.concatenate([p.real, p.imag])
+
+
+def extract_precoder(v: np.ndarray) -> np.ndarray:
+    """Inverse of embed_precoder."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size % 2:
+        raise ValueError("real vector must have even length")
+    m = v.size // 2
+    return v[:m] + 1j * v[m:]
 
 
 def complex_blocks_dict(state):
@@ -121,3 +174,28 @@ def reference_amplitude_matrix(state, ch):
             continue
         amps[:, lay.bs_uts[l]] += ch.entries[l].conj() @ cblocks[rows].T
     return amps
+
+
+def save_channels_by_rows(path, ch):
+    """The per-row channel file writer save_channels must match byte for byte."""
+    b, k_ut, m = ch.entries.shape
+    with open(path, "wb") as f:
+        np.array([b, k_ut, m], dtype=np.int64).tofile(f)
+        np.array([ch.noise_power], dtype=np.float64).tofile(f)
+        for l in range(b):
+            for k in range(k_ut):
+                np.array([l, k], dtype=np.int64).tofile(f)
+                row = np.empty(2 * m, dtype=np.float64)
+                row[0::2] = ch.entries[l, k].real
+                row[1::2] = ch.entries[l, k].imag
+                row.tofile(f)
+
+
+def save_precoder_by_rows(path, state):
+    """The per-row precoder file writer save_precoder must match byte for byte."""
+    lay = state.layout
+    with open(path, "wb") as f:
+        np.array([lay.n_bs, lay.n_ut, lay.M_t, lay.n_blocks], dtype=np.int64).tofile(f)
+        for i, (l, k) in enumerate(lay.pairs):
+            np.array([l, k], dtype=np.int64).tofile(f)
+            state.blocks[i].astype(np.float64).tofile(f)

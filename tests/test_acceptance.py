@@ -52,9 +52,7 @@ def hp_head_to_head(hp_instances):
     for inst in insts:
         res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], solver_cfg)
         sym.append(max(rec.wsr_bits for rec in res.trace))
-        _, trace = u.wmmse_iterate(
-            inst["init"], inst["ch"], inst["clusters"], inst["rho"], inst["w"], 50
-        )
+        _, trace = u.wmmse_iterate(inst["init"], inst["ch"], inst["rho"], inst["w"], 50)
         wm.append(float(trace[-1]))
     elapsed = time.perf_counter() - start
     return np.array(sym), np.array(wm), elapsed
@@ -100,7 +98,7 @@ def test_criterion_01_gradient_oracle():
             u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len))),
             inst["rho"],
         )
-        analytic = u.gradient(state, inst["ch"], inst["clusters"], inst["w"])
+        analytic = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state).grad
         numeric = u.fd_gradient(state, inst["ch"], inst["clusters"], inst["w"], eps=1e-5)
         err = np.linalg.norm(analytic.blocks - numeric.blocks) / np.linalg.norm(numeric.blocks)
         worst = max(worst, float(err))
@@ -155,11 +153,9 @@ def test_criterion_04_wmmse_sanity():
     for seed in range(N_SEEDS):
         inst = make_instance(seed=seed)
         state = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        prev = u.wsr(state, inst["ch"], inst["clusters"], inst["w"])
+        prev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
         for _ in range(25):
-            state, _, wsr_now = wmmse_step(
-                state, inst["ch"], inst["clusters"], inst["rho"], inst["w"]
-            )
+            state, _, wsr_now = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
             worst_drop = max(worst_drop, prev - wsr_now)
             prev = wsr_now
             excess = u.bs_block_norms(state) / inst["rho"].rho - 1.0

@@ -104,7 +104,7 @@ def warm_frozen_runs():
         mask = state.layout.nonempty_bs
         lam, wsr_trace, worst, evals = None, [], 0.0, []
         for _ in range(case["sweeps"]):
-            state, ws, wsr_bits = wmmse_step(state, ch, clusters, rho, w, lam0=lam)
+            state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam)
             lam = ws.lam
             wsr_trace.append(wsr_bits)
             powers = u.bs_block_norms(state)
@@ -147,39 +147,29 @@ class TestRzf:
         mask = state.layout.nonempty_bs
         assert np.allclose(powers[mask], small_instance["rho"].rho[mask], rtol=1e-12)
 
-    def test_rejects_nonpositive_regularizer(self, small_instance):
-        with pytest.raises(ValueError):
-            u.rzf_init(
-                small_instance["ch"], small_instance["clusters"], small_instance["rho"], 0.0
-            )
-
 
 class TestWmmse:
     def test_reaches_fixed_point(self):
         inst = make_instance(seed=1, gnb_count=2, M_t=2, K=2, B_sc=1)
         state = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        prev = u.wsr(state, inst["ch"], inst["clusters"], inst["w"])
+        prev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
         settled = False
         for _ in range(3000):
-            state, _, wsr_now = wmmse_step(
-                state, inst["ch"], inst["clusters"], inst["rho"], inst["w"]
-            )
+            state, _, wsr_now = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
             if abs(wsr_now - prev) < 1e-10:
                 settled = True
                 break
             prev = wsr_now
         assert settled
-        _, _, wsr_next = wmmse_step(state, inst["ch"], inst["clusters"], inst["rho"], inst["w"])
+        _, _, wsr_next = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
         assert abs(wsr_next - prev) < 1e-10
 
     def test_monotone_over_random_instances(self):
         for seed in range(10):
             inst = make_instance(seed=seed, gnb_count=3, M_t=4, K=6, B_sc=2)
             init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            _, trace = u.wmmse_iterate(
-                init, inst["ch"], inst["clusters"], inst["rho"], inst["w"], 25
-            )
-            start = u.wsr(init, inst["ch"], inst["clusters"], inst["w"])
+            _, trace = u.wmmse_iterate(init, inst["ch"], inst["rho"], inst["w"], 25)
+            start = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(init)
             full = np.concatenate([[start], trace])
             assert np.all(np.diff(full) >= -1e-8 * np.maximum(1.0, np.abs(full[:-1])))
 
@@ -187,9 +177,7 @@ class TestWmmse:
         state = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         rho = small_instance["rho"]
         for _ in range(15):
-            state, ws, _ = wmmse_step(
-                state, small_instance["ch"], small_instance["clusters"], rho, small_instance["w"]
-            )
+            state, ws, _ = wmmse_step(state, small_instance["ch"], rho, small_instance["w"])
             powers = u.bs_block_norms(state)
             assert np.all(powers <= rho.rho * (1.0 + 1e-8))
             assert np.all(ws.W >= 1.0 - 1e-9)
@@ -208,7 +196,7 @@ class TestWmmse:
         mask = state.layout.nonempty_bs
         wsr_trace = []
         for _ in range(case["sweeps"]):
-            state, _, wsr_bits = wmmse_step(state, ch, clusters, rho, w)
+            state, _, wsr_bits = wmmse_step(state, ch, rho, w)
             wsr_trace.append(wsr_bits)
             powers = u.bs_block_norms(state)
             assert np.all(np.abs(powers[mask] - rho.rho[mask]) <= 1e-10 * rho.rho[mask])
@@ -234,9 +222,8 @@ class TestWmmse:
         assert np.mean(evals) <= 5.0
 
     def test_iterate_threads_multipliers(self, small_instance):
-        args = (small_instance["ch"], small_instance["clusters"],
-                small_instance["rho"], small_instance["w"])
-        init = u.rzf_init(*args[:3])
+        args = (small_instance["ch"], small_instance["rho"], small_instance["w"])
+        init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         _, trace = u.wmmse_iterate(init, *args, 6)
         state, lam, manual = init, None, []
         for _ in range(6):
@@ -249,13 +236,16 @@ class TestWmmse:
         # K < M_t: every gram is rank deficient
         for seed in range(6):
             inst = make_instance(seed=seed, gnb_count=3, M_t=8, K=5, B_sc=2)
-            args = (inst["ch"], inst["clusters"], inst["rho"], inst["w"])
-            state = ref = u.rzf_init(*args[:3])
+            state = ref = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
             lam = None
             for _ in range(15):
-                state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
+                state, ws, wsr_bits = wmmse_step(
+                    state, inst["ch"], inst["rho"], inst["w"], lam0=lam
+                )
                 lam = ws.lam
-                ref, _, ref_bits = reference_wmmse_step(ref, *args)
+                ref, _, ref_bits = reference_wmmse_step(
+                    ref, inst["ch"], inst["clusters"], inst["rho"], inst["w"]
+                )
                 assert wsr_bits == pytest.approx(ref_bits, rel=1e-9)
 
     def test_zero_weight_bs_stays_finite(self):
@@ -266,12 +256,11 @@ class TestWmmse:
                 seed=seed, gnb_count=3, M_t=8, K=4, B_sc=1, tx_power_dbm=40.0
             )
             w = u.Weights(np.array([1.0, 0.0, 0.0, 0.0]))
-            args = (inst["ch"], inst["clusters"], inst["rho"], w)
-            state = u.rzf_init(*args[:3])
-            prev = u.wsr(state, inst["ch"], inst["clusters"], w)
+            state = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+            prev = u.WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state)
             lam = None
             for _ in range(30):
-                state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
+                state, ws, wsr_bits = wmmse_step(state, inst["ch"], inst["rho"], w, lam0=lam)
                 lam = ws.lam
                 assert np.all(np.isfinite(state.blocks))
                 assert np.all(u.bs_block_norms(state) <= inst["rho"].rho * (1.0 + 1e-10))
@@ -281,13 +270,11 @@ class TestWmmse:
     def test_iterate_returns_trace(self, small_instance):
         init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         state, trace = u.wmmse_iterate(
-            init, small_instance["ch"], small_instance["clusters"],
-            small_instance["rho"], small_instance["w"], 8,
+            init, small_instance["ch"], small_instance["rho"], small_instance["w"], 8
         )
         assert trace.shape == (8,)
-        assert u.wsr(
-            state, small_instance["ch"], small_instance["clusters"], small_instance["w"]
-        ) == pytest.approx(trace[-1], rel=1e-9)
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        assert obj.wsr_bits(state) == pytest.approx(trace[-1], rel=1e-9)
 
 
 class TestBisection:
@@ -452,8 +439,7 @@ class TestGd:
         init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         result = u.gd_solve(init, obj, small_instance["rho"], max_iters=30, rel_tol=1e-300)
-        ws = [u.wsr(u.renormalize_power(init, small_instance["rho"]),
-                    small_instance["ch"], small_instance["clusters"], small_instance["w"])]
+        ws = [obj.wsr_bits(u.renormalize_power(init, small_instance["rho"]))]
         ws += [rec.wsr_bits for rec in result.trace]
         for prev, cur, rec in zip(ws[:-1], ws[1:], result.trace):
             if rec.h_used and rec.h_used > 0:

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 import ucnprec as u
-from conftest import make_instance, random_state
-from oracles import naive_bs_powers
+from conftest import make_instance, random_served_instance, random_state
+from oracles import (
+    embed_channel,
+    embed_precoder,
+    extract_precoder,
+    naive_bs_powers,
+    save_channels_by_rows,
+    save_precoder_by_rows,
+)
 
 
 def _rng(seed=0):
@@ -15,24 +22,26 @@ def random_complex(rng, n):
 
 
 class TestChannelEmbedding:
+    """The real embedding lives in tests/oracles.py; these tests pin the oracle."""
+
     def test_identity_embedding(self):
-        mat = u.embed_channel(np.array([1.0 + 0.0j])).mat
+        mat = embed_channel(np.array([1.0 + 0.0j])).mat
         assert np.array_equal(mat, np.eye(2))
 
     def test_rotation_embedding(self):
-        mat = u.embed_channel(np.array([1.0j])).mat
+        mat = embed_channel(np.array([1.0j])).mat
         assert np.array_equal(mat, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def test_roundtrip(self):
         h = random_complex(_rng(1), 5)
-        assert np.array_equal(u.embed_channel(h).to_complex(), h)
+        assert np.array_equal(embed_channel(h).to_complex(), h)
 
     def test_quadratic_form_matches_complex(self):
         rng = _rng(2)
         for _ in range(20):
             h = random_complex(rng, 6)
             p = random_complex(rng, 6)
-            real_form = u.embed_channel(h).mat.T @ u.embed_precoder(p)
+            real_form = embed_channel(h).mat.T @ embed_precoder(p)
             assert np.sum(real_form**2) == pytest.approx(
                 abs(np.vdot(h, p)) ** 2, rel=1e-12
             )
@@ -42,49 +51,34 @@ class TestChannelEmbedding:
         rng = _rng(3)
         h = random_complex(rng, 4)
         p = random_complex(rng, 4)
-        lhs = u.embed_channel(h).mat.T @ u.embed_precoder(p)
-        rhs = u.embed_precoder(np.array([np.vdot(h, p)]))
+        lhs = embed_channel(h).mat.T @ embed_precoder(p)
+        rhs = embed_precoder(np.array([np.vdot(h, p)]))
         assert np.allclose(lhs, rhs, atol=1e-14)
 
 
 class TestPrecoderEmbedding:
     def test_example(self):
-        assert np.array_equal(u.embed_precoder(np.array([2.0 - 3.0j])), [2.0, -3.0])
+        assert np.array_equal(embed_precoder(np.array([2.0 - 3.0j])), [2.0, -3.0])
 
     def test_roundtrip_and_isometry(self):
         rng = _rng(4)
         for _ in range(10):
             p = random_complex(rng, 7)
-            v = u.embed_precoder(p)
-            assert np.array_equal(u.extract_precoder(v), p)
+            v = embed_precoder(p)
+            assert np.array_equal(extract_precoder(v), p)
             assert np.sum(v**2) == pytest.approx(np.sum(np.abs(p) ** 2), rel=1e-14)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            u.extract_precoder(np.ones(5))
+            extract_precoder(np.ones(5))
 
 
 class TestLayoutAndState:
-    def test_single_pair_stack(self):
-        cm = u.ClusterMap.from_serving([[0]], 1)
-        layout = u.BlockLayout(cm, 3)
-        state = u.PrecoderState(layout, np.arange(6.0).reshape(1, 6))
-        assert np.array_equal(u.stack(state), np.arange(6.0))
-
     def test_stacked_length(self, small_instance):
         layout = small_instance["layout"]
         state = u.PrecoderState.zeros(layout)
         expected = sum(len(uts) for uts in small_instance["clusters"].served_ut)
-        assert u.stack(state).size == expected * 2 * small_instance["cfg"].M_t
-
-    def test_stack_roundtrip(self, small_instance):
-        state = random_state(small_instance["layout"], small_instance["rho"], 5)
-        back = u.unstack(u.stack(state), state.layout)
-        assert np.array_equal(back.blocks, state.blocks)
-
-    def test_unstack_length_mismatch(self, small_instance):
-        with pytest.raises(ValueError):
-            u.unstack(np.zeros(3), small_instance["layout"])
+        assert state.blocks.size == layout.dim == expected * 2 * small_instance["cfg"].M_t
 
     def test_layout_is_insertion_order_independent(self):
         a = u.ClusterMap(serving_bs=[[2, 0], [1]], served_ut=[[0], [1], [0]])
@@ -225,3 +219,60 @@ def test_precoder_file_pair_out_of_range_rejected(tmp_path):
     path.write_bytes(_precoder_header(1, 2, 1, 1) + body)
     with pytest.raises(ValueError, match="out of range"):
         u.load_precoder(path)
+
+
+def desk_seed0():
+    inst = make_instance(seed=0)
+    return inst["ch"], u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+
+
+def uneven_instance():
+    ch, _, state = random_served_instance(1)
+    return ch, state
+
+
+@pytest.mark.parametrize("make", [desk_seed0, uneven_instance], ids=["desk", "uneven"])
+def test_files_match_per_row_writers(tmp_path, make):
+    ch, state = make()
+    lay = state.layout
+    if make is uneven_instance:
+        assert not lay.nonempty_bs.all()
+        assert np.bincount(lay.row_ut, minlength=lay.n_ut).min() == 0
+    new, ref = tmp_path / "new.bin", tmp_path / "ref.bin"
+    u.save_channels(new, ch)
+    save_channels_by_rows(ref, ch)
+    assert new.read_bytes() == ref.read_bytes()
+    loaded = u.load_channels(ref)
+    assert np.array_equal(loaded.entries.view(np.int64), ch.entries.view(np.int64))
+    assert loaded.noise_power == ch.noise_power
+    u.save_precoder(new, state)
+    save_precoder_by_rows(ref, state)
+    assert new.read_bytes() == ref.read_bytes()
+    loaded = u.load_precoder(ref)
+    assert loaded.layout.same_as(lay)
+    assert np.array_equal(loaded.blocks.view(np.int64), state.blocks.view(np.int64))
+
+
+def test_precoder_file_rows_in_any_order_load(tmp_path):
+    ch, state = uneven_instance()
+    path = tmp_path / "precoder.bin"
+    u.save_precoder(path, state)
+    raw = path.read_bytes()
+    row = 16 + 16 * state.layout.M_t
+    body = [raw[32 + i * row : 32 + (i + 1) * row] for i in range(state.layout.n_blocks)]
+    path.write_bytes(raw[:32] + b"".join(reversed(body)))
+    loaded = u.load_precoder(path)
+    assert loaded.layout.same_as(state.layout)
+    assert np.array_equal(loaded.blocks, state.blocks)
+
+
+def test_channel_file_rows_out_of_order_rejected(tmp_path):
+    ch, _ = uneven_instance()
+    path = tmp_path / "channels.bin"
+    u.save_channels(path, ch)
+    raw = path.read_bytes()
+    row = 16 + 16 * ch.M_t
+    first, second = raw[32 : 32 + row], raw[32 + row : 32 + 2 * row]
+    path.write_bytes(raw[:32] + second + first + raw[32 + 2 * row :])
+    with pytest.raises(ValueError, match="canonical order"):
+        u.load_channels(path)

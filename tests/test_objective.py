@@ -3,9 +3,10 @@ import pytest
 
 import ucnprec as u
 from ucnprec.objective import OpCounter, amplitude_matrix
-from conftest import make_instance, random_state
+from conftest import make_instance, random_served_instance, random_state
 from oracles import (
     complex_blocks_dict,
+    embed_precoder,
     naive_signal_and_interference,
     naive_wsr_bits,
     reference_amplitude_matrix,
@@ -25,12 +26,12 @@ class TestRateTerms:
     def test_single_user_noise_only(self):
         inst = make_instance(seed=0, K=1, B_sc=2)
         state = random_state(inst["layout"], inst["rho"], 0)
-        terms = u.rate_terms(state, inst["ch"], inst["clusters"])
+        terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
         assert terms.r[0] == pytest.approx(inst["ch"].noise_power, rel=1e-12)
 
     def test_scalar_example(self):
         ch, cm, state = scalar_world()
-        terms = u.rate_terms(state, ch, cm)
+        terms = u.WsrObjective(ch, cm, u.Weights(np.ones(1))).terms(state)
         assert terms.a[0] == pytest.approx(1.0)
         assert terms.r[0] == pytest.approx(1.0)
         assert terms.b[0] == pytest.approx(0.5)
@@ -40,7 +41,7 @@ class TestRateTerms:
         for seed in range(5):
             inst = make_instance(seed=seed, gnb_count=3, M_t=3, K=4, B_sc=2)
             state = random_state(inst["layout"], inst["rho"], seed + 100)
-            terms = u.rate_terms(state, inst["ch"], inst["clusters"])
+            terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
             a, r = naive_signal_and_interference(inst["ch"], inst["clusters"], state)
             assert np.allclose(terms.a, a, rtol=1e-12)
             assert np.allclose(terms.r, r, rtol=1e-12)
@@ -48,7 +49,7 @@ class TestRateTerms:
     def test_two_user_interference(self):
         inst = make_instance(seed=3, K=2, B_sc=2)
         state = random_state(inst["layout"], inst["rho"], 42)
-        terms = u.rate_terms(state, inst["ch"], inst["clusters"])
+        terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
         a, r = naive_signal_and_interference(inst["ch"], inst["clusters"], state)
         assert np.allclose(terms.r, r, rtol=1e-12)
         assert np.all(terms.r > inst["ch"].noise_power)
@@ -58,31 +59,34 @@ class TestWsr:
     def test_single_positive_weight(self):
         inst = make_instance(seed=1, K=3)
         state = random_state(inst["layout"], inst["rho"], 1)
-        terms = u.rate_terms(state, inst["ch"], inst["clusters"])
+        terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
         w = u.Weights(np.array([0.0, 1.0, 0.0]))
-        assert u.wsr(state, inst["ch"], inst["clusters"], w) == pytest.approx(
+        assert u.WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state) == pytest.approx(
             terms.rate_bits[1], rel=1e-12
         )
 
     def test_zero_precoder_zero_wsr(self, small_instance):
         state = u.PrecoderState.zeros(small_instance["layout"])
-        val = u.wsr(state, small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        val = obj.wsr_bits(state)
         assert val == 0.0
 
     def test_weight_scaling_linearity(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 2)
-        base = u.wsr(state, small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        scaled = u.wsr(
-            state,
+        base = u.WsrObjective(
+            small_instance["ch"], small_instance["clusters"], small_instance["w"]
+        ).wsr_bits(state)
+        scaled = u.WsrObjective(
             small_instance["ch"],
             small_instance["clusters"],
             u.Weights(3.5 * small_instance["w"].w),
-        )
+        ).wsr_bits(state)
         assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
     def test_matches_oracle(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 3)
-        got = u.wsr(state, small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        got = obj.wsr_bits(state)
         want = naive_wsr_bits(
             small_instance["ch"], small_instance["clusters"], state, small_instance["w"]
         )
@@ -90,29 +94,28 @@ class TestWsr:
 
     def test_g_value_is_negated_nats(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 4)
-        g = u.g_value(state, small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        bits = u.wsr(state, small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        g = obj.value(state)
+        bits = obj.wsr_bits(state)
         assert g == pytest.approx(-bits * np.log(2.0), rel=1e-12)
 
 
 class TestGradient:
     def test_scalar_case(self):
         ch, cm, state = scalar_world()
-        grad = u.gradient(state, ch, cm, u.Weights(np.ones(1)))
+        grad = u.WsrObjective(ch, cm, u.Weights(np.ones(1))).evaluate(state).grad
         assert np.allclose(grad.blocks, [[-1.0, 0.0]], atol=1e-14)
 
     def test_zero_precoder_stationary(self, small_instance):
         state = u.PrecoderState.zeros(small_instance["layout"])
-        grad = u.gradient(
-            state, small_instance["ch"], small_instance["clusters"], small_instance["w"]
-        )
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        grad = obj.evaluate(state).grad
         assert np.array_equal(grad.blocks, np.zeros_like(state.blocks))
 
     def test_matches_finite_differences(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 5)
-        grad = u.gradient(
-            state, small_instance["ch"], small_instance["clusters"], small_instance["w"]
-        )
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        grad = obj.evaluate(state).grad
         fd = u.fd_gradient(
             state, small_instance["ch"], small_instance["clusters"], small_instance["w"], 1e-5
         )
@@ -122,24 +125,25 @@ class TestGradient:
     def test_single_user_reduces_to_signal_term(self):
         inst = make_instance(seed=6, K=1, B_sc=3)
         state = random_state(inst["layout"], inst["rho"], 6)
-        grad = u.gradient(state, inst["ch"], inst["clusters"], inst["w"])
-        terms = u.rate_terms(state, inst["ch"], inst["clusters"])
+        ev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
+        grad, terms = ev.grad, ev.terms
         amps = amplitude_matrix(state, inst["ch"])
         coef = 2.0 * inst["w"].w[0] * terms.b[0] / terms.r[0]
         for l in inst["clusters"].serving_bs[0]:
-            expected = u.embed_precoder(-coef * amps[0, 0] * inst["ch"].entries[l, 0])
+            expected = embed_precoder(-coef * amps[0, 0] * inst["ch"].entries[l, 0])
             assert np.allclose(grad.block(l, 0), expected, rtol=1e-12)
 
     def test_rotation_invariance(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 7)
-        terms = u.rate_terms(state, small_instance["ch"], small_instance["clusters"])
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        terms = obj.terms(state)
         cblocks = state.complex_blocks().copy()
         phase = np.exp(1.3j)
         for i, (_, k) in enumerate(state.layout.pairs):
             if k == 1:
                 cblocks[i] *= phase
         rotated = u.PrecoderState.from_complex(state.layout, cblocks)
-        terms_rot = u.rate_terms(rotated, small_instance["ch"], small_instance["clusters"])
+        terms_rot = obj.terms(rotated)
         assert np.allclose(terms_rot.a, terms.a, rtol=1e-12)
         assert np.allclose(terms_rot.r, terms.r, rtol=1e-12)
         assert np.allclose(terms_rot.rate_bits, terms.rate_bits, rtol=1e-12)
@@ -151,7 +155,7 @@ class TestGradient:
             small_instance["layout"],
         )
         state = random_state(layout, small_instance["rho"], 8)
-        base = u.wsr(state, ch, clusters, small_instance["w"])
+        base = u.WsrObjective(ch, clusters, small_instance["w"]).wsr_bits(state)
 
         n_ut = ch.n_ut
         perm = np.roll(np.arange(n_ut), 2)  # new index of old UT k is perm[k]
@@ -168,7 +172,9 @@ class TestGradient:
             blocks[layout_p.row(l, perm[k])] = state.blocks[i]
         state_p = u.PrecoderState(layout_p, blocks)
         w_p = u.Weights(small_instance["w"].w[np.argsort(perm)])
-        assert u.wsr(state_p, ch_p, clusters_p, w_p) == pytest.approx(base, rel=1e-12)
+        assert u.WsrObjective(ch_p, clusters_p, w_p).wsr_bits(state_p) == pytest.approx(
+            base, rel=1e-12
+        )
 
 
 class TestFiniteDifferences:
@@ -211,29 +217,26 @@ class TestWeightsAndCounter:
     def test_counter_counts_gradient_work(self, small_instance):
         counter = OpCounter()
         state = random_state(small_instance["layout"], small_instance["rho"], 10)
-        u.gradient(
-            state, small_instance["ch"], small_instance["clusters"], small_instance["w"], counter
-        )
+        u.WsrObjective(
+            small_instance["ch"], small_instance["clusters"], small_instance["w"], counter
+        ).evaluate(state)
         n_active = small_instance["layout"].n_blocks
         n_ut = small_instance["ch"].n_ut
         m_t = small_instance["cfg"].M_t
         expected = 2 * n_ut * m_t * n_active + m_t * n_active + n_ut * n_ut
         assert counter.multiply_adds == expected
-        counter.reset()
-        assert counter.multiply_adds == 0
 
     def test_objective_bundle_consistency(self, small_instance):
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        ch, clusters, w = small_instance["ch"], small_instance["clusters"], small_instance["w"]
+        obj = u.WsrObjective(ch, clusters, w)
         state = random_state(small_instance["layout"], small_instance["rho"], 11)
         ev = obj.evaluate(state)
+        assert ev.g_value == u.WsrObjective(ch, clusters, w).value(state)
         assert ev.g_value == pytest.approx(
-            u.g_value(state, small_instance["ch"], small_instance["clusters"], small_instance["w"]),
-            rel=1e-12,
+            -naive_wsr_bits(ch, clusters, state, w) * np.log(2.0), rel=1e-12
         )
-        grad = u.gradient(
-            state, small_instance["ch"], small_instance["clusters"], small_instance["w"]
-        )
-        assert np.array_equal(ev.grad.blocks, grad.blocks)
+        ref = loop_gradient_blocks(state, ch, w, reference_amplitude_matrix(state, ch), ev.terms)
+        assert np.array_equal(ev.grad.blocks, ref)
         assert obj.grad_evals == 1
 
 
@@ -297,9 +300,9 @@ class TestObjectiveMemo:
 
         calls = []
 
-        def counted(state, ch, counter=None):
+        def counted(state, ch):
             calls.append(state)
-            return amplitude_matrix(state, ch, counter)
+            return amplitude_matrix(state, ch)
 
         monkeypatch.setattr(objective, "amplitude_matrix", counted)
         state = random_state(small_instance["layout"], small_instance["rho"], 21)
@@ -337,25 +340,6 @@ class TestObjectiveMemo:
         assert obj.value(state) == f
 
 
-def random_served_instance(seed):
-    """Random channels and serving sets: UTs served by 0, 1, 2 and 3 BSs, an empty BS, K < M_t."""
-    rng = np.random.default_rng(seed)
-    n_bs = 5
-    n_ut = int(rng.integers(4, 8))
-    m_t = n_ut + int(rng.integers(1, 4))
-    sizes = [0, 1, 2, 3] + list(rng.integers(0, 4, size=n_ut - 4))
-    rng.shuffle(sizes)
-    empty_bs = int(rng.integers(n_bs))
-    others = [l for l in range(n_bs) if l != empty_bs]
-    serving = [sorted(rng.choice(others, size=n, replace=False).tolist()) for n in sizes]
-    entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
-    ch = u.ChannelSet(entries=entries, noise_power=0.1)
-    clusters = u.ClusterMap.from_serving(serving, n_bs)
-    layout = u.BlockLayout(clusters, m_t)
-    state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
-    return ch, clusters, state
-
-
 class TestAmplitudeMatrix:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scatter_loop_bitwise(self, seed):
@@ -371,10 +355,12 @@ class TestAmplitudeMatrix:
         assert np.array_equal(amps.view(np.int64), ref.view(np.int64))
 
     def test_counts_one_product_per_pair(self):
-        ch, _, state = random_served_instance(0)
+        # an empty BS and an unserved UT add no products to an evaluation's charge
+        ch, clusters, state = random_served_instance(0)
         counter = OpCounter()
-        amplitude_matrix(state, ch, counter)
-        assert counter.multiply_adds == ch.n_ut * state.layout.M_t * state.layout.n_blocks
+        u.WsrObjective(ch, clusters, u.Weights(np.ones(ch.n_ut)), counter).evaluate(state)
+        n_ut, pair_macs = ch.n_ut, state.layout.M_t * state.layout.n_blocks
+        assert counter.multiply_adds == n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_loop_on_uneven_clusters(self, seed):

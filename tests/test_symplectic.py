@@ -293,11 +293,10 @@ class TestSolve:
             inst["ch"], inst["clusters"], inst["rho"], inst["w"], init,
             inst["cfg"].solver_config(),
         )
-        final = u.wsr(result.precoder, inst["ch"], inst["clusters"], inst["w"])
+        obj = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        final = obj.wsr_bits(result.precoder)
         trace_best = max(rec.wsr_bits for rec in result.trace)
-        init_wsr = u.wsr(
-            u.renormalize_power(init, inst["rho"]), inst["ch"], inst["clusters"], inst["w"]
-        )
+        init_wsr = obj.wsr_bits(u.renormalize_power(init, inst["rho"]))
         assert final >= trace_best - 1e-12
         assert final >= init_wsr - 1e-12
 
