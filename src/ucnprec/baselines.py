@@ -36,6 +36,8 @@ from .objective import (
 )
 from .symplectic import SolveResult, StepRecord, iterate
 
+_POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
+
 
 class BisectionError(RuntimeError):
     """Raised when the power multiplier cannot be bracketed or is ill-posed."""
@@ -250,7 +252,6 @@ def wmmse_step(
     ch: ChannelSet,
     rho: PowerBudget,
     weights: Weights,
-    power_tol: float = 1e-10,
     lam0: np.ndarray | None = None,
 ):
     """One WMMSE outer iteration.
@@ -262,7 +263,7 @@ def wmmse_step(
     WmmseState.lam; without it every multiplier search starts cold (see
     newton_multiplier).
     """
-    cblocks, ws = _wmmse_sweep(state, ch, rho, weights.w, power_tol, lam0)
+    cblocks, ws = _wmmse_sweep(state, ch, rho, weights.w, lam0)
     # the sweep's K x K and per-pair arrays are released before the closing amplitudes
     new_state = PrecoderState.from_complex(state.layout, cblocks)
     del cblocks
@@ -271,7 +272,7 @@ def wmmse_step(
     return new_state, ws, wsr_bits
 
 
-def _wmmse_sweep(state, ch, rho, w, power_tol, lam0):
+def _wmmse_sweep(state, ch, rho, w, lam0):
     """Receiver and weight update plus the per-BS sweep; returns (complex blocks, WmmseState)."""
     layout = state.layout
     sigma2 = ch.noise_power
@@ -309,7 +310,7 @@ def _wmmse_sweep(state, ch, rho, w, power_tol, lam0):
         z_ri = z.view(np.float64)
         s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
         lam_l, n_evals = newton_multiplier(
-            e, s, float(rho.rho[l]), power_tol, None if lam0 is None else lam0[l]
+            e, s, float(rho.rho[l]), _POWER_TOL, None if lam0 is None else lam0[l]
         )
         d = e + lam_l
         if lam_l == 0.0 and e[0] == 0.0:
@@ -328,7 +329,6 @@ def wmmse_iterate(
     rho: PowerBudget,
     weights: Weights,
     n_iters: int,
-    power_tol: float = 1e-10,
 ):
     """Run n_iters WMMSE outer iterations; returns (state, per-iteration WSR).
 
@@ -340,7 +340,7 @@ def wmmse_iterate(
     wsr_trace = np.zeros(n_iters)
     lam = None
     for i in range(n_iters):
-        state, ws, wsr_bits = wmmse_step(state, ch, rho, weights, power_tol, lam)
+        state, ws, wsr_bits = wmmse_step(state, ch, rho, weights, lam)
         lam = ws.lam
         wsr_trace[i] = wsr_bits
     return state, wsr_trace
@@ -433,7 +433,7 @@ def _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol) -> Solve
             y = PrecoderState(layout, y_blocks, copy=False)
             ev_y = objective.evaluate(y)
             grad_blocks = ev_y.grad.blocks
-            gnorm2 = float(np.sum(grad_blocks**2))
+            gnorm2 = float(np.add.reduce(grad_blocks**2, axis=None))
             if gnorm2 > 0.0:
                 alpha, cand = _armijo(
                     objective, layout, y.blocks, ev_y.g_value, grad_blocks, gnorm2, start, ls, rho
@@ -447,7 +447,7 @@ def _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol) -> Solve
             if ev_p is None:
                 ev_p = objective.evaluate(p)
             grad_blocks = ev_p.grad.blocks
-            gnorm2 = float(np.sum(grad_blocks**2))
+            gnorm2 = float(np.add.reduce(grad_blocks**2, axis=None))
             if gnorm2 == 0.0:
                 return None
             alpha, cand = _armijo(

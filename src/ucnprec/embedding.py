@@ -163,11 +163,9 @@ class PrecoderState:
 
 def bs_block_norms(state: PrecoderState) -> np.ndarray:
     """Per-BS transmit power: entry l is sum_{k in U_l} ||p_hat_{l,k}||^2."""
-    row_power = np.sum(state.blocks**2, axis=1)
-    out = np.zeros(state.layout.n_bs)
-    for l, rows in enumerate(state.layout.bs_rows):
-        out[l] = row_power[rows].sum()
-    return out
+    # np.add.reduce is what np.sum and ndarray.sum run, without their Python-level dispatch
+    row_power = np.add.reduce(state.blocks**2, axis=1)
+    return np.array([np.add.reduce(row_power[rows]) for rows in state.layout.bs_rows])
 
 
 def power_residual(layout: BlockLayout, powers: np.ndarray, budget: PowerBudget) -> float:
@@ -188,8 +186,7 @@ def renormalize_power(state: PrecoderState, budget: PowerBudget) -> PrecoderStat
     dead = np.flatnonzero(nonempty & (powers <= 0.0))
     if dead.size:
         raise ValueError(f"cannot renormalize zero-power blocks of BS {dead[0]}")
-    scale = np.ones(lay.n_bs)
-    scale[nonempty] = np.sqrt(budget.rho[nonempty] / powers[nonempty])
+    scale = np.sqrt(np.divide(budget.rho, powers, out=np.ones(lay.n_bs), where=nonempty))
     # a finite scale leaves every entry of a finite state below about sqrt(rho_l),
     # so the product needs no finiteness scan
     if not np.isfinite(scale).all():

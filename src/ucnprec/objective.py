@@ -8,10 +8,12 @@ bits. Desired and interfering amplitudes are accumulated in the complex domain
 the real-embedded forms; the test suite cross-checks both routes and validates
 the gradient against central finite differences.
 
-The per-BS products land in the columns of one buffer, and each UT's
-amplitudes are then summed from zero in ascending BS order, into a C-contiguous
-array. That is the order and memory layout of a per-BS scatter loop, so the
-amplitudes and the gradient GEMMs that read them are bit-identical to it.
+The per-BS products H_l @ conj(P_l)^T land in the columns of one buffer, which is
+conjugated once before each UT's amplitudes are summed from zero in ascending BS
+order into a C-contiguous array. IEEE negation is exact and a GEMM's operation
+sequence does not depend on operand signs, so this is a per-BS scatter loop of
+conj(H_l) @ P_l^T products bit for bit, signed zeros included (conjugating after the
+gather would make an unserved UT's zeros -0), and so are the gradient GEMMs on it.
 This must stay so: the dissipative solver amplifies a last-bit change into a
 visibly different WSR within 50 steps, and the tests pin trace bytes. (A
 padded batched GEMM over all BSs is faster but not bit-identical: OpenBLAS's
@@ -91,14 +93,16 @@ def amplitude_matrix(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
     if lay.n_bs != ch.n_bs or lay.n_ut != n_ut:
         raise ValueError("state layout does not match the channel set")
     cblocks = state.complex_blocks()
-    # column i of buf holds pair i's amplitudes h_{l,.}^H p_{l,k}; the last is zero
+    np.conjugate(cblocks, out=cblocks)
+    # column i of buf holds pair i's conjugated amplitudes h_{l,.}^H p_{l,k}; the last is zero
     buf = np.empty((n_ut, lay.n_blocks + 1), dtype=complex)
     buf[:, -1] = 0.0
     for l, rows in enumerate(lay.bs_rows):
         if rows.stop == rows.start:
             continue
-        np.matmul(ch.entries[l].conj(), cblocks[rows].T, out=buf[:, rows])
+        np.matmul(ch.entries[l], cblocks[rows].T, out=buf[:, rows])
     del cblocks  # freed before the gather allocates
+    np.conjugate(buf, out=buf)  # before the gather: the zero start absorbs the -0 parts
     # add each UT's columns in ascending BS order, as a per-BS scatter would;
     # take() keeps the result C-contiguous, which the gradient's BLAS path expects
     amps = np.zeros((n_ut, n_ut), dtype=complex)
@@ -108,8 +112,8 @@ def amplitude_matrix(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
 
 
 def terms_from_amplitudes(amps: np.ndarray, noise_power: float) -> RateTerms:
-    a = np.abs(np.diag(amps)) ** 2
-    total = np.sum(np.abs(amps) ** 2, axis=1)
+    a = np.abs(np.diagonal(amps)) ** 2
+    total = np.add.reduce(np.abs(amps) ** 2, axis=1)
     r = total - a + noise_power
     b = r / (r + a)
     rate_nats = np.log1p(a / r)
@@ -145,11 +149,11 @@ def _gradient_blocks(
     out = np.empty((lay.n_blocks, lay.block_len))
     h_pair = out.view(complex)  # h_{l,k} per pair, kept in out's storage until the split
     ch.entries.reshape(-1, m).take(lay.pair_index, axis=0, out=h_pair, mode="clip")
+    beta_amps = beta[:, None] * amps
     for l, rows in enumerate(lay.bs_rows):
         if rows.stop == rows.start:
             continue
-        h_l = ch.entries[l]
-        grad_c[rows] = (h_l.T @ (beta[:, None] * amps[:, lay.bs_uts[l]])).T
+        grad_c[rows] = (ch.entries[l].T @ beta_amps[:, lay.bs_uts[l]]).T
     ut = lay.row_ut
     diag_coef = (alpha[ut] + beta[ut]) * amps[ut, ut]
     grad_c -= np.multiply(diag_coef[:, None], h_pair, out=h_pair)
@@ -229,8 +233,9 @@ class WsrObjective:
     ):
         if weights.w.size != ch.n_ut:
             raise ValueError("need one weight per UT")
+        if clusters.n_bs != ch.n_bs or clusters.n_ut != ch.n_ut:
+            raise ValueError("cluster map does not match the channel set")
         self.ch = ch
-        self.clusters = clusters
         self.weights = weights
         self.counter = counter
         self.grad_evals = 0
@@ -250,12 +255,10 @@ class WsrObjective:
         return self._entry(state, need_amps=False)[2]
 
     def value(self, state: PrecoderState) -> float:
-        terms = self.terms(state)
-        return -float(np.dot(self.weights.w, terms.rate_nats))
+        return -float(np.dot(self.weights.w, self.terms(state).rate_nats))
 
     def wsr_bits(self, state: PrecoderState) -> float:
-        terms = self.terms(state)
-        return float(np.dot(self.weights.w, terms.rate_bits))
+        return float(np.dot(self.weights.w, self.terms(state).rate_bits))
 
     def evaluate(self, state: PrecoderState) -> ObjectiveEval:
         _, amps, terms = self._entry(state, need_amps=True)

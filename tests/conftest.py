@@ -57,6 +57,29 @@ def random_served_instance(seed):
     return ch, clusters, state
 
 
+# Per-BS widths of table1_shaped_instance: 0, then widths on both sides of multiples of 4
+# (zgemm's last bits depend on where the width falls), up to about table1.cfg's 43 UTs per BS.
+TABLE1_WIDTHS = (0, 1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 41, 43, 44, 45, 47, 48, 49)
+
+
+def table1_shaped_instance():
+    """table1.cfg's shape (21 BSs, K = 300, M_t = 128) with random channels and serving sets.
+
+    BS l serves TABLE1_WIDTHS[l] UTs drawn at random, so BS 0 is empty, some UTs
+    are unserved and others are served by several BSs.
+    """
+    rng = np.random.default_rng(1)
+    n_bs, n_ut, m_t = len(TABLE1_WIDTHS), 300, 128
+    served = [rng.choice(n_ut, size=n, replace=False).tolist() for n in TABLE1_WIDTHS]
+    serving = [[l for l in range(n_bs) if k in served[l]] for k in range(n_ut)]
+    entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
+    ch = u.ChannelSet(entries=entries, noise_power=0.1)
+    clusters = u.ClusterMap.from_serving(serving, n_bs)
+    layout = u.BlockLayout(clusters, m_t)
+    state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
+    return ch, clusters, state
+
+
 @pytest.fixture
 def small_instance():
     """3 BSs, 4 antennas, 5 UTs, clusters of 2; the gradient-check geometry."""

@@ -3,7 +3,13 @@ import pytest
 
 import ucnprec as u
 from ucnprec.objective import OpCounter, amplitude_matrix
-from conftest import make_instance, random_served_instance, random_state
+from conftest import (
+    TABLE1_WIDTHS,
+    make_instance,
+    random_served_instance,
+    random_state,
+    table1_shaped_instance,
+)
 from oracles import (
     complex_blocks_dict,
     embed_precoder,
@@ -214,6 +220,15 @@ class TestWeightsAndCounter:
         with pytest.raises(ValueError):
             u.Weights(np.array([-1.0, 1.0]))
 
+    def test_objective_rejects_mismatched_inputs(self, small_instance):
+        # the channel set has 3 BSs and 5 UTs
+        for n_bs, n_ut in [(4, 5), (2, 5), (3, 4), (3, 6)]:
+            clusters = u.ClusterMap.from_serving([[0]] * n_ut, n_bs)
+            with pytest.raises(ValueError, match="cluster map does not match"):
+                u.WsrObjective(small_instance["ch"], clusters, u.Weights.uniform(5))
+        with pytest.raises(ValueError, match="one weight per UT"):
+            u.WsrObjective(small_instance["ch"], small_instance["clusters"], u.Weights.uniform(4))
+
     def test_counter_counts_gradient_work(self, small_instance):
         counter = OpCounter()
         state = random_state(small_instance["layout"], small_instance["rho"], 10)
@@ -340,14 +355,25 @@ class TestObjectiveMemo:
         assert obj.value(state) == f
 
 
+def served_instance(seed):
+    """random_served_instance(seed), or table1_shaped_instance() for seed "table1"."""
+    return table1_shaped_instance() if seed == "table1" else random_served_instance(seed)
+
+
 class TestAmplitudeMatrix:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), "table1"])
     def test_matches_scatter_loop_bitwise(self, seed):
-        ch, _, state = random_served_instance(seed)
+        ch, _, state = served_instance(seed)
         lay = state.layout
         assert not lay.nonempty_bs.all()
-        assert set(np.bincount(lay.row_ut, minlength=lay.n_ut)) == {0, 1, 2, 3}
-        assert ch.n_ut < lay.M_t
+        n_serving = set(np.bincount(lay.row_ut, minlength=lay.n_ut))
+        if seed == "table1":
+            assert (ch.n_ut, lay.M_t) == (300, 128)
+            assert [r.stop - r.start for r in lay.bs_rows] == list(TABLE1_WIDTHS)
+            assert {0, 1, 2, 3} <= n_serving
+        else:
+            assert n_serving == {0, 1, 2, 3}
+            assert ch.n_ut < lay.M_t
         amps = amplitude_matrix(state, ch)
         assert amps.flags.c_contiguous
         ref = reference_amplitude_matrix(state, ch)
@@ -362,10 +388,11 @@ class TestAmplitudeMatrix:
         n_ut, pair_macs = ch.n_ut, state.layout.M_t * state.layout.n_blocks
         assert counter.multiply_adds == n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", [*range(4), "table1"])
     def test_gradient_matches_loop_on_uneven_clusters(self, seed):
-        ch, clusters, state = random_served_instance(seed)
-        w = u.Weights(np.random.default_rng(seed).uniform(0.5, 2.0, ch.n_ut))
+        ch, clusters, state = served_instance(seed)
+        rng = np.random.default_rng(4 if seed == "table1" else seed)
+        w = u.Weights(rng.uniform(0.5, 2.0, ch.n_ut))
         ev = u.WsrObjective(ch, clusters, w).evaluate(state)
         ref = loop_gradient_blocks(state, ch, w, reference_amplitude_matrix(state, ch), ev.terms)
         assert np.array_equal(ev.grad.blocks, ref)
