@@ -22,7 +22,6 @@ from .baselines import (
 from .channel import (
     ChannelSet,
     ClusterMap,
-    PathlossParams,
     RsrpTable,
     Topology,
     build_clusters,
@@ -44,7 +43,6 @@ from .embedding import (
 )
 from .harness import (
     ComplexityReport,
-    OpCounter,
     RunRow,
     RunSummary,
     ScenarioConfig,

@@ -1,9 +1,16 @@
 """Synthetic multi-cell layout, channel generation, RSRP and serving clusters.
 
-Large-scale fading is a log-distance pathloss with a parabolic sector pattern;
-small-scale fading is i.i.d. Rayleigh. Everything is a pure function of the
-scenario parameters and an integer seed, so independent seeds can be generated
-in parallel without shared state.
+The system model is fixed: gNB sites on a hexagonal grid with an inter-site
+distance of half the deployment radius, BS antennas 25 m and UTs 1.5 m above
+ground. Large-scale fading is a log-distance pathloss with the 1 m free-space
+intercept and exponent 3,
+
+    pathloss_db = 32.4 + 20 log10(f / 1 GHz) + 30 log10(d_3d / 1 m) + sector_db,
+
+where sector_db = min(12 (dphi / 65 deg)^2, 30 dB) and dphi is the azimuth
+offset from the sector boresight. Small-scale fading is i.i.d. Rayleigh.
+Everything is a pure function of the scenario parameters and an integer seed,
+so independent seeds can be generated in parallel without shared state.
 """
 
 import math
@@ -17,31 +24,16 @@ import numpy as np
 _TOPOLOGY_STREAM = 0
 _CHANNEL_STREAM = 1
 
+_BS_HEIGHT_M = 25.0
+_UT_HEIGHT_M = 1.5
+_PL_EXPONENT = 3.0
+_SECTOR_PHI3DB_DEG = 65.0
+_SECTOR_BACKLOBE_DB = 30.0
+
 
 def dbm_to_watt(dbm: float) -> float:
     """Convert a dBm level to linear watts."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-@dataclass
-class PathlossParams:
-    """Log-distance pathloss plus parabolic sector attenuation.
-
-    pathloss_db = pl0_db + 10 * exponent * log10(d_3d / 1 m) + sector_db with
-    sector_db = min(12 * (dphi / phi_3db)^2, backlobe_db), dphi the azimuth
-    offset from the sector boresight. pl0_db = None selects the 1 m free-space
-    intercept 32.4 + 20 * log10(f / 1 GHz).
-    """
-
-    exponent: float = 3.0
-    pl0_db: float | None = None
-    phi_3db_deg: float = 65.0
-    backlobe_db: float = 30.0
-
-    def intercept_db(self, carrier_freq_hz: float) -> float:
-        if self.pl0_db is not None:
-            return float(self.pl0_db)
-        return 32.4 + 20.0 * math.log10(carrier_freq_hz / 1e9)
 
 
 @dataclass
@@ -113,8 +105,7 @@ def generate_topology(scenario, seed: int) -> Topology:
     if radius <= 0:
         raise ValueError("deployment_radius_m must be > 0")
 
-    isd = scenario.isd_m if scenario.isd_m is not None else radius / 2.0
-    centers = _gnb_centers(scenario.gnb_count, isd)
+    centers = _gnb_centers(scenario.gnb_count, radius / 2.0)
     sectors = scenario.sectors_per_gnb
     bs_positions = np.repeat(centers, sectors, axis=0)
     boresights = np.array([2.0 * math.pi * s / sectors for s in range(sectors)])
@@ -129,8 +120,8 @@ def generate_topology(scenario, seed: int) -> Topology:
         bs_positions=bs_positions,
         bs_orientations=bs_orientations,
         ut_positions=ut_positions,
-        bs_height=scenario.bs_height_m,
-        ut_height=scenario.ut_height_m,
+        bs_height=_BS_HEIGHT_M,
+        ut_height=_UT_HEIGHT_M,
         M_t=scenario.M_t,
         carrier_freq_hz=scenario.carrier_freq_hz,
     )
@@ -165,7 +156,7 @@ class ChannelSet:
         return self.entries.shape[2]
 
 
-def path_gains(topo: Topology, pathloss: PathlossParams) -> np.ndarray:
+def path_gains(topo: Topology) -> np.ndarray:
     """Linear power gain g[l, k] from the documented pathloss + sector pattern."""
     delta = topo.ut_positions[None, :, :] - topo.bs_positions[:, None, :]
     d2 = np.hypot(delta[..., 0], delta[..., 1])
@@ -175,28 +166,20 @@ def path_gains(topo: Topology, pathloss: PathlossParams) -> np.ndarray:
         raise ValueError("UT coincides with a BS in 3-D; pathloss undefined")
     az = np.arctan2(delta[..., 1], delta[..., 0])
     dphi = np.mod(az - topo.bs_orientations[:, None] + math.pi, 2.0 * math.pi) - math.pi
-    phi3 = math.radians(pathloss.phi_3db_deg)
-    sector_db = np.minimum(12.0 * (dphi / phi3) ** 2, pathloss.backlobe_db)
-    pl_db = (
-        pathloss.intercept_db(topo.carrier_freq_hz)
-        + 10.0 * pathloss.exponent * np.log10(d3)
-        + sector_db
-    )
+    phi3 = math.radians(_SECTOR_PHI3DB_DEG)
+    sector_db = np.minimum(12.0 * (dphi / phi3) ** 2, _SECTOR_BACKLOBE_DB)
+    intercept_db = 32.4 + 20.0 * math.log10(topo.carrier_freq_hz / 1e9)
+    pl_db = intercept_db + 10.0 * _PL_EXPONENT * np.log10(d3) + sector_db
     return 10.0 ** (-pl_db / 10.0)
 
 
-def generate_channels(
-    topo: Topology,
-    seed: int,
-    pathloss: PathlossParams | None = None,
-    noise_dbm: float = -104.0,
-) -> ChannelSet:
+def generate_channels(topo: Topology, seed: int, noise_dbm: float = -104.0) -> ChannelSet:
     """Draw h[l, k] = sqrt(g[l, k]) * c[l, k] with c ~ CN(0, I_Mt), i.i.d. over pairs.
 
     Deterministic given the seed; the fading stream is independent of the
     topology stream even when both use the same seed value.
     """
-    gains = path_gains(topo, pathloss if pathloss is not None else PathlossParams())
+    gains = path_gains(topo)
     rng = np.random.default_rng([_CHANNEL_STREAM, seed])
     shape = (topo.n_bs, topo.n_ut, topo.M_t)
     c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)

@@ -1,11 +1,11 @@
 """Experiment harness: scenario config, seeded batch runs, and the CLI.
 
 Configuration files are flat `key = value` text with `#` comments; unknown
-keys are rejected. A run generates topology, channels and clusters once per
-seed, executes each requested solver from a common initial precoder, and
-writes per-run trace CSVs plus a deterministic summary CSV (wall-clock times
-go to a separate timings CSV so summary bytes depend only on config and
-seeds).
+and repeated keys are rejected. A run generates topology, channels and
+clusters once per seed, executes each requested solver from a common initial
+precoder, and writes per-run trace CSVs plus a deterministic summary CSV
+(wall-clock times go to a separate timings CSV so summary bytes depend only
+on config and seeds).
 """
 
 import argparse
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, symplectic
-from .channel import PathlossParams, build_clusters, compute_rsrp, generate_channels, generate_topology
+from .channel import build_clusters, compute_rsrp, generate_channels, generate_topology
 from .embedding import BlockLayout, PowerBudget, PrecoderState, renormalize_power
-from .objective import OpCounter, Weights, WsrObjective, fd_gradient
+from .objective import Weights, WsrObjective, fd_gradient
 from .symplectic import SolverConfig, SolveResult, write_trace_csv
 
 _INIT_STREAM = 2
@@ -35,6 +35,8 @@ class ScenarioConfig:
 
     Every field is a `key = value` line in the config file, e.g.
     `gnb_count = 7` or `seeds = 0,1,2,3,4`. Optional fields accept `none`.
+    The rest of the system model (heights, site spacing, pathloss, weights,
+    the GD/NAGD line search and momentum) is fixed where it is used.
     """
 
     # layout / population
@@ -44,18 +46,10 @@ class ScenarioConfig:
     K: int = 20
     B_sc: int = 3
     deployment_radius_m: float = 300.0
-    isd_m: float | None = None  # default: deployment_radius_m / 2
     carrier_freq_hz: float = 6.7e9
-    bs_height_m: float = 25.0
-    ut_height_m: float = 1.5
     # radio
     noise_dbm: float = -104.0
     tx_power_dbm: float = 12.0
-    uniform_weight: float = 1.0
-    pl_exponent: float = 3.0
-    pl0_db: float | None = None  # default: 32.4 + 20 log10(f / 1 GHz)
-    sector_phi3db_deg: float = 65.0
-    sector_backlobe_db: float = 30.0
     # experiment
     seeds: tuple = (0, 1, 2, 3, 4)
     init: str = "rzf"  # rzf | random
@@ -66,16 +60,9 @@ class ScenarioConfig:
     h0: float = 0.002
     r_ctrl: float = 0.25
     theta: float = 0.5
-    h_min: float = 1e-5
     h_max: float = 0.005
-    project_positions: bool = True
     # baselines
     wmmse_iters: int | None = None  # default: max_iters
-    armijo_alpha0: float = 1.0
-    armijo_backtrack: float = 0.5
-    armijo_c1: float = 1e-4
-    armijo_max_backtracks: int = 30
-    nagd_momentum: float = 0.9
 
     @property
     def n_bs(self) -> int:
@@ -89,12 +76,8 @@ class ScenarioConfig:
             raise ValueError(f"B_sc must lie in [1, {self.n_bs}], got {self.B_sc}")
         if self.deployment_radius_m <= 0:
             raise ValueError("deployment_radius_m must be > 0")
-        if self.isd_m is not None and self.isd_m <= 0:
-            raise ValueError("isd_m must be > 0")
         if self.carrier_freq_hz <= 0:
             raise ValueError("carrier_freq_hz must be > 0")
-        if self.uniform_weight <= 0:
-            raise ValueError("uniform_weight must be > 0")
         if self.init not in ("rzf", "random"):
             raise ValueError(f"init must be 'rzf' or 'random', got {self.init!r}")
         if len(self.seeds) < 1:
@@ -105,25 +88,14 @@ class ScenarioConfig:
             raise ValueError("seeds must be distinct: each seed writes its own trace files")
         if self.wmmse_iters is not None and self.wmmse_iters < 1:
             raise ValueError("wmmse_iters must be >= 1")
-        if not 0.0 <= self.nagd_momentum < 1.0:
-            raise ValueError("nagd_momentum must lie in [0, 1)")
-        # delegate the remaining range checks to the dataclasses they feed
+        # delegate the remaining range checks to the dataclass they feed
         self.solver_config()
-        self.line_search_config()
-
-    def pathloss_params(self) -> PathlossParams:
-        return PathlossParams(
-            exponent=self.pl_exponent,
-            pl0_db=self.pl0_db,
-            phi_3db_deg=self.sector_phi3db_deg,
-            backlobe_db=self.sector_backlobe_db,
-        )
 
     def power_budget(self) -> PowerBudget:
         return PowerBudget.uniform_dbm(self.n_bs, self.tx_power_dbm)
 
     def weights(self) -> Weights:
-        return Weights.uniform(self.K, self.uniform_weight)
+        return Weights.uniform(self.K)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -133,27 +105,8 @@ class ScenarioConfig:
             theta=self.theta,
             max_iters=self.max_iters,
             rel_tol=self.rel_tol,
-            project_positions=self.project_positions,
-            h_min=self.h_min,
             h_max=self.h_max,
         )
-
-    def line_search_config(self) -> baselines.LineSearchConfig:
-        return baselines.LineSearchConfig(
-            alpha0=self.armijo_alpha0,
-            backtrack=self.armijo_backtrack,
-            c1=self.armijo_c1,
-            max_backtracks=self.armijo_max_backtracks,
-        )
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_seeds(text: str) -> tuple:
@@ -174,15 +127,16 @@ def _field_parser(annotation):
     inner = [t for t in typing.get_args(annotation) if t is not type(None)]
     if inner:  # X | None
         return _optional(_field_parser(inner[0]))
-    return {bool: _parse_bool, tuple: _parse_seeds}.get(annotation, annotation)
+    return _parse_seeds if annotation is tuple else annotation
 
 
 _FIELD_PARSERS = {f.name: _field_parser(f.type) for f in dataclasses.fields(ScenarioConfig)}
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse a flat key=value config file; unknown keys and bad values are errors."""
+    """Parse a flat key=value config file; unknown or repeated keys and bad values are errors."""
     values = {}
+    first_line = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -195,6 +149,11 @@ def load_config(path) -> ScenarioConfig:
             text = text.strip()
             if key not in _FIELD_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}"
+                )
+            first_line[key] = lineno
             try:
                 values[key] = _FIELD_PARSERS[key](text)
             except ValueError as exc:
@@ -287,7 +246,7 @@ def initial_precoder(config: ScenarioConfig, ch, clusters, rho, seed: int) -> Pr
 def build_instance(config: ScenarioConfig, seed: int):
     """Generate (topology, channels, clusters) for one seed of a scenario."""
     topo = generate_topology(config, seed)
-    ch = generate_channels(topo, seed, config.pathloss_params(), config.noise_dbm)
+    ch = generate_channels(topo, seed, config.noise_dbm)
     clusters = build_clusters(compute_rsrp(ch), config.B_sc)
     return topo, ch, clusters
 
@@ -309,17 +268,11 @@ def _dispatch(name, config, ch, clusters, rho, weights, init, objective) -> Solv
         return SolveResult(precoder=state, trace=trace, converged=converged, iterations=len(trace))
     if name == "gd":
         return baselines.gd_solve(
-            init, objective, rho, config.line_search_config(), config.max_iters, config.rel_tol
+            init, objective, rho, max_iters=config.max_iters, rel_tol=config.rel_tol
         )
     if name == "nagd":
         return baselines.nagd_solve(
-            init,
-            objective,
-            rho,
-            config.nagd_momentum,
-            config.line_search_config(),
-            config.max_iters,
-            config.rel_tol,
+            init, objective, rho, max_iters=config.max_iters, rel_tol=config.rel_tol
         )
     raise ValueError(f"unknown solver {name!r}")
 
@@ -333,9 +286,13 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
     """
     config.validate()
     solvers = list(solvers)
+    if not solvers:
+        raise ValueError("need at least one solver")
     for name in solvers:
         if name not in KNOWN_SOLVERS:
             raise ValueError(f"unknown solver {name!r}; known: {', '.join(KNOWN_SOLVERS)}")
+    if len(set(solvers)) != len(solvers):
+        raise ValueError("solvers must be distinct: each solver writes its own trace files")
     os.makedirs(out_dir, exist_ok=True)
 
     summary = RunSummary()
@@ -345,8 +302,7 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
         weights = config.weights()
         init = initial_precoder(config, ch, clusters, rho, seed)
         for name in solvers:
-            counter = OpCounter()
-            objective = WsrObjective(ch, clusters, weights, counter)
+            objective = WsrObjective(ch, clusters, weights)
             start = time.perf_counter()
             try:
                 result = _dispatch(name, config, ch, clusters, rho, weights, init, objective)
@@ -359,7 +315,7 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
                         iterations=0,
                         wall_time_s=time.perf_counter() - start,
                         grad_evals=objective.grad_evals,
-                        multiply_adds=counter.multiply_adds,
+                        multiply_adds=objective.multiply_adds,
                         converged=False,
                         error=f"{type(exc).__name__}: {exc}",
                     )
@@ -376,7 +332,7 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
                     iterations=result.iterations,
                     wall_time_s=wall,
                     grad_evals=objective.grad_evals,
-                    multiply_adds=counter.multiply_adds,
+                    multiply_adds=objective.multiply_adds,
                     converged=result.converged,
                 )
             )
@@ -444,18 +400,18 @@ def complexity_probe(
                 cfg.validate()
                 _, ch, clusters = build_instance(cfg, seed)
                 rho = cfg.power_budget()
-                counter = OpCounter()
                 state = random_precoder(BlockLayout(clusters, m_t), rho, seed)
-                WsrObjective(ch, clusters, cfg.weights(), counter).evaluate(state)
+                objective = WsrObjective(ch, clusters, cfg.weights())
+                objective.evaluate(state)
                 row = ProbeRow(
                     M_t=m_t,
                     K=k_ut,
                     B_sc=b_sc,
-                    measured=counter.multiply_adds,
+                    measured=objective.multiply_adds,
                     predicted=predicted_gradient_macs(clusters, m_t),
                 )
                 rows.append(row)
-                measured_at[(m_t, k_ut, b_sc)] = counter.multiply_adds
+                measured_at[(m_t, k_ut, b_sc)] = objective.multiply_adds
     doubling = []
     for small, large in zip(m_t_grid[:-1], m_t_grid[1:]):
         if large != 2 * small:

@@ -1,7 +1,7 @@
 """Per-UT rates, the weighted sum-rate objective and its analytic gradient.
 
-WsrObjective is the one evaluator, and the one place that charges the
-multiply-add counter: the solvers, the CLI and fd_gradient all go through it.
+WsrObjective is the one evaluator, and the one place that counts multiply-adds:
+the solvers, the CLI and fd_gradient all go through it.
 Optimization runs on the negated objective in nats; reported sum rates are in
 bits. Desired and interfering amplitudes are accumulated in the complex domain
 (one K x |U_l| product per BS), which is numerically identical to evaluating
@@ -52,18 +52,8 @@ class Weights:
             raise ValueError("at least one weight must be positive")
 
     @classmethod
-    def uniform(cls, n_ut: int, value: float = 1.0) -> "Weights":
-        return cls(w=np.full(n_ut, float(value)))
-
-
-@dataclass
-class OpCounter:
-    """Complex multiply-add counter attributable to gradient evaluation."""
-
-    multiply_adds: int = 0
-
-    def add(self, n: int) -> None:
-        self.multiply_adds += int(n)
+    def uniform(cls, n_ut: int) -> "Weights":
+        return cls(w=np.ones(n_ut))
 
 
 @dataclass
@@ -207,8 +197,9 @@ class WsrObjective:
     """Bundles channels, clusters and weights for repeated solver evaluations.
 
     evaluate() shares one amplitude matrix between the rate terms and the
-    gradient and increments grad_evals; value() is the cheap rate-only path
-    used by line searches.
+    gradient, increments grad_evals and adds the complex multiply-adds of the
+    amplitudes and the gradient to multiply_adds; value() is the cheap
+    rate-only path used by line searches.
 
     The amplitude matrix and rate terms of the last state seen are memoized,
     keyed by the state's identity (states are frozen value objects), so an
@@ -216,7 +207,7 @@ class WsrObjective:
     or wsr_bits() that follows. The memo holds a strong reference to its
     state, so a recycled id() never matches. evaluate() then keeps only the
     rate terms, since no solver evaluates one state twice. A hit changes no
-    count: evaluate() always charges the counter for the amplitudes and the
+    count: evaluate() always counts the multiply-adds of the amplitudes and the
     gradient, and value() never does.
 
     evaluate() wraps the gradient with PrecoderState.trusted, without a
@@ -224,21 +215,15 @@ class WsrObjective:
     built from it (rattle_step's check, the Armijo candidates' constructor).
     """
 
-    def __init__(
-        self,
-        ch: ChannelSet,
-        clusters: ClusterMap,
-        weights: Weights,
-        counter: OpCounter | None = None,
-    ):
+    def __init__(self, ch: ChannelSet, clusters: ClusterMap, weights: Weights):
         if weights.w.size != ch.n_ut:
             raise ValueError("need one weight per UT")
         if clusters.n_bs != ch.n_bs or clusters.n_ut != ch.n_ut:
             raise ValueError("cluster map does not match the channel set")
         self.ch = ch
         self.weights = weights
-        self.counter = counter
         self.grad_evals = 0
+        self.multiply_adds = 0
         self._memo = None  # (state, amplitude matrix, RateTerms) of the last state seen
 
     def _entry(self, state: PrecoderState, need_amps: bool):
@@ -262,12 +247,11 @@ class WsrObjective:
 
     def evaluate(self, state: PrecoderState) -> ObjectiveEval:
         _, amps, terms = self._entry(state, need_amps=True)
-        if self.counter is not None:
-            # amplitude products, the |A|^2 energies feeding a, r, b, and the gradient's
-            # cross products plus diagonal term
-            lay, n_ut = state.layout, self.ch.n_ut
-            pair_macs = lay.M_t * lay.n_blocks
-            self.counter.add(n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs)
+        # amplitude products, the |A|^2 energies feeding a, r, b, and the gradient's
+        # cross products plus diagonal term
+        lay, n_ut = state.layout, self.ch.n_ut
+        pair_macs = lay.M_t * lay.n_blocks
+        self.multiply_adds += n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs
         blocks = _gradient_blocks(state, self.ch, self.weights, amps, terms)
         self._memo = (state, None, terms)  # later hits need only the rates
         self.grad_evals += 1

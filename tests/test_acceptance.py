@@ -75,13 +75,11 @@ def hp_speed_traces(hp_instances):
         res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], sc)
         out["symplectic"].append([rec.wsr_bits for rec in res.trace])
         na = u.nagd_solve(
-            inst["init"], u.WsrObjective(*args), inst["rho"], cfg.nagd_momentum,
-            cfg.line_search_config(), horizon, 1e-300,
+            inst["init"], u.WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
         )
         out["nagd"].append([rec.wsr_bits for rec in na.trace])
         gd = u.gd_solve(
-            inst["init"], u.WsrObjective(*args), inst["rho"],
-            cfg.line_search_config(), horizon, 1e-300,
+            inst["init"], u.WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
         )
         out["gd"].append([rec.wsr_bits for rec in gd.trace])
     return out
@@ -216,7 +214,7 @@ def test_criterion_08_cluster_size_ordering(hp_instances):
     cfg, _ = hp_instances
     solver_cfg = u.SolverConfig(
         gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
-        max_iters=150, rel_tol=1e-12, h_min=cfg.h_min, h_max=cfg.h_max,
+        max_iters=150, rel_tol=1e-12, h_max=cfg.h_max,
     )
     medians = {}
     for b_sc in (1, 3, 7):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ucnprec as u
-from ucnprec.channel import PathlossParams, path_gains
+from ucnprec.channel import path_gains
 from conftest import make_instance
 
 
@@ -58,7 +58,7 @@ class TestChannels:
             M_t=2,
             carrier_freq_hz=6.7e9,
         )
-        g = path_gains(topo, PathlossParams())
+        g = path_gains(topo)
         drop_db = 10.0 * np.log10(g[0, 0] / g[0, 1])
         assert drop_db == pytest.approx(10.0 * 3.0 * math.log10(2.0), abs=1e-9)
 
@@ -83,7 +83,7 @@ class TestChannels:
             M_t=64,
             carrier_freq_hz=6.7e9,
         )
-        expected = path_gains(topo, PathlossParams())[0, 0] * topo.M_t
+        expected = path_gains(topo)[0, 0] * topo.M_t
         sums = np.zeros(2)
         n_draws = 1000
         for seed in range(n_draws):
@@ -117,7 +117,7 @@ class TestChannels:
             M_t=1,
             carrier_freq_hz=6.7e9,
         )
-        g = path_gains(topo, PathlossParams())
+        g = path_gains(topo)
         assert 10.0 * np.log10(g[0, 0] / g[0, 1]) == pytest.approx(30.0, abs=1e-9)
 
 

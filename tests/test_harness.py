@@ -57,6 +57,26 @@ class TestLoadConfig:
             u.run_experiment(_fast_cfg(seeds=(3, 3)), ["rzf"], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path):
+        # letting the last value win would run this file on seed 1 only
+        with pytest.raises(ValueError, match=r":3: key 'seeds' already set on line 1"):
+            u.load_config(write_cfg(tmp_path, "seeds = 0\nK = 5\nseeds = 1\n"))
+
+    def test_duplicate_solvers_rejected(self, tmp_path):
+        # a repeated solver would write two summary rows and overwrite its trace files
+        with pytest.raises(ValueError, match="solvers must be distinct"):
+            u.run_experiment(_fast_cfg(), ["gd", "rzf", "gd"], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_solver_list_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="at least one solver"):
+            u.run_experiment(_fast_cfg(), [], tmp_path / "out")
+        cfg_path = write_cfg(tmp_path, "K = 4\n")
+        argv = ["run", "--config", str(cfg_path), "--solvers", "", "--out", str(tmp_path / "out")]
+        assert harness.main(argv) == 2
+        assert "at least one solver" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_cluster_size_named(self, tmp_path):
         with pytest.raises(ValueError, match="B_sc"):
             u.load_config(write_cfg(tmp_path, "B_sc = 25\n"))
@@ -85,7 +105,6 @@ class TestLoadConfig:
         lines = [f"{f.name} = {text(getattr(defaults, f.name))}" for f in dataclasses.fields(defaults)]
         assert len(lines) == len(harness._FIELD_PARSERS)
         assert u.load_config(write_cfg(tmp_path, "\n".join(lines) + "\n")) == defaults
-        assert not u.load_config(write_cfg(tmp_path, "project_positions = off\n")).project_positions
 
 
 def _fast_cfg(**overrides):

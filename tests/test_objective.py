@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ucnprec as u
-from ucnprec.objective import OpCounter, amplitude_matrix
+from ucnprec.objective import amplitude_matrix
 from conftest import (
     TABLE1_WIDTHS,
     make_instance,
@@ -230,16 +230,15 @@ class TestWeightsAndCounter:
             u.WsrObjective(small_instance["ch"], small_instance["clusters"], u.Weights.uniform(4))
 
     def test_counter_counts_gradient_work(self, small_instance):
-        counter = OpCounter()
         state = random_state(small_instance["layout"], small_instance["rho"], 10)
-        u.WsrObjective(
-            small_instance["ch"], small_instance["clusters"], small_instance["w"], counter
-        ).evaluate(state)
+        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        assert obj.multiply_adds == 0
+        obj.evaluate(state)
         n_active = small_instance["layout"].n_blocks
         n_ut = small_instance["ch"].n_ut
         m_t = small_instance["cfg"].M_t
         expected = 2 * n_ut * m_t * n_active + m_t * n_active + n_ut * n_ut
-        assert counter.multiply_adds == expected
+        assert obj.multiply_adds == expected
 
     def test_objective_bundle_consistency(self, small_instance):
         ch, clusters, w = small_instance["ch"], small_instance["clusters"], small_instance["w"]
@@ -286,8 +285,7 @@ def assert_same_evaluation(ev, ref):
 
 class TestObjectiveMemo:
     def _objective(self, inst):
-        counter = OpCounter()
-        return u.WsrObjective(inst["ch"], inst["clusters"], inst["w"], counter), counter
+        return u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flat_gradient_matches_loop_bitwise(self, seed):
@@ -301,14 +299,14 @@ class TestObjectiveMemo:
 
     def test_evaluate_after_value_matches_fresh(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 20)
-        obj, counter = self._objective(small_instance)
+        obj = self._objective(small_instance)
         obj.value(state)
         ev = obj.evaluate(state)
-        fresh, fresh_counter = self._objective(small_instance)
+        fresh = self._objective(small_instance)
         ref = fresh.evaluate(state)
         assert_same_evaluation(ev, ref)
         assert obj.grad_evals == fresh.grad_evals == 1
-        assert counter.multiply_adds == fresh_counter.multiply_adds > 0
+        assert obj.multiply_adds == fresh.multiply_adds > 0
 
     def test_one_amplitude_matrix_per_state(self, small_instance, monkeypatch):
         from ucnprec import objective
@@ -321,7 +319,7 @@ class TestObjectiveMemo:
 
         monkeypatch.setattr(objective, "amplitude_matrix", counted)
         state = random_state(small_instance["layout"], small_instance["rho"], 21)
-        obj, _ = self._objective(small_instance)
+        obj = self._objective(small_instance)
         f = obj.value(state)
         ev = obj.evaluate(state)
         assert obj.wsr_bits(state) == ev.wsr_bits
@@ -334,19 +332,19 @@ class TestObjectiveMemo:
     def test_value_then_evaluate_other_state(self, small_instance):
         s1 = random_state(small_instance["layout"], small_instance["rho"], 22)
         s2 = random_state(small_instance["layout"], small_instance["rho"], 23)
-        obj, counter = self._objective(small_instance)
+        obj = self._objective(small_instance)
         f1 = obj.value(s1)
         ev2 = obj.evaluate(s2)
-        fresh, fresh_counter = self._objective(small_instance)
+        fresh = self._objective(small_instance)
         assert_same_evaluation(ev2, fresh.evaluate(s2))
-        assert counter.multiply_adds == fresh_counter.multiply_adds
+        assert obj.multiply_adds == fresh.multiply_adds
         assert f1 != ev2.g_value
         assert obj.value(s1) == f1
 
     def test_memo_key_is_frozen(self, small_instance):
         # the memo trusts that a state's blocks never change after construction
         state = random_state(small_instance["layout"], small_instance["rho"], 24)
-        obj, _ = self._objective(small_instance)
+        obj = self._objective(small_instance)
         f = obj.value(state)
         with pytest.raises(ValueError):
             state.blocks[0, 0] = 1.0
@@ -383,10 +381,10 @@ class TestAmplitudeMatrix:
     def test_counts_one_product_per_pair(self):
         # an empty BS and an unserved UT add no products to an evaluation's charge
         ch, clusters, state = random_served_instance(0)
-        counter = OpCounter()
-        u.WsrObjective(ch, clusters, u.Weights(np.ones(ch.n_ut)), counter).evaluate(state)
+        obj = u.WsrObjective(ch, clusters, u.Weights(np.ones(ch.n_ut)))
+        obj.evaluate(state)
         n_ut, pair_macs = ch.n_ut, state.layout.M_t * state.layout.n_blocks
-        assert counter.multiply_adds == n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs
+        assert obj.multiply_adds == n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs
 
     @pytest.mark.parametrize("seed", [*range(4), "table1"])
     def test_gradient_matches_loop_on_uneven_clusters(self, seed):

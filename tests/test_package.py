@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -9,8 +10,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # solver, the CLI or a test oracle uses.
 EXPORTS = [
     "BisectionError", "BlockLayout", "ChannelSet", "ClusterMap", "ComplexityReport",
-    "LineSearchConfig", "ObjectiveEval", "OpCounter", "PathlossParams", "PowerBudget",
-    "PrecoderState", "RateTerms", "RsrpTable", "RunRow", "RunSummary", "ScenarioConfig",
+    "LineSearchConfig", "ObjectiveEval", "PowerBudget", "PrecoderState", "RateTerms",
+    "RsrpTable", "RunRow", "RunSummary", "ScenarioConfig",
     "SolveResult", "SolverConfig", "SolverDivergence", "StepRecord", "Topology", "Weights",
     "WmmseState", "WsrObjective", "bisect_power", "bs_block_norms", "build_clusters",
     "central_difference", "complexity_probe", "compute_rsrp", "constraint_apply_G",
@@ -22,9 +23,22 @@ EXPORTS = [
 ]
 
 
+# Adding a config key means adding its name here: every field is a value that a
+# shipped preset, the benchmark or a test sets; the rest of the model is fixed.
+CONFIG_FIELDS = [
+    "B_sc", "K", "M_t", "carrier_freq_hz", "deployment_radius_m", "gamma", "gnb_count",
+    "h0", "h_max", "init", "max_iters", "noise_dbm", "r_ctrl", "rel_tol", "sectors_per_gnb",
+    "seeds", "theta", "tx_power_dbm", "wmmse_iters",
+]
+
+
 def test_exports_are_pinned():
     assert sorted(u.__all__) == EXPORTS
     assert all(hasattr(u, name) for name in EXPORTS)
+
+
+def test_config_fields_are_pinned():
+    assert sorted(f.name for f in dataclasses.fields(u.ScenarioConfig)) == CONFIG_FIELDS
 
 
 def test_readme_library_example_runs(capsys):
