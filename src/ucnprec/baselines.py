@@ -5,8 +5,20 @@ sweep of per-BS precoder solves; each BS shares one nonnegative power
 multiplier. One eigendecomposition of the BS's weighted gram gives the power
 as a closed-form secular function of the multiplier, whose root is found by
 safeguarded Newton steps on 1/sqrt(power) (newton_multiplier), started from
-the multiplier of the previous sweep. bisect_power solves the same equation
-for any decreasing scalar power function by bracketing and false position.
+the multiplier of the previous sweep. The grams and their eigendecompositions
+depend only on the receivers and weights, not on the precoders the sweep
+updates, so at M_t >= 48 with more than one CPU the sweep builds each gram
+ahead of its update and hands its np.linalg.eigh to one worker thread, two at
+most in flight, while the main thread runs the updates; below that, eigh runs
+inline. While a sweep has one in flight, only the worker calls eigh, so a
+wrapped eigh (perfbench's tracer) never runs twice at once. The first sweep
+that uses the worker starts it, so importing the package starts no thread.
+Both routes give the same bits; the worker holds its own BLAS buffers, a few
+MB at table1 scale. bisect_power solves the
+same equation for any decreasing scalar power function by bracketing and
+false position; no solver calls it. It stays only because perfbench/tracer.py
+and tests/oracles.py reference it, until a benchmark change moves the tracer
+off it.
 GD and NAGD run Armijo backtracking on the negated objective and renormalize
 to the per-BS power budget after every accepted step so all solvers are
 compared on the same feasible set. GD is NAGD without momentum: both are one
@@ -14,6 +26,7 @@ step function run by symplectic.iterate.
 """
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -37,6 +50,50 @@ from .objective import (
 from .symplectic import SolveResult, StepRecord, iterate
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
+# Smallest M_t whose sweeps hand their eigh calls to the worker: measured, it is the
+# smallest that wins at both table1's and high_power's K and BS count; at M_t = 16
+# the hand-off made a high_power sweep 1.5x slower.
+_EIGH_WORKER_MIN_MT = 48
+
+_eigh_worker = None  # the one-thread executor, created by the first sweep that uses it
+
+
+def _eigh(gram):
+    """Eigendecomposition of a hermitian gram with its eigenvalues clamped at 0.
+
+    eigh reads only the lower triangle, so the gram needs no hermitization.
+    """
+    e, vecs = np.linalg.eigh(gram)  # looked up per call, so a wrapped eigh is the one called
+    np.maximum(e, 0.0, out=e)
+    return e, vecs
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_for(m_t):
+    """The eigh worker for a sweep with m_t antennas per BS, or None to run eigh inline."""
+    global _eigh_worker
+    if m_t < _EIGH_WORKER_MIN_MT or _cpus() < 2:
+        return None
+    if _eigh_worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _eigh_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ucnprec-eigh")
+    return _eigh_worker
+
+
+def _forget_eigh_worker():
+    global _eigh_worker
+    _eigh_worker = None  # a forked child has no copy of the worker thread
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_eigh_worker)
 
 
 class BisectionError(RuntimeError):
@@ -278,7 +335,7 @@ def _wmmse_sweep(state, ch, rho, w, lam0):
     sigma2 = ch.noise_power
     entries = ch.entries
 
-    amps = amplitude_matrix(state, ch)
+    amps = amplitude_matrix(state, ch)  # updated in place by the sweep
     diag = np.diagonal(amps)
     a = diag.real**2 + diag.imag**2
     total = np.add.reduce(amps.real**2 + amps.imag**2, axis=1)
@@ -289,37 +346,54 @@ def _wmmse_sweep(state, ch, rho, w, lam0):
     # desired-signal term of every (BS, UT) row: w_k W_k conj(u_k) h_{l,k}
     served = entries[layout.row_bs, layout.row_ut]  # (n_blocks, M_t)
     desired = (w * big_w * np.conj(u))[layout.row_ut, None] * served
+    del served
 
     cblocks = state.complex_blocks()
-    amps_live = amps.copy()
     lam_out = np.zeros(layout.n_bs)
     evals_out = np.zeros(layout.n_bs, dtype=int)
-    for l, rows in enumerate(layout.bs_rows):
-        if rows.start == rows.stop:
-            continue
-        cols = layout.bs_uts[l]
+    todo = [l for l, rows in enumerate(layout.bs_rows) if rows.start != rows.stop]
+    worker = _worker_for(ch.M_t)
+    ahead = deque()  # (conj(H_l), coef-scaled H_l^T, eigh future) of todo[i : i + 2], worker only
+
+    def operands(l):
         h_l = entries[l]  # (K, M_t)
-        h_l_conj = h_l.conj()
-        h_coef = h_l.T * coef  # (M_t, K), columns coef_k h_{l,k}
-        cross = amps_live[:, cols] - h_l_conj @ cblocks[rows].T  # amplitudes excluding BS l
-        rhs = desired[rows].T - h_coef @ cross  # (M_t, n_l)
-        # eigh reads only the lower triangle, so the gram needs no hermitization
-        e, vecs = np.linalg.eigh(h_coef @ h_l_conj)
-        np.maximum(e, 0.0, out=e)
-        z = vecs.conj().T @ rhs  # (M_t, n_l)
-        z_ri = z.view(np.float64)
-        s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
-        lam_l, n_evals = newton_multiplier(
-            e, s, float(rho.rho[l]), _POWER_TOL, None if lam0 is None else lam0[l]
-        )
-        d = e + lam_l
-        if lam_l == 0.0 and e[0] == 0.0:
-            d[d == 0.0] = np.inf  # hard case: the minimum-norm solution leaves these out
-        new_blocks = vecs @ (z / d[:, None])  # (M_t, n_l)
-        amps_live[:, cols] = cross + h_l_conj @ new_blocks
-        cblocks[rows] = new_blocks.T
-        lam_out[l] = lam_l
-        evals_out[l] = n_evals
+        return h_l.conj(), h_l.T * coef  # the latter (M_t, K), columns coef_k h_{l,k}
+
+    try:
+        for i, l in enumerate(todo):
+            if worker is None:
+                h_l_conj, h_coef = operands(l)
+            else:
+                for j in range(i + len(ahead), min(i + 2, len(todo))):
+                    h_conj_j, h_coef_j = operands(todo[j])
+                    ahead.append((h_conj_j, h_coef_j, worker.submit(_eigh, h_coef_j @ h_conj_j)))
+                h_l_conj, h_coef, _ = ahead[0]  # left queued until its result is in
+            rows, cols = layout.bs_rows[l], layout.bs_uts[l]
+            cross = amps[:, cols] - h_l_conj @ cblocks[rows].T  # amplitudes excluding BS l
+            rhs = desired[rows].T - h_coef @ cross  # (M_t, n_l)
+            if worker is None:
+                e, vecs = _eigh(h_coef @ h_l_conj)
+            else:
+                e, vecs = ahead[0][2].result()
+                ahead.popleft()  # drops the future and its result
+            z = vecs.conj().T @ rhs  # (M_t, n_l)
+            z_ri = z.view(np.float64)
+            s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
+            lam_l, n_evals = newton_multiplier(
+                e, s, float(rho.rho[l]), _POWER_TOL, None if lam0 is None else lam0[l]
+            )
+            d = e + lam_l
+            if lam_l == 0.0 and e[0] == 0.0:
+                d[d == 0.0] = np.inf  # hard case: the minimum-norm solution leaves these out
+            new_blocks = vecs @ (z / d[:, None])  # (M_t, n_l)
+            amps[:, cols] = cross + h_l_conj @ new_blocks
+            cblocks[rows] = new_blocks.T
+            lam_out[l] = lam_l
+            evals_out[l] = n_evals
+    finally:
+        for *_, eig in ahead:  # left only by an error: no eigh runs once the sweep has returned
+            if not eig.cancel():
+                eig.exception()
     return cblocks, WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,27 @@ def table1_shaped_instance():
     layout = u.BlockLayout(clusters, m_t)
     state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
     return ch, clusters, state
+
+
+def table1_wmmse_digest(sweeps=3):
+    """sha256 of warm-started WMMSE sweeps on table1_shaped_instance.
+
+    Hashes each sweep's WSR and multipliers, then the final precoder blocks.
+    """
+    from ucnprec.baselines import wmmse_step
+
+    ch, _, state = table1_shaped_instance()
+    rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
+    w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    digest = hashlib.sha256()
+    lam = None
+    for _ in range(sweeps):
+        state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam)
+        lam = ws.lam
+        digest.update(np.float64(wsr_bits).tobytes())
+        digest.update(lam.tobytes())
+    digest.update(state.blocks.tobytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture

@@ -1,4 +1,10 @@
+import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -6,10 +12,11 @@ import numpy as np
 import pytest
 
 import ucnprec as u
+from ucnprec import baselines
 from ucnprec.baselines import BisectionError, wmmse_step
-from ucnprec.harness import build_instance, initial_precoder
+from ucnprec.harness import ScenarioConfig, build_instance, initial_precoder
 from ucnprec.objective import ObjectiveEval
-from conftest import make_instance, random_state
+from conftest import make_instance, random_state, table1_shaped_instance
 from oracles import reference_wmmse_step
 
 
@@ -275,6 +282,166 @@ class TestWmmse:
         assert trace.shape == (8,)
         obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         assert obj.wsr_bits(state) == pytest.approx(trace[-1], rel=1e-9)
+
+
+TABLE1_DIGEST = json.loads((REPO / "tests" / "data" / "wmmse_table1_digest.json").read_text())
+
+
+class EighGuard:
+    """Stands in for np.linalg.eigh: counts calls, flags overlapping and late ones.
+
+    A call starts late when it starts while `closed` is set. `threads` names
+    the threads that made calls. The fail_on-th call raises LinAlgError
+    instead of decomposing.
+    """
+
+    def __init__(self, fail_on=None):
+        self._eigh = np.linalg.eigh
+        self._fail_on = fail_on
+        self._lock = threading.Lock()
+        self.calls = self.overlaps = self.late = self.active = 0
+        self.closed = False
+        self.threads = set()
+
+    def __call__(self, a):
+        with self._lock:
+            self.overlaps += self.active > 0
+            self.late += self.closed
+            self.active += 1
+            self.calls += 1
+            self.threads.add(threading.current_thread().name)
+            n = self.calls
+        try:
+            if n == self._fail_on:
+                raise np.linalg.LinAlgError("injected eigh failure")
+            return self._eigh(a)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+    def close(self):
+        """Mark the sweep returned, then let anything still queued on the worker run."""
+        self.closed = True
+        baselines._eigh_worker.submit(int).result(timeout=60)
+
+
+@pytest.fixture
+def eigh_guard(monkeypatch):
+    """Install an EighGuard; sweeps at M_t >= 48 use the worker even on one CPU."""
+    monkeypatch.setattr(baselines, "_cpus", lambda: 2)
+
+    def install(fail_on=None):
+        guard = EighGuard(fail_on)
+        monkeypatch.setattr(np.linalg, "eigh", guard)
+        return guard
+
+    return install
+
+
+def _table1_args():
+    ch, _, state = table1_shaped_instance()
+    return state, ch, u.PowerBudget.uniform(ch.n_bs, 1.0), u.Weights.uniform(ch.n_ut)
+
+
+class TestEighWorker:
+    def test_table1_digest_matches_inline_record(self):
+        # one-thread BLAS as perfbench runs it; the digest was recorded with eigh inline
+        script = (
+            "import conftest\n"
+            "from ucnprec import baselines\n"
+            "baselines._cpus = lambda: 2\n"
+            f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}))\n"
+            "print(baselines._eigh_worker is not None)\n"
+            "baselines._EIGH_WORKER_MIN_MT = 10**9\n"
+            f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO / "tests")]))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        threaded, used_worker, inline = proc.stdout.split()
+        assert used_worker == "True"
+        assert threaded == TABLE1_DIGEST["sha256"]
+        assert inline == TABLE1_DIGEST["sha256"]
+
+    def test_one_call_per_bs_never_overlapping(self, eigh_guard):
+        guard = eigh_guard()
+        state, ch, rho, w = _table1_args()
+        n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
+        lam = None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for sweep in range(1, 3):
+                state, ws, _ = wmmse_step(state, ch, rho, w, lam0=lam)
+                lam = ws.lam
+                guard.close()
+                assert guard.calls == sweep * n_nonempty
+                guard.closed = False
+        finally:
+            sys.setswitchinterval(interval)
+        assert guard.overlaps == 0
+        assert guard.late == 0
+        assert guard.threads == {"ucnprec-eigh_0"}  # every call ran on the one worker
+
+    @pytest.mark.parametrize("k", [1, 2, 20])
+    def test_worker_error_raises_in_sweep(self, eigh_guard, k):
+        guard = eigh_guard(fail_on=k)
+        state, ch, rho, w = _table1_args()
+        n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            wmmse_step(state, ch, rho, w)
+        guard.close()
+        assert guard.late == 0
+        assert k <= guard.calls <= min(k + 1, n_nonempty)  # the next BS's eigh may have started
+        guard.closed = False
+        calls = guard.calls
+        wmmse_step(state, ch, rho, w)  # the worker survives the error
+        assert guard.calls == calls + n_nonempty
+        assert guard.overlaps == 0
+
+    def test_main_thread_error_leaves_no_eigh_running(self, eigh_guard, monkeypatch):
+        guard = eigh_guard()
+
+        def fail(*args):
+            raise BisectionError("injected multiplier failure")
+
+        monkeypatch.setattr(baselines, "newton_multiplier", fail)
+        with pytest.raises(BisectionError, match="injected"):
+            wmmse_step(*_table1_args())
+        guard.close()
+        assert guard.late == 0
+        assert 1 <= guard.calls <= 2  # the failing BS's and perhaps the next one's
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_worker(self, eigh_guard):
+        eigh_guard()
+        args = _table1_args()
+        wmmse_step(*args)  # the worker thread exists in this process now
+        child = multiprocessing.get_context("fork").Process(target=wmmse_step, args=args)
+        child.start()
+        child.join(timeout=30)  # a child that reused the executor would wait forever
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung
+        assert child.exitcode == 0
+
+    def test_worker_error_is_a_run_row(self, eigh_guard, tmp_path):
+        guard = eigh_guard(fail_on=1)
+        cfg = dataclasses.replace(
+            ScenarioConfig(), gnb_count=2, sectors_per_gnb=1, M_t=48, K=4, B_sc=2,
+            seeds=(0,), wmmse_iters=2,
+        )
+        summary = u.run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
+        assert guard.threads == {"ucnprec-eigh_0"}  # every call ran on the one worker
+        wmmse_row, rzf_row = summary.rows
+        assert wmmse_row.error == "LinAlgError: injected eigh failure"
+        assert not wmmse_row.converged
+        assert rzf_row.error == "" and np.isfinite(rzf_row.wsr_bits)
 
 
 class TestBisection:

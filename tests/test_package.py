@@ -1,10 +1,14 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ucnprec as u
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
 
 # Adding public API means adding its name here: the package exports only what a
 # solver, the CLI or a test oracle uses.
@@ -50,3 +54,30 @@ def test_readme_library_example_runs(capsys):
     assert converged == "True"
     assert int(iterations) > 0
     assert float(wsr_bits) > 0.0
+
+
+def test_import_loads_no_heavy_module_and_starts_no_thread():
+    # import-time RSS: scipy alone adds about 27 MB; the WMMSE eigh worker and
+    # concurrent.futures are loaded by the first sweep at M_t >= 48, and a
+    # desk-scale sweep stays single-threaded
+    script = (
+        "import sys, threading\n"
+        "import ucnprec as u\n"
+        "from ucnprec.harness import build_instance\n"
+        "def report():\n"
+        "    loaded = [m for m in ('scipy', 'concurrent.futures') if m in sys.modules]\n"
+        "    print(loaded, threading.enumerate() == [threading.main_thread()])\n"
+        "report()\n"
+        "cfg = u.load_config('configs/desk.cfg')\n"
+        "_, ch, clusters = build_instance(cfg, 0)\n"
+        "rho = cfg.power_budget()\n"
+        "u.wmmse_step(u.rzf_init(ch, clusters, rho), ch, rho, cfg.weights())\n"
+        "report()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[] True", "[] True"]
