@@ -7,16 +7,17 @@ as a closed-form secular function of the multiplier, whose root is found by
 safeguarded Newton steps on 1/sqrt(power) (newton_multiplier), started from
 the multiplier of the previous sweep. The grams and their eigendecompositions
 depend only on the receivers and weights, not on the precoders the sweep
-updates, so at M_t >= 48 with more than one CPU the sweep builds each gram
-ahead of its update and hands its np.linalg.eigh to one worker thread, two at
-most in flight, while the main thread runs the updates; below that, eigh runs
-inline. While a sweep has one in flight, only the worker calls eigh, so a
-wrapped eigh (perfbench's tracer) never runs twice at once. The first sweep
-that uses the worker starts it, so importing the package starts no thread.
-Both routes give the same bits; the worker holds its own BLAS buffers, a few
-MB at table1 scale. bisect_power solves the
-same equation for any decreasing scalar power function by bracketing and
-false position; no solver calls it. It stays only because perfbench/tracer.py
+updates, so past the gate of the package's one helper thread (helper.py: M_t
+>= 48, more than one CPU, one-thread OpenBLAS) the sweep builds each gram
+ahead of its update and hands its np.linalg.eigh to the helper, two at most in
+flight, while the main thread runs the updates; below that, eigh runs inline.
+While a sweep has one in flight, only the helper calls eigh, so a wrapped eigh
+(perfbench's tracer) never runs twice at once, and the sweep calls the
+objective only before its first hand-off and after its last result, so the
+objective's GEMM split never waits behind an eigh. Both routes give the same
+bits; the helper holds its own BLAS buffers, a few MB at table1 scale.
+bisect_power solves the same equation for any decreasing scalar power
+function by bracketing and false position; no solver calls it. It stays only because perfbench/tracer.py
 and tests/oracles.py reference it, until a benchmark change moves the tracer
 off it.
 GD and NAGD run Armijo backtracking on the negated objective and renormalize
@@ -26,12 +27,12 @@ step function run by symplectic.iterate.
 """
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import helper
 from .channel import ChannelSet, ClusterMap
 from .embedding import (
     BlockLayout,
@@ -50,12 +51,6 @@ from .objective import (
 from .symplectic import SolveResult, StepRecord, iterate
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
-# Smallest M_t whose sweeps hand their eigh calls to the worker: measured, it is the
-# smallest that wins at both table1's and high_power's K and BS count; at M_t = 16
-# the hand-off made a high_power sweep 1.5x slower.
-_EIGH_WORKER_MIN_MT = 48
-
-_eigh_worker = None  # the one-thread executor, created by the first sweep that uses it
 
 
 def _eigh(gram):
@@ -66,34 +61,6 @@ def _eigh(gram):
     e, vecs = np.linalg.eigh(gram)  # looked up per call, so a wrapped eigh is the one called
     np.maximum(e, 0.0, out=e)
     return e, vecs
-
-
-def _cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_for(m_t):
-    """The eigh worker for a sweep with m_t antennas per BS, or None to run eigh inline."""
-    global _eigh_worker
-    if m_t < _EIGH_WORKER_MIN_MT or _cpus() < 2:
-        return None
-    if _eigh_worker is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _eigh_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ucnprec-eigh")
-    return _eigh_worker
-
-
-def _forget_eigh_worker():
-    global _eigh_worker
-    _eigh_worker = None  # a forked child has no copy of the worker thread
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_eigh_worker)
 
 
 class BisectionError(RuntimeError):
@@ -352,8 +319,8 @@ def _wmmse_sweep(state, ch, rho, w, lam0):
     lam_out = np.zeros(layout.n_bs)
     evals_out = np.zeros(layout.n_bs, dtype=int)
     todo = [l for l, rows in enumerate(layout.bs_rows) if rows.start != rows.stop]
-    worker = _worker_for(ch.M_t)
-    ahead = deque()  # (conj(H_l), coef-scaled H_l^T, eigh future) of todo[i : i + 2], worker only
+    executor = helper.executor_for(ch.M_t)
+    ahead = deque()  # (conj(H_l), coef-scaled H_l^T, eigh future) of todo[i : i + 2], helper only
 
     def operands(l):
         h_l = entries[l]  # (K, M_t)
@@ -361,17 +328,17 @@ def _wmmse_sweep(state, ch, rho, w, lam0):
 
     try:
         for i, l in enumerate(todo):
-            if worker is None:
+            if executor is None:
                 h_l_conj, h_coef = operands(l)
             else:
                 for j in range(i + len(ahead), min(i + 2, len(todo))):
                     h_conj_j, h_coef_j = operands(todo[j])
-                    ahead.append((h_conj_j, h_coef_j, worker.submit(_eigh, h_coef_j @ h_conj_j)))
+                    ahead.append((h_conj_j, h_coef_j, executor.submit(_eigh, h_coef_j @ h_conj_j)))
                 h_l_conj, h_coef, _ = ahead[0]  # left queued until its result is in
             rows, cols = layout.bs_rows[l], layout.bs_uts[l]
             cross = amps[:, cols] - h_l_conj @ cblocks[rows].T  # amplitudes excluding BS l
             rhs = desired[rows].T - h_coef @ cross  # (M_t, n_l)
-            if worker is None:
+            if executor is None:
                 e, vecs = _eigh(h_coef @ h_l_conj)
             else:
                 e, vecs = ahead[0][2].result()

@@ -1,0 +1,129 @@
+"""The one helper thread that shares per-BS BLAS and LAPACK work with the main thread.
+
+In a user-centric network each BS's precoder touches only its own channel, so
+the objective's channel products (amplitude_matrix's H_l @ conj(P_l)^T, the
+gradient's H_l^T @ (beta A)[:, U_l]) are independent per-BS GEMMs, and a WMMSE
+sweep's per-BS eigendecompositions depend only on its fixed receivers and
+weights. At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
+loaded running one thread, part of that work runs on one helper thread: the
+tail of the BSs in split_bs_loop, and the eigh calls that baselines hands over.
+Each call is the same one-thread BLAS or LAPACK call on the same operands,
+writing to its own rows or columns, so both routes give the same bits; only
+the thread that runs it changes. Below the gate everything runs inline. With
+multithreaded BLAS the gate stays closed: the split was measured slower there.
+
+The first call past the gate starts the helper, so importing the package starts
+no thread. The helper holds its own BLAS buffers and malloc arena, a few MB at
+table1 scale. A forked child drops it (the child has no copy of the thread) and
+starts its own.
+"""
+
+import os
+
+import numpy as np
+
+# Smallest M_t whose per-BS work goes to the helper. Measured on one-thread
+# OpenBLAS and 2 cores: it is the smallest at which handing WMMSE's eigh calls
+# over wins at both table1's and high_power's K and BS count, and the objective's
+# split wins at table1's (evaluate 1.25x at M_t = 48, 1.02x at 32, 0.96x at 16).
+MIN_MT = 48
+# Fewest complex multiply-adds (K * M_t * pairs) a per-BS GEMM loop needs for the
+# split: below about 4M the hand-off costs more than half the loop saves (at
+# high_power's K = 20 and 60 pairs evaluate split was 0.55x even at M_t = 128).
+SPLIT_MIN_MACS = 5_000_000
+
+_executor = None  # the one-thread executor, created by the first call past the gate
+_blas_threads_fn = None  # asks OpenBLAS for its thread count; looked up on first use
+
+# get_num_threads in the OpenBLAS builds that numpy wheels ship (64- and 32-bit integers)
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _find_blas_threads_fn():
+    """get_num_threads of the OpenBLAS that numpy loaded, or a stand-in returning 0."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    # where Linux and Windows wheels (numpy.libs) and macOS wheels (.dylibs) keep it
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:  # RTLD_NOLOAD: only a library this process has already loaded
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SYMBOLS:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn
+    return lambda: 0
+
+
+def _blas_threads():
+    """Threads of the OpenBLAS that numpy loaded, or 0 if it cannot be asked."""
+    global _blas_threads_fn
+    if _blas_threads_fn is None:
+        _blas_threads_fn = _find_blas_threads_fn()
+    return _blas_threads_fn()
+
+
+def executor_for(m_t):
+    """The helper's executor for per-BS work with m_t antennas, or None to run inline."""
+    global _executor
+    if m_t < MIN_MT or _cpus() < 2 or _blas_threads() != 1:
+        return None
+    if _executor is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ucnprec-helper")
+    return _executor
+
+
+def split_bs_loop(layout, loop, *args):
+    """Run loop(start, stop, *args) once over the BSs [0, layout.n_bs).
+
+    loop runs one K x M_t by M_t x |U_l| product per BS. Past the gate, and with
+    at least SPLIT_MIN_MACS multiply-adds over all BSs, the helper runs
+    loop(cut, n_bs, *args), the tail of BSs that holds about half of the
+    layout's rows, while this thread runs loop(0, cut, *args); the call returns
+    once both have finished. A helper exception re-raises here, and an
+    exception here propagates only once the helper's share has finished, so no
+    work of a call runs after it returns.
+    """
+    n_bs, m_t = layout.n_bs, layout.M_t
+    if m_t < MIN_MT or layout.n_ut * m_t * layout.n_blocks < SPLIT_MIN_MACS:
+        executor = None  # decided before executor_for's system calls: desk's loops stop here
+    else:
+        executor = executor_for(m_t)
+    if executor is None:
+        loop(0, n_bs, *args)
+        return
+    starts = [rows.start for rows in layout.bs_rows] + [layout.n_blocks]
+    cut = min(range(n_bs + 1), key=lambda l: abs(2 * starts[l] - layout.n_blocks))
+    tail = executor.submit(loop, cut, n_bs, *args)
+    try:
+        loop(0, cut, *args)
+    except BaseException:
+        if not tail.cancel():
+            tail.exception()  # waits for the helper's share
+        raise
+    tail.result()
+
+
+def _forget_executor():
+    global _executor
+    _executor = None  # a forked child has no copy of the helper thread
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)

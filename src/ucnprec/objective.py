@@ -20,6 +20,14 @@ padded batched GEMM over all BSs is faster but not bit-identical: OpenBLAS's
 zgemm changes the last bits of the first columns once the padded width
 crosses a multiple of 4.)
 
+Both per-BS GEMM loops go through helper.split_bs_loop: at full scale (M_t >= 48,
+at least 5M multiply-adds, more than one CPU, one-thread OpenBLAS) the helper
+thread runs the tail of the BSs, about half the columns, while this thread runs
+the rest, then both finish before the gather or the diagonal term. Every GEMM
+is the same one-thread call writing to its own columns or rows, so the result
+is the same bits; below that gate the loops run inline. The helper holds its
+own BLAS buffers, a few MB at table1 scale.
+
 WsrObjective memoizes the amplitude matrix and rate terms of the last state it
 saw, so each iterate's amplitudes are computed once even when a line search's
 value() is followed by evaluate() or wsr_bits() at the accepted candidate.
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import helper
 from .channel import ChannelSet, ClusterMap
 from .embedding import PrecoderState
 
@@ -76,6 +85,14 @@ class RateTerms:
             arr.setflags(write=False)  # WsrObjective hands one instance to many callers
 
 
+def _amplitude_products(start, stop, bs_rows, entries, cblocks, buf):
+    """buf[:, rows of BS l] = H_l @ cblocks[rows of BS l]^T for the BSs l in [start, stop)."""
+    for l in range(start, stop):
+        rows = bs_rows[l]
+        if rows.stop != rows.start:
+            np.matmul(entries[l], cblocks[rows].T, out=buf[:, rows])
+
+
 def amplitude_matrix(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
     """A[k, t] = sum_{m in B_t} h_{m,k}^H p_{m,t} for the current precoder."""
     lay = state.layout
@@ -87,10 +104,7 @@ def amplitude_matrix(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
     # column i of buf holds pair i's conjugated amplitudes h_{l,.}^H p_{l,k}; the last is zero
     buf = np.empty((n_ut, lay.n_blocks + 1), dtype=complex)
     buf[:, -1] = 0.0
-    for l, rows in enumerate(lay.bs_rows):
-        if rows.stop == rows.start:
-            continue
-        np.matmul(ch.entries[l], cblocks[rows].T, out=buf[:, rows])
+    helper.split_bs_loop(lay, _amplitude_products, lay.bs_rows, ch.entries, cblocks, buf)
     del cblocks  # freed before the gather allocates
     np.conjugate(buf, out=buf)  # before the gather: the zero start absorbs the -0 parts
     # add each UT's columns in ascending BS order, as a per-BS scatter would;
@@ -108,6 +122,14 @@ def terms_from_amplitudes(amps: np.ndarray, noise_power: float) -> RateTerms:
     b = r / (r + a)
     rate_nats = np.log1p(a / r)
     return RateTerms(a=a, r=r, b=b, rate_nats=rate_nats, rate_bits=rate_nats / _LN2)
+
+
+def _cross_products(start, stop, bs_rows, bs_uts, entries, beta_amps, grad_c):
+    """grad_c[rows of BS l] = (H_l^T @ beta_amps[:, U_l])^T for the BSs l in [start, stop)."""
+    for l in range(start, stop):
+        rows = bs_rows[l]
+        if rows.stop != rows.start:
+            grad_c[rows] = (entries[l].T @ beta_amps[:, bs_uts[l]]).T
 
 
 def _gradient_blocks(
@@ -140,10 +162,9 @@ def _gradient_blocks(
     h_pair = out.view(complex)  # h_{l,k} per pair, kept in out's storage until the split
     ch.entries.reshape(-1, m).take(lay.pair_index, axis=0, out=h_pair, mode="clip")
     beta_amps = beta[:, None] * amps
-    for l, rows in enumerate(lay.bs_rows):
-        if rows.stop == rows.start:
-            continue
-        grad_c[rows] = (ch.entries[l].T @ beta_amps[:, lay.bs_uts[l]]).T
+    helper.split_bs_loop(
+        lay, _cross_products, lay.bs_rows, lay.bs_uts, ch.entries, beta_amps, grad_c
+    )
     ut = lay.row_ut
     diag_coef = (alpha[ut] + beta[ut]) * amps[ut, ut]
     grad_c -= np.multiply(diag_coef[:, None], h_pair, out=h_pair)

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,23 @@ import pytest
 import ucnprec as u
 from ucnprec.harness import ScenarioConfig, build_instance, load_config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
+
+
+def run_python(script, **env):
+    """Run a script in a fresh interpreter from the repository root; returns its stdout.
+
+    src/ and tests/ are on its path, and env adds to the environment, e.g.
+    OPENBLAS_NUM_THREADS="1".
+    """
+    paths = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=dict(os.environ, PYTHONPATH=paths, **env),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def load_preset(name):
@@ -100,6 +119,36 @@ def table1_wmmse_digest(sweeps=3):
         digest.update(lam.tobytes())
     digest.update(state.blocks.tobytes())
     return digest.hexdigest()
+
+
+def table1_objective_digest():
+    """sha256 of the objective's outputs on table1_shaped_instance.
+
+    Hashes amplitude_matrix, then evaluate()'s g_value, wsr_bits and gradient
+    blocks, then value() at a second random state.
+    """
+    ch, clusters, state = table1_shaped_instance()
+    w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    rng = np.random.default_rng(3)
+    other = u.PrecoderState(state.layout, rng.standard_normal(state.blocks.shape))
+    objective = u.WsrObjective(ch, clusters, w)
+    digest = hashlib.sha256()
+    digest.update(u.objective.amplitude_matrix(state, ch).tobytes())
+    ev = objective.evaluate(state)
+    digest.update(np.float64(ev.g_value).tobytes())
+    digest.update(np.float64(ev.wsr_bits).tobytes())
+    digest.update(ev.grad.blocks.tobytes())
+    digest.update(np.float64(objective.value(other)).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def open_helper_gate(monkeypatch):
+    """Let per-BS work at M_t >= 48 use the helper thread even on one CPU or multithreaded BLAS."""
+    from ucnprec import helper
+
+    monkeypatch.setattr(helper, "_cpus", lambda: 2)
+    monkeypatch.setattr(helper, "_blas_threads", lambda: 1)
 
 
 @pytest.fixture

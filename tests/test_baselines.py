@@ -2,9 +2,9 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import ucnprec as u
-from ucnprec import baselines
+from ucnprec import baselines, helper
 from ucnprec.baselines import BisectionError, wmmse_step
 from ucnprec.harness import ScenarioConfig, build_instance, initial_precoder
 from ucnprec.objective import ObjectiveEval
-from conftest import make_instance, random_state, table1_shaped_instance
+from conftest import make_instance, random_state, run_python, table1_shaped_instance
 from oracles import reference_wmmse_step
 
 
@@ -284,6 +284,10 @@ class TestWmmse:
         assert obj.wsr_bits(state) == pytest.approx(trace[-1], rel=1e-9)
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+OBJECTIVE_DIGEST = json.loads(
+    (REPO / "tests" / "data" / "objective_table1_digest.json").read_text()
+)
 TABLE1_DIGEST = json.loads((REPO / "tests" / "data" / "wmmse_table1_digest.json").read_text())
 
 
@@ -320,15 +324,14 @@ class EighGuard:
                 self.active -= 1
 
     def close(self):
-        """Mark the sweep returned, then let anything still queued on the worker run."""
+        """Mark the sweep returned, then let anything still queued on the helper run."""
         self.closed = True
-        baselines._eigh_worker.submit(int).result(timeout=60)
+        helper._executor.submit(int).result(timeout=60)
 
 
 @pytest.fixture
-def eigh_guard(monkeypatch):
-    """Install an EighGuard; sweeps at M_t >= 48 use the worker even on one CPU."""
-    monkeypatch.setattr(baselines, "_cpus", lambda: 2)
+def eigh_guard(monkeypatch, open_helper_gate):
+    """Install an EighGuard; sweeps at M_t >= 48 use the helper even on one CPU."""
 
     def install(fail_on=None):
         guard = EighGuard(fail_on)
@@ -336,6 +339,11 @@ def eigh_guard(monkeypatch):
         return guard
 
     return install
+
+
+def run_with_blas_threads(script, threads):
+    """Run a script in a fresh interpreter with BLAS at the given thread count; its output words."""
+    return run_python(script, **{name: str(threads) for name in BLAS_THREAD_VARIABLES}).split()
 
 
 def _table1_args():
@@ -348,21 +356,15 @@ class TestEighWorker:
         # one-thread BLAS as perfbench runs it; the digest was recorded with eigh inline
         script = (
             "import conftest\n"
-            "from ucnprec import baselines\n"
-            "baselines._cpus = lambda: 2\n"
+            "from ucnprec import helper\n"
+            "helper._cpus = lambda: 2\n"
             f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}))\n"
-            "print(baselines._eigh_worker is not None)\n"
-            "baselines._EIGH_WORKER_MIN_MT = 10**9\n"
+            "print(helper._executor is not None)\n"
+            "helper.MIN_MT = 10**9\n"
             f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO / "tests")]))
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        threaded, used_worker, inline = proc.stdout.split()
-        assert used_worker == "True"
+        threaded, used_helper, inline = run_with_blas_threads(script, 1)
+        assert used_helper == "True"
         assert threaded == TABLE1_DIGEST["sha256"]
         assert inline == TABLE1_DIGEST["sha256"]
 
@@ -384,7 +386,7 @@ class TestEighWorker:
             sys.setswitchinterval(interval)
         assert guard.overlaps == 0
         assert guard.late == 0
-        assert guard.threads == {"ucnprec-eigh_0"}  # every call ran on the one worker
+        assert guard.threads == {"ucnprec-helper_0"}  # every call ran on the one helper
 
     @pytest.mark.parametrize("k", [1, 2, 20])
     def test_worker_error_raises_in_sweep(self, eigh_guard, k):
@@ -437,11 +439,187 @@ class TestEighWorker:
             seeds=(0,), wmmse_iters=2,
         )
         summary = u.run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
-        assert guard.threads == {"ucnprec-eigh_0"}  # every call ran on the one worker
+        assert guard.threads == {"ucnprec-helper_0"}  # every call ran on the one helper
         wmmse_row, rzf_row = summary.rows
         assert wmmse_row.error == "LinAlgError: injected eigh failure"
         assert not wmmse_row.converged
         assert rzf_row.error == "" and np.isfinite(rzf_row.wsr_bits)
+
+
+class SplitGuard:
+    """Stands in for helper.split_bs_loop and wraps the loop it is given.
+
+    Each share (the part of one split that one thread runs) is recorded in
+    `shares` as (split number, on the helper, start BS, stop BS). `ended`
+    counts finished shares and `late` those that finish while `closed` is set.
+    The share given by fail = (split number, on the helper) raises instead of
+    running. With helper_delay > 0 the main thread's share waits until the
+    helper's has started, and the helper's then sleeps for that long.
+    """
+
+    def __init__(self, fail=None, helper_delay=0.0):
+        self._split_bs_loop = helper.split_bs_loop
+        self.fail = fail
+        self.helper_delay = helper_delay
+        self.helper_started = threading.Event()
+        self.shares = []
+        self.splits = self.ended = self.late = 0
+        self.closed = False
+
+    def __call__(self, layout, loop, *args):
+        self.splits += 1
+        split = self.splits
+
+        def share(start, stop, *args):
+            on_helper = threading.current_thread().name.startswith("ucnprec-helper")
+            self.shares.append((split, on_helper, start, stop))
+            if on_helper:
+                self.helper_started.set()
+                time.sleep(self.helper_delay)
+            elif self.helper_delay:
+                self.helper_started.wait(timeout=60)
+            try:
+                if (split, on_helper) == self.fail:
+                    raise RuntimeError("injected share failure")
+                loop(start, stop, *args)
+            finally:
+                self.ended += 1
+                self.late += self.closed
+
+        self._split_bs_loop(layout, share, *args)
+
+    def close(self):
+        """Mark the call returned, then let anything still queued on the helper run."""
+        self.closed = True
+        helper._executor.submit(int).result(timeout=60)
+
+
+@pytest.fixture
+def split_guard(monkeypatch, open_helper_gate):
+    """Install a SplitGuard; the objective's loops at table1 shape split even on one CPU."""
+
+    def install(**kwargs):
+        guard = SplitGuard(**kwargs)
+        monkeypatch.setattr(helper, "split_bs_loop", guard)
+        return guard
+
+    return install
+
+
+def _split_evaluation():
+    """evaluate() at table1 shape; fails unless the loops ran split (fork target)."""
+    ch, clusters, state = table1_shaped_instance()
+    u.WsrObjective(ch, clusters, u.Weights.uniform(ch.n_ut)).evaluate(state)
+    assert helper._executor is not None
+
+
+def _assert_close(actual, desired):
+    # the in-process BLAS may run several threads, so no bit identity is claimed here
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
+
+
+class TestHelperSplit:
+    def test_table1_objective_digest_matches_inline_record(self):
+        # one-thread BLAS as perfbench runs it; the digest was recorded with the loops inline.
+        # Switching threads as often as the interpreter can would expose a lost write.
+        script = (
+            "import sys\n"
+            "import conftest\n"
+            "from ucnprec import helper\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "helper._cpus = lambda: 2\n"
+            "print(conftest.table1_objective_digest())\n"
+            "print(helper._executor is not None)\n"
+            "helper.MIN_MT = 10**9\n"
+            "print(conftest.table1_objective_digest())\n"
+        )
+        split, used_helper, inline = run_with_blas_threads(script, OBJECTIVE_DIGEST["blas_threads"])
+        assert used_helper == "True"
+        assert split == OBJECTIVE_DIGEST["sha256"]
+        assert inline == OBJECTIVE_DIGEST["sha256"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gate_opens_only_with_one_thread_blas(self, threads):
+        config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+        blas = config.get("blas", {}).get("name", "an unnamed BLAS")
+        if "openblas" not in blas:
+            pytest.skip(f"numpy uses {blas}, whose thread count the gate cannot ask")
+        if threads > helper._cpus():
+            pytest.skip("OpenBLAS runs at most one thread per CPU")
+        script = (
+            "from ucnprec import helper\n"
+            "helper._cpus = lambda: 2\n"
+            "print(helper._blas_threads(), helper.executor_for(128) is not None)\n"
+            "print(helper.executor_for(helper.MIN_MT - 1) is not None)\n"
+        )
+        assert run_with_blas_threads(script, threads) == [str(threads), str(threads == 1), "False"]
+
+    def test_helper_used_at_table1_shape_not_at_desk_shape(self, split_guard):
+        guard = split_guard()
+        ch, clusters, state = table1_shaped_instance()
+        u.WsrObjective(ch, clusters, u.Weights.uniform(ch.n_ut)).evaluate(state)
+        # BSs 16-20 hold 233 of the 438 columns, the tail nearest to half
+        assert sorted(guard.shares) == [
+            (1, False, 0, 16), (1, True, 16, 21), (2, False, 0, 16), (2, True, 16, 21)
+        ]
+        # desk.cfg's shape, and high_power's K and pairs at M_t = 128: too little work to split
+        for m_t in (16, 128):
+            guard.shares.clear()
+            inst = make_instance(seed=0, M_t=m_t)
+            state = random_state(inst["layout"], inst["rho"], 0)
+            u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
+            n_bs = inst["ch"].n_bs
+            last = guard.splits
+            assert guard.shares == [(last - 1, False, 0, n_bs), (last, False, 0, n_bs)]
+
+    @pytest.mark.parametrize(
+        "call, split", [("amplitude_matrix", 1), ("evaluate", 1), ("evaluate", 2)]
+    )
+    def test_helper_error_raises_in_caller(self, split_guard, call, split):
+        ch, clusters, state = table1_shaped_instance()
+        objective = u.WsrObjective(ch, clusters, u.Weights.uniform(ch.n_ut))
+        run = {
+            "amplitude_matrix": lambda: u.objective.amplitude_matrix(state, ch),
+            "evaluate": lambda: objective.evaluate(state).grad.blocks,
+        }[call]
+        expected = run()
+        guard = split_guard(fail=(split, True))
+        with pytest.raises(RuntimeError, match="injected"):
+            run()
+        guard.close()
+        assert guard.splits == split
+        assert guard.late == 0
+        guard.fail = None
+        guard.closed = False
+        _assert_close(run(), expected)  # the next call succeeds
+
+    def test_main_thread_error_waits_for_helper_share(self, split_guard):
+        ch, _, state = table1_shaped_instance()
+        expected = u.objective.amplitude_matrix(state, ch)
+        guard = split_guard(fail=(1, False), helper_delay=0.3)
+        with pytest.raises(RuntimeError, match="injected"):
+            u.objective.amplitude_matrix(state, ch)
+        ended = guard.ended
+        guard.close()
+        assert ended == len(guard.shares) == 2  # the helper's share had finished
+        assert guard.late == 0
+        guard.fail = None
+        guard.helper_delay = 0.0
+        guard.closed = False
+        _assert_close(u.objective.amplitude_matrix(state, ch), expected)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_split_evaluation(self, open_helper_gate):
+        _split_evaluation()  # the helper thread exists in this process now
+        child = multiprocessing.get_context("fork").Process(target=_split_evaluation)
+        child.start()
+        child.join(timeout=60)  # a child that reused the executor would wait forever
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung
+        assert child.exitcode == 0
 
 
 class TestBisection:

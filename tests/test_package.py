@@ -1,11 +1,9 @@
 import dataclasses
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import ucnprec as u
+from conftest import run_python
 
 REPO = Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
@@ -57,27 +55,39 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_import_loads_no_heavy_module_and_starts_no_thread():
-    # import-time RSS: scipy alone adds about 27 MB; the WMMSE eigh worker and
-    # concurrent.futures are loaded by the first sweep at M_t >= 48, and a
-    # desk-scale sweep stays single-threaded
+    # import-time RSS: scipy alone adds about 27 MB. The helper thread, concurrent.futures
+    # and the BLAS thread-count query are loaded by the first call at M_t >= 48, and a
+    # desk-scale run stays single-threaded. numpy imports ctypes itself, so the query's
+    # ctypes use shows as the looked-up function, not in sys.modules.
     script = (
-        "import sys, threading\n"
+        "import dataclasses, sys, tempfile, threading\n"
         "import ucnprec as u\n"
-        "from ucnprec.harness import build_instance\n"
+        "from ucnprec import helper\n"
         "def report():\n"
         "    loaded = [m for m in ('scipy', 'concurrent.futures') if m in sys.modules]\n"
-        "    print(loaded, threading.enumerate() == [threading.main_thread()])\n"
+        "    print(loaded, helper._blas_threads_fn is None, threading.active_count())\n"
         "report()\n"
-        "cfg = u.load_config('configs/desk.cfg')\n"
-        "_, ch, clusters = build_instance(cfg, 0)\n"
-        "rho = cfg.power_budget()\n"
-        "u.wmmse_step(u.rzf_init(ch, clusters, rho), ch, rho, cfg.weights())\n"
+        "cfg = dataclasses.replace(u.load_config('configs/desk.cfg'), seeds=(0,))\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    u.run_experiment(cfg, ['symplectic', 'wmmse', 'rzf', 'gd', 'nagd'], out)\n"
         "report()\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True,
-        timeout=60,
+    assert run_python(script).splitlines() == ["[] True 1", "[] True 1"]
+
+
+def test_full_scale_work_starts_one_helper_thread():
+    # the objective's GEMM split and WMMSE's eigh hand-off share one helper
+    script = (
+        "import threading\n"
+        "import ucnprec as u\n"
+        "from ucnprec import helper\n"
+        "import conftest\n"
+        "helper._cpus = lambda: 2\n"
+        "ch, clusters, state = conftest.table1_shaped_instance()\n"
+        "w = u.Weights.uniform(ch.n_ut)\n"
+        "u.WsrObjective(ch, clusters, w).evaluate(state)\n"
+        "u.wmmse_step(state, ch, u.PowerBudget.uniform(ch.n_bs, 1.0), w)\n"
+        "print(sorted(t.name for t in threading.enumerate()))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[] True", "[] True"]
+    threads = run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert threads.splitlines() == ["['MainThread', 'ucnprec-helper_0']"]
