@@ -1,16 +1,23 @@
-"""The one helper thread that shares per-BS BLAS and LAPACK work with the main thread.
+"""The one helper thread that shares per-BS work with the main thread.
 
 In a user-centric network each BS's precoder touches only its own channel, so
-the objective's channel products (amplitude_matrix's H_l @ conj(P_l)^T, the
-gradient's H_l^T @ (beta A)[:, U_l]) are independent per-BS GEMMs, and a WMMSE
-sweep's per-BS eigendecompositions depend only on its fixed receivers and
-weights. At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
+three kinds of work split by BS. The objective's channel products
+(amplitude_matrix's H_l @ conj(P_l)^T, the gradient's H_l^T @ (beta A)[:, U_l])
+are independent per-BS GEMMs; a WMMSE sweep's per-BS eigendecompositions
+depend only on its fixed receivers and weights; and the RATTLE step's row work
+(multipliers, kicks, drift, projection, per-BS dots) touches only each BS's
+own rows. At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
 loaded running one thread, part of that work runs on one helper thread: the
 tail of the BSs in split_bs_loop, and the eigh calls that baselines hands over.
-Each call is the same one-thread BLAS or LAPACK call on the same operands,
-writing to its own rows or columns, so both routes give the same bits; only
-the thread that runs it changes. Below the gate everything runs inline. With
-multithreaded BLAS the gate stays closed: the split was measured slower there.
+Each call is the same one-thread BLAS, LAPACK or elementwise call on the same
+operands, writing to its own rows or columns, so both routes give the same
+bits; only the thread that runs it changes. Below the gate everything runs
+inline. With multithreaded BLAS the gate stays closed: the split was measured
+slower there.
+
+The helper runs only private loop functions and LAPACK calls, never a public
+function of the package, so a tracer that wraps the package's public
+functions sees every call of them on the calling thread.
 
 The first call past the gate starts the helper, so importing the package starts
 no thread. The helper holds its own BLAS buffers and malloc arena, a few MB at
@@ -18,6 +25,7 @@ table1 scale. A forked child drops it (the child has no copy of the thread) and
 starts its own.
 """
 
+import contextvars
 import os
 
 import numpy as np
@@ -26,6 +34,9 @@ import numpy as np
 # OpenBLAS and 2 cores: it is the smallest at which handing WMMSE's eigh calls
 # over wins at both table1's and high_power's K and BS count, and the objective's
 # split wins at table1's (evaluate 1.25x at M_t = 48, 1.02x at 32, 0.96x at 16).
+# The RATTLE step's row loops use the same gate: at the smallest shapes that pass
+# it (K = 200, M_t = 48; K = 170, M_t = 64) a whole step split took 0.99x its
+# inline time, though at K = 200 its row work alone took 1.04x.
 MIN_MT = 48
 # Fewest complex multiply-adds (K * M_t * pairs) a per-BS GEMM loop needs for the
 # split: below about 4M the hand-off costs more than half the loop saves (at
@@ -92,10 +103,12 @@ def executor_for(m_t):
 def split_bs_loop(layout, loop, *args):
     """Run loop(start, stop, *args) once over the BSs [0, layout.n_bs).
 
-    loop runs one K x M_t by M_t x |U_l| product per BS. Past the gate, and with
-    at least SPLIT_MIN_MACS multiply-adds over all BSs, the helper runs
-    loop(cut, n_bs, *args), the tail of BSs that holds about half of the
-    layout's rows, while this thread runs loop(0, cut, *args); the call returns
+    loop does per-BS work that writes only the BSs' own rows or columns: the
+    objective's per-BS GEMMs or the RATTLE step's row work. Past the gate, and
+    with at least SPLIT_MIN_MACS multiply-adds in the objective's per-BS GEMMs
+    (the step's row loops use the same test, see MIN_MT), the helper runs loop(cut, n_bs, *args), the tail of BSs that holds about half of
+    the layout's rows, in a copy of this thread's context (so np.errstate holds
+    there too), while this thread runs loop(0, cut, *args); the call returns
     once both have finished. A helper exception re-raises here, and an
     exception here propagates only once the helper's share has finished, so no
     work of a call runs after it returns.
@@ -110,7 +123,7 @@ def split_bs_loop(layout, loop, *args):
         return
     starts = [rows.start for rows in layout.bs_rows] + [layout.n_blocks]
     cut = min(range(n_bs + 1), key=lambda l: abs(2 * starts[l] - layout.n_blocks))
-    tail = executor.submit(loop, cut, n_bs, *args)
+    tail = executor.submit(contextvars.copy_context().run, loop, cut, n_bs, *args)
     try:
         loop(0, cut, *args)
     except BaseException:

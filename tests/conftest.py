@@ -3,12 +3,15 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ucnprec as u
+from ucnprec import helper
 from ucnprec.harness import ScenarioConfig, build_instance, load_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -142,13 +145,102 @@ def table1_objective_digest():
     return digest.hexdigest()
 
 
+def table1_symplectic_digest(steps=4):
+    """sha256 of rattle_step iterations on table1_shaped_instance.
+
+    Starts from the renormalized random state with zero momentum and feeds each
+    step's evaluation and controlled step size to the next, as solve() does, but
+    calls rattle_step without carried dots. Hashes every record field of each
+    step, then the final p and q blocks.
+    """
+    ch, clusters, state = table1_shaped_instance()
+    rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
+    w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    objective = u.WsrObjective(ch, clusters, w)
+    config = u.SolverConfig()
+    p = u.renormalize_power(state, rho)
+    q = u.PrecoderState.zeros(p.layout)
+    ev = objective.evaluate(p)
+    h = config.h0
+    digest = hashlib.sha256()
+    for n in range(steps):
+        p, q, rec, ev = u.rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
+        for value in (
+            rec.lam, rec.mu, rec.delta, rec.h_used, rec.hamiltonian, rec.wsr_bits,
+            rec.constraint_residual, rec.hidden_residual,
+        ):
+            digest.update(np.asarray(value, dtype=np.float64).tobytes())
+        h = u.step_controller(rec.delta, h, config)
+    digest.update(p.blocks.tobytes())
+    digest.update(q.blocks.tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture
 def open_helper_gate(monkeypatch):
     """Let per-BS work at M_t >= 48 use the helper thread even on one CPU or multithreaded BLAS."""
-    from ucnprec import helper
-
     monkeypatch.setattr(helper, "_cpus", lambda: 2)
     monkeypatch.setattr(helper, "_blas_threads", lambda: 1)
+
+
+class SplitGuard:
+    """Stands in for helper.split_bs_loop and wraps the loop it is given.
+
+    Each share (the part of one split that one thread runs) is recorded in
+    `shares` as (split number, on the helper, start BS, stop BS). `ended`
+    counts finished shares and `late` those that finish while `closed` is set.
+    The share given by fail = (split number, on the helper) raises instead of
+    running. With helper_delay > 0 the main thread's share waits until the
+    helper's has started, and the helper's then sleeps for that long.
+    """
+
+    def __init__(self, fail=None, helper_delay=0.0):
+        self._split_bs_loop = helper.split_bs_loop
+        self.fail = fail
+        self.helper_delay = helper_delay
+        self.helper_started = threading.Event()
+        self.shares = []
+        self.splits = self.ended = self.late = 0
+        self.closed = False
+
+    def __call__(self, layout, loop, *args):
+        self.splits += 1
+        split = self.splits
+
+        def share(start, stop, *args):
+            on_helper = threading.current_thread().name.startswith("ucnprec-helper")
+            self.shares.append((split, on_helper, start, stop))
+            if on_helper:
+                self.helper_started.set()
+                time.sleep(self.helper_delay)
+            elif self.helper_delay:
+                self.helper_started.wait(timeout=60)
+            try:
+                if (split, on_helper) == self.fail:
+                    raise RuntimeError("injected share failure")
+                loop(start, stop, *args)
+            finally:
+                self.ended += 1
+                self.late += self.closed
+
+        self._split_bs_loop(layout, share, *args)
+
+    def close(self):
+        """Mark the call returned, then let anything still queued on the helper run."""
+        self.closed = True
+        helper._executor.submit(int).result(timeout=60)
+
+
+@pytest.fixture
+def split_guard(monkeypatch, open_helper_gate):
+    """Install a SplitGuard; per-BS loops at table1 shape split even on one CPU."""
+
+    def install(**kwargs):
+        guard = SplitGuard(**kwargs)
+        monkeypatch.setattr(helper, "split_bs_loop", guard)
+        return guard
+
+    return install
 
 
 @pytest.fixture

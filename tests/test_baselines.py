@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -444,66 +443,6 @@ class TestEighWorker:
         assert wmmse_row.error == "LinAlgError: injected eigh failure"
         assert not wmmse_row.converged
         assert rzf_row.error == "" and np.isfinite(rzf_row.wsr_bits)
-
-
-class SplitGuard:
-    """Stands in for helper.split_bs_loop and wraps the loop it is given.
-
-    Each share (the part of one split that one thread runs) is recorded in
-    `shares` as (split number, on the helper, start BS, stop BS). `ended`
-    counts finished shares and `late` those that finish while `closed` is set.
-    The share given by fail = (split number, on the helper) raises instead of
-    running. With helper_delay > 0 the main thread's share waits until the
-    helper's has started, and the helper's then sleeps for that long.
-    """
-
-    def __init__(self, fail=None, helper_delay=0.0):
-        self._split_bs_loop = helper.split_bs_loop
-        self.fail = fail
-        self.helper_delay = helper_delay
-        self.helper_started = threading.Event()
-        self.shares = []
-        self.splits = self.ended = self.late = 0
-        self.closed = False
-
-    def __call__(self, layout, loop, *args):
-        self.splits += 1
-        split = self.splits
-
-        def share(start, stop, *args):
-            on_helper = threading.current_thread().name.startswith("ucnprec-helper")
-            self.shares.append((split, on_helper, start, stop))
-            if on_helper:
-                self.helper_started.set()
-                time.sleep(self.helper_delay)
-            elif self.helper_delay:
-                self.helper_started.wait(timeout=60)
-            try:
-                if (split, on_helper) == self.fail:
-                    raise RuntimeError("injected share failure")
-                loop(start, stop, *args)
-            finally:
-                self.ended += 1
-                self.late += self.closed
-
-        self._split_bs_loop(layout, share, *args)
-
-    def close(self):
-        """Mark the call returned, then let anything still queued on the helper run."""
-        self.closed = True
-        helper._executor.submit(int).result(timeout=60)
-
-
-@pytest.fixture
-def split_guard(monkeypatch, open_helper_gate):
-    """Install a SplitGuard; the objective's loops at table1 shape split even on one CPU."""
-
-    def install(**kwargs):
-        guard = SplitGuard(**kwargs)
-        monkeypatch.setattr(helper, "split_bs_loop", guard)
-        return guard
-
-    return install
 
 
 def _split_evaluation():

@@ -1,9 +1,15 @@
 import dataclasses
+import functools
+import importlib
+import inspect
+import pkgutil
 import re
+import threading
 from pathlib import Path
 
 import ucnprec as u
-from conftest import run_python
+from ucnprec import symplectic
+from conftest import run_python, table1_shaped_instance
 
 REPO = Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
@@ -76,7 +82,8 @@ def test_import_loads_no_heavy_module_and_starts_no_thread():
 
 
 def test_full_scale_work_starts_one_helper_thread():
-    # the objective's GEMM split and WMMSE's eigh hand-off share one helper
+    # the objective's GEMM split, WMMSE's eigh hand-off and the RATTLE step's row split
+    # share one helper
     script = (
         "import threading\n"
         "import ucnprec as u\n"
@@ -85,9 +92,84 @@ def test_full_scale_work_starts_one_helper_thread():
         "helper._cpus = lambda: 2\n"
         "ch, clusters, state = conftest.table1_shaped_instance()\n"
         "w = u.Weights.uniform(ch.n_ut)\n"
-        "u.WsrObjective(ch, clusters, w).evaluate(state)\n"
-        "u.wmmse_step(state, ch, u.PowerBudget.uniform(ch.n_bs, 1.0), w)\n"
+        "rho = u.PowerBudget.uniform(ch.n_bs, 1.0)\n"
+        "objective = u.WsrObjective(ch, clusters, w)\n"
+        "objective.evaluate(state)\n"
+        "u.wmmse_step(state, ch, rho, w)\n"
+        "p = u.renormalize_power(state, rho)\n"
+        "u.rattle_step(p, u.PrecoderState.zeros(p.layout), u.SolverConfig(), rho, objective)\n"
         "print(sorted(t.name for t in threading.enumerate()))\n"
     )
     threads = run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     assert threads.splitlines() == ["['MainThread', 'ucnprec-helper_0']"]
+
+
+def public_callables(module):
+    """(owner, attribute, function) for the public functions and public-class methods a module defines.
+
+    Methods include __init__, which perfbench's tracer wraps on PrecoderState.
+    """
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield module, name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                if isinstance(member, (classmethod, staticmethod)) or inspect.isfunction(member):
+                    yield obj, attr, member
+
+
+def test_public_callables_run_only_on_the_main_thread(monkeypatch, open_helper_gate):
+    # perfbench's tracer keeps one span stack for all threads, so a public callable that
+    # the helper ran would corrupt it; the helper must run only private loops
+    modules = [u] + [
+        importlib.import_module(f"ucnprec.{m.name}")
+        for m in pkgutil.iter_modules(u.__path__) if m.name != "__main__"
+    ]
+    calls = []
+
+    def recorder(fn, name):
+        @functools.wraps(fn)
+        def record(*args, **kwargs):
+            calls.append((name, threading.current_thread().name))
+            return fn(*args, **kwargs)
+
+        return record
+
+    for module in modules[1:]:
+        for owner, attr, member in list(public_callables(module)):
+            qualifier = f".{owner.__name__}" if inspect.isclass(owner) else ""
+            name = f"{module.__name__}{qualifier}.{attr}"
+            if isinstance(member, (classmethod, staticmethod)):
+                wrapped = type(member)(recorder(member.__func__, name))
+            else:
+                wrapped = recorder(member, name)
+            if inspect.isclass(owner):
+                monkeypatch.setattr(owner, attr, wrapped)
+                continue
+            for holder in modules:  # functions imported by name into other modules too
+                for key, value in list(vars(holder).items()):
+                    if value is member:
+                        monkeypatch.setattr(holder, key, wrapped)
+    loop_threads = set()
+    for name in ("_kick_drift", "_kick_close"):
+
+        def loop(*args, run=getattr(symplectic, name)):
+            loop_threads.add(threading.current_thread().name)
+            run(*args)
+
+        monkeypatch.setattr(symplectic, name, loop)
+
+    ch, clusters, state = table1_shaped_instance()
+    rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
+    config = u.SolverConfig(max_iters=3, rel_tol=1e-300)
+    result = u.solve(ch, clusters, rho, u.Weights.uniform(ch.n_ut), state, config)
+    assert result.iterations == 3
+    assert loop_threads == {"MainThread", "ucnprec-helper_0"}
+    names = {name for name, _ in calls}
+    assert {"ucnprec.symplectic.rattle_step", "ucnprec.helper.split_bs_loop"} <= names
+    assert "ucnprec.embedding.PrecoderState.__init__" in names
+    assert {thread for _, thread in calls} == {"MainThread"}

@@ -1,13 +1,21 @@
+import json
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import ucnprec as u
+from ucnprec import helper, symplectic
+from ucnprec.embedding import power_residual
 from ucnprec.objective import ObjectiveEval
 from ucnprec.symplectic import iterate
-from conftest import make_instance, random_state
+from conftest import REPO, make_instance, random_state, run_python, table1_shaped_instance
 from oracles import dense_constraint_jacobian
+
+SYMPLECTIC_DIGEST = json.loads((REPO / "tests" / "data" / "symplectic_table1_digest.json").read_text())
 
 
 class ZeroObjective:
@@ -449,3 +457,243 @@ class TestTraceCsv:
         assert last[2] == "" and last[-1] == ""
         # symplectic rows are fully populated
         assert all(cell != "" for cell in lines[1].split(","))
+
+
+def reference_step(p, q, config, rho, h, ev0, evaluate):
+    """rattle_step as one pass over whole arrays with the public operators, the oracle of its bits.
+
+    evaluate(p_next) gives the evaluation at p_next. Returns (p_next, q_next, record).
+    """
+    lay = p.layout
+    lam = u.flow_multiplier(p, q, ev0.grad, rho)
+    decay = math.exp(-config.gamma * h / 2.0)
+    q_half = u.PrecoderState(lay, decay * q.blocks - 0.5 * h * (ev0.grad.blocks + apply_gt(p, lam)))
+    p_next = p.blocks + h * q_half.blocks
+    if config.project_positions:
+        drifted = u.PrecoderState(lay, p_next)
+        powers = u.constraint_apply_G(drifted, drifted)
+        scale = np.ones(lay.n_bs)
+        mask = lay.nonempty_bs & (powers > 0)
+        scale[mask] = np.sqrt(rho.rho[mask] / powers[mask])
+        p_next = scale[lay.row_bs][:, None] * p_next
+    p_next = u.PrecoderState(lay, p_next)
+    ev1 = evaluate(p_next)
+    mu = u.velocity_multiplier(p_next, q_half, ev1.grad, rho, h)
+    q_next = u.PrecoderState(
+        lay, decay * (q_half.blocks - 0.5 * h * (ev1.grad.blocks + apply_gt(p_next, mu)))
+    )
+    powers = u.constraint_apply_G(p_next, p_next)
+    q_norms = np.sqrt(u.constraint_apply_G(q_next, q_next))
+    hidden = np.abs(u.constraint_apply_G(p_next, q_next)) / (np.sqrt(powers) * q_norms + 1e-30)
+    delta = p.blocks - p_next.blocks - 0.5 * h * (ev0.grad.blocks + ev1.grad.blocks)
+    record = u.StepRecord(
+        lam=lam,
+        mu=mu,
+        delta=float(np.linalg.norm(delta)),
+        h_used=float(h),
+        hamiltonian=0.5 * float(np.sum(q_next.blocks**2)) + ev1.g_value,
+        wsr_bits=ev1.wsr_bits,
+        constraint_residual=power_residual(lay, powers, rho),
+        hidden_residual=float(hidden.max()),
+    )
+    return p_next, q_next, record
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_same_records(got, want):
+    for field in ("lam", "mu", "delta", "h_used", "hamiltonian", "wsr_bits",
+                  "constraint_residual", "hidden_residual"):
+        assert_same_bits(getattr(got, field), getattr(want, field))
+
+
+class ReplayObjective:
+    """WsrObjective that evaluates each distinct state once and replays that evaluation.
+
+    Two runs that reach bit-identical iterates then see bit-identical gradients,
+    however the BLAS in this process splits its threads.
+    """
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.seen = {}
+
+    def evaluate(self, state):
+        key = state.blocks.tobytes()
+        if key not in self.seen:
+            self.seen[key] = self.objective.evaluate(state)
+        return self.seen[key]
+
+
+class FixedObjective:
+    """Returns one evaluation for every state: steps without any GEMM."""
+
+    def __init__(self, ev):
+        self.ev = ev
+
+    def evaluate(self, state):
+        return self.ev
+
+
+def step_problem(shape):
+    """(p, q, rho, objective, config) at desk.cfg's or table1_shaped_instance's shape."""
+    if shape == "desk":
+        inst = make_instance(seed=0)
+        ch, clusters, w = inst["ch"], inst["clusters"], inst["w"]
+        rho = inst["rho"]
+        p = random_state(inst["layout"], rho, 30)
+    else:
+        ch, clusters, state = table1_shaped_instance()
+        w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+        rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
+        p = u.renormalize_power(state, rho)
+    q = tangent_momentum(p, 31)
+    config = u.SolverConfig(gamma=8.0, h0=0.01, r_ctrl=1.0, h_max=1.0)
+    return p, q, rho, ReplayObjective(u.WsrObjective(ch, clusters, w)), config
+
+
+@pytest.fixture(params=["split", "inline"])
+def step_route(request, monkeypatch, open_helper_gate):
+    """Split the step's row loops with the helper at every shape, or keep them inline.
+
+    Returns the route and the set of thread names that ran the loops.
+    """
+    if request.param == "split":
+        monkeypatch.setattr(helper, "MIN_MT", 1)
+        monkeypatch.setattr(helper, "SPLIT_MIN_MACS", 0)
+    else:
+        monkeypatch.setattr(helper, "MIN_MT", 10**9)
+    threads = set()
+    for name in ("_kick_drift", "_kick_close"):
+
+        def loop(*args, run=getattr(symplectic, name)):
+            threads.add(threading.current_thread().name)
+            run(*args)
+
+        monkeypatch.setattr(symplectic, name, loop)
+    return request.param, threads
+
+
+def assert_route(route, threads):
+    assert threads == ({"MainThread", "ucnprec-helper_0"} if route == "split" else {"MainThread"})
+
+
+class TestStepSplit:
+    def test_table1_digest_matches_inline_record(self):
+        # one-thread BLAS as perfbench runs it; the digest was recorded with the row work inline.
+        # Switching threads as often as the interpreter can would expose a lost write.
+        script = (
+            "import sys, threading\n"
+            "import conftest\n"
+            "from ucnprec import helper, symplectic\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "helper._cpus = lambda: 2\n"
+            "threads = set()\n"
+            "run = symplectic._kick_close\n"
+            "def loop(*args):\n"
+            "    threads.add(threading.current_thread().name)\n"
+            "    run(*args)\n"
+            "symplectic._kick_close = loop\n"
+            f"print(conftest.table1_symplectic_digest({SYMPLECTIC_DIGEST['steps']}))\n"
+            "print(','.join(sorted(threads)))\n"
+            "helper.MIN_MT = 10**9\n"
+            f"print(conftest.table1_symplectic_digest({SYMPLECTIC_DIGEST['steps']}))\n"
+        )
+        blas = str(SYMPLECTIC_DIGEST["blas_threads"])
+        env = {name: blas for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        split, threads, inline = run_python(script, **env).split()
+        assert threads == "MainThread,ucnprec-helper_0"
+        assert split == SYMPLECTIC_DIGEST["sha256"]
+        assert inline == SYMPLECTIC_DIGEST["sha256"]
+
+    @pytest.mark.parametrize("shape", ["desk", "table1"])
+    def test_step_matches_public_definitions(self, step_route, shape):
+        p, q, rho, objective, config = step_problem(shape)
+        ev = objective.evaluate(p)
+        h = config.h0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in range(3):
+                p_next, q_next, record, ev_next = u.rattle_step(
+                    p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n
+                )
+                want_p, want_q, want = reference_step(p, q, config, rho, h, ev, objective.evaluate)
+                assert_same_bits(p_next.blocks, want_p.blocks)
+                assert_same_bits(q_next.blocks, want_q.blocks)
+                assert_same_records(record, want)
+                assert ev_next is objective.evaluate(p_next)
+                p, q, ev = p_next, q_next, ev_next
+                h = u.step_controller(record.delta, h, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_route(*step_route)
+
+    @pytest.mark.parametrize("shape", ["desk", "table1"])
+    def test_carried_dots_match_uncarried_steps(self, step_route, shape):
+        init, _, rho, objective, config = step_problem(shape)
+        p = u.renormalize_power(init, rho)  # solve()'s start
+        q = u.PrecoderState.zeros(p.layout)
+        ev = objective.evaluate(p)
+        h = config.h0
+        trace = []
+        for n in range(4):
+            p, q, record, ev = u.rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
+            trace.append(record)
+            h = u.step_controller(record.delta, h, config)
+        config.max_iters, config.rel_tol = 4, 1e-300
+        result = symplectic.solve(None, None, rho, None, init, config, objective=objective)
+        assert result.iterations == 4
+        for got, want in zip(result.trace, trace):
+            assert_same_records(got, want)
+        assert_route(*step_route)
+
+    @pytest.mark.parametrize("fail", [(1, True), (1, False), (2, True), (2, False)])
+    def test_share_error_raises_from_step(self, split_guard, fail):
+        p, q, rho, objective, config = step_problem("table1")
+        objective = FixedObjective(objective.evaluate(p))
+        expected = u.rattle_step(p, q, config, rho, objective)
+        # a failing main-thread share first waits for the helper's to start
+        guard = split_guard(fail=fail, helper_delay=0.0 if fail[1] else 0.3)
+        with pytest.raises(RuntimeError, match="injected"):
+            u.rattle_step(p, q, config, rho, objective)
+        ended = guard.ended
+        guard.close()
+        assert guard.splits == fail[0]
+        assert guard.late == 0
+        assert ended == len(guard.shares)  # no share of the call ran after it returned
+        guard.fail = None
+        guard.helper_delay = 0.0
+        guard.closed = False
+        got = u.rattle_step(p, q, config, rho, objective)  # the next step succeeds
+        assert {on_helper for _, on_helper, _, _ in guard.shares} == {False, True}
+        assert_same_bits(got[0].blocks, expected[0].blocks)
+        assert_same_bits(got[1].blocks, expected[1].blocks)
+        assert_same_records(got[2], expected[2])
+
+    @pytest.mark.parametrize("half", ["precoder", "momentum"])
+    @pytest.mark.parametrize("row", [1, -1])  # in the main thread's share, in the helper's
+    def test_nonfinite_gradient_names_iteration_on_both_routes(
+        self, open_helper_gate, monkeypatch, half, row
+    ):
+        p, q, rho, objective, config = step_problem("table1")
+        ev = objective.evaluate(p)
+        blocks = ev.grad.blocks.copy()
+        blocks[row, 3] = np.inf
+        bad = ObjectiveEval(
+            g_value=ev.g_value, wsr_bits=ev.wsr_bits,
+            grad=u.PrecoderState.trusted(p.layout, blocks), terms=None,
+        )
+        ev0, ev1 = (bad, ev) if half == "precoder" else (ev, bad)
+        messages = []
+        for min_mt in (helper.MIN_MT, 10**9):  # split, then inline
+            monkeypatch.setattr(helper, "MIN_MT", min_mt)
+            # both shares run under the caller's errstate, so no warning escapes either route
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("error")
+                with pytest.raises(u.SolverDivergence) as err:
+                    u.rattle_step(p, q, config, rho, FixedObjective(ev1), grad_eval=ev0, iteration=7)
+            messages.append(str(err.value))
+        assert messages == [f"non-finite {half} at iteration 7"] * 2
