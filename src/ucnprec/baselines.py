@@ -5,21 +5,34 @@ sweep of per-BS precoder solves; each BS shares one nonnegative power
 multiplier. One eigendecomposition of the BS's weighted gram gives the power
 as a closed-form secular function of the multiplier, whose root is found by
 safeguarded Newton steps on 1/sqrt(power) (newton_multiplier), started from
-the multiplier of the previous sweep. The grams and their eigendecompositions
-depend only on the receivers and weights, not on the precoders the sweep
-updates, so past the gate of the package's one helper thread (helper.py: M_t
->= 48, more than one CPU, one-thread OpenBLAS) the sweep builds each gram
-ahead of its update and hands its np.linalg.eigh to the helper, two at most in
-flight, while the main thread runs the updates; below that, eigh runs inline.
-While a sweep has one in flight, only the helper calls eigh, so a wrapped eigh
-(perfbench's tracer) never runs twice at once, and the sweep calls the
-objective only before its first hand-off and after its last result, so the
-objective's GEMM split never waits behind an eigh. Both routes give the same
-bits; the helper holds its own BLAS buffers, a few MB at table1 scale.
+the multiplier of the previous sweep.
+
+A sweep keeps one (K, n_blocks + 1) buffer of per-pair channel products
+conj(H_l) @ p_{l,k}, the buffer the objective's amplitude_matrix gathers from,
+and carries it to the next sweep: each BS update reads its old columns to take
+its own signal out of the amplitudes and overwrites them with the product of
+its new blocks, which is the GEMM the update needs anyway. So only the first
+sweep of a run computes amplitude products; every later amplitude matrix is a
+gather, with the same bits as a fresh one.
+
+The grams and their eigendecompositions depend only on the receivers and
+weights, not on the precoders the sweep updates, so past the gate of the
+package's one helper thread (helper.py: M_t >= 48, more than one CPU,
+one-thread OpenBLAS) the sweep builds each gram ahead of its update and queues
+its np.linalg.eigh on the helper, up to _EIGH_AHEAD grams ahead, while the
+main thread runs the updates; below that, eigh runs inline. A failed eigh, or
+an error on the main thread, skips the queued ones. While a sweep has one in
+flight, only the helper calls eigh, so a wrapped eigh (perfbench's tracer)
+never runs twice at once, and the sweep calls the objective only before its
+first hand-off and after its last result, so the objective's GEMM split never
+waits behind an eigh. Both routes give the same bits; the helper holds its own
+BLAS buffers, a few MB at table1 scale.
+
 bisect_power solves the same equation for any decreasing scalar power
-function by bracketing and false position; no solver calls it. It stays only because perfbench/tracer.py
-and tests/oracles.py reference it, until a benchmark change moves the tracer
-off it.
+function by bracketing and false position; no solver calls it. It stays only
+because perfbench/tracer.py and tests/oracles.py reference it, until a
+benchmark change moves the tracer off it.
+
 GD and NAGD run Armijo backtracking on the negated objective and renormalize
 to the per-BS power budget after every accepted step so all solvers are
 compared on the same feasible set. GD is NAGD without momentum: both are one
@@ -27,6 +40,7 @@ step function run by symplectic.iterate.
 """
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,12 +59,14 @@ from .embedding import (
 from .objective import (
     Weights,
     WsrObjective,
+    _pair_products,
     amplitude_matrix,
     terms_from_amplitudes,
 )
 from .symplectic import SolveResult, StepRecord, iterate
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
+_EIGH_AHEAD = 4  # grams a sweep keeps queued for the helper's eigh
 
 
 def _eigh(gram):
@@ -93,8 +109,9 @@ class WmmseState:
 
     u: np.ndarray  # (K,) complex receive coefficients
     W: np.ndarray  # (K,) MMSE weights, >= 1
-    lam: np.ndarray  # (B,) power multipliers from newton_multiplier, >= 0; warm-start the next sweep
+    lam: np.ndarray  # (B,) multipliers from newton_multiplier, >= 0; warm-start the next sweep
     power_evals: np.ndarray  # (B,) power evaluations each BS's multiplier search took, 0 if empty
+    products: np.ndarray  # (K, n_blocks + 1) pair products of the new precoder; see wmmse_step
 
     def __post_init__(self):
         if np.any(self.W < 1.0 - 1e-9):
@@ -277,6 +294,7 @@ def wmmse_step(
     rho: PowerBudget,
     weights: Weights,
     lam0: np.ndarray | None = None,
+    products: np.ndarray | None = None,
 ):
     """One WMMSE outer iteration.
 
@@ -285,24 +303,48 @@ def wmmse_step(
     per-BS solves sweep in ascending BS order using the latest precoders.
     lam0 holds each BS's starting multiplier, normally the previous sweep's
     WmmseState.lam; without it every multiplier search starts cold (see
-    newton_multiplier).
+    newton_multiplier). products holds state's per-pair channel products,
+    normally the previous sweep's WmmseState.products: a complex (K, n_blocks
+    + 1) array whose column i is conj(H_l) @ p_{l,k} for pair i and whose last
+    column is zero. The sweep overwrites it in place with new_state's products
+    and returns it as WmmseState.products (after an error its contents are
+    undefined); without it one is built from state.
     """
-    cblocks, ws = _wmmse_sweep(state, ch, rho, weights.w, lam0)
-    # the sweep's K x K and per-pair arrays are released before the closing amplitudes
-    new_state = PrecoderState.from_complex(state.layout, cblocks)
-    del cblocks
-    terms = terms_from_amplitudes(amplitude_matrix(new_state, ch), ch.noise_power)
+    if products is None:
+        products = _pair_products(state, ch)
+    blocks, ws = _wmmse_sweep(state, ch, rho, weights.w, lam0, products)
+    # the sweep's K x K and per-BS arrays are released before the closing amplitudes
+    new_state = PrecoderState(state.layout, blocks, copy=False)
+    terms = terms_from_amplitudes(amplitude_matrix(new_state, ch, products), ch.noise_power)
     wsr_bits = float(np.dot(weights.w, terms.rate_bits))
     return new_state, ws, wsr_bits
 
 
-def _wmmse_sweep(state, ch, rho, w, lam0):
-    """Receiver and weight update plus the per-BS sweep; returns (complex blocks, WmmseState)."""
+def _eigh_queued(stop, gram):
+    """_eigh of a gram queued on the helper; skipped once stop is set.
+
+    A failing decomposition sets stop itself, so no later one of its sweep runs.
+    """
+    if stop.is_set():
+        return None
+    try:
+        return _eigh(gram)
+    except BaseException:
+        stop.set()
+        raise
+
+
+def _wmmse_sweep(state, ch, rho, w, lam0, products):
+    """Receiver and weight update plus the per-BS sweep; returns (real blocks, WmmseState).
+
+    products holds state's pair products on entry and the new blocks' on return.
+    """
     layout = state.layout
+    m = layout.M_t
     sigma2 = ch.noise_power
     entries = ch.entries
 
-    amps = amplitude_matrix(state, ch)  # updated in place by the sweep
+    amps = amplitude_matrix(state, ch, products)  # updated in place by the sweep
     diag = np.diagonal(amps)
     a = diag.real**2 + diag.imag**2
     total = np.add.reduce(amps.real**2 + amps.imag**2, axis=1)
@@ -310,58 +352,79 @@ def _wmmse_sweep(state, ch, rho, w, lam0):
     u = np.conj(diag) / (total + sigma2)  # full received energy
     big_w = 1.0 + a / r
     coef = w * big_w * (u.real**2 + u.imag**2)
-    # desired-signal term of every (BS, UT) row: w_k W_k conj(u_k) h_{l,k}
-    served = entries[layout.row_bs, layout.row_ut]  # (n_blocks, M_t)
-    desired = (w * big_w * np.conj(u))[layout.row_ut, None] * served
-    del served
+    # desired-signal term of the pair (l, k): w_k W_k conj(u_k) h_{l,k}
+    desired_coef = w * big_w * np.conj(u)
 
-    cblocks = state.complex_blocks()
+    blocks = np.empty((layout.n_blocks, layout.block_len))
     lam_out = np.zeros(layout.n_bs)
     evals_out = np.zeros(layout.n_bs, dtype=int)
     todo = [l for l, rows in enumerate(layout.bs_rows) if rows.start != rows.stop]
-    executor = helper.executor_for(ch.M_t)
-    ahead = deque()  # (conj(H_l), coef-scaled H_l^T, eigh future) of todo[i : i + 2], helper only
+    executor = helper.executor_for(m)
 
     def operands(l):
         h_l = entries[l]  # (K, M_t)
         return h_l.conj(), h_l.T * coef  # the latter (M_t, K), columns coef_k h_{l,k}
 
-    try:
-        for i, l in enumerate(todo):
-            if executor is None:
-                h_l_conj, h_coef = operands(l)
-            else:
-                for j in range(i + len(ahead), min(i + 2, len(todo))):
-                    h_conj_j, h_coef_j = operands(todo[j])
-                    ahead.append((h_conj_j, h_coef_j, executor.submit(_eigh, h_coef_j @ h_conj_j)))
-                h_l_conj, h_coef, _ = ahead[0]  # left queued until its result is in
-            rows, cols = layout.bs_rows[l], layout.bs_uts[l]
-            cross = amps[:, cols] - h_l_conj @ cblocks[rows].T  # amplitudes excluding BS l
-            rhs = desired[rows].T - h_coef @ cross  # (M_t, n_l)
-            if executor is None:
-                e, vecs = _eigh(h_coef @ h_l_conj)
-            else:
-                e, vecs = ahead[0][2].result()
-                ahead.popleft()  # drops the future and its result
-            z = vecs.conj().T @ rhs  # (M_t, n_l)
-            z_ri = z.view(np.float64)
-            s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
-            lam_l, n_evals = newton_multiplier(
-                e, s, float(rho.rho[l]), _POWER_TOL, None if lam0 is None else lam0[l]
-            )
-            d = e + lam_l
-            if lam_l == 0.0 and e[0] == 0.0:
-                d[d == 0.0] = np.inf  # hard case: the minimum-norm solution leaves these out
-            new_blocks = vecs @ (z / d[:, None])  # (M_t, n_l)
-            amps[:, cols] = cross + h_l_conj @ new_blocks
-            cblocks[rows] = new_blocks.T
-            lam_out[l] = lam_l
-            evals_out[l] = n_evals
-    finally:
-        for *_, eig in ahead:  # left only by an error: no eigh runs once the sweep has returned
-            if not eig.cancel():
-                eig.exception()
-    return cblocks, WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out)
+    def gram(l):
+        h_l_conj, h_coef = operands(l)
+        return h_coef @ h_l_conj
+
+    def next_eigh():
+        e_vecs = ahead[0].result()  # left queued until its result is in
+        ahead.popleft()
+        return e_vecs
+
+    def solve(l, eigh_result):
+        """Update BS l's blocks, amplitudes and pair products; eigh_result() decomposes its gram.
+
+        A function, so each BS's temporaries are freed before the next BS's are made.
+        """
+        h_l_conj, h_coef = operands(l)
+        rows, cols = layout.bs_rows[l], layout.bs_uts[l]
+        pair_products = products[:, rows]  # conj(H_l) @ P_l^T of the old blocks
+        cross = amps[:, cols] - pair_products  # amplitudes excluding BS l
+        desired = desired_coef[cols, None] * entries[l][cols]  # (n_l, M_t)
+        rhs = desired.T - h_coef @ cross  # (M_t, n_l)
+        del desired  # each temporary is freed once used: a sweep's peak memory stays low
+        e, vecs = _eigh(h_coef @ h_l_conj) if eigh_result is None else eigh_result()
+        del h_coef
+        z = vecs.conj().T @ rhs  # (M_t, n_l)
+        z_ri = z.view(np.float64)
+        s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
+        lam_l, n_evals = newton_multiplier(
+            e, s, float(rho.rho[l]), _POWER_TOL, None if lam0 is None else lam0[l]
+        )
+        d = e + lam_l
+        if lam_l == 0.0 and e[0] == 0.0:
+            d[d == 0.0] = np.inf  # hard case: the minimum-norm solution leaves these out
+        new_blocks = vecs @ (z / d[:, None])  # (M_t, n_l)
+        np.matmul(h_l_conj, new_blocks, out=pair_products)
+        cross += pair_products
+        amps[:, cols] = cross
+        blocks[rows, :m] = new_blocks.real.T
+        blocks[rows, m:] = new_blocks.imag.T
+        lam_out[l] = lam_l
+        evals_out[l] = n_evals
+
+    if executor is None:
+        for l in todo:
+            solve(l, None)
+    else:
+        ahead = deque()  # eigh futures of todo[i : i + _EIGH_AHEAD]
+        stop = threading.Event()  # set on an error: queued eigh calls are skipped
+        try:
+            for i, l in enumerate(todo):
+                for j in range(i + len(ahead), min(i + _EIGH_AHEAD, len(todo))):
+                    ahead.append(executor.submit(_eigh_queued, stop, gram(todo[j])))
+                solve(l, next_eigh)
+        finally:
+            if ahead:  # left only by an error: no eigh runs once the sweep has returned
+                stop.set()
+                for eig in ahead:
+                    if not eig.cancel():
+                        eig.exception()
+    ws = WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out, products=products)
+    return blocks, ws
 
 
 def wmmse_iterate(
@@ -374,15 +437,16 @@ def wmmse_iterate(
     """Run n_iters WMMSE outer iterations; returns (state, per-iteration WSR).
 
     Each sweep's multiplier searches start from the previous sweep's
-    multipliers.
+    multipliers, and each sweep reads and updates the previous sweep's pair
+    products.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     wsr_trace = np.zeros(n_iters)
-    lam = None
+    lam = products = None
     for i in range(n_iters):
-        state, ws, wsr_bits = wmmse_step(state, ch, rho, weights, lam)
-        lam = ws.lam
+        state, ws, wsr_bits = wmmse_step(state, ch, rho, weights, lam, products)
+        lam, products = ws.lam, ws.products
         wsr_trace[i] = wsr_bits
     return state, wsr_trace
 

@@ -2,13 +2,17 @@
 
 In a user-centric network each BS's precoder touches only its own channel, so
 three kinds of work split by BS. The objective's channel products
-(amplitude_matrix's H_l @ conj(P_l)^T, the gradient's H_l^T @ (beta A)[:, U_l])
+(the pair products' H_l @ conj(P_l)^T, the gradient's H_l^T @ (beta A)[:, U_l])
 are independent per-BS GEMMs; a WMMSE sweep's per-BS eigendecompositions
 depend only on its fixed receivers and weights; and the RATTLE step's row work
 (multipliers, kicks, drift, projection, per-BS dots) touches only each BS's
 own rows. At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
 loaded running one thread, part of that work runs on one helper thread: the
-tail of the BSs in split_bs_loop, and the eigh calls that baselines hands over.
+tail of the BSs in split_bs_loop, and the eigh calls that baselines queues,
+one at a time and a few BSs ahead of the sweep. A WMMSE sweep carries its pair
+products from sweep to sweep, so past its first sweep it hands the helper only
+eigh calls: its amplitude matrices are gathers and its GEMMs stay on the
+calling thread.
 Each call is the same one-thread BLAS, LAPACK or elementwise call on the same
 operands, writing to its own rows or columns, so both routes give the same
 bits; only the thread that runs it changes. Below the gate everything runs
@@ -106,8 +110,9 @@ def split_bs_loop(layout, loop, *args):
     loop does per-BS work that writes only the BSs' own rows or columns: the
     objective's per-BS GEMMs or the RATTLE step's row work. Past the gate, and
     with at least SPLIT_MIN_MACS multiply-adds in the objective's per-BS GEMMs
-    (the step's row loops use the same test, see MIN_MT), the helper runs loop(cut, n_bs, *args), the tail of BSs that holds about half of
-    the layout's rows, in a copy of this thread's context (so np.errstate holds
+    (the step's row loops use the same test, see MIN_MT), the helper runs
+    loop(cut, n_bs, *args), the tail of BSs that holds about half of the
+    layout's rows, in a copy of this thread's context (so np.errstate holds
     there too), while this thread runs loop(0, cut, *args); the call returns
     once both have finished. A helper exception re-raises here, and an
     exception here propagates only once the helper's share has finished, so no

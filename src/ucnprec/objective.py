@@ -14,6 +14,10 @@ order into a C-contiguous array. IEEE negation is exact and a GEMM's operation
 sequence does not depend on operand signs, so this is a per-BS scatter loop of
 conj(H_l) @ P_l^T products bit for bit, signed zeros included (conjugating after the
 gather would make an unserved UT's zeros -0), and so are the gradient GEMMs on it.
+That buffer of pair products (_pair_products) is also what a WMMSE sweep carries
+and updates from sweep to sweep, its column for pair (l, k) being exactly the
+conj(H_l) @ p_{l,k} the sweep's update computes; amplitude_matrix given such a
+buffer only gathers.
 This must stay so: the dissipative solver amplifies a last-bit change into a
 visibly different WSR within 50 steps, and the tests pin trace bytes. (A
 padded batched GEMM over all BSs is faster but not bit-identical: OpenBLAS's
@@ -93,25 +97,48 @@ def _amplitude_products(start, stop, bs_rows, entries, cblocks, buf):
             np.matmul(entries[l], cblocks[rows].T, out=buf[:, rows])
 
 
-def amplitude_matrix(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
-    """A[k, t] = sum_{m in B_t} h_{m,k}^H p_{m,t} for the current precoder."""
+def _pair_products(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
+    """(K, n_blocks + 1) buffer whose column i holds pair i's conj(H_l) @ p_{l,k}; the last is zero.
+
+    Built as conj(H_l @ conj(P_l)^T), which is conj(H_l) @ P_l^T bit for bit.
+    """
     lay = state.layout
-    n_ut = ch.n_ut
-    if lay.n_bs != ch.n_bs or lay.n_ut != n_ut:
+    if lay.n_bs != ch.n_bs or lay.n_ut != ch.n_ut:
         raise ValueError("state layout does not match the channel set")
     cblocks = state.complex_blocks()
     np.conjugate(cblocks, out=cblocks)
-    # column i of buf holds pair i's conjugated amplitudes h_{l,.}^H p_{l,k}; the last is zero
-    buf = np.empty((n_ut, lay.n_blocks + 1), dtype=complex)
+    buf = np.empty((ch.n_ut, lay.n_blocks + 1), dtype=complex)
     buf[:, -1] = 0.0
     helper.split_bs_loop(lay, _amplitude_products, lay.bs_rows, ch.entries, cblocks, buf)
-    del cblocks  # freed before the gather allocates
+    del cblocks  # freed before the caller's gather allocates
     np.conjugate(buf, out=buf)  # before the gather: the zero start absorbs the -0 parts
+    return buf
+
+
+def amplitude_matrix(
+    state: PrecoderState, ch: ChannelSet, products: np.ndarray | None = None
+) -> np.ndarray:
+    """A[k, t] = sum_{m in B_t} h_{m,k}^H p_{m,t} for the current precoder.
+
+    products, if given, must hold state's pair products laid out as _pair_products
+    builds them (a WMMSE sweep carries such a buffer); the matrix is then only
+    gathered from it.
+    """
+    lay = state.layout
+    if products is None:
+        products = _pair_products(state, ch)
+    elif (
+        lay.n_bs != ch.n_bs
+        or lay.n_ut != ch.n_ut
+        or products.shape != (ch.n_ut, lay.n_blocks + 1)
+        or products.dtype != complex
+    ):
+        raise ValueError("pair products do not fit the state layout and the channel set")
     # add each UT's columns in ascending BS order, as a per-BS scatter would;
     # take() keeps the result C-contiguous, which the gradient's BLAS path expects
-    amps = np.zeros((n_ut, n_ut), dtype=complex)
+    amps = np.zeros((ch.n_ut, ch.n_ut), dtype=complex)
     for rank_rows in lay.serving_rows:
-        amps += buf.take(rank_rows, axis=1)
+        amps += products.take(rank_rows, axis=1)
     return amps
 
 

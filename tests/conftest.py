@@ -103,21 +103,51 @@ def table1_shaped_instance():
     return ch, clusters, state
 
 
-def table1_wmmse_digest(sweeps=3):
+def table1_args():
+    """(state, ch, rho, weights) for wmmse_step on table1_shaped_instance.
+
+    Every BS has unit power and every UT unit weight.
+    """
+    ch, _, state = table1_shaped_instance()
+    return state, ch, u.PowerBudget.uniform(ch.n_bs, 1.0), u.Weights.uniform(ch.n_ut)
+
+
+def table1_wmmse_digest(sweeps=3, carried=False):
     """sha256 of warm-started WMMSE sweeps on table1_shaped_instance.
 
     Hashes each sweep's WSR and multipliers, then the final precoder blocks.
+    By default each wmmse_step call is given the previous multipliers only, so
+    it builds its pair products afresh; carried=True runs wmmse_iterate, which
+    also hands each sweep the previous sweep's pair products, and reads every
+    sweep's outputs through a wrapped wmmse_step.
     """
-    from ucnprec.baselines import wmmse_step
+    from ucnprec import baselines
 
     ch, _, state = table1_shaped_instance()
     rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
     w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    step = baselines.wmmse_step
+    sweeps_out = []  # (wsr_bits, multipliers) per sweep
+
+    def recorded(*args, **kwargs):
+        new_state, ws, wsr_bits = step(*args, **kwargs)
+        sweeps_out.append((wsr_bits, ws.lam))
+        return new_state, ws, wsr_bits
+
+    if carried:
+        baselines.wmmse_step = recorded
+        try:
+            state, wsr_trace = baselines.wmmse_iterate(state, ch, rho, w, sweeps)
+        finally:
+            baselines.wmmse_step = step
+        assert wsr_trace.tolist() == [wsr_bits for wsr_bits, _ in sweeps_out]
+    else:
+        lam = None
+        for _ in range(sweeps):
+            state, ws, _ = recorded(state, ch, rho, w, lam0=lam)
+            lam = ws.lam
     digest = hashlib.sha256()
-    lam = None
-    for _ in range(sweeps):
-        state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam)
-        lam = ws.lam
+    for wsr_bits, lam in sweeps_out:
         digest.update(np.float64(wsr_bits).tobytes())
         digest.update(lam.tobytes())
     digest.update(state.blocks.tobytes())

@@ -14,8 +14,15 @@ import ucnprec as u
 from ucnprec import baselines, helper
 from ucnprec.baselines import BisectionError, wmmse_step
 from ucnprec.harness import ScenarioConfig, build_instance, initial_precoder
-from ucnprec.objective import ObjectiveEval
-from conftest import make_instance, random_state, run_python, table1_shaped_instance
+from ucnprec.objective import ObjectiveEval, _pair_products
+from conftest import (
+    load_preset,
+    make_instance,
+    random_state,
+    run_python,
+    table1_args,
+    table1_shaped_instance,
+)
 from oracles import reference_wmmse_step
 
 
@@ -345,11 +352,6 @@ def run_with_blas_threads(script, threads):
     return run_python(script, **{name: str(threads) for name in BLAS_THREAD_VARIABLES}).split()
 
 
-def _table1_args():
-    ch, _, state = table1_shaped_instance()
-    return state, ch, u.PowerBudget.uniform(ch.n_bs, 1.0), u.Weights.uniform(ch.n_ut)
-
-
 class TestEighWorker:
     def test_table1_digest_matches_inline_record(self):
         # one-thread BLAS as perfbench runs it; the digest was recorded with eigh inline
@@ -358,18 +360,24 @@ class TestEighWorker:
             "from ucnprec import helper\n"
             "helper._cpus = lambda: 2\n"
             f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}))\n"
+            f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}, carried=True))\n"
             "print(helper._executor is not None)\n"
             "helper.MIN_MT = 10**9\n"
             f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}))\n"
+            f"print(conftest.table1_wmmse_digest({TABLE1_DIGEST['sweeps']}, carried=True))\n"
         )
-        threaded, used_helper, inline = run_with_blas_threads(script, 1)
+        threaded, threaded_carried, used_helper, inline, inline_carried = run_with_blas_threads(
+            script, 1
+        )
         assert used_helper == "True"
         assert threaded == TABLE1_DIGEST["sha256"]
+        assert threaded_carried == TABLE1_DIGEST["sha256"]
         assert inline == TABLE1_DIGEST["sha256"]
+        assert inline_carried == TABLE1_DIGEST["sha256"]
 
     def test_one_call_per_bs_never_overlapping(self, eigh_guard):
         guard = eigh_guard()
-        state, ch, rho, w = _table1_args()
+        state, ch, rho, w = table1_args()
         n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
         lam = None
         interval = sys.getswitchinterval()
@@ -390,7 +398,7 @@ class TestEighWorker:
     @pytest.mark.parametrize("k", [1, 2, 20])
     def test_worker_error_raises_in_sweep(self, eigh_guard, k):
         guard = eigh_guard(fail_on=k)
-        state, ch, rho, w = _table1_args()
+        state, ch, rho, w = table1_args()
         n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
             wmmse_step(state, ch, rho, w)
@@ -411,7 +419,7 @@ class TestEighWorker:
 
         monkeypatch.setattr(baselines, "newton_multiplier", fail)
         with pytest.raises(BisectionError, match="injected"):
-            wmmse_step(*_table1_args())
+            wmmse_step(*table1_args())
         guard.close()
         assert guard.late == 0
         assert 1 <= guard.calls <= 2  # the failing BS's and perhaps the next one's
@@ -419,7 +427,7 @@ class TestEighWorker:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_worker(self, eigh_guard):
         eigh_guard()
-        args = _table1_args()
+        args = table1_args()
         wmmse_step(*args)  # the worker thread exists in this process now
         child = multiprocessing.get_context("fork").Process(target=wmmse_step, args=args)
         child.start()
@@ -443,6 +451,117 @@ class TestEighWorker:
         assert wmmse_row.error == "LinAlgError: injected eigh failure"
         assert not wmmse_row.converged
         assert rzf_row.error == "" and np.isfinite(rzf_row.wsr_bits)
+
+
+    def test_worker_error_at_last_bs_of_deep_queue(self, eigh_guard):
+        assert baselines._EIGH_AHEAD >= 3  # the failing eigh is queued behind others
+        state, ch, rho, w = table1_args()
+        n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
+        guard = eigh_guard(fail_on=n_nonempty)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            wmmse_step(state, ch, rho, w)
+        guard.close()
+        assert guard.calls == n_nonempty
+        assert guard.late == 0
+        guard.closed = False
+        wmmse_step(state, ch, rho, w)  # the helper survives the error
+        assert guard.calls == 2 * n_nonempty
+        assert guard.overlaps == 0
+        assert guard.threads == {"ucnprec-helper_0"}
+
+
+# tracemalloc peaks (MB) of one wmmse_step on table1_args() before WMMSE carried its
+# pair products, each step building its own: PEAK_SCRIPT's step with products=None, run
+# with that code (numpy 2.4.6, OPENBLAS_NUM_THREADS=1, helper gate opened by _cpus = 2).
+PEAK_BEFORE_CARRIED_PRODUCTS_MB = {"inline": 6.641, "helper": 8.516}
+PEAK_SCRIPT = """
+import tracemalloc
+import conftest
+from ucnprec import baselines, helper
+
+helper._cpus = lambda: 2
+if {inline}:
+    helper.MIN_MT = 10**9
+state, ch, rho, w = conftest.table1_args()
+state, ws, _ = baselines.wmmse_step(state, ch, rho, w)  # starts the helper and numpy's caches
+for products in (None, ws.products):  # built inside the step, then carried in
+    tracemalloc.start()
+    out = baselines.wmmse_step(state, ch, rho, w, lam0=ws.lam, products=products)
+    print(tracemalloc.get_traced_memory()[1] / 1e6)
+    tracemalloc.stop()
+    del out
+print(helper._executor is not None)
+"""
+
+
+class TestCarriedProducts:
+    """WMMSE carries its per-pair channel products from sweep to sweep."""
+
+    @pytest.mark.parametrize("route", ["inline", "helper"])
+    @pytest.mark.parametrize("instance", ["desk.cfg", "table1_shaped"])
+    def test_carried_products_match_fresh_build(self, instance, route, eigh_guard, monkeypatch):
+        if instance == "desk.cfg":
+            cfg = load_preset("desk.cfg")
+            _, ch, clusters = build_instance(cfg, 0)
+            rho, w = cfg.power_budget(), cfg.weights()
+            state = initial_precoder(cfg, ch, clusters, rho, 0)
+            sweeps = 6
+        else:
+            state, ch, rho, w = table1_args()
+            sweeps = 3
+        monkeypatch.setattr(helper, "MIN_MT", 10**9 if route == "inline" else 1)
+        guard = eigh_guard()
+        fresh, lam, products = state, None, None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for _ in range(sweeps):
+                state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam, products=products)
+                assert products is None or ws.products is products  # updated in place
+                lam, products = ws.lam, ws.products
+                assert products.tobytes() == _pair_products(state, ch).tobytes()
+                fresh, _, fresh_bits = wmmse_step(fresh, ch, rho, w, lam0=lam)
+                assert fresh_bits == wsr_bits
+                assert fresh.blocks.tobytes() == state.blocks.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert guard.threads == {"MainThread" if route == "inline" else "ucnprec-helper_0"}
+
+    @pytest.mark.parametrize(
+        "make_bad",
+        [
+            lambda p, ch: p[:, :-1],  # no zero column
+            lambda p, ch: p[:-1],  # one UT short
+            lambda p, ch: p.astype(np.complex64),
+            lambda p, ch: np.ascontiguousarray(p.real),
+        ],
+        ids=["short-columns", "short-rows", "complex64", "real"],
+    )
+    def test_rejects_misfit_products_before_any_eigh(self, make_bad, eigh_guard):
+        guard = eigh_guard()
+        state, ch, rho, w = table1_args()
+        products = _pair_products(state, ch)
+        with pytest.raises(ValueError, match="pair products"):
+            wmmse_step(state, ch, rho, w, products=make_bad(products, ch))
+        assert guard.calls == 0
+
+    def test_rejects_products_of_another_channel_set(self, eigh_guard):
+        guard = eigh_guard()
+        state, ch, rho, w = table1_args()
+        products = _pair_products(state, ch)
+        other = u.ChannelSet(entries=ch.entries[1:], noise_power=ch.noise_power)
+        with pytest.raises(ValueError, match="pair products"):
+            wmmse_step(state, other, u.PowerBudget.uniform(other.n_bs, 1.0), w, products=products)
+        assert guard.calls == 0
+
+    @pytest.mark.parametrize("route", ["inline", "helper"])
+    def test_step_peak_memory_not_above_earlier_code(self, route):
+        script = PEAK_SCRIPT.format(inline=route == "inline")
+        *peaks, used_helper = run_with_blas_threads(script, 1)
+        assert used_helper == str(route == "helper")
+        built, carried = (float(p) for p in peaks)
+        assert built <= PEAK_BEFORE_CARRIED_PRODUCTS_MB[route]
+        assert carried < built  # the carried buffer was allocated before the step
 
 
 def _split_evaluation():
