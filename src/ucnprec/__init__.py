@@ -9,7 +9,6 @@ from types import ModuleType as _ModuleType
 
 from .baselines import (
     BisectionError,
-    LineSearchConfig,
     WmmseState,
     bisect_power,
     gd_solve,

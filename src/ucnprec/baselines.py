@@ -67,6 +67,10 @@ from .symplectic import SolveResult, StepRecord, iterate
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
 _EIGH_AHEAD = 4  # grams a sweep keeps queued for the helper's eigh
+# GD/NAGD: Armijo's first step, backtracking factor, sufficient-decrease constant
+# and backtracks per search, and NAGD's momentum
+_ALPHA0, _BACKTRACK, _C1, _MAX_BACKTRACKS = 1.0, 0.5, 1e-4, 30
+_MOMENTUM = 0.9
 
 
 def _eigh(gram):
@@ -81,26 +85,6 @@ def _eigh(gram):
 
 class BisectionError(RuntimeError):
     """Raised when the power multiplier cannot be bracketed or is ill-posed."""
-
-
-@dataclass
-class LineSearchConfig:
-    """Armijo backtracking parameters."""
-
-    alpha0: float = 1.0
-    backtrack: float = 0.5
-    c1: float = 1e-4
-    max_backtracks: int = 30
-
-    def __post_init__(self):
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be > 0")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack must lie in (0, 1)")
-        if not 0 < self.c1 < 1:
-            raise ValueError("c1 must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
 
 
 @dataclass
@@ -451,24 +435,24 @@ def wmmse_iterate(
     return state, wsr_trace
 
 
-def _armijo(objective, layout, base_blocks, f0, grad_blocks, gnorm2, start, ls, rho):
+def _armijo(objective, layout, base_blocks, f0, grad_blocks, gnorm2, start, rho):
     """Backtracking search along -grad; returns (alpha, state) or (None, None).
 
     With a power budget the sufficient-decrease test is applied to the
     renormalized candidate (projection-arc search), so every accepted iterate
-    itself satisfies g(p_new) <= g(p) - c1 * alpha * ||grad||^2; testing the
+    itself satisfies g(p_new) <= g(p) - _C1 * alpha * ||grad||^2; testing the
     raw candidate lets renormalization undo the guaranteed decrease and
     destabilizes the momentum variant. The search starts from the caller's
     warm-started step, never above it.
     """
     alpha = start
-    for _ in range(ls.max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         cand = PrecoderState(layout, base_blocks - alpha * grad_blocks, copy=False)
         if rho is not None:
             cand = renormalize_power(cand, rho)
-        if objective.value(cand) <= f0 - ls.c1 * alpha * gnorm2:
+        if objective.value(cand) <= f0 - _C1 * alpha * gnorm2:
             return alpha, cand
-        alpha *= ls.backtrack
+        alpha *= _BACKTRACK
     return None, None
 
 
@@ -481,7 +465,6 @@ def gd_solve(
     init: PrecoderState,
     objective: WsrObjective,
     rho: PowerBudget | None = None,
-    ls: LineSearchConfig | None = None,
     max_iters: int = 100,
     rel_tol: float = 1e-5,
 ) -> SolveResult:
@@ -491,49 +474,44 @@ def gd_solve(
     power; rho=None runs the plain unconstrained descent (used by the
     quadratic convergence checks).
     """
-    return _descent(init, objective, rho, 0.0, ls, max_iters, rel_tol)
+    return _descent(init, objective, rho, 0.0, max_iters, rel_tol)
 
 
 def nagd_solve(
     init: PrecoderState,
     objective: WsrObjective,
     rho: PowerBudget | None = None,
-    mu_momentum: float = 0.9,
-    ls: LineSearchConfig | None = None,
     max_iters: int = 100,
     rel_tol: float = 1e-5,
 ) -> SolveResult:
     """Momentum extrapolation followed by an Armijo gradient step.
 
     The gradient and the Armijo condition are taken at the extrapolated point
-    p + mu (p - p_prev); the first iteration has no predecessor so it matches
-    plain descent, and mu_momentum = 0 is gd_solve. An extrapolated step that
-    would lower the WSR triggers an adaptive restart: the momentum memory is
-    dropped and the iteration falls back to a plain gradient step from the
-    current point, so the trace stays monotone.
+    p + _MOMENTUM (p - p_prev); the first iteration has no predecessor so it
+    matches gd_solve. An extrapolated step that would lower the WSR triggers
+    an adaptive restart: the momentum memory is dropped and the iteration
+    falls back to a plain gradient step from the current point, so the trace
+    stays monotone.
     """
-    if not 0.0 <= mu_momentum < 1.0:
-        raise ValueError("mu_momentum must lie in [0, 1)")
-    return _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol)
+    return _descent(init, objective, rho, _MOMENTUM, max_iters, rel_tol)
 
 
-def _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol) -> SolveResult:
-    """GD (mu_momentum = 0) and NAGD as one step for symplectic.iterate.
+def _descent(init, objective, rho, momentum, max_iters, rel_tol) -> SolveResult:
+    """GD (momentum = 0) and NAGD as one step for symplectic.iterate.
 
     The gradient at an iterate is taken when a step first needs it, so none is
     taken at the final iterate.
     """
-    ls = ls if ls is not None else LineSearchConfig()
     layout = init.layout
     p_prev = None  # the previous iterate, while momentum may extrapolate from it
     ev_p = None  # evaluation at the current iterate, kept across failed line searches
-    start = ls.alpha0
+    start = _ALPHA0
 
     def step(p, wsr):
         nonlocal p_prev, ev_p, start
         found = None  # (alpha, state, wsr)
         if p_prev is not None:
-            y_blocks = p.blocks + mu_momentum * (p.blocks - p_prev.blocks)
+            y_blocks = p.blocks + momentum * (p.blocks - p_prev.blocks)
             p_prev = None  # not held through the line search; an accepted step sets it again
             y = PrecoderState(layout, y_blocks, copy=False)
             ev_y = objective.evaluate(y)
@@ -541,7 +519,7 @@ def _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol) -> Solve
             gnorm2 = float(np.add.reduce(grad_blocks**2, axis=None))
             if gnorm2 > 0.0:
                 alpha, cand = _armijo(
-                    objective, layout, y.blocks, ev_y.g_value, grad_blocks, gnorm2, start, ls, rho
+                    objective, layout, y.blocks, ev_y.g_value, grad_blocks, gnorm2, start, rho
                 )
                 if cand is not None:
                     wsr_cand = objective.wsr_bits(cand)
@@ -556,15 +534,15 @@ def _descent(init, objective, rho, mu_momentum, ls, max_iters, rel_tol) -> Solve
             if gnorm2 == 0.0:
                 return None
             alpha, cand = _armijo(
-                objective, layout, p.blocks, ev_p.g_value, grad_blocks, gnorm2, start, ls, rho
+                objective, layout, p.blocks, ev_p.g_value, grad_blocks, gnorm2, start, rho
             )
             if cand is None:
                 start *= 0.5
                 return p, _descent_record(wsr, 0.0, p, rho)
             found = (alpha, cand, objective.wsr_bits(cand))
         alpha, cand, wsr_now = found
-        start = min(ls.alpha0, alpha / ls.backtrack)  # warm start, one notch above
-        p_prev = p if mu_momentum > 0.0 else None
+        start = min(_ALPHA0, alpha / _BACKTRACK)  # warm start, one notch above
+        p_prev = p if momentum > 0.0 else None
         ev_p = None
         return cand, _descent_record(wsr_now, alpha, cand, rho)
 

@@ -307,7 +307,9 @@ def check_file_size(f, what: str, dims: tuple, size: int) -> None:
         raise ValueError(f"corrupt {what} file header: negative dimension in {dims}")
     actual = os.fstat(f.fileno()).st_size
     if actual < size:
-        raise ValueError(f"truncated {what} file body: header implies {size} bytes, file has {actual}")
+        raise ValueError(
+            f"truncated {what} file body: header implies {size} bytes, file has {actual}"
+        )
     if actual > size:
         raise ValueError(f"{actual - size} trailing bytes after the {what} file body")
 

@@ -62,7 +62,6 @@ class BlockLayout:
         self.n_ut = clusters.n_ut
         self.bs_uts = [np.array(sorted(u), dtype=int) for u in clusters.served_ut]
         self.pairs = [(l, int(k)) for l in range(self.n_bs) for k in self.bs_uts[l]]
-        self._row = {pair: i for i, pair in enumerate(self.pairs)}
         self.bs_rows = []
         start = 0
         for l in range(self.n_bs):
@@ -95,12 +94,6 @@ class BlockLayout:
         rows = np.full((n_serving.max(initial=0), self.n_ut), self.n_blocks, dtype=np.intp)
         rows[rank, self.row_ut[by_ut]] = by_ut
         return rows
-
-    def row(self, l: int, k: int) -> int:
-        try:
-            return self._row[(l, k)]
-        except KeyError:
-            raise KeyError(f"pair (BS {l}, UT {k}) is not active") from None
 
     def same_as(self, other: "BlockLayout") -> bool:
         return self is other or (self.M_t == other.M_t and self.pairs == other.pairs)
@@ -135,7 +128,7 @@ class PrecoderState:
 
     @classmethod
     def trusted(cls, layout: BlockLayout, blocks: np.ndarray) -> "PrecoderState":
-        """Freeze and wrap a float array without the constructor's copy, shape and finiteness checks."""
+        """Freeze and wrap a float array, skipping the constructor's copy and checks."""
         blocks.setflags(write=False)
         state = cls.__new__(cls)
         state.layout = layout
@@ -152,9 +145,6 @@ class PrecoderState:
         if cblocks.shape != (layout.n_blocks, layout.M_t):
             raise ValueError("complex blocks must have shape (n_blocks, M_t)")
         return cls(layout, np.hstack([cblocks.real, cblocks.imag]), copy=False)
-
-    def block(self, l: int, k: int) -> np.ndarray:
-        return self.blocks[self.layout.row(l, k)]
 
     def complex_blocks(self) -> np.ndarray:
         m = self.layout.M_t

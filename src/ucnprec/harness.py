@@ -10,6 +10,7 @@ on config and seeds).
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -69,6 +70,9 @@ class ScenarioConfig:
         return self.gnb_count * self.sectors_per_gnb
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("gnb_count", "sectors_per_gnb", "M_t", "K", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -181,12 +185,6 @@ class RunRow:
 @dataclass
 class RunSummary:
     rows: list = field(default_factory=list)
-
-    def row(self, solver: str, seed: int) -> RunRow:
-        for r in self.rows:
-            if r.solver == solver and r.seed == seed:
-                return r
-        raise KeyError(f"no row for ({solver}, {seed})")
 
 
 _SUMMARY_COLUMNS = (

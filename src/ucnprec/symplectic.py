@@ -33,7 +33,7 @@ the best-iterate choice, the trace and the stall rule exist only there.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .objective import ObjectiveEval, Weights, WsrObjective
 _HIDDEN_FLOOR = 1e-30
 _DELTA_FLOOR = 1e-30  # error estimates at or below this take the largest step
 _MAX_STALLS = 10  # failed line searches in a row that end a run
+_H_MIN = 1e-5  # smallest step the controller takes
 
 
 class SolverDivergence(RuntimeError):
@@ -62,10 +63,12 @@ class SolverConfig:
     max_iters: int = 200
     rel_tol: float = 1e-5  # relative WSR-change stopping threshold
     project_positions: bool = True
-    h_min: float = 1e-5
-    h_max: float = 1.0
+    h_max: float = 1.0  # largest step the controller takes; at least _H_MIN
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
         if not self.h0 > 0:
@@ -78,8 +81,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
-        if not 0 < self.h_min <= self.h_max:
-            raise ValueError("need 0 < h_min <= h_max")
+        if not self.h_max >= _H_MIN:
+            raise ValueError(f"h_max must be >= {_H_MIN}")
 
 
 @dataclass(kw_only=True)
@@ -323,7 +326,7 @@ def step_controller(delta: float, h: float, config: SolverConfig) -> float:
     if delta <= _DELTA_FLOOR:
         return config.h_max
     h_new = (config.r_ctrl / delta) ** (config.theta / 2.0) * h
-    return float(np.clip(h_new, config.h_min, config.h_max))
+    return float(np.clip(h_new, _H_MIN, config.h_max))
 
 
 def settled(wsrs, rel_tol: float) -> bool:

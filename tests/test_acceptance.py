@@ -69,8 +69,7 @@ def hp_speed_traces(hp_instances):
         args = (inst["ch"], inst["clusters"], inst["w"])
         sc = u.SolverConfig(
             gamma=solver_cfg.gamma, h0=solver_cfg.h0, r_ctrl=solver_cfg.r_ctrl,
-            theta=solver_cfg.theta, max_iters=horizon, rel_tol=1e-12,
-            h_min=solver_cfg.h_min, h_max=solver_cfg.h_max,
+            theta=solver_cfg.theta, max_iters=horizon, rel_tol=1e-12, h_max=solver_cfg.h_max,
         )
         res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], sc)
         out["symplectic"].append([rec.wsr_bits for rec in res.trace])
@@ -113,7 +112,7 @@ def test_criterion_02_hidden_constraint_enforced():
     cfg = inst["cfg"].solver_config()
     sc = u.SolverConfig(
         gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
-        max_iters=200, rel_tol=1e-30, h_min=cfg.h_min, h_max=cfg.h_max,
+        max_iters=200, rel_tol=1e-30, h_max=cfg.h_max,
     )
     res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
     worst = max(rec.hidden_residual for rec in res.trace)
@@ -130,7 +129,7 @@ def test_criterion_03_manifold_maintenance():
         for project in (True, False):
             sc = u.SolverConfig(
                 gamma=base.gamma, h0=base.h0, r_ctrl=base.r_ctrl, theta=base.theta,
-                max_iters=100, rel_tol=1e-30, h_min=base.h_min, h_max=base.h_max,
+                max_iters=100, rel_tol=1e-30, h_max=base.h_max,
                 project_positions=project,
             )
             res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
@@ -197,7 +196,7 @@ def test_criterion_07_adaptive_step_benefit():
         for theta in (0.5, 0.0):
             sc = u.SolverConfig(
                 gamma=base.gamma, h0=base.h0, r_ctrl=base.r_ctrl, theta=theta,
-                max_iters=400, rel_tol=base.rel_tol, h_min=base.h_min, h_max=base.h_max,
+                max_iters=400, rel_tol=base.rel_tol, h_max=base.h_max,
             )
             res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
             iters[theta].append(res.iterations if res.converged else 400)

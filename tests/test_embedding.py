@@ -87,13 +87,6 @@ class TestLayoutAndState:
         assert la.same_as(lb)
         assert la.pairs == [(0, 0), (1, 1), (2, 0)]
 
-    def test_block_access(self, small_instance):
-        state = random_state(small_instance["layout"], small_instance["rho"], 6)
-        l, k = state.layout.pairs[3]
-        assert np.array_equal(state.block(l, k), state.blocks[3])
-        with pytest.raises(KeyError):
-            state.block(10, 10)
-
     def test_state_is_frozen(self, small_instance):
         state = u.PrecoderState.zeros(small_instance["layout"])
         with pytest.raises(ValueError):

@@ -18,6 +18,12 @@ FROZEN_SOLVERS = ("symplectic", "wmmse", "gd", "nagd")
 FROZEN_SEEDS = (0, 1, 2, 3, 4)
 
 
+FLOAT_KEYS = [
+    "deployment_radius_m", "carrier_freq_hz", "noise_dbm", "tx_power_dbm",
+    "rel_tol", "gamma", "h0", "r_ctrl", "theta", "h_max",
+]
+
+
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -106,6 +112,17 @@ class TestLoadConfig:
         assert len(lines) == len(harness._FIELD_PARSERS)
         assert u.load_config(write_cfg(tmp_path, "\n".join(lines) + "\n")) == defaults
 
+    # a non-finite value used to pass and fail later without naming its key:
+    # deployment_radius_m = nan as non-finite channel entries, theta = nan as h <= 0
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_value_named(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+            u.load_config(write_cfg(tmp_path, f"{key} = {value}\n"))
+        if key in {f.name for f in dataclasses.fields(u.SolverConfig)}:
+            with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+                u.SolverConfig(**{key: float(value)})
+
 
 def _fast_cfg(**overrides):
     params = dict(
@@ -174,7 +191,7 @@ class TestRunExperiment:
 
     def test_gd_takes_no_gradient_at_final_iterate(self, tmp_path):
         cfg = dataclasses.replace(u.load_config(REPO / "configs" / "desk.cfg"), seeds=(0,))
-        row = u.run_experiment(cfg, ["gd"], tmp_path).row("gd", 0)
+        (row,) = u.run_experiment(cfg, ["gd"], tmp_path).rows
         assert row.iterations == 196
         assert row.grad_evals == row.iterations
 

@@ -137,7 +137,7 @@ class TestGradient:
         coef = 2.0 * inst["w"].w[0] * terms.b[0] / terms.r[0]
         for l in inst["clusters"].serving_bs[0]:
             expected = embed_precoder(-coef * amps[0, 0] * inst["ch"].entries[l, 0])
-            assert np.allclose(grad.block(l, 0), expected, rtol=1e-12)
+            assert np.allclose(grad.blocks[grad.layout.pairs.index((l, 0))], expected, rtol=1e-12)
 
     def test_rotation_invariance(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 7)
@@ -175,7 +175,7 @@ class TestGradient:
         layout_p = u.BlockLayout(clusters_p, layout.M_t)
         blocks = np.zeros_like(state.blocks)
         for i, (l, k) in enumerate(layout.pairs):
-            blocks[layout_p.row(l, perm[k])] = state.blocks[i]
+            blocks[layout_p.pairs.index((l, perm[k]))] = state.blocks[i]
         state_p = u.PrecoderState(layout_p, blocks)
         w_p = u.Weights(small_instance["w"].w[np.argsort(perm)])
         assert u.WsrObjective(ch_p, clusters_p, w_p).wsr_bits(state_p) == pytest.approx(

@@ -18,7 +18,7 @@ README = REPO / "README.md"
 # solver, the CLI or a test oracle uses.
 EXPORTS = [
     "BisectionError", "BlockLayout", "ChannelSet", "ClusterMap", "ComplexityReport",
-    "LineSearchConfig", "ObjectiveEval", "PowerBudget", "PrecoderState", "RateTerms",
+    "ObjectiveEval", "PowerBudget", "PrecoderState", "RateTerms",
     "RsrpTable", "RunRow", "RunSummary", "ScenarioConfig",
     "SolveResult", "SolverConfig", "SolverDivergence", "StepRecord", "Topology", "Weights",
     "WmmseState", "WsrObjective", "bisect_power", "bs_block_norms", "build_clusters",
@@ -39,6 +39,15 @@ CONFIG_FIELDS = [
     "seeds", "theta", "tx_power_dbm", "wmmse_iters",
 ]
 
+# Adding a solver knob means adding its name here, as for CONFIG_FIELDS: the
+# GD/NAGD line search and momentum and the smallest RATTLE step are module
+# constants of baselines and symplectic.
+SOLVER_FIELDS = [
+    "gamma", "h0", "h_max", "max_iters", "project_positions", "r_ctrl", "rel_tol", "theta",
+]
+
+MAX_LINE = 100  # characters per line of package source
+
 
 def test_exports_are_pinned():
     assert sorted(u.__all__) == EXPORTS
@@ -47,6 +56,20 @@ def test_exports_are_pinned():
 
 def test_config_fields_are_pinned():
     assert sorted(f.name for f in dataclasses.fields(u.ScenarioConfig)) == CONFIG_FIELDS
+
+
+def test_solver_fields_are_pinned():
+    assert sorted(f.name for f in dataclasses.fields(u.SolverConfig)) == SOLVER_FIELDS
+
+
+def test_source_lines_fit_the_line_limit():
+    long = [
+        f"{path.name}:{n}"
+        for path in sorted((REPO / "src" / "ucnprec").glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > MAX_LINE
+    ]
+    assert long == []
 
 
 def test_readme_library_example_runs(capsys):

@@ -248,7 +248,7 @@ class TestRattleStep:
 
 class TestStepController:
     def _config(self, **kw):
-        defaults = dict(gamma=1.0, h0=0.01, r_ctrl=0.1, theta=0.5, h_min=1e-5, h_max=1.0)
+        defaults = dict(gamma=1.0, h0=0.01, r_ctrl=0.1, theta=0.5, h_max=1.0)
         defaults.update(kw)
         return u.SolverConfig(**defaults)
 
@@ -269,10 +269,16 @@ class TestStepController:
         assert u.step_controller(0.0, 0.01, config) == 0.7
 
     def test_clamping(self):
-        config = self._config(theta=2.0, r_ctrl=1e-6, h_min=1e-3, h_max=0.5)
-        assert u.step_controller(1e6, 0.1, config) == pytest.approx(1e-3)
-        config2 = self._config(theta=2.0, r_ctrl=1e6, h_min=1e-3, h_max=0.5)
-        assert u.step_controller(1e-6, 0.1, config2) == pytest.approx(0.5)
+        # (1e-6 / 1e6) * 0.1 = 1e-13 lies far below the floor, (1e6 / 1e-6) * 0.1 above h_max
+        config = self._config(theta=2.0, r_ctrl=1e-6, h_max=0.5)
+        assert u.step_controller(1e6, 0.1, config) == symplectic._H_MIN == 1e-5
+        config2 = self._config(theta=2.0, r_ctrl=1e6, h_max=0.5)
+        assert u.step_controller(1e-6, 0.1, config2) == 0.5
+        # a ceiling below the floor is rejected; one at the floor pins every step to it
+        with pytest.raises(ValueError, match="h_max"):
+            self._config(h_max=0.5 * symplectic._H_MIN)
+        config3 = self._config(theta=2.0, r_ctrl=1e6, h_max=symplectic._H_MIN)
+        assert u.step_controller(1e-6, 0.1, config3) == symplectic._H_MIN
 
     def test_rejects_bad_inputs(self):
         config = self._config()
