@@ -13,25 +13,21 @@ and carries it to the next sweep: each BS update reads its old columns to take
 its own signal out of the amplitudes and overwrites them with the product of
 its new blocks, which is the GEMM the update needs anyway. So only the first
 sweep of a run computes amplitude products; every later amplitude matrix is a
-gather, with the same bits as a fresh one.
+gather.
 
 The grams and their eigendecompositions depend only on the receivers and
-weights, not on the precoders the sweep updates, so past the gate of the
-package's one helper thread (helper.py: M_t >= 48, more than one CPU,
-one-thread OpenBLAS) the sweep builds each gram ahead of its update and queues
-its np.linalg.eigh on the helper, up to _EIGH_AHEAD grams ahead, while the
-main thread runs the updates; below that, eigh runs inline. A failed eigh, or
-an error on the main thread, skips the queued ones. While a sweep has one in
-flight, only the helper calls eigh, so a wrapped eigh (perfbench's tracer)
-never runs twice at once, and the sweep calls the objective only before its
-first hand-off and after its last result, so the objective's GEMM split never
-waits behind an eigh. Both routes give the same bits; the helper holds its own
-BLAS buffers, a few MB at table1 scale.
+weights, not on the precoders the sweep updates, so past the helper thread's
+gate (helper.py) the sweep builds each gram ahead of its update and queues its
+np.linalg.eigh on the helper, up to _EIGH_AHEAD grams ahead, while the main
+thread runs the updates. A failed eigh, or an error on the main thread, skips
+the queued ones. While a sweep has one in flight, only the helper calls eigh,
+so a wrapped eigh (perfbench's tracer) never runs twice at once, and the sweep
+calls the objective only before its first hand-off and after its last result,
+so the objective's GEMM split never waits behind an eigh.
 
 bisect_power solves the same equation for any decreasing scalar power
-function by bracketing and false position; no solver calls it. It stays only
-because perfbench/tracer.py and tests/oracles.py reference it, until a
-benchmark change moves the tracer off it.
+function by bracketing and false position. No solver calls it; it stays only
+because perfbench/tracer.py wraps it by name.
 
 GD and NAGD run Armijo backtracking on the negated objective and renormalize
 to the per-BS power budget after every accepted step so all solvers are

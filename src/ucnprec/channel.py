@@ -14,7 +14,6 @@ so independent seeds can be generated in parallel without shared state.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,59 +273,3 @@ def build_clusters(rsrp: RsrpTable, b_sc: int) -> ClusterMap:
         order = np.argsort(rsrp.delta[:, k], kind="stable")
         serving.append(sorted(int(l) for l in order[:b_sc]))
     return ClusterMap.from_serving(serving, n_bs)
-
-
-def record_dtype(m_t: int) -> np.dtype:
-    """One row of a channel or precoder file: int64 (l, k), then 2*M_t float64."""
-    return np.dtype([("lk", np.int64, 2), ("v", np.float64, 2 * m_t)])
-
-
-def save_channels(path, ch: ChannelSet) -> None:
-    """Dump a ChannelSet as flat binary.
-
-    Layout: int64 B, K, M_t; float64 noise_power; then row-major over (l, k):
-    int64 l, int64 k, 2*M_t float64 (re, im interleaved per antenna).
-    """
-    b, k_ut, m = ch.entries.shape
-    rows = np.empty(b * k_ut, dtype=record_dtype(m))
-    rows["lk"] = np.indices((b, k_ut)).reshape(2, -1).T
-    rows["v"] = ch.entries.reshape(b * k_ut, m).view(np.float64)
-    with open(path, "wb") as f:
-        np.array([b, k_ut, m], dtype=np.int64).tofile(f)
-        np.array([ch.noise_power], dtype=np.float64).tofile(f)
-        rows.tofile(f)
-
-
-def check_file_size(f, what: str, dims: tuple, size: int) -> None:
-    """Reject a header with a negative dimension or a size other than the file's.
-
-    size is the file size in bytes that the header's dims imply; loaders call
-    this before they allocate anything from the header.
-    """
-    if min(dims) < 0:
-        raise ValueError(f"corrupt {what} file header: negative dimension in {dims}")
-    actual = os.fstat(f.fileno()).st_size
-    if actual < size:
-        raise ValueError(
-            f"truncated {what} file body: header implies {size} bytes, file has {actual}"
-        )
-    if actual > size:
-        raise ValueError(f"{actual - size} trailing bytes after the {what} file body")
-
-
-def load_channels(path) -> ChannelSet:
-    """Inverse of save_channels."""
-    with open(path, "rb") as f:
-        header = np.fromfile(f, dtype=np.int64, count=3)
-        if header.size != 3:
-            raise ValueError("truncated channel file header")
-        b, k_ut, m = (int(x) for x in header)
-        noise = np.fromfile(f, dtype=np.float64, count=1)
-        if noise.size != 1:
-            raise ValueError("truncated channel file header")
-        check_file_size(f, "channel", (b, k_ut, m), 32 + b * k_ut * 16 * (1 + m))
-        rows = np.fromfile(f, dtype=record_dtype(m), count=b * k_ut)  # size checked above
-    if not np.array_equal(rows["lk"], np.indices((b, k_ut)).reshape(2, -1).T):
-        raise ValueError("channel file rows out of canonical order")
-    entries = np.ascontiguousarray(rows["v"]).view(complex).reshape(b, k_ut, m)
-    return ChannelSet(entries=entries, noise_power=float(noise[0]))

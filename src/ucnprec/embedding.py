@@ -1,4 +1,4 @@
-"""The block-sparse real precoder model, its per-BS power budget and file format.
+"""The block-sparse real precoder model and its per-BS power budget.
 
 A complex precoder block p maps to the real block p_hat = [Re p; Im p], which
 preserves Euclidean norms; the solvers work on p_hat, and the objective turns
@@ -6,8 +6,8 @@ it back into complex blocks to evaluate channel products.
 
 Precoders live only on the active (BS, UT) pairs selected by the serving
 clusters; inactive pairs are implicitly zero. The canonical stacking order is
-BS-major with ascending UT index inside each BS, which every solver and file
-format in this package relies on.
+BS-major with ascending UT index inside each BS, which every solver in this
+package relies on.
 """
 
 import functools
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ClusterMap, check_file_size, dbm_to_watt, record_dtype
+from .channel import ClusterMap, dbm_to_watt
 
 
 @dataclass
@@ -74,8 +74,8 @@ class BlockLayout:
         self.row_ut = np.array([k for _, k in self.pairs], dtype=int)
         self.nonempty_bs = np.array([len(u) > 0 for u in self.bs_uts], dtype=bool)
 
-    # the objective's gather indices are built on its first use: rzf_init and
-    # the file loaders build layouts that need not reach an objective
+    # the objective's gather indices are built on first use, so a layout that
+    # never reaches an objective does not pay for them
 
     @functools.cached_property
     def pair_index(self) -> np.ndarray:
@@ -182,41 +182,3 @@ def renormalize_power(state: PrecoderState, budget: PowerBudget) -> PrecoderStat
     if not np.isfinite(scale).all():
         raise ValueError("precoder blocks must be finite")
     return PrecoderState.trusted(lay, scale[lay.row_bs][:, None] * state.blocks)
-
-
-def save_precoder(path, state: PrecoderState) -> None:
-    """Dump a PrecoderState as flat binary.
-
-    Layout: int64 B, K, M_t, n_blocks; then per active block in canonical
-    order: int64 l, int64 k, 2*M_t float64 (stacked re parts then im parts).
-    """
-    lay = state.layout
-    rows = np.empty(lay.n_blocks, dtype=record_dtype(lay.M_t))
-    rows["lk"][:, 0] = lay.row_bs
-    rows["lk"][:, 1] = lay.row_ut
-    rows["v"] = state.blocks
-    with open(path, "wb") as f:
-        np.array([lay.n_bs, lay.n_ut, lay.M_t, lay.n_blocks], dtype=np.int64).tofile(f)
-        rows.tofile(f)
-
-
-def load_precoder(path) -> PrecoderState:
-    """Inverse of save_precoder; rebuilds the cluster map from the stored pairs."""
-    with open(path, "rb") as f:
-        header = np.fromfile(f, dtype=np.int64, count=4)
-        if header.size != 4:
-            raise ValueError("truncated precoder file header")
-        n_bs, n_ut, m_t, n_blocks = (int(x) for x in header)
-        check_file_size(f, "precoder", (n_bs, n_ut, m_t, n_blocks), 32 + n_blocks * 16 * (1 + m_t))
-        rows = np.fromfile(f, dtype=record_dtype(m_t), count=n_blocks)  # size checked above
-    l, k = rows["lk"].T
-    bad = np.flatnonzero((l < 0) | (l >= n_bs) | (k < 0) | (k >= n_ut))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"precoder file pair (BS {l[i]}, UT {k[i]}) out of range")
-    serving = [[] for _ in range(n_ut)]
-    for l_i, k_i in zip(l.tolist(), k.tolist()):
-        serving[k_i].append(l_i)
-    layout = BlockLayout(ClusterMap.from_serving(serving, n_bs), m_t)
-    # canonical order: ascending BS, then ascending UT
-    return PrecoderState(layout, rows["v"][np.lexsort((k, l))], copy=False)

@@ -85,7 +85,7 @@ class ScenarioConfig:
         if self.init not in ("rzf", "random"):
             raise ValueError(f"init must be 'rzf' or 'random', got {self.init!r}")
         if len(self.seeds) < 1:
-            raise ValueError("need at least one seed")
+            raise ValueError("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
         if len(set(self.seeds)) != len(self.seeds):
@@ -163,7 +163,13 @@ def load_config(path) -> ScenarioConfig:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     config = ScenarioConfig(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:  # each message starts with the key it rejects
+        key = str(exc).split(" ", 1)[0]
+        if key not in first_line:
+            raise
+        raise ValueError(f"{path}:{first_line[key]}: {exc}") from None
     return config
 
 

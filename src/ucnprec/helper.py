@@ -13,11 +13,9 @@ one at a time and a few BSs ahead of the sweep. A WMMSE sweep carries its pair
 products from sweep to sweep, so past its first sweep it hands the helper only
 eigh calls: its amplitude matrices are gathers and its GEMMs stay on the
 calling thread.
-Each call is the same one-thread BLAS, LAPACK or elementwise call on the same
-operands, writing to its own rows or columns, so both routes give the same
-bits; only the thread that runs it changes. Below the gate everything runs
-inline. With multithreaded BLAS the gate stays closed: the split was measured
-slower there.
+Only the thread that runs a call changes, so both routes give the same bits
+(objective.py says why). Below the gate everything runs inline. With
+multithreaded BLAS the gate stays closed: the split was measured slower there.
 
 The helper runs only private loop functions and LAPACK calls, never a public
 function of the package, so a tracer that wraps the package's public

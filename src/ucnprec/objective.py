@@ -6,35 +6,34 @@ Optimization runs on the negated objective in nats; reported sum rates are in
 bits. Desired and interfering amplitudes are accumulated in the complex domain
 (one K x |U_l| product per BS), which is numerically identical to evaluating
 the real-embedded forms; the test suite cross-checks both routes and validates
-the gradient against central finite differences.
+the gradient against central finite differences. WsrObjective memoizes the
+amplitude matrix and rate terms of the last state it saw, so each iterate's
+amplitudes are computed once even when a line search's value() is followed by
+evaluate() or wsr_bits() at the accepted candidate.
 
-The per-BS products H_l @ conj(P_l)^T land in the columns of one buffer, which is
-conjugated once before each UT's amplitudes are summed from zero in ascending BS
-order into a C-contiguous array. IEEE negation is exact and a GEMM's operation
-sequence does not depend on operand signs, so this is a per-BS scatter loop of
-conj(H_l) @ P_l^T products bit for bit, signed zeros included (conjugating after the
-gather would make an unserved UT's zeros -0), and so are the gradient GEMMs on it.
-That buffer of pair products (_pair_products) is also what a WMMSE sweep carries
-and updates from sweep to sweep, its column for pair (l, k) being exactly the
-conj(H_l) @ p_{l,k} the sweep's update computes; amplitude_matrix given such a
-buffer only gathers.
-This must stay so: the dissipative solver amplifies a last-bit change into a
-visibly different WSR within 50 steps, and the tests pin trace bytes. (A
-padded batched GEMM over all BSs is faster but not bit-identical: OpenBLAS's
-zgemm changes the last bits of the first columns once the padded width
-crosses a multiple of 4.)
-
-Both per-BS GEMM loops go through helper.split_bs_loop: at full scale (M_t >= 48,
-at least 5M multiply-adds, more than one CPU, one-thread OpenBLAS) the helper
-thread runs the tail of the BSs, about half the columns, while this thread runs
-the rest, then both finish before the gather or the diagonal term. Every GEMM
-is the same one-thread call writing to its own columns or rows, so the result
-is the same bits; below that gate the loops run inline. The helper holds its
-own BLAS buffers, a few MB at table1 scale.
-
-WsrObjective memoizes the amplitude matrix and rate terms of the last state it
-saw, so each iterate's amplitudes are computed once even when a line search's
-value() is followed by evaluate() or wsr_bits() at the accepted candidate.
+Bit identity. Every fast path in the package gives the bits of the plain per-BS
+loop it replaced, and must stay so: the dissipative solver amplifies a last-bit
+change into a visibly different WSR within 50 steps, and the tests pin trace
+bytes.
+- The per-BS products H_l @ conj(P_l)^T land in the columns of one buffer
+  (_pair_products), which is conjugated once before each UT's amplitudes are
+  summed from zero in ascending BS order into a C-contiguous array. IEEE
+  negation is exact and a GEMM's operation sequence does not depend on operand
+  signs, so this is a per-BS scatter loop of conj(H_l) @ P_l^T products bit for
+  bit, signed zeros included (conjugating after the gather would make an
+  unserved UT's zeros -0), and so are the gradient GEMMs on it. A WMMSE sweep
+  carries that buffer and overwrites a BS's columns with the product its
+  update computes anyway; amplitude_matrix given such a buffer only gathers.
+- Work split over the helper thread (helper.py), such as both per-BS GEMM
+  loops here, is the same one-thread BLAS, LAPACK or elementwise call on the
+  same operands, writing its own rows or columns, and both shares finish
+  before anything reads them. Elementwise operations and per-row sums give
+  the same bits over any rows, a bincount over whole BSs' rows gives the same
+  per-BS sums, and every reduction over all BSs runs on the calling thread,
+  so both routes give the one-thread bits.
+- A padded batched GEMM over all BSs is faster but not bit-identical: OpenBLAS's
+  zgemm changes the last bits of the first columns once the padded width
+  crosses a multiple of 4.
 """
 
 import math
@@ -200,7 +199,7 @@ def _gradient_blocks(
     return out
 
 
-def central_difference(f, x: np.ndarray, eps: float) -> np.ndarray:
+def _central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
     """Central finite-difference gradient of a scalar function of a flat vector."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -227,7 +226,7 @@ def fd_gradient(
     def f(vec):
         return objective.value(PrecoderState(lay, vec.reshape(lay.n_blocks, lay.block_len)))
 
-    grad = central_difference(f, state.blocks.ravel(), eps)
+    grad = _central_diff(f, state.blocks.ravel(), eps)
     return PrecoderState(lay, grad.reshape(lay.n_blocks, lay.block_len), copy=False)
 
 

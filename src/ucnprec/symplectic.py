@@ -14,19 +14,14 @@ precoder block (the 1/2-scaled Jacobian of the quadratic constraint; the
 multipliers absorb the constant). G is never materialized: both G v and
 G^T lam are per-BS block operations.
 
-So, apart from its two evaluations and four reductions over all BSs (the
-error estimate's norm, the Hamiltonian's sum of q_hat^2, the largest hidden
-residual and the power residual), a step is local to each BS's contiguous
-rows: both multipliers, the kicks, the drift, the projection, the finiteness
-checks and the per-BS dots. rattle_step runs that row work in two halves,
-before and after evaluate(p_next), through helper.split_bs_loop, with the
-objective's gate and cut: at full scale the helper thread takes the tail of
-the BSs. Elementwise ufuncs and per-row sums give the same bits over any rows,
-a bincount over whole BSs' rows gives the same per-BS sums, and the four
-reductions run on the calling thread over full C-contiguous arrays, so both
-routes give the bits of the one-thread step. G(q, q) and G(p, grad) equal the
-previous step's G(q_next, q_next) and G(p_next, grad_next) bit for bit, so
-solve() carries them from step to step instead of recomputing them.
+Apart from its two evaluations and four reductions over all BSs (the error
+estimate's norm, the Hamiltonian's sum of q_hat^2, the largest hidden residual
+and the power residual), a step is local to each BS's contiguous rows, so
+rattle_step runs that row work in two halves, before and after
+evaluate(p_next), through helper.split_bs_loop; helper.py has its gate and
+objective.py why both routes give the same bits. solve() carries G(q, q) and
+G(p, grad) from step to step: they equal the previous step's G(q_next, q_next)
+and G(p_next, grad_next) bit for bit.
 
 iterate() is the loop this solver, GD and NAGD share: the stopping rule,
 the best-iterate choice, the trace and the stall rule exist only there.
@@ -110,45 +105,6 @@ class SolveResult:
     trace: list
     converged: bool
     iterations: int
-
-
-def constraint_apply_G(p: PrecoderState, v: PrecoderState) -> np.ndarray:
-    """Apply the constraint Jacobian: entry l is p_hat_l . v_hat_l."""
-    if not p.layout.same_as(v.layout):
-        raise ValueError("states must share one layout")
-    return _bs_dots(p.layout.row_bs, p.blocks, v.blocks, p.layout.n_bs)
-
-
-def flow_multiplier(
-    p: PrecoderState, q: PrecoderState, grad: PrecoderState, rho: PowerBudget
-) -> np.ndarray:
-    """Continuous-time multiplier that keeps the flow tangent to the manifold.
-
-    With unit mass: lam_l = (q_hat_l . q_hat_l - p_hat_l . grad_l) / rho_l,
-    valid on the manifold where p_hat_l . p_hat_l = rho_l.
-    """
-    if rho.n_bs != p.layout.n_bs:
-        raise ValueError("power budget length must match the number of BSs")
-    return (constraint_apply_G(q, q) - constraint_apply_G(p, grad)) / rho.rho
-
-
-def velocity_multiplier(
-    p_next: PrecoderState,
-    q_half: PrecoderState,
-    grad_next: PrecoderState,
-    rho: PowerBudget,
-    h: float,
-) -> np.ndarray:
-    """Multiplier of the closing half kick, chosen so p_hat_l . q_hat_l = 0 after it.
-
-    mu_l = (2 p_hat_l . q_half_l - h p_hat_l . grad_l) / (h rho_l).
-    """
-    if not h > 0:
-        raise ValueError("h must be > 0")
-    if rho.n_bs != p_next.layout.n_bs:
-        raise ValueError("power budget length must match the number of BSs")
-    num = 2.0 * constraint_apply_G(p_next, q_half) - h * constraint_apply_G(p_next, grad_next)
-    return num / (h * rho.rho)
 
 
 def _bs_dots(row_bs, a: np.ndarray, b: np.ndarray, n: int, work=None) -> np.ndarray:

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ucnprec as u
 from ucnprec import helper
+from ucnprec.channel import ChannelSet, ClusterMap
+from ucnprec.embedding import BlockLayout, PowerBudget, PrecoderState, renormalize_power
 from ucnprec.harness import ScenarioConfig, build_instance, load_config
+from ucnprec.objective import Weights, WsrObjective, amplitude_matrix
+from ucnprec.symplectic import SolverConfig, rattle_step, step_controller
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -43,7 +46,7 @@ def make_instance(seed=0, **overrides):
     cfg = dataclasses.replace(ScenarioConfig(), **overrides)
     cfg.validate()
     topo, ch, clusters = build_instance(cfg, seed)
-    layout = u.BlockLayout(clusters, cfg.M_t)
+    layout = BlockLayout(clusters, cfg.M_t)
     return {
         "cfg": cfg,
         "topo": topo,
@@ -58,7 +61,7 @@ def make_instance(seed=0, **overrides):
 def random_state(layout, rho, seed):
     rng = np.random.default_rng(seed)
     blocks = rng.standard_normal((layout.n_blocks, layout.block_len))
-    return u.renormalize_power(u.PrecoderState(layout, blocks), rho)
+    return renormalize_power(PrecoderState(layout, blocks), rho)
 
 
 def random_served_instance(seed):
@@ -73,10 +76,10 @@ def random_served_instance(seed):
     others = [l for l in range(n_bs) if l != empty_bs]
     serving = [sorted(rng.choice(others, size=n, replace=False).tolist()) for n in sizes]
     entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
-    ch = u.ChannelSet(entries=entries, noise_power=0.1)
-    clusters = u.ClusterMap.from_serving(serving, n_bs)
-    layout = u.BlockLayout(clusters, m_t)
-    state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
+    ch = ChannelSet(entries=entries, noise_power=0.1)
+    clusters = ClusterMap.from_serving(serving, n_bs)
+    layout = BlockLayout(clusters, m_t)
+    state = PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
     return ch, clusters, state
 
 
@@ -96,10 +99,10 @@ def table1_shaped_instance():
     served = [rng.choice(n_ut, size=n, replace=False).tolist() for n in TABLE1_WIDTHS]
     serving = [[l for l in range(n_bs) if k in served[l]] for k in range(n_ut)]
     entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
-    ch = u.ChannelSet(entries=entries, noise_power=0.1)
-    clusters = u.ClusterMap.from_serving(serving, n_bs)
-    layout = u.BlockLayout(clusters, m_t)
-    state = u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
+    ch = ChannelSet(entries=entries, noise_power=0.1)
+    clusters = ClusterMap.from_serving(serving, n_bs)
+    layout = BlockLayout(clusters, m_t)
+    state = PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
     return ch, clusters, state
 
 
@@ -109,7 +112,7 @@ def table1_args():
     Every BS has unit power and every UT unit weight.
     """
     ch, _, state = table1_shaped_instance()
-    return state, ch, u.PowerBudget.uniform(ch.n_bs, 1.0), u.Weights.uniform(ch.n_ut)
+    return state, ch, PowerBudget.uniform(ch.n_bs, 1.0), Weights.uniform(ch.n_ut)
 
 
 def table1_wmmse_digest(sweeps=3, carried=False):
@@ -124,8 +127,8 @@ def table1_wmmse_digest(sweeps=3, carried=False):
     from ucnprec import baselines
 
     ch, _, state = table1_shaped_instance()
-    rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
-    w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    rho = PowerBudget.uniform(ch.n_bs, 1.0)
+    w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
     step = baselines.wmmse_step
     sweeps_out = []  # (wsr_bits, multipliers) per sweep
 
@@ -161,12 +164,12 @@ def table1_objective_digest():
     blocks, then value() at a second random state.
     """
     ch, clusters, state = table1_shaped_instance()
-    w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
     rng = np.random.default_rng(3)
-    other = u.PrecoderState(state.layout, rng.standard_normal(state.blocks.shape))
-    objective = u.WsrObjective(ch, clusters, w)
+    other = PrecoderState(state.layout, rng.standard_normal(state.blocks.shape))
+    objective = WsrObjective(ch, clusters, w)
     digest = hashlib.sha256()
-    digest.update(u.objective.amplitude_matrix(state, ch).tobytes())
+    digest.update(amplitude_matrix(state, ch).tobytes())
     ev = objective.evaluate(state)
     digest.update(np.float64(ev.g_value).tobytes())
     digest.update(np.float64(ev.wsr_bits).tobytes())
@@ -184,23 +187,23 @@ def table1_symplectic_digest(steps=4):
     step, then the final p and q blocks.
     """
     ch, clusters, state = table1_shaped_instance()
-    rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
-    w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
-    objective = u.WsrObjective(ch, clusters, w)
-    config = u.SolverConfig()
-    p = u.renormalize_power(state, rho)
-    q = u.PrecoderState.zeros(p.layout)
+    rho = PowerBudget.uniform(ch.n_bs, 1.0)
+    w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    objective = WsrObjective(ch, clusters, w)
+    config = SolverConfig()
+    p = renormalize_power(state, rho)
+    q = PrecoderState.zeros(p.layout)
     ev = objective.evaluate(p)
     h = config.h0
     digest = hashlib.sha256()
     for n in range(steps):
-        p, q, rec, ev = u.rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
+        p, q, rec, ev = rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
         for value in (
             rec.lam, rec.mu, rec.delta, rec.h_used, rec.hamiltonian, rec.wsr_bits,
             rec.constraint_residual, rec.hidden_residual,
         ):
             digest.update(np.asarray(value, dtype=np.float64).tobytes())
-        h = u.step_controller(rec.delta, h, config)
+        h = step_controller(rec.delta, h, config)
     digest.update(p.blocks.tobytes())
     digest.update(q.blocks.tobytes())
     return digest.hexdigest()

@@ -4,7 +4,8 @@ Everything here is written as plain loops over the defining formulas,
 deliberately sharing no code with the package internals: complex-domain rates
 and powers, the real embedding of channels and precoders that the objective's
 complex evaluation must agree with, the pre-Newton WMMSE sweep, the per-BS
-amplitude scatter and the per-row file writers.
+amplitude scatter, and the constraint Jacobian and RATTLE multipliers that
+rattle_step computes inline.
 """
 
 from dataclasses import dataclass
@@ -115,7 +116,8 @@ def reference_wmmse_step(state, ch, clusters, rho, weights, power_tol=1e-10):
     and the amplitudes are kept by loops over the active pairs. Returns
     (new_state, per-BS multipliers, WSR in bits at the new precoder).
     """
-    from ucnprec import PrecoderState, bisect_power
+    from ucnprec.baselines import bisect_power
+    from ucnprec.embedding import PrecoderState
 
     layout = state.layout
     n_ut = ch.n_ut
@@ -176,26 +178,39 @@ def reference_amplitude_matrix(state, ch):
     return amps
 
 
-def save_channels_by_rows(path, ch):
-    """The per-row channel file writer save_channels must match byte for byte."""
-    b, k_ut, m = ch.entries.shape
-    with open(path, "wb") as f:
-        np.array([b, k_ut, m], dtype=np.int64).tofile(f)
-        np.array([ch.noise_power], dtype=np.float64).tofile(f)
-        for l in range(b):
-            for k in range(k_ut):
-                np.array([l, k], dtype=np.int64).tofile(f)
-                row = np.empty(2 * m, dtype=np.float64)
-                row[0::2] = ch.entries[l, k].real
-                row[1::2] = ch.entries[l, k].imag
-                row.tofile(f)
+# The constraint Jacobian G and the RATTLE multipliers, as whole-array operations.
+# rattle_step computes both multipliers inline over row ranges; these keep its
+# arithmetic (an elementwise product, a per-row np.add.reduce, a bincount of the
+# rows by BS), so they give its bits.
 
 
-def save_precoder_by_rows(path, state):
-    """The per-row precoder file writer save_precoder must match byte for byte."""
-    lay = state.layout
-    with open(path, "wb") as f:
-        np.array([lay.n_bs, lay.n_ut, lay.M_t, lay.n_blocks], dtype=np.int64).tofile(f)
-        for i, (l, k) in enumerate(lay.pairs):
-            np.array([l, k], dtype=np.int64).tofile(f)
-            state.blocks[i].astype(np.float64).tofile(f)
+def constraint_apply_G(p, v):
+    """Apply the constraint Jacobian: entry l is p_hat_l . v_hat_l."""
+    if not p.layout.same_as(v.layout):
+        raise ValueError("states must share one layout")
+    rows = np.add.reduce(np.multiply(p.blocks, v.blocks), axis=1)
+    return np.bincount(p.layout.row_bs, weights=rows, minlength=p.layout.n_bs)
+
+
+def flow_multiplier(p, q, grad, rho):
+    """Continuous-time multiplier that keeps the flow tangent to the manifold.
+
+    With unit mass: lam_l = (q_hat_l . q_hat_l - p_hat_l . grad_l) / rho_l,
+    valid on the manifold where p_hat_l . p_hat_l = rho_l.
+    """
+    if rho.n_bs != p.layout.n_bs:
+        raise ValueError("power budget length must match the number of BSs")
+    return (constraint_apply_G(q, q) - constraint_apply_G(p, grad)) / rho.rho
+
+
+def velocity_multiplier(p_next, q_half, grad_next, rho, h):
+    """Multiplier of the closing half kick, chosen so p_hat_l . q_hat_l = 0 after it.
+
+    mu_l = (2 p_hat_l . q_half_l - h p_hat_l . grad_l) / (h rho_l).
+    """
+    if not h > 0:
+        raise ValueError("h must be > 0")
+    if rho.n_bs != p_next.layout.n_bs:
+        raise ValueError("power budget length must match the number of BSs")
+    num = 2.0 * constraint_apply_G(p_next, q_half) - h * constraint_apply_G(p_next, grad_next)
+    return num / (h * rho.rho)

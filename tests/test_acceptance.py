@@ -11,9 +11,11 @@ import time
 import numpy as np
 import pytest
 
-import ucnprec as u
-from ucnprec.baselines import wmmse_step
-from ucnprec.harness import ScenarioConfig, build_instance
+from ucnprec.baselines import gd_solve, nagd_solve, rzf_init, wmmse_iterate, wmmse_step
+from ucnprec.embedding import PrecoderState, bs_block_norms, renormalize_power
+from ucnprec.harness import ScenarioConfig, build_instance, complexity_probe
+from ucnprec.objective import WsrObjective, fd_gradient
+from ucnprec.symplectic import SolverConfig, solve
 from conftest import load_preset, make_instance
 
 N_SEEDS = 20
@@ -37,7 +39,7 @@ def hp_instances():
         _, ch, clusters = build_instance(cfg, seed)
         rho = cfg.power_budget()
         w = cfg.weights()
-        init = u.rzf_init(ch, clusters, rho)
+        init = rzf_init(ch, clusters, rho)
         out.append(dict(ch=ch, clusters=clusters, rho=rho, w=w, init=init))
     return cfg, out
 
@@ -50,9 +52,9 @@ def hp_head_to_head(hp_instances):
     sym, wm = [], []
     start = time.perf_counter()
     for inst in insts:
-        res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], solver_cfg)
+        res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], solver_cfg)
         sym.append(max(rec.wsr_bits for rec in res.trace))
-        _, trace = u.wmmse_iterate(inst["init"], inst["ch"], inst["rho"], inst["w"], 50)
+        _, trace = wmmse_iterate(inst["init"], inst["ch"], inst["rho"], inst["w"], 50)
         wm.append(float(trace[-1]))
     elapsed = time.perf_counter() - start
     return np.array(sym), np.array(wm), elapsed
@@ -67,18 +69,18 @@ def hp_speed_traces(hp_instances):
     out = {"symplectic": [], "nagd": [], "gd": []}
     for inst in insts:
         args = (inst["ch"], inst["clusters"], inst["w"])
-        sc = u.SolverConfig(
+        sc = SolverConfig(
             gamma=solver_cfg.gamma, h0=solver_cfg.h0, r_ctrl=solver_cfg.r_ctrl,
             theta=solver_cfg.theta, max_iters=horizon, rel_tol=1e-12, h_max=solver_cfg.h_max,
         )
-        res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], sc)
+        res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], sc)
         out["symplectic"].append([rec.wsr_bits for rec in res.trace])
-        na = u.nagd_solve(
-            inst["init"], u.WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
+        na = nagd_solve(
+            inst["init"], WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
         )
         out["nagd"].append([rec.wsr_bits for rec in na.trace])
-        gd = u.gd_solve(
-            inst["init"], u.WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
+        gd = gd_solve(
+            inst["init"], WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
         )
         out["gd"].append([rec.wsr_bits for rec in gd.trace])
     return out
@@ -91,12 +93,12 @@ def test_criterion_01_gradient_oracle():
         inst = make_instance(seed=seed, gnb_count=3, sectors_per_gnb=1, M_t=4, K=5, B_sc=2)
         rng = np.random.default_rng(1000 + seed)
         layout = inst["layout"]
-        state = u.renormalize_power(
-            u.PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len))),
+        state = renormalize_power(
+            PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len))),
             inst["rho"],
         )
-        analytic = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state).grad
-        numeric = u.fd_gradient(state, inst["ch"], inst["clusters"], inst["w"], eps=1e-5)
+        analytic = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state).grad
+        numeric = fd_gradient(state, inst["ch"], inst["clusters"], inst["w"], eps=1e-5)
         err = np.linalg.norm(analytic.blocks - numeric.blocks) / np.linalg.norm(numeric.blocks)
         worst = max(worst, float(err))
     elapsed = time.perf_counter() - start
@@ -108,13 +110,13 @@ def test_criterion_01_gradient_oracle():
 
 def test_criterion_02_hidden_constraint_enforced():
     inst = make_instance(seed=0)
-    init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+    init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
     cfg = inst["cfg"].solver_config()
-    sc = u.SolverConfig(
+    sc = SolverConfig(
         gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
         max_iters=200, rel_tol=1e-30, h_max=cfg.h_max,
     )
-    res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+    res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
     worst = max(rec.hidden_residual for rec in res.trace)
     ok = res.iterations == 200 and worst <= 1e-9
     assert _report(2, "hidden constraint", ok, f"(max residual {worst:.2e} over 200 iterations)")
@@ -124,15 +126,15 @@ def test_criterion_03_manifold_maintenance():
     worst_on, worst_off = 0.0, 0.0
     for seed in range(5):
         inst = make_instance(seed=seed)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         base = inst["cfg"].solver_config()
         for project in (True, False):
-            sc = u.SolverConfig(
+            sc = SolverConfig(
                 gamma=base.gamma, h0=base.h0, r_ctrl=base.r_ctrl, theta=base.theta,
                 max_iters=100, rel_tol=1e-30, h_max=base.h_max,
                 project_positions=project,
             )
-            res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+            res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
             peak = max(rec.constraint_residual for rec in res.trace)
             if project:
                 worst_on = max(worst_on, peak)
@@ -149,13 +151,13 @@ def test_criterion_04_wmmse_sanity():
     worst_drop, worst_power = 0.0, 0.0
     for seed in range(N_SEEDS):
         inst = make_instance(seed=seed)
-        state = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        prev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
+        state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        prev = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
         for _ in range(25):
             state, _, wsr_now = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
             worst_drop = max(worst_drop, prev - wsr_now)
             prev = wsr_now
-            excess = u.bs_block_norms(state) / inst["rho"].rho - 1.0
+            excess = bs_block_norms(state) / inst["rho"].rho - 1.0
             worst_power = max(worst_power, float(excess.max()))
     ok = worst_drop <= 1e-8 and worst_power <= 1e-8
     assert _report(
@@ -191,14 +193,14 @@ def test_criterion_07_adaptive_step_benefit():
     iters = {0.5: [], 0.0: []}
     for seed in range(N_SEEDS):
         inst = make_instance(seed=seed)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         base = inst["cfg"].solver_config()
         for theta in (0.5, 0.0):
-            sc = u.SolverConfig(
+            sc = SolverConfig(
                 gamma=base.gamma, h0=base.h0, r_ctrl=base.r_ctrl, theta=theta,
                 max_iters=400, rel_tol=base.rel_tol, h_max=base.h_max,
             )
-            res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+            res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
             iters[theta].append(res.iterations if res.converged else 400)
     med_adaptive = float(np.median(iters[0.5]))
     med_fixed = float(np.median(iters[0.0]))
@@ -211,7 +213,7 @@ def test_criterion_07_adaptive_step_benefit():
 
 def test_criterion_08_cluster_size_ordering(hp_instances):
     cfg, _ = hp_instances
-    solver_cfg = u.SolverConfig(
+    solver_cfg = SolverConfig(
         gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
         max_iters=150, rel_tol=1e-12, h_max=cfg.h_max,
     )
@@ -224,8 +226,8 @@ def test_criterion_08_cluster_size_ordering(hp_instances):
                 gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
                 h_max=cfg.h_max, rel_tol=1e-12,
             )
-            init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, solver_cfg)
+            init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+            res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, solver_cfg)
             finals.append(max(rec.wsr_bits for rec in res.trace))
         medians[b_sc] = float(np.median(finals))
     recovery = (medians[3] - medians[1]) / (medians[7] - medians[1])
@@ -238,7 +240,7 @@ def test_criterion_08_cluster_size_ordering(hp_instances):
 
 
 def test_criterion_09_complexity_scaling():
-    report = u.complexity_probe(
+    report = complexity_probe(
         ScenarioConfig(), m_t_grid=(4, 8, 16), k_grid=(5, 10, 20), b_sc_grid=(1, 2, 3)
     )
     ok = (
@@ -259,11 +261,11 @@ def test_criterion_10_single_user_optimality():
         inst = make_instance(
             seed=seed, K=1, tx_power_dbm=24.0, gamma=8.0, h0=0.01, r_ctrl=1.0, h_max=1.0
         )
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        sc = u.SolverConfig(
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        sc = SolverConfig(
             gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12
         )
-        res = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+        res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
         got = max(rec.wsr_bits for rec in res.trace)
         amp = sum(
             math.sqrt(inst["rho"].rho[l]) * np.linalg.norm(inst["ch"].entries[l, 0])

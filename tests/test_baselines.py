@@ -10,11 +10,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ucnprec as u
 from ucnprec import baselines, helper
-from ucnprec.baselines import BisectionError, wmmse_step
-from ucnprec.harness import ScenarioConfig, build_instance, initial_precoder
-from ucnprec.objective import ObjectiveEval, _pair_products
+from ucnprec.baselines import (
+    BisectionError,
+    bisect_power,
+    gd_solve,
+    nagd_solve,
+    newton_multiplier,
+    rzf_init,
+    wmmse_iterate,
+    wmmse_step,
+)
+from ucnprec.channel import ChannelSet, ClusterMap
+from ucnprec.embedding import (
+    BlockLayout,
+    PowerBudget,
+    PrecoderState,
+    bs_block_norms,
+    renormalize_power,
+)
+from ucnprec.harness import (
+    ScenarioConfig,
+    build_instance,
+    initial_precoder,
+    load_config,
+    run_experiment,
+)
+from ucnprec.objective import ObjectiveEval, Weights, WsrObjective, _pair_products, amplitude_matrix
+from ucnprec.symplectic import SolverConfig, SolverDivergence, solve
 from conftest import (
     load_preset,
     make_instance,
@@ -45,7 +68,7 @@ class QuadraticObjective:
     def evaluate(self, state):
         self.grad_evals += 1
         e = state.blocks.ravel() - self.x_star
-        grad = u.PrecoderState(self.layout, (self.d * e).reshape(state.blocks.shape))
+        grad = PrecoderState(self.layout, (self.d * e).reshape(state.blocks.shape))
         val = 0.5 * float(e @ (self.d * e))
         return ObjectiveEval(g_value=val, wsr_bits=-val, grad=grad, terms=None)
 
@@ -65,7 +88,7 @@ class InconsistentObjective:
 
     def evaluate(self, state):
         self.grad_evals += 1
-        grad = u.PrecoderState(self.layout, np.ones(state.blocks.shape))
+        grad = PrecoderState(self.layout, np.ones(state.blocks.shape))
         return ObjectiveEval(g_value=0.0, wsr_bits=0.0, grad=grad, terms=None)
 
 
@@ -110,7 +133,7 @@ def warm_frozen_runs():
     """Warm-started sweeps over every frozen case: (WSR trace, worst power error, evals)."""
     runs = {}
     for case in FROZEN_WSR:
-        cfg = u.load_config(REPO / "configs" / case["config"])
+        cfg = load_config(REPO / "configs" / case["config"])
         _, ch, clusters = build_instance(cfg, case["seed"])
         rho, w = cfg.power_budget(), cfg.weights()
         state = initial_precoder(cfg, ch, clusters, rho, case["seed"])
@@ -120,7 +143,7 @@ def warm_frozen_runs():
             state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam)
             lam = ws.lam
             wsr_trace.append(wsr_bits)
-            powers = u.bs_block_norms(state)
+            powers = bs_block_norms(state)
             worst = max(worst, float(np.max(np.abs(powers[mask] / rho.rho[mask] - 1.0))))
             evals.extend(ws.power_evals[mask])
         runs[(case["config"], case["seed"])] = (wsr_trace, worst, evals)
@@ -128,14 +151,14 @@ def warm_frozen_runs():
 
 
 def _single_pair_layout(m_t=4):
-    cm = u.ClusterMap.from_serving([[0]], 1)
-    return u.BlockLayout(cm, m_t)
+    cm = ClusterMap.from_serving([[0]], 1)
+    return BlockLayout(cm, m_t)
 
 
 class TestRzf:
     def test_single_served_ut_is_matched_filter(self):
         inst = make_instance(seed=0, K=1, B_sc=1)
-        state = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         l = inst["clusters"].serving_bs[0][0]
         h = inst["ch"].entries[l, 0]
         p = state.complex_blocks()[state.layout.pairs.index((l, 0))]
@@ -147,16 +170,16 @@ class TestRzf:
         entries = np.zeros((1, 2, 4), dtype=complex)
         entries[0, 0] = [1.0, 1.0j, 0.0, 0.0]
         entries[0, 1] = [0.0, 0.0, 1.0, -1.0j]
-        ch = u.ChannelSet(entries=entries, noise_power=0.1)
-        cm = u.ClusterMap.from_serving([[0], [0]], 1)
-        rho = u.PowerBudget(np.array([2.0]))
-        state = u.rzf_init(ch, cm, rho)
+        ch = ChannelSet(entries=entries, noise_power=0.1)
+        cm = ClusterMap.from_serving([[0], [0]], 1)
+        rho = PowerBudget(np.array([2.0]))
+        state = rzf_init(ch, cm, rho)
         blocks = state.complex_blocks()
         assert abs(np.vdot(blocks[0], blocks[1])) < 1e-12
 
     def test_power_budget_met_exactly(self, small_instance):
-        state = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        powers = u.bs_block_norms(state)
+        state = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        powers = bs_block_norms(state)
         mask = state.layout.nonempty_bs
         assert np.allclose(powers[mask], small_instance["rho"].rho[mask], rtol=1e-12)
 
@@ -164,8 +187,8 @@ class TestRzf:
 class TestWmmse:
     def test_reaches_fixed_point(self):
         inst = make_instance(seed=1, gnb_count=2, M_t=2, K=2, B_sc=1)
-        state = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        prev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
+        state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        prev = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
         settled = False
         for _ in range(3000):
             state, _, wsr_now = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
@@ -180,18 +203,18 @@ class TestWmmse:
     def test_monotone_over_random_instances(self):
         for seed in range(10):
             inst = make_instance(seed=seed, gnb_count=3, M_t=4, K=6, B_sc=2)
-            init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            _, trace = u.wmmse_iterate(init, inst["ch"], inst["rho"], inst["w"], 25)
-            start = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(init)
+            init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+            _, trace = wmmse_iterate(init, inst["ch"], inst["rho"], inst["w"], 25)
+            start = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(init)
             full = np.concatenate([[start], trace])
             assert np.all(np.diff(full) >= -1e-8 * np.maximum(1.0, np.abs(full[:-1])))
 
     def test_power_feasible_every_iteration(self, small_instance):
-        state = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        state = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         rho = small_instance["rho"]
         for _ in range(15):
             state, ws, _ = wmmse_step(state, small_instance["ch"], rho, small_instance["w"])
-            powers = u.bs_block_norms(state)
+            powers = bs_block_norms(state)
             assert np.all(powers <= rho.rho * (1.0 + 1e-8))
             assert np.all(ws.W >= 1.0 - 1e-9)
             assert np.all(ws.lam >= 0.0)
@@ -202,7 +225,7 @@ class TestWmmse:
     def test_matches_frozen_bisection_trace(self, case):
         # WSR per sweep recorded with the midpoint bisection; the multiplier
         # search may change how lam is found, never where the sweep lands
-        cfg = u.load_config(REPO / "configs" / case["config"])
+        cfg = load_config(REPO / "configs" / case["config"])
         _, ch, clusters = build_instance(cfg, case["seed"])
         rho, w = cfg.power_budget(), cfg.weights()
         state = initial_precoder(cfg, ch, clusters, rho, case["seed"])
@@ -211,7 +234,7 @@ class TestWmmse:
         for _ in range(case["sweeps"]):
             state, _, wsr_bits = wmmse_step(state, ch, rho, w)
             wsr_trace.append(wsr_bits)
-            powers = u.bs_block_norms(state)
+            powers = bs_block_norms(state)
             assert np.all(np.abs(powers[mask] - rho.rho[mask]) <= 1e-10 * rho.rho[mask])
         np.testing.assert_allclose(wsr_trace, case["wsr_bits"], rtol=1e-9, atol=0.0)
 
@@ -236,8 +259,8 @@ class TestWmmse:
 
     def test_iterate_threads_multipliers(self, small_instance):
         args = (small_instance["ch"], small_instance["rho"], small_instance["w"])
-        init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        _, trace = u.wmmse_iterate(init, *args, 6)
+        init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        _, trace = wmmse_iterate(init, *args, 6)
         state, lam, manual = init, None, []
         for _ in range(6):
             state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
@@ -249,7 +272,7 @@ class TestWmmse:
         # K < M_t: every gram is rank deficient
         for seed in range(6):
             inst = make_instance(seed=seed, gnb_count=3, M_t=8, K=5, B_sc=2)
-            state = ref = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+            state = ref = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
             lam = None
             for _ in range(15):
                 state, ws, wsr_bits = wmmse_step(
@@ -268,25 +291,25 @@ class TestWmmse:
             inst = make_instance(
                 seed=seed, gnb_count=3, M_t=8, K=4, B_sc=1, tx_power_dbm=40.0
             )
-            w = u.Weights(np.array([1.0, 0.0, 0.0, 0.0]))
-            state = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            prev = u.WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state)
+            w = Weights(np.array([1.0, 0.0, 0.0, 0.0]))
+            state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+            prev = WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state)
             lam = None
             for _ in range(30):
                 state, ws, wsr_bits = wmmse_step(state, inst["ch"], inst["rho"], w, lam0=lam)
                 lam = ws.lam
                 assert np.all(np.isfinite(state.blocks))
-                assert np.all(u.bs_block_norms(state) <= inst["rho"].rho * (1.0 + 1e-10))
+                assert np.all(bs_block_norms(state) <= inst["rho"].rho * (1.0 + 1e-10))
                 assert wsr_bits >= prev - 1e-9 * max(1.0, abs(prev))
                 prev = wsr_bits
 
     def test_iterate_returns_trace(self, small_instance):
-        init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        state, trace = u.wmmse_iterate(
+        init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        state, trace = wmmse_iterate(
             init, small_instance["ch"], small_instance["rho"], small_instance["w"], 8
         )
         assert trace.shape == (8,)
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         assert obj.wsr_bits(state) == pytest.approx(trace[-1], rel=1e-9)
 
 
@@ -445,7 +468,7 @@ class TestEighWorker:
             ScenarioConfig(), gnb_count=2, sectors_per_gnb=1, M_t=48, K=4, B_sc=2,
             seeds=(0,), wmmse_iters=2,
         )
-        summary = u.run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
+        summary = run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
         assert guard.threads == {"ucnprec-helper_0"}  # every call ran on the one helper
         wmmse_row, rzf_row = summary.rows
         assert wmmse_row.error == "LinAlgError: injected eigh failure"
@@ -549,9 +572,9 @@ class TestCarriedProducts:
         guard = eigh_guard()
         state, ch, rho, w = table1_args()
         products = _pair_products(state, ch)
-        other = u.ChannelSet(entries=ch.entries[1:], noise_power=ch.noise_power)
+        other = ChannelSet(entries=ch.entries[1:], noise_power=ch.noise_power)
         with pytest.raises(ValueError, match="pair products"):
-            wmmse_step(state, other, u.PowerBudget.uniform(other.n_bs, 1.0), w, products=products)
+            wmmse_step(state, other, PowerBudget.uniform(other.n_bs, 1.0), w, products=products)
         assert guard.calls == 0
 
     @pytest.mark.parametrize("route", ["inline", "helper"])
@@ -567,7 +590,7 @@ class TestCarriedProducts:
 def _split_evaluation():
     """evaluate() at table1 shape; fails unless the loops ran split (fork target)."""
     ch, clusters, state = table1_shaped_instance()
-    u.WsrObjective(ch, clusters, u.Weights.uniform(ch.n_ut)).evaluate(state)
+    WsrObjective(ch, clusters, Weights.uniform(ch.n_ut)).evaluate(state)
     assert helper._executor is not None
 
 
@@ -615,7 +638,7 @@ class TestHelperSplit:
     def test_helper_used_at_table1_shape_not_at_desk_shape(self, split_guard):
         guard = split_guard()
         ch, clusters, state = table1_shaped_instance()
-        u.WsrObjective(ch, clusters, u.Weights.uniform(ch.n_ut)).evaluate(state)
+        WsrObjective(ch, clusters, Weights.uniform(ch.n_ut)).evaluate(state)
         # BSs 16-20 hold 233 of the 438 columns, the tail nearest to half
         assert sorted(guard.shares) == [
             (1, False, 0, 16), (1, True, 16, 21), (2, False, 0, 16), (2, True, 16, 21)
@@ -625,7 +648,7 @@ class TestHelperSplit:
             guard.shares.clear()
             inst = make_instance(seed=0, M_t=m_t)
             state = random_state(inst["layout"], inst["rho"], 0)
-            u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
+            WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
             n_bs = inst["ch"].n_bs
             last = guard.splits
             assert guard.shares == [(last - 1, False, 0, n_bs), (last, False, 0, n_bs)]
@@ -635,9 +658,9 @@ class TestHelperSplit:
     )
     def test_helper_error_raises_in_caller(self, split_guard, call, split):
         ch, clusters, state = table1_shaped_instance()
-        objective = u.WsrObjective(ch, clusters, u.Weights.uniform(ch.n_ut))
+        objective = WsrObjective(ch, clusters, Weights.uniform(ch.n_ut))
         run = {
-            "amplitude_matrix": lambda: u.objective.amplitude_matrix(state, ch),
+            "amplitude_matrix": lambda: amplitude_matrix(state, ch),
             "evaluate": lambda: objective.evaluate(state).grad.blocks,
         }[call]
         expected = run()
@@ -653,10 +676,10 @@ class TestHelperSplit:
 
     def test_main_thread_error_waits_for_helper_share(self, split_guard):
         ch, _, state = table1_shaped_instance()
-        expected = u.objective.amplitude_matrix(state, ch)
+        expected = amplitude_matrix(state, ch)
         guard = split_guard(fail=(1, False), helper_delay=0.3)
         with pytest.raises(RuntimeError, match="injected"):
-            u.objective.amplitude_matrix(state, ch)
+            amplitude_matrix(state, ch)
         ended = guard.ended
         guard.close()
         assert ended == len(guard.shares) == 2  # the helper's share had finished
@@ -664,7 +687,7 @@ class TestHelperSplit:
         guard.fail = None
         guard.helper_delay = 0.0
         guard.closed = False
-        _assert_close(u.objective.amplitude_matrix(state, ch), expected)
+        _assert_close(amplitude_matrix(state, ch), expected)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_runs_split_evaluation(self, open_helper_gate):
@@ -682,17 +705,17 @@ class TestHelperSplit:
 
 class TestBisection:
     def test_inactive_constraint(self):
-        assert u.bisect_power(lambda lam: 0.3 / (1.0 + lam), 1.0) == 0.0
+        assert bisect_power(lambda lam: 0.3 / (1.0 + lam), 1.0) == 0.0
 
     def test_scalar_toy(self):
-        lam = u.bisect_power(lambda lam: 1.0 / (1.0 + lam) ** 2, 0.25, tol=1e-12)
+        lam = bisect_power(lambda lam: 1.0 / (1.0 + lam) ** 2, 0.25, tol=1e-12)
         assert lam == pytest.approx(1.0, rel=1e-6)
 
     def test_call_count_on_random_quadratics(self):
         calls = []
         for power, rho_l in _random_quadratics():
             counted = []
-            u.bisect_power(lambda lam: counted.append(lam) or power(lam), rho_l, tol=1e-10)
+            bisect_power(lambda lam: counted.append(lam) or power(lam), rho_l, tol=1e-10)
             calls.append(len(counted))
         assert np.mean(calls) <= 15
 
@@ -703,7 +726,7 @@ class TestBisection:
         def power(lam):
             return np.inf if lam == 0.0 else float(np.sum(s / (e + lam) ** 2))
 
-        lam = u.bisect_power(power, 0.3, tol=1e-10)
+        lam = bisect_power(power, 0.3, tol=1e-10)
         assert lam > 0.0
         assert abs(power(lam) - 0.3) <= 1e-10 * 0.3
 
@@ -715,7 +738,7 @@ class TestBisection:
             return 1.0 / (1.0 + lam) ** 2
 
         # the bracket probes 0, 1, 2, 4; power(4) = 1/25 exactly
-        assert u.bisect_power(power, 1.0 / 25.0, tol=1e-10) == 4.0
+        assert bisect_power(power, 1.0 / 25.0, tol=1e-10) == 4.0
         assert calls == [0.0, 1.0, 2.0, 4.0]
 
     def test_postcondition_on_random_quadratics(self):
@@ -728,7 +751,7 @@ class TestBisection:
             def power(lam):
                 return float(np.sum(z2 / (evals + lam) ** 2))
 
-            lam = u.bisect_power(power, rho_l, tol=1e-8)
+            lam = bisect_power(power, rho_l, tol=1e-8)
             if lam > 0.0:
                 assert abs(power(lam) - rho_l) <= 1e-8 * rho_l
             else:
@@ -736,24 +759,24 @@ class TestBisection:
 
     def test_nonmonotone_raises(self):
         with pytest.raises(BisectionError):
-            u.bisect_power(lambda lam: 2.0 + lam, 1.0)
+            bisect_power(lambda lam: 2.0 + lam, 1.0)
 
     def test_bracket_failure_raises(self):
         with pytest.raises(BisectionError, match="bracket"):
-            u.bisect_power(lambda lam: 2.0, 1.0, max_doublings=8)
+            bisect_power(lambda lam: 2.0, 1.0, max_doublings=8)
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            u.bisect_power(lambda lam: 1.0, 0.0)
+            bisect_power(lambda lam: 1.0, 0.0)
 
 
 class TestNewtonMultiplier:
     def test_zero_multiplier_when_feasible(self):
         e, s = np.array([0.1, 10.0]), np.array([1e-4, 50.0])
         assert _secular(e, s, 0.0) < 1.0
-        assert u.newton_multiplier(e, s, 1.0) == (0.0, 1)
+        assert newton_multiplier(e, s, 1.0) == (0.0, 1)
         # here the bound sum(s) / e_0^2 <= rho_l already decides it
-        assert u.newton_multiplier(np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1.0) == (0.0, 0)
+        assert newton_multiplier(np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1.0) == (0.0, 0)
 
     @pytest.mark.parametrize("lam0", [None, 0.0])
     def test_singular_zero_eigenvalue(self, lam0):
@@ -761,7 +784,7 @@ class TestNewtonMultiplier:
         e, s = np.array([0.0, 1.5]), np.array([0.5, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam, _ = u.newton_multiplier(e, s, 0.3, 1e-10, lam0)
+            lam, _ = newton_multiplier(e, s, 0.3, 1e-10, lam0)
         assert lam > 0.0
         assert abs(_secular(e, s, lam) - 0.3) <= 1e-10 * 0.3
 
@@ -771,27 +794,27 @@ class TestNewtonMultiplier:
         e, s = np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert u.newton_multiplier(e, s, 1.0, 1e-10, lam0)[0] == 0.0  # P(0) = 1/4
-            lam, _ = u.newton_multiplier(e, s, 1.0 / 16.0, 1e-10, lam0)
+            assert newton_multiplier(e, s, 1.0, 1e-10, lam0)[0] == 0.0  # P(0) = 1/4
+            lam, _ = newton_multiplier(e, s, 1.0 / 16.0, 1e-10, lam0)
         assert lam == pytest.approx(2.0, rel=1e-9)  # 1 / (2 + lam)^2 = 1/16
-        assert u.newton_multiplier(e, np.zeros(3), 1.0) == (0.0, 0)
+        assert newton_multiplier(e, np.zeros(3), 1.0) == (0.0, 0)
 
     @pytest.mark.parametrize("side", [0.5, 1.5])
     def test_warm_start_either_side_of_root(self, side):
         for e, s, rho_l in _secular_problems():
-            root, _ = u.newton_multiplier(e, s, rho_l, 1e-14)
+            root, _ = newton_multiplier(e, s, rho_l, 1e-14)
             assert root > 0.0
-            lam, n = u.newton_multiplier(e, s, rho_l, 1e-10, side * root)
+            lam, n = newton_multiplier(e, s, rho_l, 1e-10, side * root)
             assert abs(_secular(e, s, lam) - rho_l) <= 1e-10 * rho_l
             assert n <= 8
-            lam, n = u.newton_multiplier(e, s, rho_l, 1e-10, root * (1.0 + 1e-3 * (side - 1.0)))
+            lam, n = newton_multiplier(e, s, rho_l, 1e-10, root * (1.0 + 1e-3 * (side - 1.0)))
             assert abs(_secular(e, s, lam) - rho_l) <= 1e-10 * rho_l
             assert n <= 3
 
     def test_cold_start_on_random_problems(self):
         calls = []
         for e, s, rho_l in _secular_problems():
-            lam, n = u.newton_multiplier(e, s, rho_l, 1e-10)
+            lam, n = newton_multiplier(e, s, rho_l, 1e-10)
             assert abs(_secular(e, s, lam) - rho_l) <= 1e-10 * rho_l
             calls.append(n)
         assert np.mean(calls) <= 5
@@ -800,22 +823,22 @@ class TestNewtonMultiplier:
         # tol = 0 asks for an exact root; the search stops when the bracket
         # can no longer shrink and returns its feasible end
         for e, s, rho_l in _secular_problems():
-            lam, n = u.newton_multiplier(e, s, rho_l, 0.0)
+            lam, n = newton_multiplier(e, s, rho_l, 0.0)
             assert _secular(e, s, lam) <= rho_l * (1.0 + 1e-15)  # rounding of the sum
             assert _secular(e, s, lam * (1.0 - 1e-14)) > rho_l
             assert n < 100
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            u.newton_multiplier(np.array([1.0]), np.array([1.0]), 0.0)
+            newton_multiplier(np.array([1.0]), np.array([1.0]), 0.0)
 
 
 class TestGd:
     def test_zero_gradient_returns_init(self):
         layout = _single_pair_layout()
-        init = u.PrecoderState(layout, np.ones((1, 8)))
+        init = PrecoderState(layout, np.ones((1, 8)))
         obj = QuadraticObjective(layout, np.ones(8), np.ones(8))
-        result = u.gd_solve(init, obj, rho=None, max_iters=50)
+        result = gd_solve(init, obj, rho=None, max_iters=50)
         assert result.converged
         assert result.iterations == 0
         assert np.array_equal(result.precoder.blocks, init.blocks)
@@ -830,12 +853,12 @@ class TestGd:
         d = rng.uniform(0.5, 5.0, 10)
         x_star = rng.standard_normal(10)
         obj = QuadraticObjective(layout, d, x_star)
-        init = u.PrecoderState(layout, rng.standard_normal((1, 10)))
-        result = u.gd_solve(init, obj, rho=None, max_iters=60, rel_tol=1e-300)
+        init = PrecoderState(layout, rng.standard_normal((1, 10)))
+        result = gd_solve(init, obj, rho=None, max_iters=60, rel_tol=1e-300)
         assert result.iterations == 60
 
         def trial(x, ev, gnorm2, alpha):
-            cand = u.PrecoderState(layout, x.blocks - alpha * ev.grad.blocks, copy=False)
+            cand = PrecoderState(layout, x.blocks - alpha * ev.grad.blocks, copy=False)
             return cand, obj.value(cand) <= ev.g_value - c1 * alpha * gnorm2
 
         x, start, backtracked = init, alpha0, 0
@@ -866,28 +889,28 @@ class TestGd:
         # on g = d/2 ||x||^2 the unit step passes the Armijo test iff d <= 2 - 2 c1
         layout = _single_pair_layout()
         obj = QuadraticObjective(layout, np.full(8, 2.0 - slack * baselines._C1), np.zeros(8))
-        init = u.PrecoderState(layout, np.ones((1, 8)))
-        result = u.gd_solve(init, obj, rho=None, max_iters=1)
+        init = PrecoderState(layout, np.ones((1, 8)))
+        result = gd_solve(init, obj, rho=None, max_iters=1)
         assert result.trace[0].h_used == alpha
 
     def test_accepted_steps_strictly_decrease_objective(self, small_instance):
-        init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        result = u.gd_solve(init, obj, small_instance["rho"], max_iters=30, rel_tol=1e-300)
-        ws = [obj.wsr_bits(u.renormalize_power(init, small_instance["rho"]))]
+        init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        result = gd_solve(init, obj, small_instance["rho"], max_iters=30, rel_tol=1e-300)
+        ws = [obj.wsr_bits(renormalize_power(init, small_instance["rho"]))]
         ws += [rec.wsr_bits for rec in result.trace]
         for prev, cur, rec in zip(ws[:-1], ws[1:], result.trace):
             if rec.h_used and rec.h_used > 0:
                 assert cur > prev
-        powers = u.bs_block_norms(result.precoder)
+        powers = bs_block_norms(result.precoder)
         mask = result.precoder.layout.nonempty_bs
         assert np.allclose(powers[mask], small_instance["rho"].rho[mask], rtol=1e-12)
 
     def test_stall_detection(self):
         layout = _single_pair_layout()
-        init = u.PrecoderState(layout, np.ones((1, 8)))
+        init = PrecoderState(layout, np.ones((1, 8)))
         obj = InconsistentObjective(layout)
-        result = u.gd_solve(init, obj, rho=None, max_iters=50)
+        result = gd_solve(init, obj, rho=None, max_iters=50)
         assert not result.converged
         assert result.iterations == 10
         assert all(rec.h_used == 0.0 for rec in result.trace)
@@ -895,11 +918,11 @@ class TestGd:
 
 class TestNagd:
     def test_first_iteration_has_no_momentum(self, small_instance):
-        init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         args = (small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        gd = u.gd_solve(init, u.WsrObjective(*args), small_instance["rho"], max_iters=1, rel_tol=1e-300)
-        na = u.nagd_solve(
-            init, u.WsrObjective(*args), small_instance["rho"], max_iters=1, rel_tol=1e-300
+        gd = gd_solve(init, WsrObjective(*args), small_instance["rho"], max_iters=1, rel_tol=1e-300)
+        na = nagd_solve(
+            init, WsrObjective(*args), small_instance["rho"], max_iters=1, rel_tol=1e-300
         )
         assert gd.trace[0].wsr_bits == na.trace[0].wsr_bits
 
@@ -907,22 +930,22 @@ class TestNagd:
         finals_na, finals_gd = [], []
         for seed in range(6):
             inst = make_instance(seed=seed, tx_power_dbm=24.0)
-            init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+            init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
             args = (inst["ch"], inst["clusters"], inst["w"])
-            na = u.nagd_solve(
-                init, u.WsrObjective(*args), inst["rho"], max_iters=80, rel_tol=1e-300
+            na = nagd_solve(
+                init, WsrObjective(*args), inst["rho"], max_iters=80, rel_tol=1e-300
             )
-            gd = u.gd_solve(
-                init, u.WsrObjective(*args), inst["rho"], max_iters=80, rel_tol=1e-300
+            gd = gd_solve(
+                init, WsrObjective(*args), inst["rho"], max_iters=80, rel_tol=1e-300
             )
             finals_na.append(na.trace[-1].wsr_bits)
             finals_gd.append(gd.trace[-1].wsr_bits)
         assert np.median(finals_na) > np.median(finals_gd)
 
     def test_trace_is_monotone(self, small_instance):
-        init = u.rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        result = u.nagd_solve(init, obj, small_instance["rho"], max_iters=40, rel_tol=1e-300)
+        init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        result = nagd_solve(init, obj, small_instance["rho"], max_iters=40, rel_tol=1e-300)
         ws = np.array([rec.wsr_bits for rec in result.trace])
         assert np.all(np.diff(ws) >= -1e-9 * np.maximum(1.0, np.abs(ws[:-1])))
 
@@ -953,28 +976,26 @@ class TestNonFiniteGradient:
     def test_descent_raises(self, solver, n_good, budget, monkeypatch):
         # without a budget the Armijo candidate's constructor is the only check left
         inst = make_instance(seed=2)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        obj = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
         nan_gradient_after(monkeypatch, n_good)
-        solve = u.gd_solve if solver == "gd" else u.nagd_solve
+        descend = gd_solve if solver == "gd" else nagd_solve
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="precoder blocks must be finite"):
-            solve(init, obj, inst["rho"] if budget else None)
+            descend(init, obj, inst["rho"] if budget else None)
 
     def test_symplectic_raises_divergence(self, monkeypatch):
         inst = make_instance(seed=2)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         nan_gradient_after(monkeypatch, 3)
-        config = u.SolverConfig(gamma=20.0, h0=0.002, h_max=0.005)
-        with np.errstate(invalid="ignore"), pytest.raises(u.SolverDivergence, match="iteration 2"):
-            u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
+        config = SolverConfig(gamma=20.0, h0=0.002, h_max=0.005)
+        with np.errstate(invalid="ignore"), pytest.raises(SolverDivergence, match="iteration 2"):
+            solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
 
     def test_run_experiment_records_error_row(self, tmp_path, monkeypatch):
-        from ucnprec.harness import ScenarioConfig
-
         nan_gradient_after(monkeypatch, 3)
         cfg = ScenarioConfig(seeds=(0,), max_iters=20)
         with np.errstate(invalid="ignore"):
-            summary = u.run_experiment(cfg, ["gd", "rzf"], tmp_path)
+            summary = run_experiment(cfg, ["gd", "rzf"], tmp_path)
         gd_row = next(r for r in summary.rows if r.solver == "gd")
         assert gd_row.error == "ValueError: precoder blocks must be finite"
         assert not gd_row.converged and np.isnan(gd_row.wsr_bits)

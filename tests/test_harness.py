@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ucnprec as u
 from ucnprec import baselines, harness
+from ucnprec.channel import ClusterMap
+from ucnprec.embedding import BlockLayout, bs_block_norms
+from ucnprec.harness import complexity_probe, gradcheck, load_config, run_experiment
+from ucnprec.symplectic import SolverConfig
 
 REPO = Path(__file__).resolve().parent.parent
 FROZEN_SUMMARY = REPO / "tests" / "data" / "solver_summary_frozen.json"
@@ -32,11 +36,11 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
 
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
-        cfg = u.load_config(write_cfg(tmp_path, ""))
+        cfg = load_config(write_cfg(tmp_path, ""))
         assert cfg == harness.ScenarioConfig()
 
     def test_comments_and_values(self, tmp_path):
-        cfg = u.load_config(
+        cfg = load_config(
             write_cfg(tmp_path, "# a comment\nK = 12  # inline\nseeds = 3, 4\ninit = random\n")
         )
         assert cfg.K == 12
@@ -45,38 +49,38 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         with pytest.raises(ValueError, match=":2:"):
-            u.load_config(write_cfg(tmp_path, "K = 5\nnot_a_key = 1\n"))
+            load_config(write_cfg(tmp_path, "K = 5\nnot_a_key = 1\n"))
 
     def test_bad_value_rejected_with_line(self, tmp_path):
         with pytest.raises(ValueError, match=":1:"):
-            u.load_config(write_cfg(tmp_path, "K = twelve\n"))
+            load_config(write_cfg(tmp_path, "K = twelve\n"))
 
     def test_missing_equals_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="key = value"):
-            u.load_config(write_cfg(tmp_path, "justakey\n"))
+            load_config(write_cfg(tmp_path, "justakey\n"))
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         # a repeated seed would write two summary rows and overwrite its trace files
         with pytest.raises(ValueError, match="seeds must be distinct"):
-            u.load_config(write_cfg(tmp_path, "seeds = 0, 1, 0\n"))
+            load_config(write_cfg(tmp_path, "seeds = 0, 1, 0\n"))
         with pytest.raises(ValueError, match="seeds must be distinct"):
-            u.run_experiment(_fast_cfg(seeds=(3, 3)), ["rzf"], tmp_path / "out")
+            run_experiment(_fast_cfg(seeds=(3, 3)), ["rzf"], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_repeated_key_rejected_with_both_lines(self, tmp_path):
         # letting the last value win would run this file on seed 1 only
         with pytest.raises(ValueError, match=r":3: key 'seeds' already set on line 1"):
-            u.load_config(write_cfg(tmp_path, "seeds = 0\nK = 5\nseeds = 1\n"))
+            load_config(write_cfg(tmp_path, "seeds = 0\nK = 5\nseeds = 1\n"))
 
     def test_duplicate_solvers_rejected(self, tmp_path):
         # a repeated solver would write two summary rows and overwrite its trace files
         with pytest.raises(ValueError, match="solvers must be distinct"):
-            u.run_experiment(_fast_cfg(), ["gd", "rzf", "gd"], tmp_path / "out")
+            run_experiment(_fast_cfg(), ["gd", "rzf", "gd"], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_empty_solver_list_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="at least one solver"):
-            u.run_experiment(_fast_cfg(), [], tmp_path / "out")
+            run_experiment(_fast_cfg(), [], tmp_path / "out")
         cfg_path = write_cfg(tmp_path, "K = 4\n")
         argv = ["run", "--config", str(cfg_path), "--solvers", "", "--out", str(tmp_path / "out")]
         assert harness.main(argv) == 2
@@ -85,17 +89,17 @@ class TestLoadConfig:
 
     def test_out_of_range_cluster_size_named(self, tmp_path):
         with pytest.raises(ValueError, match="B_sc"):
-            u.load_config(write_cfg(tmp_path, "B_sc = 25\n"))
+            load_config(write_cfg(tmp_path, "B_sc = 25\n"))
 
     def test_full_scale_preset_parses(self):
-        cfg = u.load_config(REPO / "configs" / "table1.cfg")
+        cfg = load_config(REPO / "configs" / "table1.cfg")
         assert cfg.n_bs == 21
         assert cfg.M_t == 128
         assert cfg.K == 300
         assert cfg.noise_dbm == -104.0
 
     def test_high_power_preset_parses(self):
-        cfg = u.load_config(REPO / "configs" / "high_power.cfg")
+        cfg = load_config(REPO / "configs" / "high_power.cfg")
         assert cfg.tx_power_dbm == 24.0
         assert cfg.max_iters == 50
 
@@ -110,18 +114,37 @@ class TestLoadConfig:
         defaults = harness.ScenarioConfig()
         lines = [f"{f.name} = {text(getattr(defaults, f.name))}" for f in dataclasses.fields(defaults)]
         assert len(lines) == len(harness._FIELD_PARSERS)
-        assert u.load_config(write_cfg(tmp_path, "\n".join(lines) + "\n")) == defaults
+        assert load_config(write_cfg(tmp_path, "\n".join(lines) + "\n")) == defaults
 
     # a non-finite value used to pass and fail later without naming its key:
     # deployment_radius_m = nan as non-finite channel entries, theta = nan as h <= 0
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_value_named(self, tmp_path, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be finite$"):
-            u.load_config(write_cfg(tmp_path, f"{key} = {value}\n"))
-        if key in {f.name for f in dataclasses.fields(u.SolverConfig)}:
+        path = write_cfg(tmp_path, f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {key} must be finite$"):
+            load_config(path)
+        if key in {f.name for f in dataclasses.fields(SolverConfig)}:
             with pytest.raises(ValueError, match=f"^{key} must be finite$"):
-                u.SolverConfig(**{key: float(value)})
+                SolverConfig(**{key: float(value)})
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("K = 12\nseeds = 0\n\n# solver\ngamma = 8.0\nh0 = 0.01\ntheta = nan\n", 7,
+             "theta must be finite"),
+            ("K = 12\nB_sc = 25\n", 2, "B_sc must lie in [1, 7], got 25"),
+            ("seeds =\n", 1, "seeds must list at least one seed"),
+            ("gnb_count = 2\nK = 12\n", None, "B_sc must lie in [1, 2], got 3"),
+        ],
+        ids=["theta", "B_sc", "seeds", "unset_key"],
+    )
+    def test_rejected_value_names_its_line(self, tmp_path, text, line, message):
+        # a key the file did not set (B_sc, when gnb_count shrinks the network) has no line
+        path = write_cfg(tmp_path, text)
+        prefix = "" if line is None else f"{path}:{line}: "
+        with pytest.raises(ValueError, match=f"^{re.escape(prefix + message)}$"):
+            load_config(path)
 
 
 def _fast_cfg(**overrides):
@@ -135,7 +158,7 @@ def _fast_cfg(**overrides):
 
 class TestRunExperiment:
     def test_rzf_only(self, tmp_path):
-        summary = u.run_experiment(_fast_cfg(), ["rzf"], tmp_path)
+        summary = run_experiment(_fast_cfg(), ["rzf"], tmp_path)
         assert len(summary.rows) == 2
         for row in summary.rows:
             assert row.solver == "rzf"
@@ -147,7 +170,7 @@ class TestRunExperiment:
 
     def test_every_requested_pair_present_once(self, tmp_path):
         solvers = ["rzf", "symplectic", "wmmse", "gd", "nagd"]
-        summary = u.run_experiment(_fast_cfg(), solvers, tmp_path)
+        summary = run_experiment(_fast_cfg(), solvers, tmp_path)
         keys = [(r.solver, r.seed) for r in summary.rows]
         assert sorted(keys) == sorted((s, seed) for s in solvers for seed in (0, 1))
         assert (tmp_path / "summary.csv").exists()
@@ -156,8 +179,8 @@ class TestRunExperiment:
     def test_deterministic_bytes(self, tmp_path):
         cfg = _fast_cfg()
         a, b = tmp_path / "a", tmp_path / "b"
-        u.run_experiment(cfg, ["rzf", "symplectic", "wmmse"], a)
-        u.run_experiment(cfg, ["rzf", "symplectic", "wmmse"], b)
+        run_experiment(cfg, ["rzf", "symplectic", "wmmse"], a)
+        run_experiment(cfg, ["rzf", "symplectic", "wmmse"], b)
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
         assert (
             a / "trace_symplectic_seed1.csv"
@@ -165,14 +188,14 @@ class TestRunExperiment:
 
     def test_unknown_solver_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown solver"):
-            u.run_experiment(_fast_cfg(), ["zf"], tmp_path)
+            run_experiment(_fast_cfg(), ["zf"], tmp_path)
 
     def test_solver_failure_recorded_run_continues(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise baselines.BisectionError("synthetic failure")
 
         monkeypatch.setattr(baselines, "wmmse_iterate", boom)
-        summary = u.run_experiment(_fast_cfg(), ["wmmse", "rzf"], tmp_path)
+        summary = run_experiment(_fast_cfg(), ["wmmse", "rzf"], tmp_path)
         wmmse_rows = [r for r in summary.rows if r.solver == "wmmse"]
         rzf_rows = [r for r in summary.rows if r.solver == "rzf"]
         assert all("synthetic failure" in r.error for r in wmmse_rows)
@@ -184,45 +207,45 @@ class TestRunExperiment:
         # four sweeps give three WSR changes: the rule holds for a large
         # tolerance and, as the WSR still moves, not for a vanishing one;
         # either way every sweep runs
-        summary = u.run_experiment(_fast_cfg(wmmse_iters=4, rel_tol=rel_tol), ["wmmse"], tmp_path)
+        summary = run_experiment(_fast_cfg(wmmse_iters=4, rel_tol=rel_tol), ["wmmse"], tmp_path)
         for row in summary.rows:
             assert row.converged is flag
             assert row.iterations == 4
 
     def test_gd_takes_no_gradient_at_final_iterate(self, tmp_path):
-        cfg = dataclasses.replace(u.load_config(REPO / "configs" / "desk.cfg"), seeds=(0,))
-        (row,) = u.run_experiment(cfg, ["gd"], tmp_path).rows
+        cfg = dataclasses.replace(load_config(REPO / "configs" / "desk.cfg"), seeds=(0,))
+        (row,) = run_experiment(cfg, ["gd"], tmp_path).rows
         assert row.iterations == 196
         assert row.grad_evals == row.iterations
 
     def test_summary_columns(self, tmp_path):
-        u.run_experiment(_fast_cfg(seeds=(0,)), ["rzf"], tmp_path)
+        run_experiment(_fast_cfg(seeds=(0,)), ["rzf"], tmp_path)
         header = (tmp_path / "summary.csv").read_text().split("\n")[0]
         assert header == "solver,seed,wsr_bits,iterations,grad_evals,multiply_adds,converged,error"
 
     def test_random_init_runs_and_is_deterministic(self, tmp_path):
         cfg = _fast_cfg(init="random", seeds=(0,))
         a, b = tmp_path / "a", tmp_path / "b"
-        u.run_experiment(cfg, ["symplectic"], a)
-        u.run_experiment(cfg, ["symplectic"], b)
+        run_experiment(cfg, ["symplectic"], a)
+        run_experiment(cfg, ["symplectic"], b)
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
-        row = u.run_experiment(cfg, ["symplectic"], tmp_path / "c").rows[0]
+        row = run_experiment(cfg, ["symplectic"], tmp_path / "c").rows[0]
         assert np.isfinite(row.wsr_bits)
 
     def test_random_init_meets_power_budget(self):
         cfg = _fast_cfg()
         _, ch, clusters = harness.build_instance(cfg, 0)
         rho = cfg.power_budget()
-        state = harness.random_precoder(u.BlockLayout(clusters, cfg.M_t), rho, 0)
-        powers = u.bs_block_norms(state)
+        state = harness.random_precoder(BlockLayout(clusters, cfg.M_t), rho, 0)
+        powers = bs_block_norms(state)
         mask = state.layout.nonempty_bs
         assert np.allclose(powers[mask], rho.rho[mask], rtol=1e-12)
 
 
 def frozen_summary_rows(config_name, out_dir):
     """Summary fields and trace CSV digests of the iterative solvers on seeds 0-4 of a preset."""
-    cfg = dataclasses.replace(u.load_config(REPO / "configs" / config_name), seeds=FROZEN_SEEDS)
-    summary = u.run_experiment(cfg, FROZEN_SOLVERS, out_dir)
+    cfg = dataclasses.replace(load_config(REPO / "configs" / config_name), seeds=FROZEN_SEEDS)
+    summary = run_experiment(cfg, FROZEN_SOLVERS, out_dir)
     return [
         {
             "solver": r.solver,
@@ -250,7 +273,7 @@ class TestFrozenSolverSummary:
 
 class TestComplexityProbe:
     def test_small_grid_ratios_and_linearity(self):
-        report = u.complexity_probe(
+        report = complexity_probe(
             harness.ScenarioConfig(), m_t_grid=(4, 8), k_grid=(5, 10), b_sc_grid=(1, 2)
         )
         assert 1.0 / 2.2 <= report.min_ratio <= report.max_ratio <= 2.2
@@ -259,19 +282,19 @@ class TestComplexityProbe:
 
     def test_counts_independent_of_instance_values(self):
         cfg = harness.ScenarioConfig()
-        a = u.complexity_probe(cfg, m_t_grid=(4,), k_grid=(5,), b_sc_grid=(2,), seed=0)
-        b = u.complexity_probe(cfg, m_t_grid=(4,), k_grid=(5,), b_sc_grid=(2,), seed=1)
+        a = complexity_probe(cfg, m_t_grid=(4,), k_grid=(5,), b_sc_grid=(2,), seed=0)
+        b = complexity_probe(cfg, m_t_grid=(4,), k_grid=(5,), b_sc_grid=(2,), seed=1)
         assert a.rows[0].measured == b.rows[0].measured
 
     def test_doubling_cluster_size_grows_at_most_2p2x(self):
-        report = u.complexity_probe(
+        report = complexity_probe(
             harness.ScenarioConfig(), m_t_grid=(8,), k_grid=(10,), b_sc_grid=(1, 2)
         )
         by_bsc = {row.B_sc: row.measured for row in report.rows}
         assert by_bsc[2] <= 2.2 * by_bsc[1]
 
     def test_single_ut_has_no_interference_count(self):
-        cm = u.ClusterMap.from_serving([[0, 1]], 2)
+        cm = ClusterMap.from_serving([[0, 1]], 2)
         m_t = 8
         predicted = harness.predicted_gradient_macs(cm, m_t)
         assert predicted == 1 * m_t * 4  # K * M_t * |B_1|^2 only; the (K-1) sum vanishes
@@ -279,11 +302,11 @@ class TestComplexityProbe:
 
 class TestGradcheckHelper:
     def test_small_run(self):
-        assert u.gradcheck(trials=3) < 1e-6
+        assert gradcheck(trials=3) < 1e-6
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
-            u.gradcheck(trials=0)
+            gradcheck(trials=0)
 
 
 class TestCli:
@@ -297,7 +320,7 @@ class TestCli:
         assert (out / "summary.csv").exists()
 
     def test_module_entry_point(self):
-        src = str(Path(u.__file__).resolve().parent.parent)
+        src = str(Path(harness.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "ucnprec", "--help"], env=env, capture_output=True, text=True, timeout=60
@@ -320,7 +343,7 @@ class TestCli:
         monkeypatch.setattr(
             harness,
             "complexity_probe",
-            lambda config: u.complexity_probe(
+            lambda config: complexity_probe(
                 config, m_t_grid=(4, 8), k_grid=(5,), b_sc_grid=(1,)
             ),
         )

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-import ucnprec as u
-from ucnprec.objective import amplitude_matrix
+from ucnprec.channel import ChannelSet, ClusterMap
+from ucnprec.embedding import BlockLayout, PrecoderState
+from ucnprec.objective import Weights, WsrObjective, _central_diff, amplitude_matrix, fd_gradient
 from conftest import (
     TABLE1_WIDTHS,
     make_instance,
@@ -21,10 +22,10 @@ from oracles import (
 
 def scalar_world():
     """One BS with one antenna, one UT, h = 1, p = 1, noise 1."""
-    ch = u.ChannelSet(entries=np.ones((1, 1, 1), dtype=complex), noise_power=1.0)
-    cm = u.ClusterMap.from_serving([[0]], 1)
-    layout = u.BlockLayout(cm, 1)
-    state = u.PrecoderState(layout, np.array([[1.0, 0.0]]))
+    ch = ChannelSet(entries=np.ones((1, 1, 1), dtype=complex), noise_power=1.0)
+    cm = ClusterMap.from_serving([[0]], 1)
+    layout = BlockLayout(cm, 1)
+    state = PrecoderState(layout, np.array([[1.0, 0.0]]))
     return ch, cm, state
 
 
@@ -32,12 +33,12 @@ class TestRateTerms:
     def test_single_user_noise_only(self):
         inst = make_instance(seed=0, K=1, B_sc=2)
         state = random_state(inst["layout"], inst["rho"], 0)
-        terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+        terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
         assert terms.r[0] == pytest.approx(inst["ch"].noise_power, rel=1e-12)
 
     def test_scalar_example(self):
         ch, cm, state = scalar_world()
-        terms = u.WsrObjective(ch, cm, u.Weights(np.ones(1))).terms(state)
+        terms = WsrObjective(ch, cm, Weights(np.ones(1))).terms(state)
         assert terms.a[0] == pytest.approx(1.0)
         assert terms.r[0] == pytest.approx(1.0)
         assert terms.b[0] == pytest.approx(0.5)
@@ -47,7 +48,7 @@ class TestRateTerms:
         for seed in range(5):
             inst = make_instance(seed=seed, gnb_count=3, M_t=3, K=4, B_sc=2)
             state = random_state(inst["layout"], inst["rho"], seed + 100)
-            terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+            terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
             a, r = naive_signal_and_interference(inst["ch"], inst["clusters"], state)
             assert np.allclose(terms.a, a, rtol=1e-12)
             assert np.allclose(terms.r, r, rtol=1e-12)
@@ -55,7 +56,7 @@ class TestRateTerms:
     def test_two_user_interference(self):
         inst = make_instance(seed=3, K=2, B_sc=2)
         state = random_state(inst["layout"], inst["rho"], 42)
-        terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+        terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
         a, r = naive_signal_and_interference(inst["ch"], inst["clusters"], state)
         assert np.allclose(terms.r, r, rtol=1e-12)
         assert np.all(terms.r > inst["ch"].noise_power)
@@ -65,33 +66,33 @@ class TestWsr:
     def test_single_positive_weight(self):
         inst = make_instance(seed=1, K=3)
         state = random_state(inst["layout"], inst["rho"], 1)
-        terms = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
-        w = u.Weights(np.array([0.0, 1.0, 0.0]))
-        assert u.WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state) == pytest.approx(
+        terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+        w = Weights(np.array([0.0, 1.0, 0.0]))
+        assert WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state) == pytest.approx(
             terms.rate_bits[1], rel=1e-12
         )
 
     def test_zero_precoder_zero_wsr(self, small_instance):
-        state = u.PrecoderState.zeros(small_instance["layout"])
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        state = PrecoderState.zeros(small_instance["layout"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         val = obj.wsr_bits(state)
         assert val == 0.0
 
     def test_weight_scaling_linearity(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 2)
-        base = u.WsrObjective(
+        base = WsrObjective(
             small_instance["ch"], small_instance["clusters"], small_instance["w"]
         ).wsr_bits(state)
-        scaled = u.WsrObjective(
+        scaled = WsrObjective(
             small_instance["ch"],
             small_instance["clusters"],
-            u.Weights(3.5 * small_instance["w"].w),
+            Weights(3.5 * small_instance["w"].w),
         ).wsr_bits(state)
         assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
     def test_matches_oracle(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 3)
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         got = obj.wsr_bits(state)
         want = naive_wsr_bits(
             small_instance["ch"], small_instance["clusters"], state, small_instance["w"]
@@ -100,7 +101,7 @@ class TestWsr:
 
     def test_g_value_is_negated_nats(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 4)
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         g = obj.value(state)
         bits = obj.wsr_bits(state)
         assert g == pytest.approx(-bits * np.log(2.0), rel=1e-12)
@@ -109,20 +110,20 @@ class TestWsr:
 class TestGradient:
     def test_scalar_case(self):
         ch, cm, state = scalar_world()
-        grad = u.WsrObjective(ch, cm, u.Weights(np.ones(1))).evaluate(state).grad
+        grad = WsrObjective(ch, cm, Weights(np.ones(1))).evaluate(state).grad
         assert np.allclose(grad.blocks, [[-1.0, 0.0]], atol=1e-14)
 
     def test_zero_precoder_stationary(self, small_instance):
-        state = u.PrecoderState.zeros(small_instance["layout"])
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        state = PrecoderState.zeros(small_instance["layout"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         grad = obj.evaluate(state).grad
         assert np.array_equal(grad.blocks, np.zeros_like(state.blocks))
 
     def test_matches_finite_differences(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 5)
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         grad = obj.evaluate(state).grad
-        fd = u.fd_gradient(
+        fd = fd_gradient(
             state, small_instance["ch"], small_instance["clusters"], small_instance["w"], 1e-5
         )
         err = np.linalg.norm(grad.blocks - fd.blocks) / np.linalg.norm(fd.blocks)
@@ -131,7 +132,7 @@ class TestGradient:
     def test_single_user_reduces_to_signal_term(self):
         inst = make_instance(seed=6, K=1, B_sc=3)
         state = random_state(inst["layout"], inst["rho"], 6)
-        ev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
+        ev = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
         grad, terms = ev.grad, ev.terms
         amps = amplitude_matrix(state, inst["ch"])
         coef = 2.0 * inst["w"].w[0] * terms.b[0] / terms.r[0]
@@ -141,14 +142,14 @@ class TestGradient:
 
     def test_rotation_invariance(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 7)
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         terms = obj.terms(state)
         cblocks = state.complex_blocks().copy()
         phase = np.exp(1.3j)
         for i, (_, k) in enumerate(state.layout.pairs):
             if k == 1:
                 cblocks[i] *= phase
-        rotated = u.PrecoderState.from_complex(state.layout, cblocks)
+        rotated = PrecoderState.from_complex(state.layout, cblocks)
         terms_rot = obj.terms(rotated)
         assert np.allclose(terms_rot.a, terms.a, rtol=1e-12)
         assert np.allclose(terms_rot.r, terms.r, rtol=1e-12)
@@ -161,24 +162,24 @@ class TestGradient:
             small_instance["layout"],
         )
         state = random_state(layout, small_instance["rho"], 8)
-        base = u.WsrObjective(ch, clusters, small_instance["w"]).wsr_bits(state)
+        base = WsrObjective(ch, clusters, small_instance["w"]).wsr_bits(state)
 
         n_ut = ch.n_ut
         perm = np.roll(np.arange(n_ut), 2)  # new index of old UT k is perm[k]
         entries = np.zeros_like(ch.entries)
         entries[:, perm, :] = ch.entries
-        ch_p = u.ChannelSet(entries=entries, noise_power=ch.noise_power)
+        ch_p = ChannelSet(entries=entries, noise_power=ch.noise_power)
         serving = [None] * n_ut
         for k in range(n_ut):
             serving[perm[k]] = list(clusters.serving_bs[k])
-        clusters_p = u.ClusterMap.from_serving(serving, ch.n_bs)
-        layout_p = u.BlockLayout(clusters_p, layout.M_t)
+        clusters_p = ClusterMap.from_serving(serving, ch.n_bs)
+        layout_p = BlockLayout(clusters_p, layout.M_t)
         blocks = np.zeros_like(state.blocks)
         for i, (l, k) in enumerate(layout.pairs):
             blocks[layout_p.pairs.index((l, perm[k]))] = state.blocks[i]
-        state_p = u.PrecoderState(layout_p, blocks)
-        w_p = u.Weights(small_instance["w"].w[np.argsort(perm)])
-        assert u.WsrObjective(ch_p, clusters_p, w_p).wsr_bits(state_p) == pytest.approx(
+        state_p = PrecoderState(layout_p, blocks)
+        w_p = Weights(small_instance["w"].w[np.argsort(perm)])
+        assert WsrObjective(ch_p, clusters_p, w_p).wsr_bits(state_p) == pytest.approx(
             base, rel=1e-12
         )
 
@@ -194,7 +195,7 @@ class TestFiniteDifferences:
         def f(x):
             return 0.5 * x @ quad @ x + b @ x
 
-        grad = u.central_difference(f, x0, 1e-4)
+        grad = _central_diff(f, x0, 1e-4)
         assert np.allclose(grad, quad @ x0 + b, atol=1e-8)
 
     def test_error_drops_four_fold_with_half_eps(self):
@@ -204,34 +205,34 @@ class TestFiniteDifferences:
             return float(np.sum(x**4))
 
         exact = 4.0 * x0**3
-        err1 = np.linalg.norm(u.central_difference(f, x0, 1e-2) - exact)
-        err2 = np.linalg.norm(u.central_difference(f, x0, 5e-3) - exact)
+        err1 = np.linalg.norm(_central_diff(f, x0, 1e-2) - exact)
+        err2 = np.linalg.norm(_central_diff(f, x0, 5e-3) - exact)
         assert err1 / err2 == pytest.approx(4.0, rel=0.05)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            u.central_difference(lambda x: 0.0, np.zeros(2), 0.0)
+            _central_diff(lambda x: 0.0, np.zeros(2), 0.0)
 
 
 class TestWeightsAndCounter:
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            u.Weights(np.array([0.0, 0.0]))
+            Weights(np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            u.Weights(np.array([-1.0, 1.0]))
+            Weights(np.array([-1.0, 1.0]))
 
     def test_objective_rejects_mismatched_inputs(self, small_instance):
         # the channel set has 3 BSs and 5 UTs
         for n_bs, n_ut in [(4, 5), (2, 5), (3, 4), (3, 6)]:
-            clusters = u.ClusterMap.from_serving([[0]] * n_ut, n_bs)
+            clusters = ClusterMap.from_serving([[0]] * n_ut, n_bs)
             with pytest.raises(ValueError, match="cluster map does not match"):
-                u.WsrObjective(small_instance["ch"], clusters, u.Weights.uniform(5))
+                WsrObjective(small_instance["ch"], clusters, Weights.uniform(5))
         with pytest.raises(ValueError, match="one weight per UT"):
-            u.WsrObjective(small_instance["ch"], small_instance["clusters"], u.Weights.uniform(4))
+            WsrObjective(small_instance["ch"], small_instance["clusters"], Weights.uniform(4))
 
     def test_counter_counts_gradient_work(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 10)
-        obj = u.WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         assert obj.multiply_adds == 0
         obj.evaluate(state)
         n_active = small_instance["layout"].n_blocks
@@ -242,10 +243,10 @@ class TestWeightsAndCounter:
 
     def test_objective_bundle_consistency(self, small_instance):
         ch, clusters, w = small_instance["ch"], small_instance["clusters"], small_instance["w"]
-        obj = u.WsrObjective(ch, clusters, w)
+        obj = WsrObjective(ch, clusters, w)
         state = random_state(small_instance["layout"], small_instance["rho"], 11)
         ev = obj.evaluate(state)
-        assert ev.g_value == u.WsrObjective(ch, clusters, w).value(state)
+        assert ev.g_value == WsrObjective(ch, clusters, w).value(state)
         assert ev.g_value == pytest.approx(
             -naive_wsr_bits(ch, clusters, state, w) * np.log(2.0), rel=1e-12
         )
@@ -285,14 +286,14 @@ def assert_same_evaluation(ev, ref):
 
 class TestObjectiveMemo:
     def _objective(self, inst):
-        return u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        return WsrObjective(inst["ch"], inst["clusters"], inst["w"])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flat_gradient_matches_loop_bitwise(self, seed):
         # B_sc = 1 over 7 BSs leaves some BSs without UTs
         inst = make_instance(seed=seed, M_t=4, K=6, B_sc=1 + seed % 3)
         state = random_state(inst["layout"], inst["rho"], seed)
-        ev = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
+        ev = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
         amps = amplitude_matrix(state, inst["ch"])
         ref = loop_gradient_blocks(state, inst["ch"], inst["w"], amps, ev.terms)
         assert np.array_equal(ev.grad.blocks, ref)
@@ -326,7 +327,7 @@ class TestObjectiveMemo:
         assert obj.value(state) == f == ev.g_value
         assert len(calls) == 1
         # an equal but distinct state is a new key
-        obj.value(u.PrecoderState(state.layout, state.blocks))
+        obj.value(PrecoderState(state.layout, state.blocks))
         assert len(calls) == 2
 
     def test_value_then_evaluate_other_state(self, small_instance):
@@ -381,7 +382,7 @@ class TestAmplitudeMatrix:
     def test_counts_one_product_per_pair(self):
         # an empty BS and an unserved UT add no products to an evaluation's charge
         ch, clusters, state = random_served_instance(0)
-        obj = u.WsrObjective(ch, clusters, u.Weights(np.ones(ch.n_ut)))
+        obj = WsrObjective(ch, clusters, Weights(np.ones(ch.n_ut)))
         obj.evaluate(state)
         n_ut, pair_macs = ch.n_ut, state.layout.M_t * state.layout.n_blocks
         assert obj.multiply_adds == n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs
@@ -390,7 +391,7 @@ class TestAmplitudeMatrix:
     def test_gradient_matches_loop_on_uneven_clusters(self, seed):
         ch, clusters, state = served_instance(seed)
         rng = np.random.default_rng(4 if seed == "table1" else seed)
-        w = u.Weights(rng.uniform(0.5, 2.0, ch.n_ut))
-        ev = u.WsrObjective(ch, clusters, w).evaluate(state)
+        w = Weights(rng.uniform(0.5, 2.0, ch.n_ut))
+        ev = WsrObjective(ch, clusters, w).evaluate(state)
         ref = loop_gradient_blocks(state, ch, w, reference_amplitude_matrix(state, ch), ev.terms)
         assert np.array_equal(ev.grad.blocks, ref)

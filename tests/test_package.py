@@ -8,27 +8,20 @@ import threading
 from pathlib import Path
 
 import ucnprec as u
-from ucnprec import symplectic
+from ucnprec import helper, symplectic
+from ucnprec.embedding import PowerBudget
+from ucnprec.harness import ScenarioConfig
+from ucnprec.objective import Weights
+from ucnprec.symplectic import SolverConfig
 from conftest import run_python, table1_shaped_instance
 
 REPO = Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
 
-# Adding public API means adding its name here: the package exports only what a
-# solver, the CLI or a test oracle uses.
-EXPORTS = [
-    "BisectionError", "BlockLayout", "ChannelSet", "ClusterMap", "ComplexityReport",
-    "ObjectiveEval", "PowerBudget", "PrecoderState", "RateTerms",
-    "RsrpTable", "RunRow", "RunSummary", "ScenarioConfig",
-    "SolveResult", "SolverConfig", "SolverDivergence", "StepRecord", "Topology", "Weights",
-    "WmmseState", "WsrObjective", "bisect_power", "bs_block_norms", "build_clusters",
-    "central_difference", "complexity_probe", "compute_rsrp", "constraint_apply_G",
-    "dbm_to_watt", "fd_gradient", "flow_multiplier", "gd_solve", "generate_channels",
-    "generate_topology", "gradcheck", "load_channels", "load_config", "load_precoder",
-    "nagd_solve", "newton_multiplier", "rattle_step", "renormalize_power", "run_experiment",
-    "rzf_init", "save_channels", "save_precoder", "solve", "step_controller",
-    "velocity_multiplier", "wmmse_iterate", "wmmse_step", "write_trace_csv",
-]
+# The package exports exactly the names that the README's library example binds
+# from it (test_exports_are_bound_by_readme_example checks that rule); any other
+# caller imports a name from the submodule that defines it.
+EXPORTS = ["WsrObjective", "rzf_init", "solve"]
 
 
 # Adding a config key means adding its name here: every field is a value that a
@@ -49,17 +42,41 @@ SOLVER_FIELDS = [
 MAX_LINE = 100  # characters per line of package source
 
 
+def readme_library_example():
+    text = README.read_text()
+    section = text[text.index("## Library use") :]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
 def test_exports_are_pinned():
     assert sorted(u.__all__) == EXPORTS
     assert all(hasattr(u, name) for name in EXPORTS)
 
 
+def test_exports_are_bound_by_readme_example():
+    code = readme_library_example()
+    bound = set(re.findall(r"\bu\.(\w+)", code))
+    bound |= {
+        name.strip()
+        for names in re.findall(r"^from ucnprec import (.+)$", code, re.M)
+        for name in names.split(",")
+    }
+    assert set(u.__all__) == bound
+
+
 def test_config_fields_are_pinned():
-    assert sorted(f.name for f in dataclasses.fields(u.ScenarioConfig)) == CONFIG_FIELDS
+    assert sorted(f.name for f in dataclasses.fields(ScenarioConfig)) == CONFIG_FIELDS
 
 
 def test_solver_fields_are_pinned():
-    assert sorted(f.name for f in dataclasses.fields(u.SolverConfig)) == SOLVER_FIELDS
+    assert sorted(f.name for f in dataclasses.fields(SolverConfig)) == SOLVER_FIELDS
+
+
+def test_readme_states_the_helper_gate():
+    text = README.read_text()
+    assert [int(n) for n in re.findall(r"M_t ≥ (\d+)", text)] == [helper.MIN_MT]
+    millions = re.findall(r"(\d+)M complex multiply-adds", text)
+    assert [int(n) * 1_000_000 for n in millions] == [helper.SPLIT_MIN_MACS]
 
 
 def test_source_lines_fit_the_line_limit():
@@ -73,10 +90,7 @@ def test_source_lines_fit_the_line_limit():
 
 
 def test_readme_library_example_runs(capsys):
-    text = README.read_text()
-    section = text[text.index("## Library use") :]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, str(README), "exec"), {})
+    exec(compile(readme_library_example(), str(README), "exec"), {})
     converged, iterations, wsr_bits = capsys.readouterr().out.split()
     assert converged == "True"
     assert int(iterations) > 0
@@ -90,15 +104,15 @@ def test_import_loads_no_heavy_module_and_starts_no_thread():
     # ctypes use shows as the looked-up function, not in sys.modules.
     script = (
         "import dataclasses, sys, tempfile, threading\n"
-        "import ucnprec as u\n"
         "from ucnprec import helper\n"
+        "from ucnprec.harness import load_config, run_experiment\n"
         "def report():\n"
         "    loaded = [m for m in ('scipy', 'concurrent.futures') if m in sys.modules]\n"
         "    print(loaded, helper._blas_threads_fn is None, threading.active_count())\n"
         "report()\n"
-        "cfg = dataclasses.replace(u.load_config('configs/desk.cfg'), seeds=(0,))\n"
+        "cfg = dataclasses.replace(load_config('configs/desk.cfg'), seeds=(0,))\n"
         "with tempfile.TemporaryDirectory() as out:\n"
-        "    u.run_experiment(cfg, ['symplectic', 'wmmse', 'rzf', 'gd', 'nagd'], out)\n"
+        "    run_experiment(cfg, ['symplectic', 'wmmse', 'rzf', 'gd', 'nagd'], out)\n"
         "report()\n"
     )
     assert run_python(script).splitlines() == ["[] True 1", "[] True 1"]
@@ -109,18 +123,21 @@ def test_full_scale_work_starts_one_helper_thread():
     # share one helper
     script = (
         "import threading\n"
-        "import ucnprec as u\n"
         "from ucnprec import helper\n"
+        "from ucnprec.baselines import wmmse_step\n"
+        "from ucnprec.embedding import PowerBudget, PrecoderState, renormalize_power\n"
+        "from ucnprec.objective import Weights, WsrObjective\n"
+        "from ucnprec.symplectic import SolverConfig, rattle_step\n"
         "import conftest\n"
         "helper._cpus = lambda: 2\n"
         "ch, clusters, state = conftest.table1_shaped_instance()\n"
-        "w = u.Weights.uniform(ch.n_ut)\n"
-        "rho = u.PowerBudget.uniform(ch.n_bs, 1.0)\n"
-        "objective = u.WsrObjective(ch, clusters, w)\n"
+        "w = Weights.uniform(ch.n_ut)\n"
+        "rho = PowerBudget.uniform(ch.n_bs, 1.0)\n"
+        "objective = WsrObjective(ch, clusters, w)\n"
         "objective.evaluate(state)\n"
-        "u.wmmse_step(state, ch, rho, w)\n"
-        "p = u.renormalize_power(state, rho)\n"
-        "u.rattle_step(p, u.PrecoderState.zeros(p.layout), u.SolverConfig(), rho, objective)\n"
+        "wmmse_step(state, ch, rho, w)\n"
+        "p = renormalize_power(state, rho)\n"
+        "rattle_step(p, PrecoderState.zeros(p.layout), SolverConfig(), rho, objective)\n"
         "print(sorted(t.name for t in threading.enumerate()))\n"
     )
     threads = run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -187,9 +204,9 @@ def test_public_callables_run_only_on_the_main_thread(monkeypatch, open_helper_g
         monkeypatch.setattr(symplectic, name, loop)
 
     ch, clusters, state = table1_shaped_instance()
-    rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
-    config = u.SolverConfig(max_iters=3, rel_tol=1e-300)
-    result = u.solve(ch, clusters, rho, u.Weights.uniform(ch.n_ut), state, config)
+    rho = PowerBudget.uniform(ch.n_bs, 1.0)
+    config = SolverConfig(max_iters=3, rel_tol=1e-300)
+    result = symplectic.solve(ch, clusters, rho, Weights.uniform(ch.n_ut), state, config)
     assert result.iterations == 3
     assert loop_threads == {"MainThread", "ucnprec-helper_0"}
     names = {name for name, _ in calls}

@@ -7,13 +7,35 @@ import warnings
 import numpy as np
 import pytest
 
-import ucnprec as u
 from ucnprec import helper, symplectic
-from ucnprec.embedding import power_residual
-from ucnprec.objective import ObjectiveEval
-from ucnprec.symplectic import iterate
+from ucnprec.baselines import rzf_init
+from ucnprec.channel import ChannelSet, ClusterMap
+from ucnprec.embedding import (
+    BlockLayout,
+    PowerBudget,
+    PrecoderState,
+    bs_block_norms,
+    power_residual,
+    renormalize_power,
+)
+from ucnprec.objective import ObjectiveEval, Weights, WsrObjective
+from ucnprec.symplectic import (
+    SolverConfig,
+    SolverDivergence,
+    StepRecord,
+    iterate,
+    rattle_step,
+    solve,
+    step_controller,
+    write_trace_csv,
+)
 from conftest import REPO, make_instance, random_state, run_python, table1_shaped_instance
-from oracles import dense_constraint_jacobian
+from oracles import (
+    constraint_apply_G,
+    dense_constraint_jacobian,
+    flow_multiplier,
+    velocity_multiplier,
+)
 
 SYMPLECTIC_DIGEST = json.loads((REPO / "tests" / "data" / "symplectic_table1_digest.json").read_text())
 
@@ -30,16 +52,16 @@ class ZeroObjective:
         return ObjectiveEval(
             g_value=0.0,
             wsr_bits=0.0,
-            grad=u.PrecoderState.zeros(state.layout),
+            grad=PrecoderState.zeros(state.layout),
             terms=None,
         )
 
 
 def sphere_world(rho_val=1.0, m_t=1):
     """One BS serving one UT: the manifold is a single sphere."""
-    cm = u.ClusterMap.from_serving([[0]], 1)
-    layout = u.BlockLayout(cm, m_t)
-    rho = u.PowerBudget(np.array([rho_val]))
+    cm = ClusterMap.from_serving([[0]], 1)
+    layout = BlockLayout(cm, m_t)
+    rho = PowerBudget(np.array([rho_val]))
     return layout, rho
 
 
@@ -52,28 +74,28 @@ def tangent_momentum(p, seed=0):
     """Random momentum projected per BS onto the tangent space of p."""
     rng = np.random.default_rng(seed)
     blocks = rng.standard_normal(p.blocks.shape)
-    powers = u.bs_block_norms(p)
-    dots = u.constraint_apply_G(p, u.PrecoderState(p.layout, blocks))
+    powers = bs_block_norms(p)
+    dots = constraint_apply_G(p, PrecoderState(p.layout, blocks))
     coef = np.where(powers > 0, dots / np.maximum(powers, 1e-300), 0.0)
     blocks = blocks - coef[p.layout.row_bs][:, None] * p.blocks
-    return u.PrecoderState(p.layout, blocks)
+    return PrecoderState(p.layout, blocks)
 
 
 class TestConstraintOperators:
     def test_apply_to_self_gives_norms(self, small_instance):
         p = random_state(small_instance["layout"], small_instance["rho"], 0)
-        assert np.allclose(u.constraint_apply_G(p, p), u.bs_block_norms(p), rtol=1e-13)
+        assert np.allclose(constraint_apply_G(p, p), bs_block_norms(p), rtol=1e-13)
 
     def test_orthogonal_gives_zero(self, small_instance):
         p = random_state(small_instance["layout"], small_instance["rho"], 1)
         q = tangent_momentum(p, 2)
-        assert np.allclose(u.constraint_apply_G(p, q), 0.0, atol=1e-12)
+        assert np.allclose(constraint_apply_G(p, q), 0.0, atol=1e-12)
 
     def test_matches_dense_jacobian(self, tiny_instance):
         p = random_state(tiny_instance["layout"], tiny_instance["rho"], 3)
         v = random_state(tiny_instance["layout"], tiny_instance["rho"], 4)
         dense = dense_constraint_jacobian(p) @ v.blocks.ravel()
-        assert np.allclose(u.constraint_apply_G(p, v), dense, rtol=1e-12)
+        assert np.allclose(constraint_apply_G(p, v), dense, rtol=1e-12)
 
     def test_transpose_zero(self, small_instance):
         p = random_state(small_instance["layout"], small_instance["rho"], 5)
@@ -100,7 +122,7 @@ class TestConstraintOperators:
         # G applied after G^T equals the dense G G^T = diag(per-BS powers)
         p = random_state(tiny_instance["layout"], tiny_instance["rho"], 7)
         lam = np.array([0.3, -1.2])
-        composed = u.constraint_apply_G(p, u.PrecoderState(p.layout, apply_gt(p, lam)))
+        composed = constraint_apply_G(p, PrecoderState(p.layout, apply_gt(p, lam)))
         g_mat = dense_constraint_jacobian(p)
         assert np.allclose(composed, g_mat @ g_mat.T @ lam, rtol=1e-12)
 
@@ -108,15 +130,15 @@ class TestConstraintOperators:
 class TestFlowMultiplier:
     def test_zero_momentum_zero_gradient(self, small_instance):
         p = random_state(small_instance["layout"], small_instance["rho"], 8)
-        q = u.PrecoderState.zeros(p.layout)
-        lam = u.flow_multiplier(p, q, u.PrecoderState.zeros(p.layout), small_instance["rho"])
+        q = PrecoderState.zeros(p.layout)
+        lam = flow_multiplier(p, q, PrecoderState.zeros(p.layout), small_instance["rho"])
         assert np.allclose(lam, 0.0)
 
     def test_gradient_equal_to_position(self, small_instance):
         # On the manifold, grad = p gives lam_l = -p.p / rho = -1
         p = random_state(small_instance["layout"], small_instance["rho"], 9)
-        q = u.PrecoderState.zeros(p.layout)
-        lam = u.flow_multiplier(p, q, p, small_instance["rho"])
+        q = PrecoderState.zeros(p.layout)
+        lam = flow_multiplier(p, q, p, small_instance["rho"])
         mask = p.layout.nonempty_bs
         assert np.allclose(lam[mask], -1.0, rtol=1e-12)
 
@@ -127,15 +149,15 @@ class TestFlowMultiplier:
         inst = small_instance
         p = random_state(inst["layout"], inst["rho"], 10)
         q = tangent_momentum(p, 11)
-        obj = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
         grad = obj.evaluate(p).grad
-        lam = u.flow_multiplier(p, q, grad, inst["rho"])
+        lam = flow_multiplier(p, q, grad, inst["rho"])
 
         def violation(dt, lam_vec):
             force = grad.blocks + apply_gt(p, lam_vec)
-            p1 = u.PrecoderState(p.layout, p.blocks + dt * q.blocks)
-            q1 = u.PrecoderState(p.layout, q.blocks - dt * force)
-            return np.max(np.abs(u.constraint_apply_G(p1, q1)))
+            p1 = PrecoderState(p.layout, p.blocks + dt * q.blocks)
+            q1 = PrecoderState(p.layout, q.blocks - dt * force)
+            return np.max(np.abs(constraint_apply_G(p1, q1)))
 
         zero = np.zeros(p.layout.n_bs)
         for dt in (1e-3, 1e-4):
@@ -150,33 +172,33 @@ class TestVelocityMultiplier:
         p = random_state(small_instance["layout"], small_instance["rho"], 12)
         q_half = tangent_momentum(p, 13)
         grad_t = tangent_momentum(p, 14)
-        mu = u.velocity_multiplier(p, q_half, grad_t, small_instance["rho"], 0.05)
+        mu = velocity_multiplier(p, q_half, grad_t, small_instance["rho"], 0.05)
         assert np.allclose(mu, 0.0, atol=1e-10)
 
     def test_enforces_hidden_constraint(self, small_instance):
         rng = np.random.default_rng(15)
         layout, rho = small_instance["layout"], small_instance["rho"]
         p = random_state(layout, rho, 16)
-        q_half = u.PrecoderState(layout, rng.standard_normal(p.blocks.shape))
-        grad = u.PrecoderState(layout, rng.standard_normal(p.blocks.shape))
+        q_half = PrecoderState(layout, rng.standard_normal(p.blocks.shape))
+        grad = PrecoderState(layout, rng.standard_normal(p.blocks.shape))
         h = 0.02
-        mu = u.velocity_multiplier(p, q_half, grad, rho, h)
+        mu = velocity_multiplier(p, q_half, grad, rho, h)
         q_next_blocks = 0.9 * (
             q_half.blocks - 0.5 * h * (grad.blocks + mu[layout.row_bs][:, None] * p.blocks)
         )
-        q_next = u.PrecoderState(layout, q_next_blocks)
-        dots = u.constraint_apply_G(p, q_next)
-        scale = u.bs_block_norms(p) * np.sqrt(np.sum(q_next_blocks**2))
+        q_next = PrecoderState(layout, q_next_blocks)
+        dots = constraint_apply_G(p, q_next)
+        scale = bs_block_norms(p) * np.sqrt(np.sum(q_next_blocks**2))
         assert np.max(np.abs(dots) / np.maximum(scale, 1e-300)) < 1e-10
 
     def test_matches_dense_solve(self, tiny_instance):
         rng = np.random.default_rng(17)
         layout, rho = tiny_instance["layout"], tiny_instance["rho"]
         p = random_state(layout, rho, 18)
-        q_half = u.PrecoderState(layout, rng.standard_normal(p.blocks.shape))
-        grad = u.PrecoderState(layout, rng.standard_normal(p.blocks.shape))
+        q_half = PrecoderState(layout, rng.standard_normal(p.blocks.shape))
+        grad = PrecoderState(layout, rng.standard_normal(p.blocks.shape))
         h = 0.01
-        mu = u.velocity_multiplier(p, q_half, grad, rho, h)
+        mu = velocity_multiplier(p, q_half, grad, rho, h)
         g_mat = dense_constraint_jacobian(p)
         rhs = (2.0 * g_mat @ q_half.blocks.ravel() - h * g_mat @ grad.blocks.ravel()) / h
         mu_dense = np.linalg.solve(np.diag(rho.rho), rhs)
@@ -185,19 +207,19 @@ class TestVelocityMultiplier:
     def test_rejects_bad_step(self, small_instance):
         p = random_state(small_instance["layout"], small_instance["rho"], 19)
         with pytest.raises(ValueError):
-            u.velocity_multiplier(p, p, p, small_instance["rho"], 0.0)
+            velocity_multiplier(p, p, p, small_instance["rho"], 0.0)
 
 
 class TestRattleStep:
     def test_free_motion_preserves_speed(self):
         layout, rho = sphere_world(rho_val=2.0, m_t=1)
-        p = u.PrecoderState(layout, np.array([[math.sqrt(2.0), 0.0]]))
-        q = u.PrecoderState(layout, np.array([[0.0, 0.7]]))
-        config = u.SolverConfig(gamma=1e-300, h0=0.01)
+        p = PrecoderState(layout, np.array([[math.sqrt(2.0), 0.0]]))
+        q = PrecoderState(layout, np.array([[0.0, 0.7]]))
+        config = SolverConfig(gamma=1e-300, h0=0.01)
         obj = ZeroObjective(layout)
         speed0 = 0.7
         for n in range(10):
-            p, q, record, _ = u.rattle_step(p, q, config, rho, obj, iteration=n)
+            p, q, record, _ = rattle_step(p, q, config, rho, obj, iteration=n)
             assert record.constraint_residual < 1e-12
         assert np.linalg.norm(q.blocks) == pytest.approx(speed0, rel=1e-5)
         assert p.blocks[0, 1] != 0.0  # it actually moved along the sphere
@@ -205,41 +227,41 @@ class TestRattleStep:
     def test_hidden_residual_tiny(self, small_instance):
         inst = small_instance
         p = random_state(inst["layout"], inst["rho"], 20)
-        q = u.PrecoderState.zeros(inst["layout"])
-        config = u.SolverConfig(gamma=2.0, h0=0.01)
-        obj = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        q = PrecoderState.zeros(inst["layout"])
+        config = SolverConfig(gamma=2.0, h0=0.01)
+        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
         for n in range(25):
-            p, q, record, _ = u.rattle_step(p, q, config, rho=inst["rho"], objective=obj, iteration=n)
+            p, q, record, _ = rattle_step(p, q, config, rho=inst["rho"], objective=obj, iteration=n)
             assert record.hidden_residual < 1e-10
 
     def test_projection_keeps_manifold_exact(self, small_instance):
         inst = small_instance
         p = random_state(inst["layout"], inst["rho"], 21)
-        q = u.PrecoderState.zeros(inst["layout"])
-        config = u.SolverConfig(gamma=2.0, h0=0.02, project_positions=True)
-        obj = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        q = PrecoderState.zeros(inst["layout"])
+        config = SolverConfig(gamma=2.0, h0=0.02, project_positions=True)
+        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
         for n in range(25):
-            p, q, record, _ = u.rattle_step(p, q, config, rho=inst["rho"], objective=obj, iteration=n)
+            p, q, record, _ = rattle_step(p, q, config, rho=inst["rho"], objective=obj, iteration=n)
             assert record.constraint_residual <= 1e-12
 
     def test_nonfinite_diagnostic_carries_iteration(self):
         layout, rho = sphere_world()
-        p = u.PrecoderState(layout, np.array([[1.0, 0.0]]))
-        q = u.PrecoderState(layout, np.array([[0.0, 1e200]]))
-        config = u.SolverConfig(gamma=1.0, h0=0.01)
-        with np.errstate(all="ignore"), pytest.raises(u.SolverDivergence, match="iteration 7"):
-            u.rattle_step(p, q, config, rho, ZeroObjective(layout), iteration=7)
+        p = PrecoderState(layout, np.array([[1.0, 0.0]]))
+        q = PrecoderState(layout, np.array([[0.0, 1e200]]))
+        config = SolverConfig(gamma=1.0, h0=0.01)
+        with np.errstate(all="ignore"), pytest.raises(SolverDivergence, match="iteration 7"):
+            rattle_step(p, q, config, rho, ZeroObjective(layout), iteration=7)
 
     def test_dissipation_decays_momentum(self):
         layout, rho = sphere_world(rho_val=1.0)
-        p = u.PrecoderState(layout, np.array([[1.0, 0.0]]))
-        q = u.PrecoderState(layout, np.array([[0.0, 1.0]]))
+        p = PrecoderState(layout, np.array([[1.0, 0.0]]))
+        q = PrecoderState(layout, np.array([[0.0, 1.0]]))
         gamma, h = 2.0, 0.01
-        config = u.SolverConfig(gamma=gamma, h0=h)
+        config = SolverConfig(gamma=gamma, h0=h)
         obj = ZeroObjective(layout)
         norms = [1.0]
         for n in range(50):
-            p, q, _, _ = u.rattle_step(p, q, config, rho, obj, iteration=n)
+            p, q, _, _ = rattle_step(p, q, config, rho, obj, iteration=n)
             norms.append(float(np.linalg.norm(q.blocks)))
         norms = np.array(norms)
         assert np.all(np.diff(norms) < 0.0)
@@ -250,49 +272,49 @@ class TestStepController:
     def _config(self, **kw):
         defaults = dict(gamma=1.0, h0=0.01, r_ctrl=0.1, theta=0.5, h_max=1.0)
         defaults.update(kw)
-        return u.SolverConfig(**defaults)
+        return SolverConfig(**defaults)
 
     def test_theta_zero_keeps_step(self):
         config = self._config(theta=0.0)
-        assert u.step_controller(37.0, 0.42, config) == pytest.approx(0.42)
+        assert step_controller(37.0, 0.42, config) == pytest.approx(0.42)
 
     def test_unit_ratio_keeps_step(self):
         config = self._config(r_ctrl=0.25)
-        assert u.step_controller(0.25, 0.03, config) == pytest.approx(0.03)
+        assert step_controller(0.25, 0.03, config) == pytest.approx(0.03)
 
     def test_theta_one_quarter_ratio_halves(self):
         config = self._config(theta=1.0, r_ctrl=0.1)
-        assert u.step_controller(0.4, 0.2, config) == pytest.approx(0.1)
+        assert step_controller(0.4, 0.2, config) == pytest.approx(0.1)
 
     def test_zero_error_returns_max_step(self):
         config = self._config(h_max=0.7)
-        assert u.step_controller(0.0, 0.01, config) == 0.7
+        assert step_controller(0.0, 0.01, config) == 0.7
 
     def test_clamping(self):
         # (1e-6 / 1e6) * 0.1 = 1e-13 lies far below the floor, (1e6 / 1e-6) * 0.1 above h_max
         config = self._config(theta=2.0, r_ctrl=1e-6, h_max=0.5)
-        assert u.step_controller(1e6, 0.1, config) == symplectic._H_MIN == 1e-5
+        assert step_controller(1e6, 0.1, config) == symplectic._H_MIN == 1e-5
         config2 = self._config(theta=2.0, r_ctrl=1e6, h_max=0.5)
-        assert u.step_controller(1e-6, 0.1, config2) == 0.5
+        assert step_controller(1e-6, 0.1, config2) == 0.5
         # a ceiling below the floor is rejected; one at the floor pins every step to it
         with pytest.raises(ValueError, match="h_max"):
             self._config(h_max=0.5 * symplectic._H_MIN)
         config3 = self._config(theta=2.0, r_ctrl=1e6, h_max=symplectic._H_MIN)
-        assert u.step_controller(1e-6, 0.1, config3) == symplectic._H_MIN
+        assert step_controller(1e-6, 0.1, config3) == symplectic._H_MIN
 
     def test_rejects_bad_inputs(self):
         config = self._config()
         with pytest.raises(ValueError):
-            u.step_controller(-1.0, 0.1, config)
+            step_controller(-1.0, 0.1, config)
         with pytest.raises(ValueError):
-            u.step_controller(0.1, 0.0, config)
+            step_controller(0.1, 0.0, config)
 
 
 class TestSolve:
     def test_desk_run_converges(self):
         inst = make_instance(seed=0)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        result = u.solve(
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        result = solve(
             inst["ch"], inst["clusters"], inst["rho"], inst["w"], init,
             inst["cfg"].solver_config(),
         )
@@ -302,25 +324,25 @@ class TestSolve:
 
     def test_returned_precoder_is_best(self):
         inst = make_instance(seed=1)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        result = u.solve(
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        result = solve(
             inst["ch"], inst["clusters"], inst["rho"], inst["w"], init,
             inst["cfg"].solver_config(),
         )
-        obj = u.WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
         final = obj.wsr_bits(result.precoder)
         trace_best = max(rec.wsr_bits for rec in result.trace)
-        init_wsr = obj.wsr_bits(u.renormalize_power(init, inst["rho"]))
+        init_wsr = obj.wsr_bits(renormalize_power(init, inst["rho"]))
         assert final >= trace_best - 1e-12
         assert final >= init_wsr - 1e-12
 
     def test_single_user_hits_matched_filter_rate(self):
         inst = make_instance(seed=2, K=1, tx_power_dbm=24.0)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        config = u.SolverConfig(
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        config = SolverConfig(
             gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12
         )
-        result = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
+        result = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
         got = max(rec.wsr_bits for rec in result.trace)
         amp = sum(
             math.sqrt(inst["rho"].rho[l]) * np.linalg.norm(inst["ch"].entries[l, 0])
@@ -335,27 +357,27 @@ class TestSolve:
         inst = tiny_instance
         init = random_state(inst["layout"], inst["rho"], 22)
         c = 9.0
-        base = u.SolverConfig(
+        base = SolverConfig(
             gamma=1e-300, h0=0.004, theta=0.0, max_iters=6, rel_tol=1e-300
         )
-        scaled = u.SolverConfig(
+        scaled = SolverConfig(
             gamma=1e-300, h0=0.004 / math.sqrt(c), theta=0.0, max_iters=6, rel_tol=1e-300
         )
-        res_a = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, base)
-        res_b = u.solve(
+        res_a = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, base)
+        res_b = solve(
             inst["ch"], inst["clusters"], inst["rho"],
-            u.Weights(c * inst["w"].w), init, scaled,
+            Weights(c * inst["w"].w), init, scaled,
         )
         assert np.allclose(res_a.precoder.blocks, res_b.precoder.blocks, rtol=1e-9)
 
     def test_propagates_divergence(self):
         layout, rho = sphere_world()
-        cm = u.ClusterMap.from_serving([[0]], 1)
-        ch = u.ChannelSet(entries=np.full((1, 1, 1), 1e150, dtype=complex), noise_power=1e-300)
-        init = u.PrecoderState(layout, np.array([[1e150, 0.0]]))
-        config = u.SolverConfig(gamma=1.0, h0=1.0, max_iters=50, rel_tol=1e-12)
-        with np.errstate(all="ignore"), pytest.raises((u.SolverDivergence, ValueError)):
-            u.solve(ch, cm, rho, u.Weights(np.ones(1)), init, config)
+        cm = ClusterMap.from_serving([[0]], 1)
+        ch = ChannelSet(entries=np.full((1, 1, 1), 1e150, dtype=complex), noise_power=1e-300)
+        init = PrecoderState(layout, np.array([[1e150, 0.0]]))
+        config = SolverConfig(gamma=1.0, h0=1.0, max_iters=50, rel_tol=1e-12)
+        with np.errstate(all="ignore"), pytest.raises((SolverDivergence, ValueError)):
+            solve(ch, cm, rho, Weights(np.ones(1)), init, config)
 
 
 STALL = "stall"
@@ -377,8 +399,8 @@ def scripted_step(script):
         if move is None:
             return None
         if move == STALL:
-            return p, u.StepRecord(wsr_bits=wsr, h_used=0.0)
-        return Point(n), u.StepRecord(wsr_bits=move)
+            return p, StepRecord(wsr_bits=wsr, h_used=0.0)
+        return Point(n), StepRecord(wsr_bits=move)
 
     return step
 
@@ -446,15 +468,15 @@ class TestIterate:
 class TestTraceCsv:
     def test_schema_and_empty_cells(self, tmp_path):
         inst = make_instance(seed=0)
-        init = u.rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        config = u.SolverConfig(
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        config = SolverConfig(
             gamma=20.0, h0=0.002, r_ctrl=0.25, theta=0.5, max_iters=5, rel_tol=1e-12,
             h_max=0.005,
         )
-        result = u.solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
-        baseline_record = u.StepRecord(wsr_bits=1.5)
+        result = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
+        baseline_record = StepRecord(wsr_bits=1.5)
         path = tmp_path / "trace.csv"
-        u.write_trace_csv(path, result.trace + [baseline_record])
+        write_trace_csv(path, result.trace + [baseline_record])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "iter,wsr_bits,hamiltonian,h_used,delta,constraint_residual,hidden_residual,lambda_min,lambda_max"
         assert len(lines) == 7
@@ -466,33 +488,33 @@ class TestTraceCsv:
 
 
 def reference_step(p, q, config, rho, h, ev0, evaluate):
-    """rattle_step as one pass over whole arrays with the public operators, the oracle of its bits.
+    """rattle_step as one pass over whole arrays with the oracles' operators, the oracle of its bits.
 
     evaluate(p_next) gives the evaluation at p_next. Returns (p_next, q_next, record).
     """
     lay = p.layout
-    lam = u.flow_multiplier(p, q, ev0.grad, rho)
+    lam = flow_multiplier(p, q, ev0.grad, rho)
     decay = math.exp(-config.gamma * h / 2.0)
-    q_half = u.PrecoderState(lay, decay * q.blocks - 0.5 * h * (ev0.grad.blocks + apply_gt(p, lam)))
+    q_half = PrecoderState(lay, decay * q.blocks - 0.5 * h * (ev0.grad.blocks + apply_gt(p, lam)))
     p_next = p.blocks + h * q_half.blocks
     if config.project_positions:
-        drifted = u.PrecoderState(lay, p_next)
-        powers = u.constraint_apply_G(drifted, drifted)
+        drifted = PrecoderState(lay, p_next)
+        powers = constraint_apply_G(drifted, drifted)
         scale = np.ones(lay.n_bs)
         mask = lay.nonempty_bs & (powers > 0)
         scale[mask] = np.sqrt(rho.rho[mask] / powers[mask])
         p_next = scale[lay.row_bs][:, None] * p_next
-    p_next = u.PrecoderState(lay, p_next)
+    p_next = PrecoderState(lay, p_next)
     ev1 = evaluate(p_next)
-    mu = u.velocity_multiplier(p_next, q_half, ev1.grad, rho, h)
-    q_next = u.PrecoderState(
+    mu = velocity_multiplier(p_next, q_half, ev1.grad, rho, h)
+    q_next = PrecoderState(
         lay, decay * (q_half.blocks - 0.5 * h * (ev1.grad.blocks + apply_gt(p_next, mu)))
     )
-    powers = u.constraint_apply_G(p_next, p_next)
-    q_norms = np.sqrt(u.constraint_apply_G(q_next, q_next))
-    hidden = np.abs(u.constraint_apply_G(p_next, q_next)) / (np.sqrt(powers) * q_norms + 1e-30)
+    powers = constraint_apply_G(p_next, p_next)
+    q_norms = np.sqrt(constraint_apply_G(q_next, q_next))
+    hidden = np.abs(constraint_apply_G(p_next, q_next)) / (np.sqrt(powers) * q_norms + 1e-30)
     delta = p.blocks - p_next.blocks - 0.5 * h * (ev0.grad.blocks + ev1.grad.blocks)
-    record = u.StepRecord(
+    record = StepRecord(
         lam=lam,
         mu=mu,
         delta=float(np.linalg.norm(delta)),
@@ -552,12 +574,12 @@ def step_problem(shape):
         p = random_state(inst["layout"], rho, 30)
     else:
         ch, clusters, state = table1_shaped_instance()
-        w = u.Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
-        rho = u.PowerBudget.uniform(ch.n_bs, 1.0)
-        p = u.renormalize_power(state, rho)
+        w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+        rho = PowerBudget.uniform(ch.n_bs, 1.0)
+        p = renormalize_power(state, rho)
     q = tangent_momentum(p, 31)
-    config = u.SolverConfig(gamma=8.0, h0=0.01, r_ctrl=1.0, h_max=1.0)
-    return p, q, rho, ReplayObjective(u.WsrObjective(ch, clusters, w)), config
+    config = SolverConfig(gamma=8.0, h0=0.01, r_ctrl=1.0, h_max=1.0)
+    return p, q, rho, ReplayObjective(WsrObjective(ch, clusters, w)), config
 
 
 @pytest.fixture(params=["split", "inline"])
@@ -623,7 +645,7 @@ class TestStepSplit:
         sys.setswitchinterval(1e-6)
         try:
             for n in range(3):
-                p_next, q_next, record, ev_next = u.rattle_step(
+                p_next, q_next, record, ev_next = rattle_step(
                     p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n
                 )
                 want_p, want_q, want = reference_step(p, q, config, rho, h, ev, objective.evaluate)
@@ -632,7 +654,7 @@ class TestStepSplit:
                 assert_same_records(record, want)
                 assert ev_next is objective.evaluate(p_next)
                 p, q, ev = p_next, q_next, ev_next
-                h = u.step_controller(record.delta, h, config)
+                h = step_controller(record.delta, h, config)
         finally:
             sys.setswitchinterval(interval)
         assert_route(*step_route)
@@ -640,15 +662,15 @@ class TestStepSplit:
     @pytest.mark.parametrize("shape", ["desk", "table1"])
     def test_carried_dots_match_uncarried_steps(self, step_route, shape):
         init, _, rho, objective, config = step_problem(shape)
-        p = u.renormalize_power(init, rho)  # solve()'s start
-        q = u.PrecoderState.zeros(p.layout)
+        p = renormalize_power(init, rho)  # solve()'s start
+        q = PrecoderState.zeros(p.layout)
         ev = objective.evaluate(p)
         h = config.h0
         trace = []
         for n in range(4):
-            p, q, record, ev = u.rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
+            p, q, record, ev = rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
             trace.append(record)
-            h = u.step_controller(record.delta, h, config)
+            h = step_controller(record.delta, h, config)
         config.max_iters, config.rel_tol = 4, 1e-300
         result = symplectic.solve(None, None, rho, None, init, config, objective=objective)
         assert result.iterations == 4
@@ -660,11 +682,11 @@ class TestStepSplit:
     def test_share_error_raises_from_step(self, split_guard, fail):
         p, q, rho, objective, config = step_problem("table1")
         objective = FixedObjective(objective.evaluate(p))
-        expected = u.rattle_step(p, q, config, rho, objective)
+        expected = rattle_step(p, q, config, rho, objective)
         # a failing main-thread share first waits for the helper's to start
         guard = split_guard(fail=fail, helper_delay=0.0 if fail[1] else 0.3)
         with pytest.raises(RuntimeError, match="injected"):
-            u.rattle_step(p, q, config, rho, objective)
+            rattle_step(p, q, config, rho, objective)
         ended = guard.ended
         guard.close()
         assert guard.splits == fail[0]
@@ -673,7 +695,7 @@ class TestStepSplit:
         guard.fail = None
         guard.helper_delay = 0.0
         guard.closed = False
-        got = u.rattle_step(p, q, config, rho, objective)  # the next step succeeds
+        got = rattle_step(p, q, config, rho, objective)  # the next step succeeds
         assert {on_helper for _, on_helper, _, _ in guard.shares} == {False, True}
         assert_same_bits(got[0].blocks, expected[0].blocks)
         assert_same_bits(got[1].blocks, expected[1].blocks)
@@ -690,7 +712,7 @@ class TestStepSplit:
         blocks[row, 3] = np.inf
         bad = ObjectiveEval(
             g_value=ev.g_value, wsr_bits=ev.wsr_bits,
-            grad=u.PrecoderState.trusted(p.layout, blocks), terms=None,
+            grad=PrecoderState.trusted(p.layout, blocks), terms=None,
         )
         ev0, ev1 = (bad, ev) if half == "precoder" else (ev, bad)
         messages = []
@@ -699,7 +721,7 @@ class TestStepSplit:
             # both shares run under the caller's errstate, so no warning escapes either route
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("error")
-                with pytest.raises(u.SolverDivergence) as err:
-                    u.rattle_step(p, q, config, rho, FixedObjective(ev1), grad_eval=ev0, iteration=7)
+                with pytest.raises(SolverDivergence) as err:
+                    rattle_step(p, q, config, rho, FixedObjective(ev1), grad_eval=ev0, iteration=7)
             messages.append(str(err.value))
         assert messages == [f"non-finite {half} at iteration 7"] * 2
