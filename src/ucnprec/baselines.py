@@ -8,22 +8,17 @@ safeguarded Newton steps on 1/sqrt(power) (newton_multiplier), started from
 the multiplier of the previous sweep.
 
 A sweep keeps one (K, n_blocks + 1) buffer of per-pair channel products
-conj(H_l) @ p_{l,k}, the buffer the objective's amplitude_matrix gathers from,
-and carries it to the next sweep: each BS update reads its old columns to take
-its own signal out of the amplitudes and overwrites them with the product of
-its new blocks, which is the GEMM the update needs anyway. So only the first
-sweep of a run computes amplitude products; every later amplitude matrix is a
-gather.
+conj(H_l) @ p_{l,k}, which the objective's amplitude_matrix gathers from, and
+carries it to the next sweep: each BS update reads its old columns to take its
+own signal out of the amplitudes and overwrites them with the product of its
+new blocks, the GEMM the update needs anyway. So only a run's first sweep
+computes amplitude products; every later amplitude matrix is a gather.
 
-The grams and their eigendecompositions depend only on the receivers and
-weights, not on the precoders the sweep updates, so past the helper thread's
-gate (helper.py) the sweep builds each gram ahead of its update and queues its
-np.linalg.eigh on the helper, up to _EIGH_AHEAD grams ahead, while the main
-thread runs the updates. A failed eigh, or an error on the main thread, skips
-the queued ones. While a sweep has one in flight, only the helper calls eigh,
-so a wrapped eigh (perfbench's tracer) never runs twice at once, and the sweep
-calls the objective only before its first hand-off and after its last result,
-so the objective's GEMM split never waits behind an eigh.
+A BS's gram and its eigendecomposition depend only on the receivers and
+weights, so they are one job of helper.ordered_bs_jobs, which past the helper's
+gate both threads run, up to _GRAMS_AHEAD BSs ahead of the in-order updates;
+which thread runs a job changes no bit. The sweep calls the objective only
+outside the jobs, so its GEMM split never waits behind one.
 
 bisect_power solves the same equation for any decreasing scalar power
 function by bracketing and false position. No solver calls it; it stays only
@@ -36,7 +31,6 @@ step function run by symplectic.iterate.
 """
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -62,21 +56,11 @@ from .objective import (
 from .symplectic import SolveResult, StepRecord, iterate
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
-_EIGH_AHEAD = 4  # grams a sweep keeps queued for the helper's eigh
+_GRAMS_AHEAD = 8  # decomposed grams a sweep holds at most: at table1, 8 beat 4 and matched 12
 # GD/NAGD: Armijo's first step, backtracking factor, sufficient-decrease constant
 # and backtracks per search, and NAGD's momentum
 _ALPHA0, _BACKTRACK, _C1, _MAX_BACKTRACKS = 1.0, 0.5, 1e-4, 30
 _MOMENTUM = 0.9
-
-
-def _eigh(gram):
-    """Eigendecomposition of a hermitian gram with its eigenvalues clamped at 0.
-
-    eigh reads only the lower triangle, so the gram needs no hermitization.
-    """
-    e, vecs = np.linalg.eigh(gram)  # looked up per call, so a wrapped eigh is the one called
-    np.maximum(e, 0.0, out=e)
-    return e, vecs
 
 
 class BisectionError(RuntimeError):
@@ -300,20 +284,6 @@ def wmmse_step(
     return new_state, ws, wsr_bits
 
 
-def _eigh_queued(stop, gram):
-    """_eigh of a gram queued on the helper; skipped once stop is set.
-
-    A failing decomposition sets stop itself, so no later one of its sweep runs.
-    """
-    if stop.is_set():
-        return None
-    try:
-        return _eigh(gram)
-    except BaseException:
-        stop.set()
-        raise
-
-
 def _wmmse_sweep(state, ch, rho, w, lam0, products):
     """Receiver and weight update plus the per-BS sweep; returns (real blocks, WmmseState).
 
@@ -339,35 +309,29 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
     lam_out = np.zeros(layout.n_bs)
     evals_out = np.zeros(layout.n_bs, dtype=int)
     todo = [l for l, rows in enumerate(layout.bs_rows) if rows.start != rows.stop]
-    executor = helper.executor_for(m)
 
-    def operands(l):
-        h_l = entries[l]  # (K, M_t)
-        return h_l.conj(), h_l.T * coef  # the latter (M_t, K), columns coef_k h_{l,k}
+    def decompose(l):
+        """Eigendecomposition of BS l's gram with its eigenvalues clamped at 0.
 
-    def gram(l):
-        h_l_conj, h_coef = operands(l)
-        return h_coef @ h_l_conj
-
-    def next_eigh():
-        e_vecs = ahead[0].result()  # left queued until its result is in
-        ahead.popleft()
-        return e_vecs
-
-    def solve(l, eigh_result):
-        """Update BS l's blocks, amplitudes and pair products; eigh_result() decomposes its gram.
-
-        A function, so each BS's temporaries are freed before the next BS's are made.
+        h_l.T * coef is (M_t, K) with columns coef_k h_{l,k}. eigh reads only the
+        lower triangle, so the gram needs no hermitization; it is freed on return.
         """
-        h_l_conj, h_coef = operands(l)
+        h_l = entries[l]  # (K, M_t)
+        e, vecs = np.linalg.eigh((h_l.T * coef) @ h_l.conj())  # looked up per call: wrappers run
+        np.maximum(e, 0.0, out=e)
+        return e, vecs
+
+    def solve(l, e_vecs):
+        """Update BS l's blocks, amplitudes and pair products; e_vecs decomposes its gram.
+
+        A function, and each temporary dies once used, so a sweep's peak memory stays low.
+        """
+        h_l = entries[l]
         rows, cols = layout.bs_rows[l], layout.bs_uts[l]
         pair_products = products[:, rows]  # conj(H_l) @ P_l^T of the old blocks
         cross = amps[:, cols] - pair_products  # amplitudes excluding BS l
-        desired = desired_coef[cols, None] * entries[l][cols]  # (n_l, M_t)
-        rhs = desired.T - h_coef @ cross  # (M_t, n_l)
-        del desired  # each temporary is freed once used: a sweep's peak memory stays low
-        e, vecs = _eigh(h_coef @ h_l_conj) if eigh_result is None else eigh_result()
-        del h_coef
+        rhs = (desired_coef[cols, None] * h_l[cols]).T - (h_l.T * coef) @ cross  # (M_t, n_l)
+        e, vecs = e_vecs
         z = vecs.conj().T @ rhs  # (M_t, n_l)
         z_ri = z.view(np.float64)
         s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
@@ -378,31 +342,14 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
         if lam_l == 0.0 and e[0] == 0.0:
             d[d == 0.0] = np.inf  # hard case: the minimum-norm solution leaves these out
         new_blocks = vecs @ (z / d[:, None])  # (M_t, n_l)
-        np.matmul(h_l_conj, new_blocks, out=pair_products)
+        np.matmul(h_l.conj(), new_blocks, out=pair_products)
         cross += pair_products
         amps[:, cols] = cross
         blocks[rows, :m] = new_blocks.real.T
         blocks[rows, m:] = new_blocks.imag.T
-        lam_out[l] = lam_l
-        evals_out[l] = n_evals
+        lam_out[l], evals_out[l] = lam_l, n_evals
 
-    if executor is None:
-        for l in todo:
-            solve(l, None)
-    else:
-        ahead = deque()  # eigh futures of todo[i : i + _EIGH_AHEAD]
-        stop = threading.Event()  # set on an error: queued eigh calls are skipped
-        try:
-            for i, l in enumerate(todo):
-                for j in range(i + len(ahead), min(i + _EIGH_AHEAD, len(todo))):
-                    ahead.append(executor.submit(_eigh_queued, stop, gram(todo[j])))
-                solve(l, next_eigh)
-        finally:
-            if ahead:  # left only by an error: no eigh runs once the sweep has returned
-                stop.set()
-                for eig in ahead:
-                    if not eig.cancel():
-                        eig.exception()
+    helper.ordered_bs_jobs(m, todo, decompose, solve, _GRAMS_AHEAD)
     ws = WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out, products=products)
     return blocks, ws
 

@@ -1,21 +1,16 @@
 """The one helper thread that shares per-BS work with the main thread.
 
 In a user-centric network each BS's precoder touches only its own channel, so
-three kinds of work split by BS. The objective's channel products
-(the pair products' H_l @ conj(P_l)^T, the gradient's H_l^T @ (beta A)[:, U_l])
-are independent per-BS GEMMs; a WMMSE sweep's per-BS eigendecompositions
-depend only on its fixed receivers and weights; and the RATTLE step's row work
-(multipliers, kicks, drift, projection, per-BS dots) touches only each BS's
-own rows. At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
-loaded running one thread, part of that work runs on one helper thread: the
-tail of the BSs in split_bs_loop, and the eigh calls that baselines queues,
-one at a time and a few BSs ahead of the sweep. A WMMSE sweep carries its pair
-products from sweep to sweep, so past its first sweep it hands the helper only
-eigh calls: its amplitude matrices are gathers and its GEMMs stay on the
-calling thread.
-Only the thread that runs a call changes, so both routes give the same bits
-(objective.py says why). Below the gate everything runs inline. With
-multithreaded BLAS the gate stays closed: the split was measured slower there.
+three kinds of work split by BS: the objective's per-BS GEMMs (the pair
+products' H_l @ conj(P_l)^T, the gradient's H_l^T @ (beta A)[:, U_l]), a WMMSE
+sweep's grams and eigendecompositions (fixed by its receivers and weights),
+and the RATTLE step's row work (multipliers, kicks, drift, projection, per-BS
+dots). At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
+loaded running one thread, split_bs_loop hands the helper a tail of the BSs,
+and in ordered_bs_jobs both threads claim a sweep's gram jobs a few BSs ahead
+of its updates. Only the thread that runs a call changes, so both routes give
+the same bits (objective.py says why). Below the gate everything runs inline.
+With multithreaded BLAS the gate stays closed: the split was measured slower.
 
 The helper runs only private loop functions and LAPACK calls, never a public
 function of the package, so a tracer that wraps the package's public
@@ -23,22 +18,22 @@ functions sees every call of them on the calling thread.
 
 The first call past the gate starts the helper, so importing the package starts
 no thread. The helper holds its own BLAS buffers and malloc arena, a few MB at
-table1 scale. A forked child drops it (the child has no copy of the thread) and
-starts its own.
+table1 scale. A forked child, which has no copy of the thread, starts its own.
 """
 
 import contextvars
 import os
+import threading
 
 import numpy as np
 
 # Smallest M_t whose per-BS work goes to the helper. Measured on one-thread
-# OpenBLAS and 2 cores: it is the smallest at which handing WMMSE's eigh calls
-# over wins at both table1's and high_power's K and BS count, and the objective's
-# split wins at table1's (evaluate 1.25x at M_t = 48, 1.02x at 32, 0.96x at 16).
-# The RATTLE step's row loops use the same gate: at the smallest shapes that pass
-# it (K = 200, M_t = 48; K = 170, M_t = 64) a whole step split took 0.99x its
-# inline time, though at K = 200 its row work alone took 1.04x.
+# OpenBLAS and 2 cores: at M_t = 48 a WMMSE sweep sharing its gram jobs took
+# 0.68x its inline time at table1's K and BS count and 0.74x at high_power's, and
+# the objective's split wins at table1's (evaluate 1.25x at 48, 1.02x at 32, 0.96x
+# at 16). The RATTLE step's row loops use the same gate: at the smallest shapes
+# that pass it (K = 200, M_t = 48; K = 170, M_t = 64) a whole step split took
+# 0.99x its inline time, though at K = 200 its row work alone took 1.04x.
 MIN_MT = 48
 # Fewest complex multiply-adds (K * M_t * pairs) a per-BS GEMM loop needs for the
 # split: below about 4M the hand-off costs more than half the loop saves (at
@@ -109,12 +104,11 @@ def split_bs_loop(layout, loop, *args):
     objective's per-BS GEMMs or the RATTLE step's row work. Past the gate, and
     with at least SPLIT_MIN_MACS multiply-adds in the objective's per-BS GEMMs
     (the step's row loops use the same test, see MIN_MT), the helper runs
-    loop(cut, n_bs, *args), the tail of BSs that holds about half of the
-    layout's rows, in a copy of this thread's context (so np.errstate holds
-    there too), while this thread runs loop(0, cut, *args); the call returns
-    once both have finished. A helper exception re-raises here, and an
-    exception here propagates only once the helper's share has finished, so no
-    work of a call runs after it returns.
+    loop(cut, n_bs, *args), a tail of BSs with about half the layout's rows, in
+    a copy of this thread's context (so np.errstate holds there too), while this
+    thread runs loop(0, cut, *args). A helper exception re-raises here, and one
+    here propagates once the helper's share has finished: no work of a call
+    runs after it returns.
     """
     n_bs, m_t = layout.n_bs, layout.M_t
     if m_t < MIN_MT or layout.n_ut * m_t * layout.n_blocks < SPLIT_MIN_MACS:
@@ -134,6 +128,65 @@ def split_bs_loop(layout, loop, *args):
             tail.exception()  # waits for the helper's share
         raise
     tail.result()
+
+
+def ordered_bs_jobs(m_t, todo, job, use, ahead):
+    """Call use(l, job(l)) on this thread for each BS l in todo, in todo's order.
+
+    job(l) must read nothing that use writes. Past executor_for's gate both
+    threads claim the next unclaimed job and run it: the helper always, this
+    thread while the result it needs next is not in. Only the `ahead` jobs from
+    the one whose result use takes or holds are claimable, so at most `ahead`
+    results are held. A job's error (raised here when its result is due) or
+    use's stops all claims and propagates once the helper's job has finished:
+    no job runs after the call returns. Below the gate it is a plain loop.
+    """
+    executor = executor_for(m_t)
+    if executor is None:
+        for l in todo:
+            use(l, job(l))
+        return
+    cond = threading.Condition()
+    done = {}  # index in todo -> (result, exception), until use takes it
+    claimed = taken = 0  # jobs claimed; index of the result use takes or holds
+
+    def work(i=None):
+        """Job i's result, running claimable jobs until it is in (i=None: until all are claimed)."""
+        nonlocal claimed
+        while True:
+            with cond:
+                while i not in done and claimed >= min(len(todo), taken + ahead):
+                    if i is None and claimed == len(todo):
+                        return None
+                    cond.wait()
+                if i in done:
+                    result, exc = done.pop(i)
+                    if exc is not None:
+                        raise exc
+                    return result
+                j, claimed = claimed, claimed + 1
+            try:
+                out = job(todo[j]), None
+            except BaseException as exc:
+                out = None, exc
+            with cond:
+                done[j] = out
+                if out[1] is not None:
+                    claimed = len(todo)  # no job starts after an error
+                cond.notify_all()
+
+    share = executor.submit(contextvars.copy_context().run, work)
+    try:
+        for i, l in enumerate(todo):
+            with cond:
+                taken = i
+                cond.notify_all()  # the helper may claim up to `ahead` past i now
+            use(l, work(i))
+    finally:
+        with cond:
+            claimed = len(todo)
+            cond.notify_all()
+        share.result()
 
 
 def _forget_executor():

@@ -398,7 +398,32 @@ class TestEighWorker:
         assert inline == TABLE1_DIGEST["sha256"]
         assert inline_carried == TABLE1_DIGEST["sha256"]
 
-    def test_one_call_per_bs_never_overlapping(self, eigh_guard):
+    def test_random_eigh_delays_keep_the_inline_bytes(self):
+        # an eigh that sleeps a random time on either thread reorders which thread
+        # decomposes which gram and when results come in, but not the bytes
+        script = (
+            "import random, threading, time\n"
+            "import numpy as np\n"
+            "import conftest\n"
+            "from ucnprec import helper\n"
+            "helper._cpus = lambda: 2\n"
+            "eigh, rng, threads = np.linalg.eigh, random.Random(0), set()\n"
+            "def delayed(a):\n"
+            "    threads.add(threading.current_thread().name)\n"
+            "    time.sleep(rng.uniform(0.0, 0.01))\n"
+            "    return eigh(a)\n"
+            "np.linalg.eigh = delayed\n"
+            "print(conftest.table1_wmmse_digest(3))\n"
+            "print(','.join(sorted(threads)))\n"
+            "np.linalg.eigh = eigh\n"
+            "helper.MIN_MT = 10**9\n"
+            "print(conftest.table1_wmmse_digest(3))\n"
+        )
+        delayed, threads, inline = run_with_blas_threads(script, 1)
+        assert threads == "MainThread,ucnprec-helper_0"
+        assert delayed == inline == TABLE1_DIGEST["sha256"]
+
+    def test_one_call_per_bs_on_both_threads(self, eigh_guard):
         guard = eigh_guard()
         state, ch, rho, w = table1_args()
         n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
@@ -414,9 +439,8 @@ class TestEighWorker:
                 guard.closed = False
         finally:
             sys.setswitchinterval(interval)
-        assert guard.overlaps == 0
         assert guard.late == 0
-        assert guard.threads == {"ucnprec-helper_0"}  # every call ran on the one helper
+        assert guard.threads == {"MainThread", "ucnprec-helper_0"}  # both threads decompose
 
     @pytest.mark.parametrize("k", [1, 2, 20])
     def test_worker_error_raises_in_sweep(self, eigh_guard, k):
@@ -432,7 +456,6 @@ class TestEighWorker:
         calls = guard.calls
         wmmse_step(state, ch, rho, w)  # the worker survives the error
         assert guard.calls == calls + n_nonempty
-        assert guard.overlaps == 0
 
     def test_main_thread_error_leaves_no_eigh_running(self, eigh_guard, monkeypatch):
         guard = eigh_guard()
@@ -445,7 +468,7 @@ class TestEighWorker:
             wmmse_step(*table1_args())
         guard.close()
         assert guard.late == 0
-        assert 1 <= guard.calls <= 2  # the failing BS's and perhaps the next one's
+        assert 1 <= guard.calls <= baselines._GRAMS_AHEAD  # only the failing BS's look-ahead
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_worker(self, eigh_guard):
@@ -469,7 +492,7 @@ class TestEighWorker:
             seeds=(0,), wmmse_iters=2,
         )
         summary = run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
-        assert guard.threads == {"ucnprec-helper_0"}  # every call ran on the one helper
+        assert guard.threads <= {"MainThread", "ucnprec-helper_0"}
         wmmse_row, rzf_row = summary.rows
         assert wmmse_row.error == "LinAlgError: injected eigh failure"
         assert not wmmse_row.converged
@@ -477,7 +500,7 @@ class TestEighWorker:
 
 
     def test_worker_error_at_last_bs_of_deep_queue(self, eigh_guard):
-        assert baselines._EIGH_AHEAD >= 3  # the failing eigh is queued behind others
+        assert baselines._GRAMS_AHEAD >= 3  # the failing eigh is claimed behind others
         state, ch, rho, w = table1_args()
         n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
         guard = eigh_guard(fail_on=n_nonempty)
@@ -489,8 +512,6 @@ class TestEighWorker:
         guard.closed = False
         wmmse_step(state, ch, rho, w)  # the helper survives the error
         assert guard.calls == 2 * n_nonempty
-        assert guard.overlaps == 0
-        assert guard.threads == {"ucnprec-helper_0"}
 
 
 # tracemalloc peaks (MB) of one wmmse_step on table1_args() before WMMSE carried its
@@ -548,7 +569,10 @@ class TestCarriedProducts:
                 assert fresh.blocks.tobytes() == state.blocks.tobytes()
         finally:
             sys.setswitchinterval(interval)
-        assert guard.threads == {"MainThread" if route == "inline" else "ucnprec-helper_0"}
+        if route == "inline":
+            assert guard.threads == {"MainThread"}
+        else:
+            assert guard.threads <= {"MainThread", "ucnprec-helper_0"}
 
     @pytest.mark.parametrize(
         "make_bad",
