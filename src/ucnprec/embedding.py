@@ -69,7 +69,6 @@ class BlockLayout:
             self.bs_rows.append(slice(start, start + n))
             start += n
         self.n_blocks = len(self.pairs)
-        self.dim = self.n_blocks * self.block_len
         self.row_bs = np.array([l for l, _ in self.pairs], dtype=int)
         self.row_ut = np.array([k for _, k in self.pairs], dtype=int)
         self.nonempty_bs = np.array([len(u) > 0 for u in self.bs_uts], dtype=bool)

@@ -284,9 +284,9 @@ def _dispatch(name, config, ch, clusters, rho, weights, init, objective) -> Solv
 def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
     """Run every requested solver on every seed and write trace + summary CSVs.
 
-    Solver failures are recorded in their summary row and do not abort the
-    batch. Deterministic given (config, solvers): summary and trace bytes
-    contain no timing data.
+    Solver failures are recorded in their summary row, with no trace file,
+    and do not abort the batch. Deterministic given (config, solvers): summary
+    and trace bytes contain no timing data.
     """
     config.validate()
     solvers = list(solvers)
@@ -311,33 +311,28 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
             try:
                 result = _dispatch(name, config, ch, clusters, rho, weights, init, objective)
             except Exception as exc:  # recorded per row; the batch continues
-                summary.rows.append(
-                    RunRow(
-                        solver=name,
-                        seed=seed,
-                        wsr_bits=float("nan"),
-                        iterations=0,
-                        wall_time_s=time.perf_counter() - start,
-                        grad_evals=objective.grad_evals,
-                        multiply_adds=objective.multiply_adds,
-                        converged=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
+                result, error = None, f"{type(exc).__name__}: {exc}"
             wall = time.perf_counter() - start
-            final_wsr = objective.wsr_bits(result.precoder)
-            write_trace_csv(os.path.join(out_dir, f"trace_{name}_seed{seed}.csv"), result.trace)
+            trace = os.path.join(out_dir, f"trace_{name}_seed{seed}.csv")
+            if result is None:
+                wsr, iterations, converged = float("nan"), 0, False
+                if os.path.exists(trace):  # an earlier run's, which this row would contradict
+                    os.remove(trace)
+            else:
+                wsr = objective.wsr_bits(result.precoder)
+                iterations, converged, error = result.iterations, result.converged, ""
+                write_trace_csv(trace, result.trace)
             summary.rows.append(
                 RunRow(
                     solver=name,
                     seed=seed,
-                    wsr_bits=final_wsr,
-                    iterations=result.iterations,
+                    wsr_bits=wsr,
+                    iterations=iterations,
                     wall_time_s=wall,
                     grad_evals=objective.grad_evals,
                     multiply_adds=objective.multiply_adds,
-                    converged=result.converged,
+                    converged=converged,
+                    error=error,
                 )
             )
     _write_summary(os.path.join(out_dir, "summary.csv"), summary.rows)

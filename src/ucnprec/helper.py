@@ -6,13 +6,14 @@ products' H_l @ conj(P_l)^T, the gradient's H_l^T @ (beta A)[:, U_l]), a WMMSE
 sweep's grams and eigendecompositions (fixed by its receivers and weights),
 and the RATTLE step's row work (multipliers, kicks, drift, projection, per-BS
 dots). At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
-loaded running one thread, split_bs_loop hands the helper a tail of the BSs,
-and in ordered_bs_jobs both threads claim a sweep's gram jobs a few BSs ahead
-of its updates. Only the thread that runs a call changes, so both routes give
-the same bits (objective.py says why). Below the gate everything runs inline.
+loaded running one thread, split_bs_loop calls its caller's closure on a head
+of the BSs here and on the tail on the helper, and in ordered_bs_jobs both
+threads claim a sweep's gram jobs a few BSs ahead of its updates. Only the
+thread that runs a call changes, so both routes give the same bits
+(objective.py says why). Below the gate everything runs inline.
 With multithreaded BLAS the gate stays closed: the split was measured slower.
 
-The helper runs only private loop functions and LAPACK calls, never a public
+The helper runs only its callers' closures and LAPACK calls, never a public
 function of the package, so a tracer that wraps the package's public
 functions sees every call of them on the calling thread.
 
@@ -97,32 +98,32 @@ def executor_for(m_t):
     return _executor
 
 
-def split_bs_loop(layout, loop, *args):
-    """Run loop(start, stop, *args) once over the BSs [0, layout.n_bs).
+def split_bs_loop(layout, loop):
+    """Run loop(bs, rows) over all BSs: bs a slice of BSs, rows the slice of their rows.
 
-    loop does per-BS work that writes only the BSs' own rows or columns: the
-    objective's per-BS GEMMs or the RATTLE step's row work. Past the gate, and
-    with at least SPLIT_MIN_MACS multiply-adds in the objective's per-BS GEMMs
-    (the step's row loops use the same test, see MIN_MT), the helper runs
-    loop(cut, n_bs, *args), a tail of BSs with about half the layout's rows, in
-    a copy of this thread's context (so np.errstate holds there too), while this
-    thread runs loop(0, cut, *args). A helper exception re-raises here, and one
-    here propagates once the helper's share has finished: no work of a call
-    runs after it returns.
+    loop does per-BS work that writes only its BSs' rows or columns. At
+    SPLIT_MIN_MACS multiply-adds in the objective's per-BS GEMMs or more (the
+    step's row loops use the same test, see MIN_MT) and past executor_for's
+    gate, the helper runs loop on a tail of BSs with about half the rows, in a
+    copy of this thread's context (so np.errstate holds there too), while this
+    thread runs the head; either may be empty. A helper exception re-raises
+    here, and one here propagates once the helper's share has finished: no
+    work of a call runs after it returns. Otherwise loop runs once, here.
     """
-    n_bs, m_t = layout.n_bs, layout.M_t
-    if m_t < MIN_MT or layout.n_ut * m_t * layout.n_blocks < SPLIT_MIN_MACS:
-        executor = None  # decided before executor_for's system calls: desk's loops stop here
-    else:
-        executor = executor_for(m_t)
+    n_bs, n_rows = layout.n_bs, layout.n_blocks
+    # tested before executor_for's system calls: desk's loops stop here
+    big = layout.n_ut * layout.M_t * n_rows >= SPLIT_MIN_MACS
+    executor = executor_for(layout.M_t) if big else None
     if executor is None:
-        loop(0, n_bs, *args)
+        loop(slice(0, n_bs), slice(0, n_rows))
         return
-    starts = [rows.start for rows in layout.bs_rows] + [layout.n_blocks]
-    cut = min(range(n_bs + 1), key=lambda l: abs(2 * starts[l] - layout.n_blocks))
-    tail = executor.submit(contextvars.copy_context().run, loop, cut, n_bs, *args)
+    starts = [rows.start for rows in layout.bs_rows] + [n_rows]
+    cut = min(range(n_bs + 1), key=lambda l: abs(2 * starts[l] - n_rows))
+    tail = executor.submit(
+        contextvars.copy_context().run, loop, slice(cut, n_bs), slice(starts[cut], n_rows)
+    )
     try:
-        loop(0, cut, *args)
+        loop(slice(0, cut), slice(0, starts[cut]))
     except BaseException:
         if not tail.cancel():
             tail.exception()  # waits for the helper's share

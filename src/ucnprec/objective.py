@@ -88,14 +88,6 @@ class RateTerms:
             arr.setflags(write=False)  # WsrObjective hands one instance to many callers
 
 
-def _amplitude_products(start, stop, bs_rows, entries, cblocks, buf):
-    """buf[:, rows of BS l] = H_l @ cblocks[rows of BS l]^T for the BSs l in [start, stop)."""
-    for l in range(start, stop):
-        rows = bs_rows[l]
-        if rows.stop != rows.start:
-            np.matmul(entries[l], cblocks[rows].T, out=buf[:, rows])
-
-
 def _pair_products(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
     """(K, n_blocks + 1) buffer whose column i holds pair i's conj(H_l) @ p_{l,k}; the last is zero.
 
@@ -108,7 +100,14 @@ def _pair_products(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
     np.conjugate(cblocks, out=cblocks)
     buf = np.empty((ch.n_ut, lay.n_blocks + 1), dtype=complex)
     buf[:, -1] = 0.0
-    helper.split_bs_loop(lay, _amplitude_products, lay.bs_rows, ch.entries, cblocks, buf)
+
+    def products(bs, _):
+        for l in range(bs.start, bs.stop):
+            rows = lay.bs_rows[l]
+            if rows.stop != rows.start:
+                np.matmul(ch.entries[l], cblocks[rows].T, out=buf[:, rows])
+
+    helper.split_bs_loop(lay, products)
     del cblocks  # freed before the caller's gather allocates
     np.conjugate(buf, out=buf)  # before the gather: the zero start absorbs the -0 parts
     return buf
@@ -150,14 +149,6 @@ def terms_from_amplitudes(amps: np.ndarray, noise_power: float) -> RateTerms:
     return RateTerms(a=a, r=r, b=b, rate_nats=rate_nats, rate_bits=rate_nats / _LN2)
 
 
-def _cross_products(start, stop, bs_rows, bs_uts, entries, beta_amps, grad_c):
-    """grad_c[rows of BS l] = (H_l^T @ beta_amps[:, U_l])^T for the BSs l in [start, stop)."""
-    for l in range(start, stop):
-        rows = bs_rows[l]
-        if rows.stop != rows.start:
-            grad_c[rows] = (entries[l].T @ beta_amps[:, bs_uts[l]]).T
-
-
 def _gradient_blocks(
     state: PrecoderState,
     ch: ChannelSet,
@@ -188,9 +179,14 @@ def _gradient_blocks(
     h_pair = out.view(complex)  # h_{l,k} per pair, kept in out's storage until the split
     ch.entries.reshape(-1, m).take(lay.pair_index, axis=0, out=h_pair, mode="clip")
     beta_amps = beta[:, None] * amps
-    helper.split_bs_loop(
-        lay, _cross_products, lay.bs_rows, lay.bs_uts, ch.entries, beta_amps, grad_c
-    )
+
+    def cross_products(bs, _):
+        for l in range(bs.start, bs.stop):
+            rows = lay.bs_rows[l]
+            if rows.stop != rows.start:
+                grad_c[rows] = (ch.entries[l].T @ beta_amps[:, lay.bs_uts[l]]).T
+
+    helper.split_bs_loop(lay, cross_products)
     ut = lay.row_ut
     diag_coef = (alpha[ut] + beta[ut]) * amps[ut, ut]
     grad_c -= np.multiply(diag_coef[:, None], h_pair, out=h_pair)

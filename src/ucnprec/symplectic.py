@@ -17,9 +17,10 @@ G^T lam are per-BS block operations.
 Apart from its two evaluations and four reductions over all BSs (the error
 estimate's norm, the Hamiltonian's sum of q_hat^2, the largest hidden residual
 and the power residual), a step is local to each BS's contiguous rows, so
-rattle_step runs that row work in two halves, before and after
-evaluate(p_next), through helper.split_bs_loop; helper.py has its gate and
-objective.py why both routes give the same bits. solve() carries G(q, q) and
+rattle_step writes that row work as two closures over a slice of BSs and
+their rows, kick_drift before evaluate(p_next) and kick_close after it, and
+hands each to helper.split_bs_loop; helper.py has its gate and objective.py
+why both routes give the same bits. solve() carries G(q, q) and
 G(p, grad) from step to step: they equal the previous step's G(q_next, q_next)
 and G(p_next, grad_next) bit for bit.
 
@@ -117,86 +118,6 @@ def _bs_dots(row_bs, a: np.ndarray, b: np.ndarray, n: int, work=None) -> np.ndar
     return np.bincount(row_bs, weights=rows, minlength=n)
 
 
-# The two halves of rattle_step for the BSs [start, stop), around its second
-# evaluate(). Each writes only its BSs' rows of the row arrays and its BSs'
-# entries of the per-BS arrays, with the operations of the one-thread step in
-# the same order, so helper.split_bs_loop may run them split or inline.
-
-
-def _kick_drift(
-    start, stop, lay, p, q, g0, rho, h, decay, project, iteration,
-    qq, pg, fill_dots, lam, q_half, p_next, work,
-):
-    """lam, the half kick to q_half, the drift to p_next and its projection.
-
-    qq and pg hold G(q, q) and G(p, g0), filled here if fill_dots. Raises
-    SolverDivergence if a row of p_next is not finite.
-    """
-    if start == stop:
-        return
-    rows = slice(lay.bs_rows[start].start, lay.bs_rows[stop - 1].stop)
-    bs = slice(start, stop)
-    row_bs = lay.row_bs[rows]
-    p, q, g0, work = p[rows], q[rows], g0[rows], work[rows]
-    if fill_dots:
-        qq[bs] = _bs_dots(row_bs, q, q, stop, work)[bs]
-        pg[bs] = _bs_dots(row_bs, p, g0, stop, work)[bs]
-    lam[bs] = (qq[bs] - pg[bs]) / rho[bs]
-    force = np.multiply(lam[row_bs][:, None], p, out=work)
-    force += g0
-    force *= 0.5 * h
-    q_half = np.multiply(q, decay, out=q_half[rows])
-    q_half -= force
-    p_next = np.multiply(q_half, h, out=p_next[rows])
-    p_next += p
-    if project:
-        powers = _bs_dots(row_bs, p_next, p_next, stop, work)
-        scale = np.ones(stop)
-        mask = lay.nonempty_bs[:stop] & (powers > 0)
-        scale[mask] = np.sqrt(rho[:stop][mask] / powers[mask])
-        p_next *= scale[row_bs][:, None]
-    if not np.isfinite(p_next).all():
-        raise SolverDivergence(f"non-finite precoder at iteration {iteration}")
-
-
-def _kick_close(
-    start, stop, lay, p, p_next, q_half, g0, g1, rho, h, decay, iteration,
-    per_bs, q_next, delta_rows, work,
-):
-    """mu, the closing half kick to q_next, the error-estimate rows and the residual dots.
-
-    Fills the rows of per_bs: G(p_next, g1), mu, G(p_next, p_next),
-    G(q_next, q_next) and the hidden-constraint ratios. work's rows end as
-    q_next**2. Raises SolverDivergence if a row of q_next is not finite.
-    """
-    if start == stop:
-        return
-    rows = slice(lay.bs_rows[start].start, lay.bs_rows[stop - 1].stop)
-    bs = slice(start, stop)
-    row_bs = lay.row_bs[rows]
-    pg1, mu, powers, qq_next, hidden = per_bs
-    p, p_next, q_half = p[rows], p_next[rows], q_half[rows]
-    g0, g1, work = g0[rows], g1[rows], work[rows]
-    pq = _bs_dots(row_bs, p_next, q_half, stop, work)[bs]
-    pg1[bs] = _bs_dots(row_bs, p_next, g1, stop, work)[bs]
-    mu[bs] = (2.0 * pq - h * pg1[bs]) / (h * rho[bs])
-    force = np.multiply(mu[row_bs][:, None], p_next, out=work)
-    force += g1
-    force *= 0.5 * h
-    q_next = np.subtract(q_half, force, out=q_next[rows])
-    q_next *= decay
-    if not np.isfinite(q_next).all():
-        raise SolverDivergence(f"non-finite momentum at iteration {iteration}")
-    # p - p_next - h/2 (g0 + g1), the error estimate's rows
-    delta = np.add(g0, g1, out=delta_rows[rows])
-    delta *= 0.5 * h
-    np.subtract(np.subtract(p, p_next, out=work), delta, out=delta)
-    powers[bs] = _bs_dots(row_bs, p_next, p_next, stop, work)[bs]
-    dots = np.abs(_bs_dots(row_bs, p_next, q_next, stop, work)[bs])
-    qq_next[bs] = _bs_dots(row_bs, q_next, q_next, stop, work)[bs]
-    hidden[bs] = dots / (np.sqrt(powers[bs]) * np.sqrt(qq_next[bs]) + _HIDDEN_FLOOR)
-
-
 def rattle_step(
     p: PrecoderState,
     q: PrecoderState,
@@ -220,7 +141,7 @@ def rattle_step(
     the values it holds instead of recomputing them, with the same bits.
     solve() passes one list to all its steps.
 
-    The row work runs through helper.split_bs_loop in two halves, around
+    The row work runs through helper.split_bs_loop in two closures, around
     evaluate(p_next); see the module docstring.
     """
     lay = p.layout
@@ -238,25 +159,68 @@ def rattle_step(
     qq, pg = carry if carry else (np.empty(n_bs), np.empty(n_bs))
     lam = np.empty(n_bs)
     q_half, p_next, work = np.empty(shape), np.empty(shape), np.empty(shape)
-    helper.split_bs_loop(
-        lay, _kick_drift, lay, p.blocks, q.blocks, ev0.grad.blocks, rho.rho, h, decay,
-        config.project_positions, iteration, qq, pg, not carry, lam, q_half, p_next, work,
-    )
-    # q_half is finite too: p_next = p + h * q_half (then rescaled) would not be
-    p_next = PrecoderState.trusted(lay, p_next)
 
-    ev1 = objective.evaluate(p_next)
-    # one array for the five per-BS results: as five arguments they made the call
-    # 20 long, and a high_power batch then ended 0.3 MB higher in peak RSS
-    per_bs = np.empty((5, n_bs))
+    # The step's two halves for the BSs bs and their rows. Each writes only those
+    # rows and BSs' entries, with the one-thread step's operations in the same
+    # order, so helper.split_bs_loop may run them split or inline.
+
+    def kick_drift(bs, rows):
+        """lam, the half kick to q_half, the drift to p_next and its projection."""
+        n, row_bs, w = bs.stop, lay.row_bs[rows], work[rows]
+        p0, q0, g0 = p.blocks[rows], q.blocks[rows], ev0.grad.blocks[rows]
+        if not carry:  # G(q, q) and G(p, g0)
+            qq[bs] = _bs_dots(row_bs, q0, q0, n, w)[bs]
+            pg[bs] = _bs_dots(row_bs, p0, g0, n, w)[bs]
+        lam[bs] = (qq[bs] - pg[bs]) / rho.rho[bs]
+        force = np.multiply(lam[row_bs][:, None], p0, out=w)
+        force += g0
+        force *= 0.5 * h
+        qh = np.multiply(q0, decay, out=q_half[rows])
+        qh -= force
+        p1 = np.multiply(qh, h, out=p_next[rows])
+        p1 += p0
+        if config.project_positions:
+            drifted = _bs_dots(row_bs, p1, p1, n, w)
+            scale = np.ones(n)
+            mask = lay.nonempty_bs[:n] & (drifted > 0)
+            scale[mask] = np.sqrt(rho.rho[:n][mask] / drifted[mask])
+            p1 *= scale[row_bs][:, None]
+        if not np.isfinite(p1).all():
+            raise SolverDivergence(f"non-finite precoder at iteration {iteration}")
+
+    helper.split_bs_loop(lay, kick_drift)
+    # q_half is finite too: p_next = p + h * q_half (then rescaled) would not be
+    p_state = PrecoderState.trusted(lay, p_next)
+
+    ev1 = objective.evaluate(p_state)
+    pg1, mu, powers, qq_next, hidden = (np.empty(n_bs) for _ in range(5))
     q_next, delta_rows = np.empty(shape), np.empty(shape)
-    helper.split_bs_loop(
-        lay, _kick_close, lay, p.blocks, p_next.blocks, q_half, ev0.grad.blocks,
-        ev1.grad.blocks, rho.rho, h, decay, iteration, per_bs, q_next, delta_rows, work,
-    )
-    pg1, mu, powers, qq_next, hidden = per_bs
-    q_next_sq = work  # _kick_close leaves q_next**2 there
-    q_next = PrecoderState.trusted(lay, q_next)
+
+    def kick_close(bs, rows):
+        """mu, the closing half kick to q_next, the error-estimate rows and the residual dots."""
+        n, row_bs, w = bs.stop, lay.row_bs[rows], work[rows]
+        p0, p1, qh = p.blocks[rows], p_next[rows], q_half[rows]
+        g0, g1 = ev0.grad.blocks[rows], ev1.grad.blocks[rows]
+        pq = _bs_dots(row_bs, p1, qh, n, w)[bs]
+        pg1[bs] = _bs_dots(row_bs, p1, g1, n, w)[bs]
+        mu[bs] = (2.0 * pq - h * pg1[bs]) / (h * rho.rho[bs])
+        force = np.multiply(mu[row_bs][:, None], p1, out=w)
+        force += g1
+        force *= 0.5 * h
+        q1 = np.subtract(qh, force, out=q_next[rows])
+        q1 *= decay
+        if not np.isfinite(q1).all():
+            raise SolverDivergence(f"non-finite momentum at iteration {iteration}")
+        # p - p_next - h/2 (g0 + g1), the error estimate's rows
+        delta = np.add(g0, g1, out=delta_rows[rows])
+        delta *= 0.5 * h
+        np.subtract(np.subtract(p0, p1, out=w), delta, out=delta)
+        powers[bs] = _bs_dots(row_bs, p1, p1, n, w)[bs]
+        dots = np.abs(_bs_dots(row_bs, p1, q1, n, w)[bs])
+        qq_next[bs] = _bs_dots(row_bs, q1, q1, n, w)[bs]
+        hidden[bs] = dots / (np.sqrt(powers[bs]) * np.sqrt(qq_next[bs]) + _HIDDEN_FLOOR)
+
+    helper.split_bs_loop(lay, kick_close)
     if carry is not None:
         carry[:] = (qq_next, pg1)
 
@@ -265,12 +229,13 @@ def rattle_step(
         mu=mu,
         delta=float(np.linalg.norm(delta_rows)),
         h_used=float(h),
-        hamiltonian=0.5 * float(np.add.reduce(q_next_sq, axis=None)) + ev1.g_value,
+        # work holds q_next**2, the products of kick_close's last dots
+        hamiltonian=0.5 * float(np.add.reduce(work, axis=None)) + ev1.g_value,
         wsr_bits=ev1.wsr_bits,
         constraint_residual=power_residual(lay, powers, rho),
         hidden_residual=float(hidden.max()) if hidden.size else 0.0,
     )
-    return p_next, q_next, record, ev1
+    return p_state, PrecoderState.trusted(lay, q_next), record, ev1
 
 
 def step_controller(delta: float, h: float, config: SolverConfig) -> float:

@@ -236,13 +236,13 @@ class SplitGuard:
         self.splits = self.ended = self.late = 0
         self.closed = False
 
-    def __call__(self, layout, loop, *args):
+    def __call__(self, layout, loop):
         self.splits += 1
         split = self.splits
 
-        def share(start, stop, *args):
+        def share(bs, rows):
             on_helper = threading.current_thread().name.startswith("ucnprec-helper")
-            self.shares.append((split, on_helper, start, stop))
+            self.shares.append((split, on_helper, bs.start, bs.stop))
             if on_helper:
                 self.helper_started.set()
                 time.sleep(self.helper_delay)
@@ -251,17 +251,37 @@ class SplitGuard:
             try:
                 if (split, on_helper) == self.fail:
                     raise RuntimeError("injected share failure")
-                loop(start, stop, *args)
+                loop(bs, rows)
             finally:
                 self.ended += 1
                 self.late += self.closed
 
-        self._split_bs_loop(layout, share, *args)
+        self._split_bs_loop(layout, share)
 
     def close(self):
         """Mark the call returned, then let anything still queued on the helper run."""
         self.closed = True
         helper._executor.submit(int).result(timeout=60)
+
+
+def watch_split_loops(caller, patch=setattr):
+    """The names of the threads that run the loops `caller` hands helper.split_bs_loop.
+
+    Wraps helper.split_bs_loop through patch (setattr, or a monkeypatch's
+    setattr to undo it); loops defined in other functions run unwatched.
+    """
+    threads = set()
+    split_bs_loop = helper.split_bs_loop
+
+    def watched(layout, loop):
+        def share(bs, rows):
+            threads.add(threading.current_thread().name)
+            loop(bs, rows)
+
+        split_bs_loop(layout, share if loop.__qualname__.startswith(f"{caller}.") else loop)
+
+    patch(helper, "split_bs_loop", watched)
+    return threads
 
 
 @pytest.fixture

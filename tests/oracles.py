@@ -102,7 +102,7 @@ def naive_bs_powers(state):
 def dense_constraint_jacobian(state):
     """The never-materialized constraint Jacobian as an explicit (B, dim) matrix."""
     lay = state.layout
-    mat = np.zeros((lay.n_bs, lay.dim))
+    mat = np.zeros((lay.n_bs, lay.n_blocks * lay.block_len))
     for i, (l, _) in enumerate(lay.pairs):
         mat[l, i * lay.block_len : (i + 1) * lay.block_len] = state.blocks[i]
     return mat

@@ -83,7 +83,8 @@ class TestLayoutAndState:
         layout = small_instance["layout"]
         state = PrecoderState.zeros(layout)
         expected = sum(len(uts) for uts in small_instance["clusters"].served_ut)
-        assert state.blocks.size == layout.dim == expected * 2 * small_instance["cfg"].M_t
+        size = layout.n_blocks * layout.block_len
+        assert state.blocks.size == size == expected * 2 * small_instance["cfg"].M_t
 
     def test_layout_is_insertion_order_independent(self):
         a = ClusterMap(serving_bs=[[2, 0], [1]], served_ut=[[0], [1], [0]])
@@ -117,7 +118,7 @@ class TestLayoutAndState:
         with pytest.raises(ValueError, match="shape"):
             PrecoderState(layout, np.zeros((layout.n_blocks, layout.block_len + 1)))
         with pytest.raises(ValueError, match="shape"):
-            PrecoderState(layout, np.zeros(layout.dim))
+            PrecoderState(layout, np.zeros(layout.n_blocks * layout.block_len))
 
     def test_renormalize_rejects_underflowing_power(self):
         layout = BlockLayout(ClusterMap.from_serving([[0]], 1), 1)

@@ -194,13 +194,17 @@ class TestRunExperiment:
         def boom(*args, **kwargs):
             raise baselines.BisectionError("synthetic failure")
 
+        cfg = _fast_cfg()
+        run_experiment(cfg, ["wmmse", "rzf"], tmp_path)  # leaves traces a failed rerun must remove
         monkeypatch.setattr(baselines, "wmmse_iterate", boom)
-        summary = run_experiment(_fast_cfg(), ["wmmse", "rzf"], tmp_path)
+        summary = run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
         wmmse_rows = [r for r in summary.rows if r.solver == "wmmse"]
         rzf_rows = [r for r in summary.rows if r.solver == "rzf"]
         assert all("synthetic failure" in r.error for r in wmmse_rows)
         assert all(not r.converged for r in wmmse_rows)
         assert all(r.error == "" for r in rzf_rows)
+        traces = {path.name for path in tmp_path.glob("trace_*.csv")}
+        assert traces == {f"trace_rzf_seed{seed}.csv" for seed in cfg.seeds}
 
     @pytest.mark.parametrize("rel_tol, flag", [(1e-300, False), (1e9, True)])
     def test_wmmse_converged_is_stopping_rule(self, tmp_path, rel_tol, flag):

@@ -1,4 +1,8 @@
-"""helper.ordered_bs_jobs on toy jobs: result order, look-ahead bound, errors, inline route."""
+"""helper's two primitives on toy work.
+
+split_bs_loop: how its shares tile the BSs and rows, and its inline route.
+ordered_bs_jobs: result order, look-ahead bound, errors, inline route.
+"""
 
 import random
 import threading
@@ -20,6 +24,56 @@ def thread():
 def wait_for_idle_helper():
     """Return once the helper has finished all work submitted to it so far."""
     helper._executor.submit(int).result(timeout=60)
+
+
+def toy_layout(row_counts, m_t=M_T, n_ut=10**6):
+    """A layout whose BS l has row_counts[l] rows; the default n_ut passes SPLIT_MIN_MACS."""
+    starts = [sum(row_counts[:l]) for l in range(len(row_counts) + 1)]
+    return SimpleNamespace(
+        n_bs=len(row_counts), n_blocks=starts[-1], M_t=m_t, n_ut=n_ut,
+        bs_rows=[slice(a, b) for a, b in zip(starts, starts[1:])],
+    )
+
+
+def split_calls(layout):
+    calls = []
+    helper.split_bs_loop(layout, lambda bs, rows: calls.append((thread(), bs, rows)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "row_counts, cut",
+    [
+        ([0, 2, 3, 0, 4, 1, 0], 3),  # rows start 0, 0, 2, 5, 5, 9, 10: BS 3 starts the tail
+        ([0, 0, 2, 0, 3, 3], 5),
+        ([5], 0),
+        ([0, 4, 0], 0),
+    ],
+    ids=["empty-first-at-cut-last", "empty-in-head", "one-bs", "one-bs-with-rows"],
+)
+def test_split_shares_tile_bss_and_rows(open_helper_gate, row_counts, cut):
+    layout = toy_layout(row_counts)
+    calls = sorted(split_calls(layout), key=lambda call: call[0] != "MainThread")
+    assert [(name, bs) for name, bs, _ in calls] == [
+        ("MainThread", slice(0, cut)), (HELPER, slice(cut, layout.n_bs))
+    ]
+    (_, _, head), (_, _, tail) = calls
+    assert (head.start, head.stop, tail.stop) == (0, tail.start, layout.n_blocks)
+    every_row = range(layout.n_blocks)
+    for _, bs, rows in calls:
+        owned = {i for l in range(bs.start, bs.stop) for i in every_row[layout.bs_rows[l]]}
+        assert rows.step is None and set(every_row[rows]) == owned
+
+
+# 10 rows: K * M_t * 10 one short of SPLIT_MIN_MACS at most, or M_t one short of MIN_MT
+@pytest.mark.parametrize(
+    "m_t, n_ut", [(M_T, (helper.SPLIT_MIN_MACS - 1) // (M_T * 10)), (M_T - 1, 10**6)]
+)
+def test_below_the_gate_one_call_over_everything(open_helper_gate, monkeypatch, m_t, n_ut):
+    monkeypatch.setattr(helper, "_executor", None)
+    layout = toy_layout([0, 2, 3, 0, 4, 1, 0], m_t, n_ut)
+    assert split_calls(layout) == [("MainThread", slice(0, 7), slice(0, 10))]
+    assert helper._executor is None  # no thread was started
 
 
 def test_results_come_in_order_when_jobs_finish_out_of_order(open_helper_gate):

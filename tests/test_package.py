@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import importlib
@@ -13,7 +14,7 @@ from ucnprec.embedding import PowerBudget
 from ucnprec.harness import ScenarioConfig
 from ucnprec.objective import Weights
 from ucnprec.symplectic import SolverConfig
-from conftest import run_python, table1_shaped_instance
+from conftest import run_python, table1_shaped_instance, watch_split_loops
 
 REPO = Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
@@ -40,6 +41,7 @@ SOLVER_FIELDS = [
 ]
 
 MAX_LINE = 100  # characters per line of package source
+MAX_PARAMS = 9  # parameters of a package function: rattle_step's count
 
 
 def readme_library_example():
@@ -87,6 +89,18 @@ def test_source_lines_fit_the_line_limit():
         if len(line) > MAX_LINE
     ]
     assert long == []
+
+
+def test_functions_take_at_most_max_params():
+    wide = []
+    for path in sorted((REPO / "src" / "ucnprec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                named = args.posonlyargs + args.args + args.kwonlyargs
+                if len(named) + (args.vararg is not None) + (args.kwarg is not None) > MAX_PARAMS:
+                    wide.append(f"{path.name}:{node.lineno}")
+    assert wide == []
 
 
 def test_readme_library_example_runs(capsys):
@@ -164,7 +178,7 @@ def public_callables(module):
 
 def test_public_callables_run_only_on_the_main_thread(monkeypatch, open_helper_gate):
     # perfbench's tracer keeps one span stack for all threads, so a public callable that
-    # the helper ran would corrupt it; the helper must run only private loops
+    # the helper ran would corrupt it; the helper must run only its callers' closures
     modules = [u] + [
         importlib.import_module(f"ucnprec.{m.name}")
         for m in pkgutil.iter_modules(u.__path__) if m.name != "__main__"
@@ -194,14 +208,7 @@ def test_public_callables_run_only_on_the_main_thread(monkeypatch, open_helper_g
                 for key, value in list(vars(holder).items()):
                     if value is member:
                         monkeypatch.setattr(holder, key, wrapped)
-    loop_threads = set()
-    for name in ("_kick_drift", "_kick_close"):
-
-        def loop(*args, run=getattr(symplectic, name)):
-            loop_threads.add(threading.current_thread().name)
-            run(*args)
-
-        monkeypatch.setattr(symplectic, name, loop)
+    loop_threads = watch_split_loops("rattle_step", monkeypatch.setattr)
 
     ch, clusters, state = table1_shaped_instance()
     rho = PowerBudget.uniform(ch.n_bs, 1.0)

@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -29,7 +28,9 @@ from ucnprec.symplectic import (
     step_controller,
     write_trace_csv,
 )
-from conftest import REPO, make_instance, random_state, run_python, table1_shaped_instance
+from conftest import (
+    REPO, make_instance, random_state, run_python, table1_shaped_instance, watch_split_loops,
+)
 from oracles import (
     constraint_apply_G,
     dense_constraint_jacobian,
@@ -593,15 +594,7 @@ def step_route(request, monkeypatch, open_helper_gate):
         monkeypatch.setattr(helper, "SPLIT_MIN_MACS", 0)
     else:
         monkeypatch.setattr(helper, "MIN_MT", 10**9)
-    threads = set()
-    for name in ("_kick_drift", "_kick_close"):
-
-        def loop(*args, run=getattr(symplectic, name)):
-            threads.add(threading.current_thread().name)
-            run(*args)
-
-        monkeypatch.setattr(symplectic, name, loop)
-    return request.param, threads
+    return request.param, watch_split_loops("rattle_step", monkeypatch.setattr)
 
 
 def assert_route(route, threads):
@@ -613,17 +606,12 @@ class TestStepSplit:
         # one-thread BLAS as perfbench runs it; the digest was recorded with the row work inline.
         # Switching threads as often as the interpreter can would expose a lost write.
         script = (
-            "import sys, threading\n"
+            "import sys\n"
             "import conftest\n"
-            "from ucnprec import helper, symplectic\n"
+            "from ucnprec import helper\n"
             "sys.setswitchinterval(1e-6)\n"
             "helper._cpus = lambda: 2\n"
-            "threads = set()\n"
-            "run = symplectic._kick_close\n"
-            "def loop(*args):\n"
-            "    threads.add(threading.current_thread().name)\n"
-            "    run(*args)\n"
-            "symplectic._kick_close = loop\n"
+            "threads = conftest.watch_split_loops('rattle_step')\n"
             f"print(conftest.table1_symplectic_digest({SYMPLECTIC_DIGEST['steps']}))\n"
             "print(','.join(sorted(threads)))\n"
             "helper.MIN_MT = 10**9\n"
