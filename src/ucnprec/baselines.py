@@ -69,9 +69,8 @@ class BisectionError(RuntimeError):
 
 @dataclass
 class WmmseState:
-    """Receiver coefficients, MMSE weights and per-BS power multipliers."""
+    """MMSE weights, per-BS power multipliers and the new precoder's pair products."""
 
-    u: np.ndarray  # (K,) complex receive coefficients
     W: np.ndarray  # (K,) MMSE weights, >= 1
     lam: np.ndarray  # (B,) multipliers from newton_multiplier, >= 0; warm-start the next sweep
     power_evals: np.ndarray  # (B,) power evaluations each BS's multiplier search took, 0 if empty
@@ -350,7 +349,7 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
         lam_out[l], evals_out[l] = lam_l, n_evals
 
     helper.ordered_bs_jobs(m, todo, decompose, solve, _GRAMS_AHEAD)
-    ws = WmmseState(u=u, W=big_w, lam=lam_out, power_evals=evals_out, products=products)
+    ws = WmmseState(W=big_w, lam=lam_out, power_evals=evals_out, products=products)
     return blocks, ws
 
 

@@ -92,18 +92,7 @@ def generate_topology(scenario, seed: int) -> Topology:
     Each gNB contributes `sectors_per_gnb` BSs at the same coordinates with
     boresights spaced 360/sectors degrees apart. Deterministic given the seed.
     """
-    if scenario.gnb_count < 1:
-        raise ValueError("gnb_count must be >= 1")
-    if scenario.sectors_per_gnb < 1:
-        raise ValueError("sectors_per_gnb must be >= 1")
-    if scenario.K < 1:
-        raise ValueError("K must be >= 1")
-    if scenario.M_t < 1:
-        raise ValueError("M_t must be >= 1")
     radius = scenario.deployment_radius_m
-    if radius <= 0:
-        raise ValueError("deployment_radius_m must be > 0")
-
     centers = _gnb_centers(scenario.gnb_count, radius / 2.0)
     sectors = scenario.sectors_per_gnb
     bs_positions = np.repeat(centers, sectors, axis=0)

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +29,12 @@ _INIT_STREAM = 2
 KNOWN_SOLVERS = ("symplectic", "wmmse", "rzf", "gd", "nagd")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment scenario; defaults are the desk-scale preset.
 
     Every field is a `key = value` line in the config file, e.g.
-    `gnb_count = 7` or `seeds = 0,1,2,3,4`. Optional fields accept `none`.
+    `gnb_count = 7` or `seeds = 0,1,2,3,4`. Construction checks every range.
     The rest of the system model (heights, site spacing, pathloss, weights,
     the GD/NAGD line search and momentum) is fixed where it is used.
     """
@@ -62,14 +61,12 @@ class ScenarioConfig:
     r_ctrl: float = 0.25
     theta: float = 0.5
     h_max: float = 0.005
-    # baselines
-    wmmse_iters: int | None = None  # default: max_iters
 
     @property
     def n_bs(self) -> int:
         return self.gnb_count * self.sectors_per_gnb
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in dataclasses.fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
@@ -90,8 +87,6 @@ class ScenarioConfig:
             raise ValueError("seeds must be nonnegative")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct: each seed writes its own trace files")
-        if self.wmmse_iters is not None and self.wmmse_iters < 1:
-            raise ValueError("wmmse_iters must be >= 1")
         # delegate the remaining range checks to the dataclass they feed
         self.solver_config()
 
@@ -117,24 +112,9 @@ def _parse_seeds(text: str) -> tuple:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
 
 
-def _optional(parser):
-    def parse(text):
-        if text.lower() in ("none", ""):
-            return None
-        return parser(text)
-
-    return parse
-
-
-def _field_parser(annotation):
-    """Value parser of a ScenarioConfig field from its annotation."""
-    inner = [t for t in typing.get_args(annotation) if t is not type(None)]
-    if inner:  # X | None
-        return _optional(_field_parser(inner[0]))
-    return _parse_seeds if annotation is tuple else annotation
-
-
-_FIELD_PARSERS = {f.name: _field_parser(f.type) for f in dataclasses.fields(ScenarioConfig)}
+_FIELD_PARSERS = {
+    f.name: _parse_seeds if f.type is tuple else f.type for f in dataclasses.fields(ScenarioConfig)
+}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -162,15 +142,13 @@ def load_config(path) -> ScenarioConfig:
                 values[key] = _FIELD_PARSERS[key](text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    config = ScenarioConfig(**values)
     try:
-        config.validate()
+        return ScenarioConfig(**values)
     except ValueError as exc:  # each message starts with the key it rejects
         key = str(exc).split(" ", 1)[0]
         if key not in first_line:
             raise
         raise ValueError(f"{path}:{first_line[key]}: {exc}") from None
-    return config
 
 
 @dataclass
@@ -264,8 +242,7 @@ def _dispatch(name, config, ch, clusters, rho, weights, init, objective) -> Solv
             ch, clusters, rho, weights, init, config.solver_config(), objective=objective
         )
     if name == "wmmse":
-        n_iters = config.wmmse_iters if config.wmmse_iters is not None else config.max_iters
-        state, wsr_trace = baselines.wmmse_iterate(init, ch, rho, weights, n_iters)
+        state, wsr_trace = baselines.wmmse_iterate(init, ch, rho, weights, config.max_iters)
         trace = [symplectic.StepRecord(wsr_bits=float(v)) for v in wsr_trace]
         # a fixed number of sweeps: converged says whether the stopping rule holds at the end
         converged = symplectic.settled(wsr_trace, config.rel_tol)
@@ -288,7 +265,6 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
     and do not abort the batch. Deterministic given (config, solvers): summary
     and trace bytes contain no timing data.
     """
-    config.validate()
     solvers = list(solvers)
     if not solvers:
         raise ValueError("need at least one solver")
@@ -396,7 +372,6 @@ def complexity_probe(
         for k_ut in k_grid:
             for b_sc in b_sc_grid:
                 cfg = dataclasses.replace(config, M_t=m_t, K=k_ut, B_sc=b_sc)
-                cfg.validate()
                 _, ch, clusters = build_instance(cfg, seed)
                 rho = cfg.power_budget()
                 state = random_precoder(BlockLayout(clusters, m_t), rho, seed)

@@ -48,7 +48,7 @@ class SolverDivergence(RuntimeError):
     """Raised when an iterate stops being finite."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Hyper-parameters of the dissipative constrained solver."""
 

@@ -44,7 +44,6 @@ def load_preset(name):
 def make_instance(seed=0, **overrides):
     """Generate one scenario instance plus the objects every solver needs."""
     cfg = dataclasses.replace(ScenarioConfig(), **overrides)
-    cfg.validate()
     topo, ch, clusters = build_instance(cfg, seed)
     layout = BlockLayout(clusters, cfg.M_t)
     return {

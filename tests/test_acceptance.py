@@ -5,6 +5,7 @@ with -s to see them). Solver head-to-head checks share the interference-
 limited 24 dBm preset; everything else runs the desk default scenario.
 """
 
+import dataclasses
 import math
 import time
 
@@ -69,10 +70,7 @@ def hp_speed_traces(hp_instances):
     out = {"symplectic": [], "nagd": [], "gd": []}
     for inst in insts:
         args = (inst["ch"], inst["clusters"], inst["w"])
-        sc = SolverConfig(
-            gamma=solver_cfg.gamma, h0=solver_cfg.h0, r_ctrl=solver_cfg.r_ctrl,
-            theta=solver_cfg.theta, max_iters=horizon, rel_tol=1e-12, h_max=solver_cfg.h_max,
-        )
+        sc = dataclasses.replace(solver_cfg, max_iters=horizon, rel_tol=1e-12)
         res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], sc)
         out["symplectic"].append([rec.wsr_bits for rec in res.trace])
         na = nagd_solve(
@@ -111,11 +109,7 @@ def test_criterion_01_gradient_oracle():
 def test_criterion_02_hidden_constraint_enforced():
     inst = make_instance(seed=0)
     init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-    cfg = inst["cfg"].solver_config()
-    sc = SolverConfig(
-        gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
-        max_iters=200, rel_tol=1e-30, h_max=cfg.h_max,
-    )
+    sc = dataclasses.replace(inst["cfg"].solver_config(), max_iters=200, rel_tol=1e-30)
     res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
     worst = max(rec.hidden_residual for rec in res.trace)
     ok = res.iterations == 200 and worst <= 1e-9
@@ -129,11 +123,7 @@ def test_criterion_03_manifold_maintenance():
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         base = inst["cfg"].solver_config()
         for project in (True, False):
-            sc = SolverConfig(
-                gamma=base.gamma, h0=base.h0, r_ctrl=base.r_ctrl, theta=base.theta,
-                max_iters=100, rel_tol=1e-30, h_max=base.h_max,
-                project_positions=project,
-            )
+            sc = dataclasses.replace(base, max_iters=100, rel_tol=1e-30, project_positions=project)
             res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
             peak = max(rec.constraint_residual for rec in res.trace)
             if project:
@@ -196,10 +186,7 @@ def test_criterion_07_adaptive_step_benefit():
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         base = inst["cfg"].solver_config()
         for theta in (0.5, 0.0):
-            sc = SolverConfig(
-                gamma=base.gamma, h0=base.h0, r_ctrl=base.r_ctrl, theta=theta,
-                max_iters=400, rel_tol=base.rel_tol, h_max=base.h_max,
-            )
+            sc = dataclasses.replace(base, theta=theta, max_iters=400)
             res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
             iters[theta].append(res.iterations if res.converged else 400)
     med_adaptive = float(np.median(iters[0.5]))
@@ -213,10 +200,7 @@ def test_criterion_07_adaptive_step_benefit():
 
 def test_criterion_08_cluster_size_ordering(hp_instances):
     cfg, _ = hp_instances
-    solver_cfg = SolverConfig(
-        gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
-        max_iters=150, rel_tol=1e-12, h_max=cfg.h_max,
-    )
+    solver_cfg = dataclasses.replace(cfg.solver_config(), max_iters=150, rel_tol=1e-12)
     medians = {}
     for b_sc in (1, 3, 7):
         finals = []

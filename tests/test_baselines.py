@@ -489,7 +489,7 @@ class TestEighWorker:
         guard = eigh_guard(fail_on=1)
         cfg = dataclasses.replace(
             ScenarioConfig(), gnb_count=2, sectors_per_gnb=1, M_t=48, K=4, B_sc=2,
-            seeds=(0,), wmmse_iters=2,
+            seeds=(0,), max_iters=2,
         )
         summary = run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
         assert guard.threads <= {"MainThread", "ucnprec-helper_0"}

@@ -51,6 +51,18 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=":2:"):
             load_config(write_cfg(tmp_path, "K = 5\nnot_a_key = 1\n"))
 
+    def test_removed_wmmse_iters_key_rejected_with_line(self, tmp_path):
+        # WMMSE runs max_iters sweeps; no preset or benchmark batch set a count of its own
+        with pytest.raises(ValueError, match=r":2: unknown key 'wmmse_iters'$"):
+            load_config(write_cfg(tmp_path, "K = 5\nwmmse_iters = 3\n"))
+
+    def test_desk_preset_sets_every_key_once_to_its_default(self):
+        path = REPO / "configs" / "desk.cfg"
+        lines = [raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines()]
+        keys = [line.split("=", 1)[0].strip() for line in lines if line]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(harness.ScenarioConfig))
+        assert load_config(path) == harness.ScenarioConfig()
+
     def test_bad_value_rejected_with_line(self, tmp_path):
         with pytest.raises(ValueError, match=":1:"):
             load_config(write_cfg(tmp_path, "K = twelve\n"))
@@ -105,8 +117,6 @@ class TestLoadConfig:
 
     def test_every_field_default_round_trips(self, tmp_path):
         def text(value):
-            if value is None:
-                return "none"
             if isinstance(value, tuple):
                 return ",".join(map(str, value))
             return str(value)
@@ -147,10 +157,23 @@ class TestLoadConfig:
             load_config(path)
 
 
+class TestConfigConstruction:
+    def test_replace_checks_ranges(self):
+        with pytest.raises(ValueError, match=r"^B_sc must lie in \[1, 7\], got 25$"):
+            dataclasses.replace(harness.ScenarioConfig(), B_sc=25)
+
+    @pytest.mark.parametrize(
+        "config", [harness.ScenarioConfig(), SolverConfig()], ids=["scenario", "solver"]
+    )
+    def test_fields_are_frozen(self, config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_iters = 4
+
+
 def _fast_cfg(**overrides):
     params = dict(
         gnb_count=2, sectors_per_gnb=1, M_t=4, K=4, B_sc=2,
-        seeds=(0, 1), max_iters=8, wmmse_iters=4,
+        seeds=(0, 1), max_iters=8,
     )
     params.update(overrides)
     return dataclasses.replace(harness.ScenarioConfig(), **params)
@@ -211,7 +234,7 @@ class TestRunExperiment:
         # four sweeps give three WSR changes: the rule holds for a large
         # tolerance and, as the WSR still moves, not for a vanishing one;
         # either way every sweep runs
-        summary = run_experiment(_fast_cfg(wmmse_iters=4, rel_tol=rel_tol), ["wmmse"], tmp_path)
+        summary = run_experiment(_fast_cfg(max_iters=4, rel_tol=rel_tol), ["wmmse"], tmp_path)
         for row in summary.rows:
             assert row.converged is flag
             assert row.iterations == 4
@@ -317,7 +340,7 @@ class TestCli:
     def test_run_command(self, tmp_path):
         cfg_path = write_cfg(
             tmp_path,
-            "gnb_count = 2\nM_t = 4\nK = 4\nB_sc = 2\nseeds = 0\nmax_iters = 5\nwmmse_iters = 3\n",
+            "gnb_count = 2\nM_t = 4\nK = 4\nB_sc = 2\nseeds = 0\nmax_iters = 5\n",
         )
         out = tmp_path / "out"
         assert harness.main(["run", "--config", str(cfg_path), "--solvers", "rzf", "--out", str(out)]) == 0

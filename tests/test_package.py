@@ -26,11 +26,11 @@ EXPORTS = ["WsrObjective", "rzf_init", "solve"]
 
 
 # Adding a config key means adding its name here: every field is a value that a
-# shipped preset, the benchmark or a test sets; the rest of the model is fixed.
+# shipped preset or a benchmark batch sets; the rest of the model is fixed.
 CONFIG_FIELDS = [
     "B_sc", "K", "M_t", "carrier_freq_hz", "deployment_radius_m", "gamma", "gnb_count",
     "h0", "h_max", "init", "max_iters", "noise_dbm", "r_ctrl", "rel_tol", "sectors_per_gnb",
-    "seeds", "theta", "tx_power_dbm", "wmmse_iters",
+    "seeds", "theta", "tx_power_dbm",
 ]
 
 # Adding a solver knob means adding its name here, as for CONFIG_FIELDS: the

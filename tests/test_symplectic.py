@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -659,7 +660,7 @@ class TestStepSplit:
             p, q, record, ev = rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
             trace.append(record)
             h = step_controller(record.delta, h, config)
-        config.max_iters, config.rel_tol = 4, 1e-300
+        config = dataclasses.replace(config, max_iters=4, rel_tol=1e-300)
         result = symplectic.solve(None, None, rho, None, init, config, objective=objective)
         assert result.iterations == 4
         for got, want in zip(result.trace, trace):
