@@ -15,10 +15,17 @@ new blocks, the GEMM the update needs anyway. So only a run's first sweep
 computes amplitude products; every later amplitude matrix is a gather.
 
 A BS's gram and its eigendecomposition depend only on the receivers and
-weights, so they are one job of helper.ordered_bs_jobs, which past the helper's
-gate both threads run, up to _GRAMS_AHEAD BSs ahead of the in-order updates;
-which thread runs a job changes no bit. The sweep calls the objective only
-outside the jobs, so its GEMM split never waits behind one.
+weights. A small sweep (below split_bs_loop's SPLIT_MIN_MACS and the helper's
+gate: desk, high_power) builds each BS's operands once, as slices of stacks,
+and decomposes all grams in one eigh call. A big one makes each gram and its
+eigh one job of helper.ordered_bs_jobs, which past the helper's gate both
+threads run, up to _GRAMS_AHEAD BSs ahead of the in-order updates; stacked
+operands held with each result would cost memory there. One update body
+serves both routes. numpy's stacked matmul and eigh make the same zgemm and
+zheevd call per slice, on slices with the per-BS operands' values and memory
+layout, so the route, like the thread that runs a job, changes no bit. The
+sweep calls the objective only outside the jobs, so its GEMM split never
+waits behind one.
 
 bisect_power solves the same equation for any decreasing scalar power
 function by bracketing and false position. No solver calls it; it stays only
@@ -77,9 +84,10 @@ class WmmseState:
     products: np.ndarray  # (K, n_blocks + 1) pair products of the new precoder; see wmmse_step
 
     def __post_init__(self):
-        if np.any(self.W < 1.0 - 1e-9):
+        # fmin skips NaN entries, as the elementwise comparisons do
+        if np.fmin.reduce(self.W) < 1.0 - 1e-9:
             raise ValueError("MMSE weights must be >= 1")
-        if np.any(self.lam < 0):
+        if np.fmin.reduce(self.lam) < 0:
             raise ValueError("power multipliers must be nonnegative")
 
 
@@ -207,7 +215,7 @@ def newton_multiplier(
     if not rho_l > 0:
         raise ValueError("rho_l must be > 0")
     e_min = float(e[0])
-    hi = math.sqrt(float(s.sum()) / rho_l) - e_min
+    hi = math.sqrt(float(np.add.reduce(s)) / rho_l) - e_min
     if hi <= 0.0:
         return 0.0, 0  # P(0) <= sum(s) / e_0^2 <= rho_l
     lo = 0.0
@@ -219,7 +227,7 @@ def newton_multiplier(
     for n in range(1, 101):
         if lam == 0.0 and e_min == 0.0:
             zero = e == 0.0
-            s_zero = float(s[zero].sum())
+            s_zero = float(np.add.reduce(s[zero]))
             if s_zero > 0.0:  # P(0) is infinite
                 lo, lo_tried = 0.0, True
                 lam = math.sqrt(s_zero / rho_l)  # psi's Newton step from 0
@@ -229,7 +237,7 @@ def newton_multiplier(
         else:
             inv = 1.0 / (e + lam)
             t = s * inv * inv
-        p = float(t.sum())
+        p = float(np.add.reduce(t))
         if abs(p - rho_l) <= tol * rho_l or (lam == 0.0 and p <= rho_l):
             return lam, n
         if p > rho_l:
@@ -294,44 +302,62 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
     entries = ch.entries
 
     amps = amplitude_matrix(state, ch, products)  # updated in place by the sweep
-    diag = np.diagonal(amps)
+    diag = amps.diagonal()
     a = diag.real**2 + diag.imag**2
     total = np.add.reduce(amps.real**2 + amps.imag**2, axis=1)
     r = total - a + sigma2
     u = np.conj(diag) / (total + sigma2)  # full received energy
     big_w = 1.0 + a / r
-    coef = w * big_w * (u.real**2 + u.imag**2)
+    w_big_w = w * big_w
+    coef = w_big_w * (u.real**2 + u.imag**2)
     # desired-signal term of the pair (l, k): w_k W_k conj(u_k) h_{l,k}
-    desired_coef = w * big_w * np.conj(u)
+    desired_coef = w_big_w * np.conj(u)
 
     blocks = np.empty((layout.n_blocks, layout.block_len))
     lam_out = np.zeros(layout.n_bs)
     evals_out = np.zeros(layout.n_bs, dtype=int)
     todo = [l for l, rows in enumerate(layout.bs_rows) if rows.start != rows.stop]
+    # a small sweep stacks each operand over the nonempty BSs (see the module docstring)
+    stacked = layout.n_ut * m * layout.n_blocks < helper.SPLIT_MIN_MACS
+    stacked = stacked and helper.executor_for(m) is None
+    if stacked:
+        h = entries.take(todo, axis=0)  # (n, K, M_t)
+        hc = h.transpose(0, 2, 1) * coef  # slice i: h_l.T * coef, Fortran-ordered as in decompose
+        h_conj = h.conj()
+        e_all, vecs_all = np.linalg.eigh(hc @ h_conj)
+        np.maximum(e_all, 0.0, out=e_all)
+        vecs_h = vecs_all.conj().transpose(0, 2, 1)
+        h_pairs = entries.reshape(-1, m).take(layout.pair_index, axis=0)  # row i: pair i's h_{l,k}
+        desired = desired_coef[layout.row_ut, None] * h_pairs
 
     def decompose(l):
-        """Eigendecomposition of BS l's gram with its eigenvalues clamped at 0.
+        """Eigendecomposition of BS l's gram with its eigenvalues clamped at 0 (a big sweep's job).
 
         h_l.T * coef is (M_t, K) with columns coef_k h_{l,k}. eigh reads only the
         lower triangle, so the gram needs no hermitization; it is freed on return.
+        A small sweep takes the same products, eigh and clamp on its stacks.
         """
         h_l = entries[l]  # (K, M_t)
         e, vecs = np.linalg.eigh((h_l.T * coef) @ h_l.conj())  # looked up per call: wrappers run
         np.maximum(e, 0.0, out=e)
         return e, vecs
 
-    def solve(l, e_vecs):
-        """Update BS l's blocks, amplitudes and pair products; e_vecs decomposes its gram.
+    def update(l, e, vecs, i=None):
+        """Update BS l's blocks, amplitudes and pair products; e, vecs decompose its gram.
 
-        A function, and each temporary dies once used, so a sweep's peak memory stays low.
+        Stacked, the operands are slice i of the sweep's stacks. Otherwise each
+        is built where it is used and dies once used, so a sweep's peak memory
+        stays low.
         """
         h_l = entries[l]
         rows, cols = layout.bs_rows[l], layout.bs_uts[l]
         pair_products = products[:, rows]  # conj(H_l) @ P_l^T of the old blocks
-        cross = amps[:, cols] - pair_products  # amplitudes excluding BS l
-        rhs = (desired_coef[cols, None] * h_l[cols]).T - (h_l.T * coef) @ cross  # (M_t, n_l)
-        e, vecs = e_vecs
-        z = vecs.conj().T @ rhs  # (M_t, n_l)
+        cross = amps.take(cols, axis=1) - pair_products  # amplitudes excluding BS l
+        if stacked:
+            z = vecs_h[i] @ (desired[rows].T - hc[i] @ cross)
+        else:
+            rhs = (desired_coef[cols, None] * h_l[cols]).T - (h_l.T * coef) @ cross  # (M_t, n_l)
+            z = vecs.conj().T @ rhs  # (M_t, n_l)
         z_ri = z.view(np.float64)
         s = np.add.reduce(z_ri * z_ri, axis=1)  # power weight of each eigendirection
         lam_l, n_evals = newton_multiplier(
@@ -341,14 +367,18 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
         if lam_l == 0.0 and e[0] == 0.0:
             d[d == 0.0] = np.inf  # hard case: the minimum-norm solution leaves these out
         new_blocks = vecs @ (z / d[:, None])  # (M_t, n_l)
-        np.matmul(h_l.conj(), new_blocks, out=pair_products)
+        np.matmul(h_conj[i] if stacked else h_l.conj(), new_blocks, out=pair_products)
         cross += pair_products
         amps[:, cols] = cross
         blocks[rows, :m] = new_blocks.real.T
         blocks[rows, m:] = new_blocks.imag.T
         lam_out[l], evals_out[l] = lam_l, n_evals
 
-    helper.ordered_bs_jobs(m, todo, decompose, solve, _GRAMS_AHEAD)
+    if stacked:
+        for i, l in enumerate(todo):
+            update(l, e_all[i], vecs_all[i], i)
+    else:
+        helper.ordered_bs_jobs(m, todo, decompose, lambda l, ev: update(l, *ev), _GRAMS_AHEAD)
     ws = WmmseState(W=big_w, lam=lam_out, power_evals=evals_out, products=products)
     return blocks, ws
 

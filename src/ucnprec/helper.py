@@ -10,8 +10,10 @@ loaded running one thread, split_bs_loop calls its caller's closure on a head
 of the BSs here and on the tail on the helper, and in ordered_bs_jobs both
 threads claim a sweep's gram jobs a few BSs ahead of its updates. Only the
 thread that runs a call changes, so both routes give the same bits
-(objective.py says why). Below the gate everything runs inline.
-With multithreaded BLAS the gate stays closed: the split was measured slower.
+(objective.py says why). Below the gate the loops and jobs run inline, and a
+WMMSE sweep below both the gate and SPLIT_MIN_MACS stacks its grams instead
+(baselines.py). With multithreaded BLAS the gate stays closed: the split was
+measured slower.
 
 The helper runs only its callers' closures and LAPACK calls, never a public
 function of the package, so a tracer that wraps the package's public

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ucnprec import helper
 from ucnprec.channel import ChannelSet, ClusterMap
@@ -19,6 +20,11 @@ from ucnprec.symplectic import SolverConfig, rattle_step, step_controller
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+
+# Property tests draw their examples from a fixed seed, so a run repeats, and
+# stay few and untimed, so a busy two-core machine neither slows nor fails them.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=40, database=None)
+settings.load_profile("tier1")
 
 
 def run_python(script, **env):

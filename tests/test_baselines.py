@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ucnprec import baselines, helper
 from ucnprec.baselines import (
@@ -41,6 +43,7 @@ from ucnprec.symplectic import SolverConfig, SolverDivergence, solve
 from conftest import (
     load_preset,
     make_instance,
+    random_served_instance,
     random_state,
     run_python,
     table1_args,
@@ -609,6 +612,76 @@ class TestCarriedProducts:
         built, carried = (float(p) for p in peaks)
         assert built <= PEAK_BEFORE_CARRIED_PRODUCTS_MB[route]
         assert carried < built  # the carried buffer was allocated before the step
+
+
+def three_sweeps(state, ch, rho, w):
+    """Bytes of three warm-started wmmse_step calls, each given the last one's pair products.
+
+    Per call: the blocks, multipliers, power evaluations, carried products and WSR.
+    """
+    lam = products = None
+    out = []
+    for _ in range(3):
+        state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam, products=products)
+        lam, products = ws.lam, ws.products
+        for arr in (state.blocks, ws.lam, ws.power_evals, ws.products, np.float64(wsr_bits)):
+            out.append(arr.tobytes())
+    return out
+
+
+class TestStackedRoute:
+    """Below split_bs_loop's size and the helper's gate a sweep stacks its grams."""
+
+    def test_desk_sweep_makes_one_eigh_call(self, eigh_guard):
+        guard = eigh_guard()
+        cfg = load_preset("desk.cfg")
+        _, ch, clusters = build_instance(cfg, 0)
+        rho, w = cfg.power_budget(), cfg.weights()
+        state = initial_precoder(cfg, ch, clusters, rho, 0)
+        assert np.count_nonzero(state.layout.nonempty_bs) > 1
+        lam = None
+        for sweep in range(1, 4):
+            state, ws, _ = wmmse_step(state, ch, rho, w, lam0=lam)
+            lam = ws.lam
+            assert guard.calls == sweep
+        assert guard.threads == {"MainThread"}
+
+    def test_table1_inline_sweep_decomposes_per_bs(self, eigh_guard, monkeypatch):
+        # above SPLIT_MIN_MACS a sweep keeps one eigh per BS even with the helper's gate shut
+        monkeypatch.setattr(helper, "MIN_MT", 10**9)
+        guard = eigh_guard()
+        state, ch, rho, w = table1_args()
+        wmmse_step(state, ch, rho, w)
+        assert guard.calls == np.count_nonzero(state.layout.nonempty_bs)
+        assert guard.threads == {"MainThread"}
+
+    @given(seed=st.integers(0, 2**32 - 1), log_watts=st.floats(-3.0, 3.0))
+    def test_routes_give_the_same_bytes(self, seed, log_watts):
+        # random layouts with an empty BS, K < M_t (zero eigenvalues) and UTs served by
+        # 0-3 BSs; at high power some multipliers are 0
+        ch, _, state = random_served_instance(seed)
+        rng = np.random.default_rng(seed)
+        rho = PowerBudget(10.0**log_watts * rng.uniform(0.5, 2.0, ch.n_bs))
+        w = Weights(rng.uniform(0.5, 1.5, ch.n_ut))
+        n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
+        routes = {}
+        with pytest.MonkeyPatch.context() as mp:
+            guard = EighGuard()
+            mp.setattr(np.linalg, "eigh", guard)
+            routes["stacked"] = three_sweeps(state, ch, rho, w)
+            assert guard.calls == 3
+            mp.setattr(helper, "SPLIT_MIN_MACS", 0)  # every layout is big: one job per BS
+            routes["inline"] = three_sweeps(state, ch, rho, w)
+            assert guard.calls == 3 + 3 * n_nonempty
+            assert guard.threads == {"MainThread"}
+            # the helper's gate opened: both threads claim the per-BS jobs
+            mp.setattr(helper, "MIN_MT", 1)
+            mp.setattr(helper, "_cpus", lambda: 2)
+            mp.setattr(helper, "_blas_threads", lambda: 1)
+            routes["helper"] = three_sweeps(state, ch, rho, w)
+            assert guard.calls == 3 + 6 * n_nonempty
+        assert routes["inline"] == routes["stacked"]
+        assert routes["helper"] == routes["stacked"]
 
 
 def _split_evaluation():
