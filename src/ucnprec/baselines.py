@@ -419,7 +419,10 @@ def _armijo(objective, layout, base_blocks, f0, grad_blocks, gnorm2, start, rho)
     """
     alpha = start
     for _ in range(_MAX_BACKTRACKS):
-        cand = PrecoderState(layout, base_blocks - alpha * grad_blocks, copy=False)
+        cand = PrecoderState.trusted(layout, base_blocks - alpha * grad_blocks)
+        # the constructor's one check that can fail here; the shape is the base's
+        if not np.isfinite(cand.blocks).all():
+            raise ValueError("precoder blocks must be finite")
         if rho is not None:
             cand = renormalize_power(cand, rho)
         if objective.value(cand) <= f0 - _C1 * alpha * gnorm2:

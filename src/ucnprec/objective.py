@@ -21,9 +21,23 @@ bytes.
   negation is exact and a GEMM's operation sequence does not depend on operand
   signs, so this is a per-BS scatter loop of conj(H_l) @ P_l^T products bit for
   bit, signed zeros included (conjugating after the gather would make an
-  unserved UT's zeros -0), and so are the gradient GEMMs on it. A WMMSE sweep
-  carries that buffer and overwrites a BS's columns with the product its
-  update computes anyway; amplitude_matrix given such a buffer only gathers.
+  unserved UT's zeros -0), and so are the gradient GEMMs on it. conj(P_l) is
+  built directly as Re - i Im: that differs from conjugating P_l only in the
+  sign of zero parts, which reaches a product only where the product is zero,
+  and the zero-started sums make every zero +0. A WMMSE sweep carries that
+  buffer and overwrites a BS's columns with the product its update computes
+  anyway; amplitude_matrix given such a buffer only gathers.
+- A GEMM's bits depend on its operands' memory order as well as their values:
+  numpy passes BLAS a transpose flag per operand, and the kernels differ. The
+  gradient's (beta A)[:, U_l] is F-ordered, as the fancy gather makes it (here
+  a row take of (beta A)^T). Gathered in C order by take(axis=1), it changed
+  the gradient's last bits on 42 of 2000 random small layouts (1-7 BSs, K and
+  M_t of 1-40). The output's place does not matter: the gradient's GEMMs write
+  through out= into the columns of one (M_t, n_blocks) buffer.
+- numpy's complex multiply may round a one-element array in place
+  differently from any other array (numpy 2.4 on an AVX-512 Xeon skips the
+  fused multiply-add there), so the gradient's diagonal term is multiplied
+  into a fresh array: in place, its bits would depend on the number of pairs.
 - Work split over the helper thread (helper.py), such as both per-BS GEMM
   loops here, is the same one-thread BLAS, LAPACK or elementwise call on the
   same operands, writing its own rows or columns, and both shares finish
@@ -98,8 +112,10 @@ def _pair_products(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
     lay = state.layout
     if lay.n_bs != ch.n_bs or lay.n_ut != ch.n_ut:
         raise ValueError("state layout does not match the channel set")
-    cblocks = state.complex_blocks()
-    np.conjugate(cblocks, out=cblocks)
+    m = lay.M_t
+    conj_p = np.empty((lay.n_blocks, m), dtype=complex)
+    conj_p.real = state.blocks[:, :m]
+    np.negative(state.blocks[:, m:], out=conj_p.imag)
     buf = np.empty((ch.n_ut, lay.n_blocks + 1), dtype=complex)
     buf[:, -1] = 0.0
 
@@ -107,10 +123,10 @@ def _pair_products(state: PrecoderState, ch: ChannelSet) -> np.ndarray:
         for l in range(bs.start, bs.stop):
             rows = lay.bs_rows[l]
             if rows.stop != rows.start:
-                np.matmul(ch.entries[l], cblocks[rows].T, out=buf[:, rows])
+                np.matmul(ch.entries[l], conj_p[rows].T, out=buf[:, rows])
 
     helper.split_bs_loop(lay, products)
-    del cblocks  # freed before the caller's gather allocates
+    del conj_p  # freed before the caller's gather allocates
     np.conjugate(buf, out=buf)  # before the gather: the zero start absorbs the -0 parts
     return buf
 
@@ -143,8 +159,10 @@ def amplitude_matrix(
 
 
 def terms_from_amplitudes(amps: np.ndarray, noise_power: float) -> RateTerms:
-    a = np.abs(np.diagonal(amps)) ** 2
-    total = np.add.reduce(np.abs(amps) ** 2, axis=1)
+    energy = np.abs(amps)
+    np.multiply(energy, energy, out=energy)  # |A|^2: x**2 runs the same x * x
+    a = energy.diagonal().copy()
+    total = np.add.reduce(energy, axis=1)
     r = total - a + noise_power
     b = r / (r + a)
     rate_nats = np.log1p(a / r)
@@ -166,34 +184,43 @@ def _gradient_blocks(
     [Re; Im] stacking. The factor 2 makes this the exact gradient of the
     real-embedded objective (validated against finite differences).
 
-    The cross sum is one product per BS; the h_{l,k} gather, the diagonal
-    term and the real/imag split run once over all pairs, with the same
-    floating-point operations in the same order as a per-BS evaluation, so the
-    result is bit-identical to it (solver runs amplify any last-bit change).
+    The cross sum is one product per BS, written into its pairs' columns of an
+    (M_t, n_blocks) buffer; the h_{l,k} gather, the diagonal term and the
+    real/imag split run once over all pairs, with the same floating-point
+    operations in the same order as a per-BS evaluation, so the result is
+    bit-identical to it (solver runs amplify any last-bit change).
     """
     lay = state.layout
-    w = weights.w
-    alpha = 2.0 * w * terms.b / terms.r
-    beta = 2.0 * w * terms.a * terms.b / terms.r**2
-    m = lay.M_t
-    grad_c = np.empty((lay.n_blocks, m), dtype=complex)
-    out = np.empty((lay.n_blocks, lay.block_len))
-    h_pair = out.view(complex)  # h_{l,k} per pair, kept in out's storage until the split
-    ch.entries.reshape(-1, m).take(lay.pair_index, axis=0, out=h_pair, mode="clip")
-    beta_amps = beta[:, None] * amps
+    w2 = 2.0 * weights.w
+    alpha = w2 * terms.b / terms.r
+    beta = w2 * terms.a * terms.b / terms.r**2
+    m, n = lay.M_t, lay.n_blocks
+    cross_t = np.empty((m, n), dtype=complex)  # column i: pair i's cross sum
+    # beta A, stored transposed: a row take of BS l's UTs is (beta A)[:, U_l] in F order,
+    # the operand layout the fancy gather (beta A)[:, U_l] gives the GEMM
+    beta_amps_t = np.empty_like(amps)
+    np.multiply(beta[:, None], amps, out=beta_amps_t.T)
 
     def cross_products(bs, _):
         for l in range(bs.start, bs.stop):
             rows = lay.bs_rows[l]
             if rows.stop != rows.start:
-                grad_c[rows] = (ch.entries[l].T @ beta_amps[:, lay.bs_uts[l]]).T
+                cols = beta_amps_t.take(lay.bs_uts[l], axis=0).T
+                np.matmul(ch.entries[l].T, cols, out=cross_t[:, rows])
+                del cols  # before the next BS's gather allocates
 
     helper.split_bs_loop(lay, cross_products)
-    ut = lay.row_ut
-    diag_coef = (alpha[ut] + beta[ut]) * amps[ut, ut]
-    grad_c -= np.multiply(diag_coef[:, None], h_pair, out=h_pair)
-    out[:, :m] = grad_c.real
-    out[:, m:] = grad_c.imag
+    del beta_amps_t
+    # (alpha_k + beta_k) A[k,k] per UT, gathered per pair: the per-pair products' values
+    diag_coef = ((alpha + beta) * amps.diagonal())[lay.row_ut]
+    out = np.empty((n, lay.block_len))
+    cross = out.view(complex)  # row i: h_{l,k} of pair i, then its cross sum
+    ch.entries.reshape(-1, m).take(lay.pair_index, axis=0, out=cross, mode="clip")
+    grad_c = diag_coef[:, None] * cross  # the diagonal term, fresh (see the module docstring)
+    np.copyto(cross, cross_t.T)  # transposed in one read
+    np.subtract(cross, grad_c, out=grad_c)
+    # the real/imag split: out[i] = [Re grad_c[i], Im grad_c[i]]
+    np.copyto(out.reshape(n, 2, m), grad_c.view(float).reshape(n, m, 2).transpose(0, 2, 1))
     return out
 
 

@@ -158,7 +158,8 @@ def rattle_step(
     n_bs, shape = lay.n_bs, p.blocks.shape
     qq, pg = carry if carry else (np.empty(n_bs), np.empty(n_bs))
     lam = np.empty(n_bs)
-    q_half, p_next, work = np.empty(shape), np.empty(shape), np.empty(shape)
+    # q_next holds q_half, the half-kicked momentum, until the closing kick
+    p_next, q_next = np.empty(shape), np.empty(shape)
 
     # The step's two halves for the BSs bs and their rows. Each writes only those
     # rows and BSs' entries, with the one-thread step's operations in the same
@@ -166,8 +167,9 @@ def rattle_step(
 
     def kick_drift(bs, rows):
         """lam, the half kick to q_half, the drift to p_next and its projection."""
-        n, row_bs, w = bs.stop, lay.row_bs[rows], work[rows]
+        n, row_bs, qh, p1 = bs.stop, lay.row_bs[rows], q_next[rows], p_next[rows]
         p0, q0, g0 = p.blocks[rows], q.blocks[rows], ev0.grad.blocks[rows]
+        w = np.empty(p0.shape)  # scratch, freed before evaluate(p_next)
         if not carry:  # G(q, q) and G(p, g0)
             qq[bs] = _bs_dots(row_bs, q0, q0, n, w)[bs]
             pg[bs] = _bs_dots(row_bs, p0, g0, n, w)[bs]
@@ -175,15 +177,14 @@ def rattle_step(
         force = np.multiply(lam[row_bs][:, None], p0, out=w)
         force += g0
         force *= 0.5 * h
-        qh = np.multiply(q0, decay, out=q_half[rows])
+        np.multiply(q0, decay, out=qh)
         qh -= force
-        p1 = np.multiply(qh, h, out=p_next[rows])
+        np.multiply(qh, h, out=p1)
         p1 += p0
         if config.project_positions:
             drifted = _bs_dots(row_bs, p1, p1, n, w)
-            scale = np.ones(n)
-            mask = lay.nonempty_bs[:n] & (drifted > 0)
-            scale[mask] = np.sqrt(rho.rho[:n][mask] / drifted[mask])
+            # 1 where a BS has no power to scale (no rows, or all of them zero)
+            scale = np.sqrt(np.divide(rho.rho[:n], drifted, out=np.ones(n), where=drifted > 0))
             p1 *= scale[row_bs][:, None]
         if not np.isfinite(p1).all():
             raise SolverDivergence(f"non-finite precoder at iteration {iteration}")
@@ -193,47 +194,49 @@ def rattle_step(
     p_state = PrecoderState.trusted(lay, p_next)
 
     ev1 = objective.evaluate(p_state)
-    pg1, mu, powers, qq_next, hidden = (np.empty(n_bs) for _ in range(5))
-    q_next, delta_rows = np.empty(shape), np.empty(shape)
+    pg1, mu, powers, pq_next, qq_next = np.empty((5, n_bs))
+    work, delta_rows = np.empty(shape), np.empty(shape)
 
     def kick_close(bs, rows):
         """mu, the closing half kick to q_next, the error-estimate rows and the residual dots."""
-        n, row_bs, w = bs.stop, lay.row_bs[rows], work[rows]
-        p0, p1, qh = p.blocks[rows], p_next[rows], q_half[rows]
+        n, row_bs, w, q1 = bs.stop, lay.row_bs[rows], work[rows], q_next[rows]
+        p0, p1, delta = p.blocks[rows], p_next[rows], delta_rows[rows]
         g0, g1 = ev0.grad.blocks[rows], ev1.grad.blocks[rows]
-        pq = _bs_dots(row_bs, p1, qh, n, w)[bs]
+        pq = _bs_dots(row_bs, p1, q1, n, w)[bs]  # q1 holds q_half until the kick
         pg1[bs] = _bs_dots(row_bs, p1, g1, n, w)[bs]
         mu[bs] = (2.0 * pq - h * pg1[bs]) / (h * rho.rho[bs])
         force = np.multiply(mu[row_bs][:, None], p1, out=w)
         force += g1
         force *= 0.5 * h
-        q1 = np.subtract(qh, force, out=q_next[rows])
+        q1 -= force
         q1 *= decay
         if not np.isfinite(q1).all():
             raise SolverDivergence(f"non-finite momentum at iteration {iteration}")
         # p - p_next - h/2 (g0 + g1), the error estimate's rows
-        delta = np.add(g0, g1, out=delta_rows[rows])
+        np.add(g0, g1, out=delta)
         delta *= 0.5 * h
         np.subtract(np.subtract(p0, p1, out=w), delta, out=delta)
         powers[bs] = _bs_dots(row_bs, p1, p1, n, w)[bs]
-        dots = np.abs(_bs_dots(row_bs, p1, q1, n, w)[bs])
+        pq_next[bs] = _bs_dots(row_bs, p1, q1, n, w)[bs]
         qq_next[bs] = _bs_dots(row_bs, q1, q1, n, w)[bs]
-        hidden[bs] = dots / (np.sqrt(powers[bs]) * np.sqrt(qq_next[bs]) + _HIDDEN_FLOOR)
 
     helper.split_bs_loop(lay, kick_close)
     if carry is not None:
         carry[:] = (qq_next, pg1)
 
+    hidden = np.abs(pq_next) / (np.sqrt(powers) * np.sqrt(qq_next) + _HIDDEN_FLOOR)
+    flat_delta = delta_rows.ravel()
     record = StepRecord(
         lam=lam,
         mu=mu,
-        delta=float(np.linalg.norm(delta_rows)),
+        # np.linalg.norm's sqrt(x . x), without its Python-level checks
+        delta=math.sqrt(flat_delta.dot(flat_delta)),
         h_used=float(h),
         # work holds q_next**2, the products of kick_close's last dots
         hamiltonian=0.5 * float(np.add.reduce(work, axis=None)) + ev1.g_value,
         wsr_bits=ev1.wsr_bits,
         constraint_residual=power_residual(lay, powers, rho),
-        hidden_residual=float(hidden.max()) if hidden.size else 0.0,
+        hidden_residual=float(np.maximum.reduce(hidden)) if n_bs else 0.0,
     )
     return p_state, PrecoderState.trusted(lay, q_next), record, ev1
 
@@ -247,7 +250,7 @@ def step_controller(delta: float, h: float, config: SolverConfig) -> float:
     if delta <= _DELTA_FLOOR:
         return config.h_max
     h_new = (config.r_ctrl / delta) ** (config.theta / 2.0) * h
-    return float(np.clip(h_new, _H_MIN, config.h_max))
+    return float(min(max(h_new, _H_MIN), config.h_max))
 
 
 def settled(wsrs, rel_tol: float) -> bool:
@@ -353,8 +356,8 @@ def write_trace_csv(path, trace: list) -> None:
     """
     lines = [",".join(TRACE_COLUMNS)]
     for i, rec in enumerate(trace):
-        lam_min = None if rec.lam is None else float(np.min(rec.lam))
-        lam_max = None if rec.lam is None else float(np.max(rec.lam))
+        lam_min = None if rec.lam is None else rec.lam.min()
+        lam_max = None if rec.lam is None else rec.lam.max()
         cells = [
             str(i),
             _cell(rec.wsr_bits),

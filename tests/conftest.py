@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from ucnprec import helper
 from ucnprec.channel import ChannelSet, ClusterMap
@@ -86,6 +87,32 @@ def random_served_instance(seed):
     layout = BlockLayout(clusters, m_t)
     state = PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
     return ch, clusters, state
+
+
+@st.composite
+def small_layouts(draw):
+    """(ch, clusters, state, weights) on a random small layout.
+
+    1-6 BSs, K and M_t of 1-40 and UTs served by 0-3 BSs each; some draws
+    leave the last BS empty, and some put a zero row and a column of -0.0
+    into the precoder blocks.
+    """
+    n_bs, n_ut, m_t = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    serving_bs = n_bs - 1 if n_bs > 1 and draw(st.booleans()) else n_bs
+    serving = [
+        sorted(rng.choice(serving_bs, size=rng.integers(min(serving_bs, 3) + 1), replace=False))
+        for _ in range(n_ut)
+    ]
+    entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
+    clusters = ClusterMap.from_serving(serving, n_bs)
+    layout = BlockLayout(clusters, m_t)
+    blocks = rng.standard_normal((layout.n_blocks, layout.block_len))
+    if layout.n_blocks and draw(st.booleans()):
+        blocks[rng.integers(layout.n_blocks)] = 0.0
+        blocks[:, rng.integers(layout.block_len)] = -0.0
+    ch = ChannelSet(entries=entries, noise_power=float(rng.uniform(0.01, 1.0)))
+    return ch, clusters, PrecoderState(layout, blocks), Weights(rng.uniform(0.5, 1.5, n_ut))
 
 
 # Per-BS widths of table1_shaped_instance: 0, then widths on both sides of multiples of 4

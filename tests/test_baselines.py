@@ -1068,6 +1068,21 @@ class TestNonFiniteGradient:
     """The gradient's state is not re-scanned; the solvers' own checks still stop a NaN."""
 
     @pytest.mark.parametrize("budget", [True, False])
+    def test_armijo_rejects_infinite_candidate(self, budget):
+        # an inf entry has finite power-renormalization scales, so only the candidate's own
+        # finiteness check stops it
+        inst = make_instance(seed=2)
+        p = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        grad = np.zeros(p.blocks.shape)
+        grad[-1, -1] = -np.inf
+        with pytest.raises(ValueError, match="^precoder blocks must be finite$"):
+            baselines._armijo(
+                obj, p.layout, p.blocks, obj.value(p), grad, 1.0, 1.0,
+                inst["rho"] if budget else None,
+            )
+
+    @pytest.mark.parametrize("budget", [True, False])
     @pytest.mark.parametrize("n_good", [0, 3])
     @pytest.mark.parametrize("solver", ["gd", "nagd"])
     def test_descent_raises(self, solver, n_good, budget, monkeypatch):

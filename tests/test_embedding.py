@@ -7,6 +7,7 @@ from ucnprec.embedding import (
     PowerBudget,
     PrecoderState,
     bs_block_norms,
+    power_residual,
     renormalize_power,
 )
 from conftest import random_state
@@ -158,6 +159,27 @@ class TestPower:
         state = PrecoderState.zeros(small_instance["layout"])
         with pytest.raises(ValueError):
             renormalize_power(state, small_instance["rho"])
+
+    def test_renormalize_names_first_dead_bs(self):
+        # BS 0 serves no UT, BS 1 has power, BSs 2 and 3 have none: BS 2 is named
+        layout = BlockLayout(ClusterMap.from_serving([[1, 2], [3], [2, 3]], 4), 2)
+        blocks = np.zeros((layout.n_blocks, layout.block_len))
+        blocks[layout.bs_rows[1].start, 0] = 1.0
+        with pytest.raises(ValueError, match=r"^cannot renormalize zero-power blocks of BS 2$"):
+            renormalize_power(PrecoderState(layout, blocks), PowerBudget.uniform(4, 1.0))
+
+    def test_renormalize_rejects_infinite_scale(self, small_instance):
+        layout = small_instance["layout"]
+        state = random_state(layout, small_instance["rho"], 9)
+        rho = small_instance["rho"].rho.copy()
+        rho[layout.row_bs[-1]] = np.inf
+        with pytest.raises(ValueError, match="^precoder blocks must be finite$"):
+            renormalize_power(state, PowerBudget(rho))
+
+    def test_residual_without_nonempty_bs_is_zero(self):
+        layout = BlockLayout(ClusterMap.from_serving([[], []], 3), 2)
+        residual = power_residual(layout, np.zeros(3), PowerBudget.uniform(3, 2.0))
+        assert type(residual) is float and residual == 0.0
 
     def test_power_budget_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from ucnprec.channel import ChannelSet, ClusterMap
 from ucnprec.embedding import BlockLayout, PrecoderState
@@ -9,6 +10,7 @@ from conftest import (
     make_instance,
     random_served_instance,
     random_state,
+    small_layouts,
     table1_shaped_instance,
 )
 from oracles import (
@@ -297,6 +299,17 @@ class TestObjectiveMemo:
         amps = amplitude_matrix(state, inst["ch"])
         ref = loop_gradient_blocks(state, inst["ch"], inst["w"], amps, ev.terms)
         assert np.array_equal(ev.grad.blocks, ref)
+
+    @given(instance=small_layouts())
+    def test_evaluate_matches_per_bs_loops_bytewise(self, instance):
+        # byte for byte, signed zeros included, on layouts with empty BSs, unserved UTs and
+        # M_t or K down to 1, where the GEMMs' shapes take numpy's and OpenBLAS's special paths
+        ch, clusters, state, w = instance
+        ev = WsrObjective(ch, clusters, w).evaluate(state)
+        amps = reference_amplitude_matrix(state, ch)
+        assert amplitude_matrix(state, ch).tobytes() == amps.tobytes()
+        loop = loop_gradient_blocks(state, ch, w, amps, ev.terms)
+        assert ev.grad.blocks.tobytes() == loop.tobytes()
 
     def test_evaluate_after_value_matches_fresh(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 20)

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ucnprec import helper, symplectic
 from ucnprec.baselines import rzf_init
@@ -30,7 +32,8 @@ from ucnprec.symplectic import (
     write_trace_csv,
 )
 from conftest import (
-    REPO, make_instance, random_state, run_python, table1_shaped_instance, watch_split_loops,
+    REPO, make_instance, random_state, run_python, small_layouts, table1_shaped_instance,
+    watch_split_loops,
 )
 from oracles import (
     constraint_apply_G,
@@ -533,10 +536,16 @@ def assert_same_bits(a, b):
     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def record_fields(record):
+    return [getattr(record, field) for field in (
+        "lam", "mu", "delta", "h_used", "hamiltonian", "wsr_bits",
+        "constraint_residual", "hidden_residual",
+    )]
+
+
 def assert_same_records(got, want):
-    for field in ("lam", "mu", "delta", "h_used", "hamiltonian", "wsr_bits",
-                  "constraint_residual", "hidden_residual"):
-        assert_same_bits(getattr(got, field), getattr(want, field))
+    for a, b in zip(record_fields(got), record_fields(want)):
+        assert_same_bits(a, b)
 
 
 class ReplayObjective:
@@ -584,18 +593,27 @@ def step_problem(shape):
     return p, q, rho, ReplayObjective(WsrObjective(ch, clusters, w)), config
 
 
+def set_step_route(mp, route):
+    """Through the monkeypatch mp, split every per-BS loop with the helper or keep all inline.
+
+    The helper's gate must be open (open_helper_gate). Returns the set of thread
+    names that run the step's row loops.
+    """
+    if route == "split":
+        mp.setattr(helper, "MIN_MT", 1)
+        mp.setattr(helper, "SPLIT_MIN_MACS", 0)
+    else:
+        mp.setattr(helper, "MIN_MT", 10**9)
+    return watch_split_loops("rattle_step", mp.setattr)
+
+
 @pytest.fixture(params=["split", "inline"])
 def step_route(request, monkeypatch, open_helper_gate):
     """Split the step's row loops with the helper at every shape, or keep them inline.
 
     Returns the route and the set of thread names that ran the loops.
     """
-    if request.param == "split":
-        monkeypatch.setattr(helper, "MIN_MT", 1)
-        monkeypatch.setattr(helper, "SPLIT_MIN_MACS", 0)
-    else:
-        monkeypatch.setattr(helper, "MIN_MT", 10**9)
-    return request.param, watch_split_loops("rattle_step", monkeypatch.setattr)
+    return request.param, set_step_route(monkeypatch, request.param)
 
 
 def assert_route(route, threads):
@@ -666,6 +684,36 @@ class TestStepSplit:
         for got, want in zip(result.trace, trace):
             assert_same_records(got, want)
         assert_route(*step_route)
+
+    @given(instance=small_layouts(), project=st.booleans())
+    def test_routes_give_the_same_bytes_on_small_layouts(self, instance, project):
+        # three steps from an uncarried start, objective loops split or inline with the step's
+        ch, clusters, state, w = instance
+        rng = np.random.default_rng(state.layout.n_blocks)
+        rho = PowerBudget(rng.uniform(0.5, 2.0, ch.n_bs))
+        live = np.all(bs_block_norms(state)[state.layout.nonempty_bs] > 0)
+        p = renormalize_power(state, rho) if live else state  # a zero row may leave a BS dead
+        q = PrecoderState(p.layout, rng.standard_normal(p.blocks.shape))
+        config = SolverConfig(gamma=8.0, h0=0.01, r_ctrl=1.0, project_positions=project)
+        out = {}
+        for route in ("split", "inline"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(helper, "_cpus", lambda: 2)
+                mp.setattr(helper, "_blas_threads", lambda: 1)
+                threads = set_step_route(mp, route)
+                objective = WsrObjective(ch, clusters, w)
+                p_n, q_n, ev, h, carry = p, q, objective.evaluate(p), config.h0, []
+                steps = []
+                for n in range(3):
+                    p_n, q_n, rec, ev = rattle_step(
+                        p_n, q_n, config, rho, objective,
+                        h=h, grad_eval=ev, iteration=n, carry=carry,
+                    )
+                    steps.append((p_n.blocks, q_n.blocks, ev.grad.blocks, *record_fields(rec)))
+                    h = step_controller(rec.delta, h, config)
+                assert_route(route, threads)
+            out[route] = [np.asarray(x).tobytes() for step in steps for x in step]
+        assert out["split"] == out["inline"]
 
     @pytest.mark.parametrize("fail", [(1, True), (1, False), (2, True), (2, False)])
     def test_share_error_raises_from_step(self, split_guard, fail):
