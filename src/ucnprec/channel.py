@@ -2,8 +2,8 @@
 
 The system model is fixed: gNB sites on a hexagonal grid with an inter-site
 distance of half the deployment radius, BS antennas 25 m and UTs 1.5 m above
-ground. Large-scale fading is a log-distance pathloss with the 1 m free-space
-intercept and exponent 3,
+ground, a 6.7 GHz carrier and -104 dBm noise. Large-scale fading is a
+log-distance pathloss with the 1 m free-space intercept and exponent 3,
 
     pathloss_db = 32.4 + 20 log10(f / 1 GHz) + 30 log10(d_3d / 1 m) + sector_db,
 
@@ -23,6 +23,8 @@ import numpy as np
 _TOPOLOGY_STREAM = 0
 _CHANNEL_STREAM = 1
 
+_CARRIER_FREQ_HZ = 6.7e9
+_NOISE_DBM = -104.0
 _BS_HEIGHT_M = 25.0
 _UT_HEIGHT_M = 1.5
 _PL_EXPONENT = 3.0
@@ -45,7 +47,6 @@ class Topology:
     bs_height: float
     ut_height: float
     M_t: int
-    carrier_freq_hz: float
 
     def __post_init__(self):
         self.bs_positions = np.asarray(self.bs_positions, dtype=float)
@@ -111,7 +112,6 @@ def generate_topology(scenario, seed: int) -> Topology:
         bs_height=_BS_HEIGHT_M,
         ut_height=_UT_HEIGHT_M,
         M_t=scenario.M_t,
-        carrier_freq_hz=scenario.carrier_freq_hz,
     )
 
 
@@ -128,8 +128,8 @@ class ChannelSet:
             raise ValueError("entries must have shape (B, K, M_t)")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("channel entries must be finite")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be > 0")
+        if not 0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be finite and > 0")
 
     @property
     def n_bs(self) -> int:
@@ -156,12 +156,12 @@ def path_gains(topo: Topology) -> np.ndarray:
     dphi = np.mod(az - topo.bs_orientations[:, None] + math.pi, 2.0 * math.pi) - math.pi
     phi3 = math.radians(_SECTOR_PHI3DB_DEG)
     sector_db = np.minimum(12.0 * (dphi / phi3) ** 2, _SECTOR_BACKLOBE_DB)
-    intercept_db = 32.4 + 20.0 * math.log10(topo.carrier_freq_hz / 1e9)
+    intercept_db = 32.4 + 20.0 * math.log10(_CARRIER_FREQ_HZ / 1e9)
     pl_db = intercept_db + 10.0 * _PL_EXPONENT * np.log10(d3) + sector_db
     return 10.0 ** (-pl_db / 10.0)
 
 
-def generate_channels(topo: Topology, seed: int, noise_dbm: float = -104.0) -> ChannelSet:
+def generate_channels(topo: Topology, seed: int) -> ChannelSet:
     """Draw h[l, k] = sqrt(g[l, k]) * c[l, k] with c ~ CN(0, I_Mt), i.i.d. over pairs.
 
     Deterministic given the seed; the fading stream is independent of the
@@ -172,77 +172,47 @@ def generate_channels(topo: Topology, seed: int, noise_dbm: float = -104.0) -> C
     shape = (topo.n_bs, topo.n_ut, topo.M_t)
     c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     entries = np.sqrt(gains)[:, :, None] * c
-    return ChannelSet(entries=entries, noise_power=dbm_to_watt(noise_dbm))
+    return ChannelSet(entries=entries, noise_power=dbm_to_watt(_NOISE_DBM))
 
 
 @dataclass
 class RsrpTable:
-    """Per-pair RSRP in dB and the gap to each UT's strongest BS."""
+    """Per-pair RSRP in dB; delta is each pair's gap to its UT's strongest BS."""
 
     values: np.ndarray  # (B, K) dB
-    delta: np.ndarray  # (B, K) dB, >= 0, min over BSs is 0 for every UT
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.delta = np.asarray(self.delta, dtype=float)
-        if self.values.shape != self.delta.shape or self.values.ndim != 2:
-            raise ValueError("values and delta must share shape (B, K)")
-        if np.any(self.delta < -1e-9):
-            raise ValueError("delta entries must be nonnegative")
-        if np.any(np.abs(self.delta.min(axis=0)) > 1e-9):
-            raise ValueError("every UT needs a zero-gap primary BS")
+        if self.values.ndim != 2:
+            raise ValueError("values must have shape (B, K)")
+        self.delta = self.values.max(axis=0, keepdims=True) - self.values
 
 
 def compute_rsrp(ch: ChannelSet) -> RsrpTable:
-    """RSRP[l, k] = 10 log10(h^H h) and its gap to the per-UT maximum."""
+    """RSRP[l, k] = 10 log10(h^H h)."""
     energy = np.sum(np.abs(ch.entries) ** 2, axis=2)
     if np.any(energy <= 0.0):
         raise ValueError("zero-norm channel has undefined RSRP")
-    values = 10.0 * np.log10(energy)
-    delta = values.max(axis=0, keepdims=True) - values
-    return RsrpTable(values=values, delta=delta)
+    return RsrpTable(values=10.0 * np.log10(energy))
 
 
 @dataclass
 class ClusterMap:
-    """Serving sets: B_k = BSs serving UT k, U_l = UTs served by BS l."""
+    """Serving sets B_k = BSs serving UT k; served_ut[l] is their dual U_l, ascending."""
 
     serving_bs: list  # per UT: list of BS indices
-    served_ut: list  # per BS: list of UT indices
+    n_bs: int
 
     def __post_init__(self):
-        n_bs = len(self.served_ut)
-        n_ut = len(self.serving_bs)
-        pairs_from_ut = set()
+        self.serving_bs = [list(bss) for bss in self.serving_bs]
+        self.served_ut = [[] for _ in range(self.n_bs)]
         for k, bss in enumerate(self.serving_bs):
             if len(set(bss)) != len(bss):
                 raise ValueError(f"duplicate BS index in serving set of UT {k}")
             for l in bss:
-                if not 0 <= l < n_bs:
+                if not 0 <= l < self.n_bs:
                     raise ValueError(f"BS index {l} out of range for UT {k}")
-                pairs_from_ut.add((l, k))
-        pairs_from_bs = set()
-        for l, uts in enumerate(self.served_ut):
-            if len(set(uts)) != len(uts):
-                raise ValueError(f"duplicate UT index in served set of BS {l}")
-            for k in uts:
-                if not 0 <= k < n_ut:
-                    raise ValueError(f"UT index {k} out of range for BS {l}")
-                pairs_from_bs.add((l, k))
-        if pairs_from_ut != pairs_from_bs:
-            raise ValueError("serving_bs and served_ut are not duals of each other")
-
-    @classmethod
-    def from_serving(cls, serving_bs: list, n_bs: int) -> "ClusterMap":
-        served = [[] for _ in range(n_bs)]
-        for k, bss in enumerate(serving_bs):
-            for l in bss:
-                served[l].append(k)
-        return cls(serving_bs=[list(b) for b in serving_bs], served_ut=served)
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.served_ut)
+                self.served_ut[l].append(k)
 
     @property
     def n_ut(self) -> int:
@@ -261,4 +231,4 @@ def build_clusters(rsrp: RsrpTable, b_sc: int) -> ClusterMap:
     for k in range(n_ut):
         order = np.argsort(rsrp.delta[:, k], kind="stable")
         serving.append(sorted(int(l) for l in order[:b_sc]))
-    return ClusterMap.from_serving(serving, n_bs)
+    return ClusterMap(serving, n_bs)

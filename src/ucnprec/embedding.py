@@ -28,8 +28,8 @@ class PowerBudget:
         self.rho = np.asarray(self.rho, dtype=float)
         if self.rho.ndim != 1:
             raise ValueError("rho must be a vector of length B")
-        if not np.all(self.rho > 0):
-            raise ValueError("all power limits must be > 0")
+        if not np.all((self.rho > 0) & (self.rho < np.inf)):
+            raise ValueError("all power limits must be finite and > 0")
 
     @classmethod
     def uniform(cls, n_bs: int, watts: float) -> "PowerBudget":
@@ -60,7 +60,7 @@ class BlockLayout:
         self.block_len = 2 * self.M_t
         self.n_bs = clusters.n_bs
         self.n_ut = clusters.n_ut
-        self.bs_uts = [np.array(sorted(u), dtype=int) for u in clusters.served_ut]
+        self.bs_uts = [np.array(u, dtype=int) for u in clusters.served_ut]
         self.pairs = [(l, int(k)) for l in range(self.n_bs) for k in self.bs_uts[l]]
         self.bs_rows = []
         start = 0

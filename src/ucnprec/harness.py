@@ -35,8 +35,9 @@ class ScenarioConfig:
 
     Every field is a `key = value` line in the config file, e.g.
     `gnb_count = 7` or `seeds = 0,1,2,3,4`. Construction checks every range.
-    The rest of the system model (heights, site spacing, pathloss, weights,
-    the GD/NAGD line search and momentum) is fixed where it is used.
+    The rest of the system model (carrier, noise, heights, site spacing,
+    pathloss, weights, the step controller's exponent theta, the GD/NAGD line
+    search and momentum) is fixed where it is used.
     """
 
     # layout / population
@@ -46,9 +47,7 @@ class ScenarioConfig:
     K: int = 20
     B_sc: int = 3
     deployment_radius_m: float = 300.0
-    carrier_freq_hz: float = 6.7e9
     # radio
-    noise_dbm: float = -104.0
     tx_power_dbm: float = 12.0
     # experiment
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -59,7 +58,6 @@ class ScenarioConfig:
     gamma: float = 20.0
     h0: float = 0.002
     r_ctrl: float = 0.25
-    theta: float = 0.5
     h_max: float = 0.005
 
     @property
@@ -77,8 +75,6 @@ class ScenarioConfig:
             raise ValueError(f"B_sc must lie in [1, {self.n_bs}], got {self.B_sc}")
         if self.deployment_radius_m <= 0:
             raise ValueError("deployment_radius_m must be > 0")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be > 0")
         if self.init not in ("rzf", "random"):
             raise ValueError(f"init must be 'rzf' or 'random', got {self.init!r}")
         if len(self.seeds) < 1:
@@ -101,7 +97,6 @@ class ScenarioConfig:
             gamma=self.gamma,
             h0=self.h0,
             r_ctrl=self.r_ctrl,
-            theta=self.theta,
             max_iters=self.max_iters,
             rel_tol=self.rel_tol,
             h_max=self.h_max,
@@ -228,7 +223,7 @@ def initial_precoder(config: ScenarioConfig, ch, clusters, rho, seed: int) -> Pr
 def build_instance(config: ScenarioConfig, seed: int):
     """Generate (topology, channels, clusters) for one seed of a scenario."""
     topo = generate_topology(config, seed)
-    ch = generate_channels(topo, seed, config.noise_dbm)
+    ch = generate_channels(topo, seed)
     clusters = build_clusters(compute_rsrp(ch), config.B_sc)
     return topo, ch, clusters
 

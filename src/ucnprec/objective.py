@@ -262,7 +262,6 @@ class ObjectiveEval:
     g_value: float  # negated weighted sum rate, nats
     wsr_bits: float
     grad: PrecoderState
-    terms: RateTerms
 
 
 class WsrObjective:
@@ -331,5 +330,4 @@ class WsrObjective:
             g_value=-float(np.dot(self.weights.w, terms.rate_nats)),
             wsr_bits=float(np.dot(self.weights.w, terms.rate_bits)),
             grad=PrecoderState.trusted(state.layout, blocks),
-            terms=terms,
         )

@@ -83,7 +83,7 @@ def random_served_instance(seed):
     serving = [sorted(rng.choice(others, size=n, replace=False).tolist()) for n in sizes]
     entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
     ch = ChannelSet(entries=entries, noise_power=0.1)
-    clusters = ClusterMap.from_serving(serving, n_bs)
+    clusters = ClusterMap(serving, n_bs)
     layout = BlockLayout(clusters, m_t)
     state = PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
     return ch, clusters, state
@@ -105,7 +105,7 @@ def small_layouts(draw):
         for _ in range(n_ut)
     ]
     entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
-    clusters = ClusterMap.from_serving(serving, n_bs)
+    clusters = ClusterMap(serving, n_bs)
     layout = BlockLayout(clusters, m_t)
     blocks = rng.standard_normal((layout.n_blocks, layout.block_len))
     if layout.n_blocks and draw(st.booleans()):
@@ -132,7 +132,7 @@ def table1_shaped_instance():
     serving = [[l for l in range(n_bs) if k in served[l]] for k in range(n_ut)]
     entries = rng.standard_normal((n_bs, n_ut, m_t)) + 1j * rng.standard_normal((n_bs, n_ut, m_t))
     ch = ChannelSet(entries=entries, noise_power=0.1)
-    clusters = ClusterMap.from_serving(serving, n_bs)
+    clusters = ClusterMap(serving, n_bs)
     layout = BlockLayout(clusters, m_t)
     state = PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len)))
     return ch, clusters, state

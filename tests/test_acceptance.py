@@ -207,7 +207,7 @@ def test_criterion_08_cluster_size_ordering(hp_instances):
         for seed in range(N_SEEDS):
             inst = make_instance(
                 seed=seed, tx_power_dbm=cfg.tx_power_dbm, B_sc=b_sc,
-                gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl, theta=cfg.theta,
+                gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl,
                 h_max=cfg.h_max, rel_tol=1e-12,
             )
             init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])

@@ -73,7 +73,7 @@ class QuadraticObjective:
         e = state.blocks.ravel() - self.x_star
         grad = PrecoderState(self.layout, (self.d * e).reshape(state.blocks.shape))
         val = 0.5 * float(e @ (self.d * e))
-        return ObjectiveEval(g_value=val, wsr_bits=-val, grad=grad, terms=None)
+        return ObjectiveEval(g_value=val, wsr_bits=-val, grad=grad)
 
 
 class InconsistentObjective:
@@ -92,7 +92,7 @@ class InconsistentObjective:
     def evaluate(self, state):
         self.grad_evals += 1
         grad = PrecoderState(self.layout, np.ones(state.blocks.shape))
-        return ObjectiveEval(g_value=0.0, wsr_bits=0.0, grad=grad, terms=None)
+        return ObjectiveEval(g_value=0.0, wsr_bits=0.0, grad=grad)
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -154,7 +154,7 @@ def warm_frozen_runs():
 
 
 def _single_pair_layout(m_t=4):
-    cm = ClusterMap.from_serving([[0]], 1)
+    cm = ClusterMap([[0]], 1)
     return BlockLayout(cm, m_t)
 
 
@@ -174,7 +174,7 @@ class TestRzf:
         entries[0, 0] = [1.0, 1.0j, 0.0, 0.0]
         entries[0, 1] = [0.0, 0.0, 1.0, -1.0j]
         ch = ChannelSet(entries=entries, noise_power=0.1)
-        cm = ClusterMap.from_serving([[0], [0]], 1)
+        cm = ClusterMap([[0], [0]], 1)
         rho = PowerBudget(np.array([2.0]))
         state = rzf_init(ch, cm, rho)
         blocks = state.complex_blocks()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ucnprec.channel import (
     ChannelSet,
@@ -13,6 +15,7 @@ from ucnprec.channel import (
     generate_channels,
     path_gains,
 )
+from ucnprec.embedding import BlockLayout
 from conftest import make_instance
 
 
@@ -64,15 +67,19 @@ class TestChannels:
             bs_height=25.0,
             ut_height=25.0,
             M_t=2,
-            carrier_freq_hz=6.7e9,
         )
         g = path_gains(topo)
         drop_db = 10.0 * np.log10(g[0, 0] / g[0, 1])
         assert drop_db == pytest.approx(10.0 * 3.0 * math.log10(2.0), abs=1e-9)
 
     def test_noise_dbm_conversion(self):
-        inst = make_instance(noise_dbm=-104.0)
-        assert inst["ch"].noise_power == pytest.approx(10.0 ** (-13.4), rel=1e-12)
+        # the noise is fixed at -104 dBm
+        assert make_instance()["ch"].noise_power == pytest.approx(10.0 ** (-13.4), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_or_zero_noise_power(self, bad):
+        with pytest.raises(ValueError, match="^noise_power must be finite and > 0$"):
+            ChannelSet(entries=np.ones((1, 1, 2)), noise_power=bad)
 
     def test_same_seed_bit_identical(self):
         a = make_instance(seed=9)["ch"]
@@ -89,7 +96,6 @@ class TestChannels:
             bs_height=25.0,
             ut_height=1.5,
             M_t=64,
-            carrier_freq_hz=6.7e9,
         )
         expected = path_gains(topo)[0, 0] * topo.M_t
         sums = np.zeros(2)
@@ -110,7 +116,6 @@ class TestChannels:
             bs_height=1.5,
             ut_height=1.5,
             M_t=2,
-            carrier_freq_hz=6.7e9,
         )
         with pytest.raises(ValueError):
             generate_channels(topo, 0)
@@ -123,7 +128,6 @@ class TestChannels:
             bs_height=25.0,
             ut_height=25.0,
             M_t=1,
-            carrier_freq_hz=6.7e9,
         )
         g = path_gains(topo)
         assert 10.0 * np.log10(g[0, 0] / g[0, 1]) == pytest.approx(30.0, abs=1e-9)
@@ -162,10 +166,19 @@ class TestRsrp:
         assert np.all(table.delta >= 0.0)
 
 
+@st.composite
+def serving_sets(draw):
+    """(serving sets, n_bs): UTs served by 0-3 BSs each, and BSs that serve no UT."""
+    n_bs = draw(st.integers(1, 6))
+    serving_bss = draw(st.lists(st.integers(0, n_bs - 1), min_size=1, unique=True))
+    uts = st.lists(st.sampled_from(serving_bss), max_size=3, unique=True)
+    return draw(st.lists(uts, min_size=1, max_size=12)), n_bs
+
+
 class TestClusters:
     def _table(self, values):
         values = np.asarray(values, dtype=float)
-        return RsrpTable(values=values, delta=values.max(axis=0) - values)
+        return RsrpTable(values=values)
 
     def test_full_cluster_uses_all_bs(self):
         inst = make_instance(seed=0)
@@ -218,10 +231,21 @@ class TestClusters:
         with pytest.raises(ValueError):
             build_clusters(table, 3)
 
-    def test_cluster_map_rejects_broken_duality(self):
-        with pytest.raises(ValueError):
-            ClusterMap(serving_bs=[[0]], served_ut=[[]])
+    @given(drawn=serving_sets(), rnd=st.randoms(use_true_random=False))
+    def test_served_ut_is_the_exact_dual(self, drawn, rnd):
+        serving, n_bs = drawn
+        cm = ClusterMap(serving, n_bs)
+        assert cm.serving_bs == serving
+        assert cm.served_ut == [
+            [k for k, bss in enumerate(serving) if l in bss] for l in range(n_bs)
+        ]
+        shuffled = ClusterMap([rnd.sample(bss, len(bss)) for bss in serving], n_bs)
+        assert BlockLayout(shuffled, 2).pairs == BlockLayout(cm, 2).pairs
 
     def test_cluster_map_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            ClusterMap(serving_bs=[[0, 0]], served_ut=[[0]])
+        with pytest.raises(ValueError, match="duplicate BS index in serving set of UT 0"):
+            ClusterMap(serving_bs=[[0, 0]], n_bs=1)
+
+    def test_cluster_map_rejects_out_of_range_bs(self):
+        with pytest.raises(ValueError, match="BS index 2 out of range for UT 1"):
+            ClusterMap(serving_bs=[[0], [2]], n_bs=2)

@@ -88,8 +88,8 @@ class TestLayoutAndState:
         assert state.blocks.size == size == expected * 2 * small_instance["cfg"].M_t
 
     def test_layout_is_insertion_order_independent(self):
-        a = ClusterMap(serving_bs=[[2, 0], [1]], served_ut=[[0], [1], [0]])
-        b = ClusterMap(serving_bs=[[0, 2], [1]], served_ut=[[0], [1], [0]])
+        a = ClusterMap(serving_bs=[[2, 0], [1]], n_bs=3)
+        b = ClusterMap(serving_bs=[[0, 2], [1]], n_bs=3)
         la, lb = BlockLayout(a, 2), BlockLayout(b, 2)
         assert la.same_as(lb)
         assert la.pairs == [(0, 0), (1, 1), (2, 0)]
@@ -122,7 +122,7 @@ class TestLayoutAndState:
             PrecoderState(layout, np.zeros(layout.n_blocks * layout.block_len))
 
     def test_renormalize_rejects_underflowing_power(self):
-        layout = BlockLayout(ClusterMap.from_serving([[0]], 1), 1)
+        layout = BlockLayout(ClusterMap([[0]], 1), 1)
         tiny = PrecoderState(layout, np.array([[1e-160, 0.0]]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             renormalize_power(tiny, PowerBudget.uniform(1, 1.0))
@@ -134,7 +134,7 @@ class TestPower:
         assert np.array_equal(bs_block_norms(state), np.zeros(state.layout.n_bs))
 
     def test_unit_block(self):
-        cm = ClusterMap.from_serving([[0], [1]], 2)
+        cm = ClusterMap([[0], [1]], 2)
         layout = BlockLayout(cm, 2)
         blocks = np.zeros((2, 4))
         blocks[1, 2] = 1.0  # UT 1 at BS 1
@@ -162,7 +162,7 @@ class TestPower:
 
     def test_renormalize_names_first_dead_bs(self):
         # BS 0 serves no UT, BS 1 has power, BSs 2 and 3 have none: BS 2 is named
-        layout = BlockLayout(ClusterMap.from_serving([[1, 2], [3], [2, 3]], 4), 2)
+        layout = BlockLayout(ClusterMap([[1, 2], [3], [2, 3]], 4), 2)
         blocks = np.zeros((layout.n_blocks, layout.block_len))
         blocks[layout.bs_rows[1].start, 0] = 1.0
         with pytest.raises(ValueError, match=r"^cannot renormalize zero-power blocks of BS 2$"):
@@ -172,12 +172,13 @@ class TestPower:
         layout = small_instance["layout"]
         state = random_state(layout, small_instance["rho"], 9)
         rho = small_instance["rho"].rho.copy()
-        rho[layout.row_bs[-1]] = np.inf
-        with pytest.raises(ValueError, match="^precoder blocks must be finite$"):
-            renormalize_power(state, PowerBudget(rho))
+        rho[layout.row_bs[-1]] = 1e308  # a finite limit, but rho_l / P_l overflows
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^precoder blocks must be finite$"):
+                renormalize_power(state, PowerBudget(rho))
 
     def test_residual_without_nonempty_bs_is_zero(self):
-        layout = BlockLayout(ClusterMap.from_serving([[], []], 3), 2)
+        layout = BlockLayout(ClusterMap([[], []], 3), 2)
         residual = power_residual(layout, np.zeros(3), PowerBudget.uniform(3, 2.0))
         assert type(residual) is float and residual == 0.0
 
@@ -185,6 +186,12 @@ class TestPower:
         with pytest.raises(ValueError):
             PowerBudget(rho=np.array([1.0, 0.0]))
         assert PowerBudget.uniform_dbm(2, 30.0).rho == pytest.approx([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_power_budget_rejects_non_finite_limit(self, bad):
+        # an infinite limit used to pass and fail in rzf_init as non-finite precoder blocks
+        with pytest.raises(ValueError, match="^all power limits must be finite and > 0$"):
+            PowerBudget(np.array([bad, 1.0]))
 
 
 def test_renormalize_matches_per_bs_loop_bitwise(small_instance):

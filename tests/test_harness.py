@@ -22,10 +22,7 @@ FROZEN_SOLVERS = ("symplectic", "wmmse", "gd", "nagd")
 FROZEN_SEEDS = (0, 1, 2, 3, 4)
 
 
-FLOAT_KEYS = [
-    "deployment_radius_m", "carrier_freq_hz", "noise_dbm", "tx_power_dbm",
-    "rel_tol", "gamma", "h0", "r_ctrl", "theta", "h_max",
-]
+FLOAT_KEYS = ["deployment_radius_m", "tx_power_dbm", "rel_tol", "gamma", "h0", "r_ctrl", "h_max"]
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -51,10 +48,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=":2:"):
             load_config(write_cfg(tmp_path, "K = 5\nnot_a_key = 1\n"))
 
-    def test_removed_wmmse_iters_key_rejected_with_line(self, tmp_path):
-        # WMMSE runs max_iters sweeps; no preset or benchmark batch set a count of its own
-        with pytest.raises(ValueError, match=r":2: unknown key 'wmmse_iters'$"):
-            load_config(write_cfg(tmp_path, "K = 5\nwmmse_iters = 3\n"))
+    # WMMSE runs max_iters sweeps, and the carrier, the noise and the step controller's
+    # exponent are fixed: no preset or benchmark batch set another value
+    @pytest.mark.parametrize("key", ["wmmse_iters", "carrier_freq_hz", "noise_dbm", "theta"])
+    def test_removed_key_rejected_with_line(self, tmp_path, key):
+        with pytest.raises(ValueError, match=f":2: unknown key '{key}'$"):
+            load_config(write_cfg(tmp_path, f"K = 5\n{key} = 1\n"))
 
     def test_desk_preset_sets_every_key_once_to_its_default(self):
         path = REPO / "configs" / "desk.cfg"
@@ -108,7 +107,7 @@ class TestLoadConfig:
         assert cfg.n_bs == 21
         assert cfg.M_t == 128
         assert cfg.K == 300
-        assert cfg.noise_dbm == -104.0
+        assert cfg.deployment_radius_m == 1000.0
 
     def test_high_power_preset_parses(self):
         cfg = load_config(REPO / "configs" / "high_power.cfg")
@@ -127,7 +126,7 @@ class TestLoadConfig:
         assert load_config(write_cfg(tmp_path, "\n".join(lines) + "\n")) == defaults
 
     # a non-finite value used to pass and fail later without naming its key:
-    # deployment_radius_m = nan as non-finite channel entries, theta = nan as h <= 0
+    # deployment_radius_m = nan as non-finite channel entries
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_value_named(self, tmp_path, key, value):
@@ -141,13 +140,13 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "text, line, message",
         [
-            ("K = 12\nseeds = 0\n\n# solver\ngamma = 8.0\nh0 = 0.01\ntheta = nan\n", 7,
-             "theta must be finite"),
+            ("K = 12\nseeds = 0\n\n# solver\ngamma = 8.0\nh0 = 0.01\nh_max = nan\n", 7,
+             "h_max must be finite"),
             ("K = 12\nB_sc = 25\n", 2, "B_sc must lie in [1, 7], got 25"),
             ("seeds =\n", 1, "seeds must list at least one seed"),
             ("gnb_count = 2\nK = 12\n", None, "B_sc must lie in [1, 2], got 3"),
         ],
-        ids=["theta", "B_sc", "seeds", "unset_key"],
+        ids=["h_max", "B_sc", "seeds", "unset_key"],
     )
     def test_rejected_value_names_its_line(self, tmp_path, text, line, message):
         # a key the file did not set (B_sc, when gnb_count shrinks the network) has no line
@@ -168,6 +167,12 @@ class TestConfigConstruction:
     def test_fields_are_frozen(self, config):
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.max_iters = 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_solver_theta_must_be_finite(self, value):
+        # theta is no config key: every run uses SolverConfig's default
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            SolverConfig(theta=float(value))
 
 
 def _fast_cfg(**overrides):
@@ -321,7 +326,7 @@ class TestComplexityProbe:
         assert by_bsc[2] <= 2.2 * by_bsc[1]
 
     def test_single_ut_has_no_interference_count(self):
-        cm = ClusterMap.from_serving([[0, 1]], 2)
+        cm = ClusterMap([[0, 1]], 2)
         m_t = 8
         predicted = harness.predicted_gradient_macs(cm, m_t)
         assert predicted == 1 * m_t * 4  # K * M_t * |B_1|^2 only; the (K-1) sum vanishes

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import ucnprec as u
 from ucnprec import helper, symplectic
+from ucnprec.channel import ClusterMap, RsrpTable
 from ucnprec.embedding import PowerBudget
 from ucnprec.harness import ScenarioConfig
 from ucnprec.objective import Weights
@@ -28,9 +29,8 @@ EXPORTS = ["WsrObjective", "rzf_init", "solve"]
 # Adding a config key means adding its name here: every field is a value that a
 # shipped preset or a benchmark batch sets; the rest of the model is fixed.
 CONFIG_FIELDS = [
-    "B_sc", "K", "M_t", "carrier_freq_hz", "deployment_radius_m", "gamma", "gnb_count",
-    "h0", "h_max", "init", "max_iters", "noise_dbm", "r_ctrl", "rel_tol", "sectors_per_gnb",
-    "seeds", "theta", "tx_power_dbm",
+    "B_sc", "K", "M_t", "deployment_radius_m", "gamma", "gnb_count", "h0", "h_max", "init",
+    "max_iters", "r_ctrl", "rel_tol", "sectors_per_gnb", "seeds", "tx_power_dbm",
 ]
 
 # Adding a solver knob means adding its name here, as for CONFIG_FIELDS: the
@@ -39,6 +39,11 @@ CONFIG_FIELDS = [
 SOLVER_FIELDS = [
     "gamma", "h0", "h_max", "max_iters", "project_positions", "r_ctrl", "rel_tol", "theta",
 ]
+
+# Each scenario fact is stored once: ClusterMap derives served_ut (U_l) from the
+# serving sets B_k, and RsrpTable derives the gap delta from the RSRP values. A second
+# stored view would need a check that the two agree.
+STORED_FIELDS = {ClusterMap: ["serving_bs", "n_bs"], RsrpTable: ["values"]}
 
 MAX_LINE = 100  # characters per line of package source
 MAX_PARAMS = 9  # parameters of a package function: rattle_step's count
@@ -72,6 +77,11 @@ def test_config_fields_are_pinned():
 
 def test_solver_fields_are_pinned():
     assert sorted(f.name for f in dataclasses.fields(SolverConfig)) == SOLVER_FIELDS
+
+
+def test_scenario_facts_are_stored_once():
+    for cls, names in STORED_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names
 
 
 def test_readme_states_the_helper_gate():

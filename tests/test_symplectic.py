@@ -58,13 +58,12 @@ class ZeroObjective:
             g_value=0.0,
             wsr_bits=0.0,
             grad=PrecoderState.zeros(state.layout),
-            terms=None,
         )
 
 
 def sphere_world(rho_val=1.0, m_t=1):
     """One BS serving one UT: the manifold is a single sphere."""
-    cm = ClusterMap.from_serving([[0]], 1)
+    cm = ClusterMap([[0]], 1)
     layout = BlockLayout(cm, m_t)
     rho = PowerBudget(np.array([rho_val]))
     return layout, rho
@@ -377,7 +376,7 @@ class TestSolve:
 
     def test_propagates_divergence(self):
         layout, rho = sphere_world()
-        cm = ClusterMap.from_serving([[0]], 1)
+        cm = ClusterMap([[0]], 1)
         ch = ChannelSet(entries=np.full((1, 1, 1), 1e150, dtype=complex), noise_power=1e-300)
         init = PrecoderState(layout, np.array([[1e150, 0.0]]))
         config = SolverConfig(gamma=1.0, h0=1.0, max_iters=50, rel_tol=1e-12)
@@ -749,7 +748,7 @@ class TestStepSplit:
         blocks[row, 3] = np.inf
         bad = ObjectiveEval(
             g_value=ev.g_value, wsr_bits=ev.wsr_bits,
-            grad=PrecoderState.trusted(p.layout, blocks), terms=None,
+            grad=PrecoderState.trusted(p.layout, blocks),
         )
         ev0, ev1 = (bad, ev) if half == "precoder" else (ev, bad)
         messages = []
