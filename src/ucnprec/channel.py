@@ -44,8 +44,6 @@ class Topology:
     bs_positions: np.ndarray  # (B, 2)
     bs_orientations: np.ndarray  # (B,) sector boresight azimuth, radians
     ut_positions: np.ndarray  # (K, 2)
-    bs_height: float
-    ut_height: float
     M_t: int
 
     def __post_init__(self):
@@ -109,8 +107,6 @@ def generate_topology(scenario, seed: int) -> Topology:
         bs_positions=bs_positions,
         bs_orientations=bs_orientations,
         ut_positions=ut_positions,
-        bs_height=_BS_HEIGHT_M,
-        ut_height=_UT_HEIGHT_M,
         M_t=scenario.M_t,
     )
 
@@ -148,10 +144,8 @@ def path_gains(topo: Topology) -> np.ndarray:
     """Linear power gain g[l, k] from the documented pathloss + sector pattern."""
     delta = topo.ut_positions[None, :, :] - topo.bs_positions[:, None, :]
     d2 = np.hypot(delta[..., 0], delta[..., 1])
-    dz = topo.bs_height - topo.ut_height
-    d3 = np.sqrt(d2**2 + dz**2)
-    if np.any(d3 == 0.0):
-        raise ValueError("UT coincides with a BS in 3-D; pathloss undefined")
+    # the height gap keeps d3 > 0, so the pathloss is defined for every pair
+    d3 = np.sqrt(d2**2 + (_BS_HEIGHT_M - _UT_HEIGHT_M) ** 2)
     az = np.arctan2(delta[..., 1], delta[..., 0])
     dphi = np.mod(az - topo.bs_orientations[:, None] + math.pi, 2.0 * math.pi) - math.pi
     phi3 = math.radians(_SECTOR_PHI3DB_DEG)

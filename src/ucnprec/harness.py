@@ -33,8 +33,10 @@ KNOWN_SOLVERS = ("symplectic", "wmmse", "rzf", "gd", "nagd")
 class ScenarioConfig:
     """One experiment scenario; defaults are the desk-scale preset.
 
-    Every field is a `key = value` line in the config file, e.g.
-    `gnb_count = 7` or `seeds = 0,1,2,3,4`. Construction checks every range.
+    Each field but `solver` is a `key = value` line in the config file, e.g.
+    `gnb_count = 7` or `seeds = 0,1,2,3,4`, with its default here. The solver
+    settings and their defaults live in `solver`, a SolverConfig, whose keys
+    are listed in _SOLVER_KEYS. Construction checks every range.
     The rest of the system model (carrier, noise, heights, site spacing,
     pathloss, weights, the step controller's exponent theta, the GD/NAGD line
     search and momentum) is fixed where it is used.
@@ -52,13 +54,8 @@ class ScenarioConfig:
     # experiment
     seeds: tuple = (0, 1, 2, 3, 4)
     init: str = "rzf"  # rzf | random
-    max_iters: int = 200
-    rel_tol: float = 1e-4
-    # dissipative solver (desk-calibrated; see configs/ for other presets)
-    gamma: float = 20.0
-    h0: float = 0.002
-    r_ctrl: float = 0.25
-    h_max: float = 0.005
+    # iteration budget and the dissipative solver's settings (SolverConfig checks them)
+    solver: SolverConfig = SolverConfig()
 
     @property
     def n_bs(self) -> int:
@@ -68,7 +65,7 @@ class ScenarioConfig:
         for f in dataclasses.fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("gnb_count", "sectors_per_gnb", "M_t", "K", "max_iters"):
+        for name in ("gnb_count", "sectors_per_gnb", "M_t", "K"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 1 <= self.B_sc <= self.n_bs:
@@ -83,8 +80,6 @@ class ScenarioConfig:
             raise ValueError("seeds must be nonnegative")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct: each seed writes its own trace files")
-        # delegate the remaining range checks to the dataclass they feed
-        self.solver_config()
 
     def power_budget(self) -> PowerBudget:
         return PowerBudget.uniform_dbm(self.n_bs, self.tx_power_dbm)
@@ -92,24 +87,20 @@ class ScenarioConfig:
     def weights(self) -> Weights:
         return Weights.uniform(self.K)
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            gamma=self.gamma,
-            h0=self.h0,
-            r_ctrl=self.r_ctrl,
-            max_iters=self.max_iters,
-            rel_tol=self.rel_tol,
-            h_max=self.h_max,
-        )
-
 
 def _parse_seeds(text: str) -> tuple:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
 
 
+# The config-file keys that load_config sends into ScenarioConfig.solver;
+# SolverConfig's theta and project_positions are no keys
+_SOLVER_KEYS = ("max_iters", "rel_tol", "gamma", "h0", "r_ctrl", "h_max")
+
 _FIELD_PARSERS = {
-    f.name: _parse_seeds if f.type is tuple else f.type for f in dataclasses.fields(ScenarioConfig)
-}
+    f.name: _parse_seeds if f.type is tuple else f.type
+    for f in dataclasses.fields(ScenarioConfig)
+    if f.name != "solver"
+} | {f.name: f.type for f in dataclasses.fields(SolverConfig) if f.name in _SOLVER_KEYS}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -137,8 +128,9 @@ def load_config(path) -> ScenarioConfig:
                 values[key] = _FIELD_PARSERS[key](text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    solver = {key: values.pop(key) for key in _SOLVER_KEYS if key in values}
     try:
-        return ScenarioConfig(**values)
+        return ScenarioConfig(**values, solver=SolverConfig(**solver))
     except ValueError as exc:  # each message starts with the key it rejects
         key = str(exc).split(" ", 1)[0]
         if key not in first_line:
@@ -231,24 +223,21 @@ def build_instance(config: ScenarioConfig, seed: int):
 def _dispatch(name, config, ch, clusters, rho, weights, init, objective) -> SolveResult:
     if name == "rzf":
         state = init if config.init == "rzf" else baselines.rzf_init(ch, clusters, rho)
-        return SolveResult(precoder=state, trace=[], converged=True, iterations=0)
+        return SolveResult(precoder=state, trace=[], converged=True)
+    sc = config.solver
     if name == "symplectic":
-        return symplectic.solve(
-            ch, clusters, rho, weights, init, config.solver_config(), objective=objective
-        )
+        return symplectic.solve(ch, clusters, rho, weights, init, sc, objective=objective)
     if name == "wmmse":
-        state, wsr_trace = baselines.wmmse_iterate(init, ch, rho, weights, config.max_iters)
+        state, wsr_trace = baselines.wmmse_iterate(init, ch, rho, weights, sc.max_iters)
         trace = [symplectic.StepRecord(wsr_bits=float(v)) for v in wsr_trace]
         # a fixed number of sweeps: converged says whether the stopping rule holds at the end
-        converged = symplectic.settled(wsr_trace, config.rel_tol)
-        return SolveResult(precoder=state, trace=trace, converged=converged, iterations=len(trace))
+        converged = symplectic.settled(wsr_trace, sc.rel_tol)
+        return SolveResult(precoder=state, trace=trace, converged=converged)
     if name == "gd":
-        return baselines.gd_solve(
-            init, objective, rho, max_iters=config.max_iters, rel_tol=config.rel_tol
-        )
+        return baselines.gd_solve(init, objective, rho, max_iters=sc.max_iters, rel_tol=sc.rel_tol)
     if name == "nagd":
         return baselines.nagd_solve(
-            init, objective, rho, max_iters=config.max_iters, rel_tol=config.rel_tol
+            init, objective, rho, max_iters=sc.max_iters, rel_tol=sc.rel_tol
         )
     raise ValueError(f"unknown solver {name!r}")
 
@@ -340,9 +329,15 @@ class ProbeRow:
 @dataclass
 class ComplexityReport:
     rows: list
-    max_ratio: float
-    min_ratio: float
     mt_doubling: list  # (K, B_sc, M_t_small, measured ratio) per adjacent M_t pair
+
+    @property
+    def min_ratio(self) -> float:
+        return min(r.ratio for r in self.rows)
+
+    @property
+    def max_ratio(self) -> float:
+        return max(r.ratio for r in self.rows)
 
     @property
     def max_mt_deviation(self) -> float:
@@ -389,10 +384,7 @@ def complexity_probe(
             for b_sc in b_sc_grid:
                 ratio = measured_at[(large, k_ut, b_sc)] / measured_at[(small, k_ut, b_sc)]
                 doubling.append((k_ut, b_sc, small, ratio))
-    ratios = [r.ratio for r in rows]
-    return ComplexityReport(
-        rows=rows, max_ratio=max(ratios), min_ratio=min(ratios), mt_doubling=doubling
-    )
+    return ComplexityReport(rows=rows, mt_doubling=doubling)
 
 
 def gradcheck(trials: int = 20, seed0: int = 0, eps: float = 1e-5) -> float:

@@ -50,16 +50,21 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyper-parameters of the dissipative constrained solver."""
+    """Hyper-parameters of the dissipative constrained solver; defaults are the desk preset.
 
-    gamma: float = 1.0  # dissipation coefficient, 1/time
-    h0: float = 0.01  # initial step size
-    r_ctrl: float = 1e-2  # controller reference error
+    The one declaration of these settings, their defaults and their checks:
+    ScenarioConfig.solver holds one, and a config file sets each field but
+    theta and project_positions. max_iters and rel_tol bound WMMSE, GD and NAGD too.
+    """
+
+    gamma: float = 20.0  # dissipation coefficient, 1/time
+    h0: float = 0.002  # initial step size
+    r_ctrl: float = 0.25  # controller reference error
     theta: float = 0.5  # controller exponent; 0 freezes the step size
     max_iters: int = 200
-    rel_tol: float = 1e-5  # relative WSR-change stopping threshold
+    rel_tol: float = 1e-4  # relative WSR-change stopping threshold
     project_positions: bool = True
-    h_max: float = 1.0  # largest step the controller takes; at least _H_MIN
+    h_max: float = 0.005  # largest step the controller takes; at least _H_MIN
 
     def __post_init__(self):
         for f in fields(self):
@@ -105,7 +110,10 @@ class SolveResult:
     precoder: PrecoderState
     trace: list
     converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def _bs_dots(row_bs, a: np.ndarray, b: np.ndarray, n: int, work=None) -> np.ndarray:
@@ -297,7 +305,7 @@ def iterate(step, p, wsr: float, max_iters: int, rel_tol: float) -> SolveResult:
         if settled(window, rel_tol):
             converged = True
             break
-    return SolveResult(precoder=best, trace=trace, converged=converged, iterations=len(trace))
+    return SolveResult(precoder=best, trace=trace, converged=converged)
 
 
 def solve(

@@ -222,7 +222,7 @@ def table1_symplectic_digest(steps=4):
     rho = PowerBudget.uniform(ch.n_bs, 1.0)
     w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
     objective = WsrObjective(ch, clusters, w)
-    config = SolverConfig()
+    config = SolverConfig(gamma=1.0, h0=0.01, r_ctrl=1e-2, h_max=1.0)
     p = renormalize_power(state, rho)
     q = PrecoderState.zeros(p.layout)
     ev = objective.evaluate(p)

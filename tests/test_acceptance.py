@@ -49,7 +49,7 @@ def hp_instances():
 def hp_head_to_head(hp_instances):
     """Criterion 5 runs: dissipative solver and WMMSE, 50 iterations each."""
     cfg, insts = hp_instances
-    solver_cfg = cfg.solver_config()
+    solver_cfg = cfg.solver
     sym, wm = [], []
     start = time.perf_counter()
     for inst in insts:
@@ -65,7 +65,7 @@ def hp_head_to_head(hp_instances):
 def hp_speed_traces(hp_instances):
     """Criterion 6 runs: 200-iteration WSR traces for all three iterative solvers."""
     cfg, insts = hp_instances
-    solver_cfg = cfg.solver_config()
+    solver_cfg = cfg.solver
     horizon = 200
     out = {"symplectic": [], "nagd": [], "gd": []}
     for inst in insts:
@@ -109,7 +109,7 @@ def test_criterion_01_gradient_oracle():
 def test_criterion_02_hidden_constraint_enforced():
     inst = make_instance(seed=0)
     init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-    sc = dataclasses.replace(inst["cfg"].solver_config(), max_iters=200, rel_tol=1e-30)
+    sc = dataclasses.replace(inst["cfg"].solver, max_iters=200, rel_tol=1e-30)
     res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
     worst = max(rec.hidden_residual for rec in res.trace)
     ok = res.iterations == 200 and worst <= 1e-9
@@ -121,7 +121,7 @@ def test_criterion_03_manifold_maintenance():
     for seed in range(5):
         inst = make_instance(seed=seed)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        base = inst["cfg"].solver_config()
+        base = inst["cfg"].solver
         for project in (True, False):
             sc = dataclasses.replace(base, max_iters=100, rel_tol=1e-30, project_positions=project)
             res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
@@ -184,7 +184,7 @@ def test_criterion_07_adaptive_step_benefit():
     for seed in range(N_SEEDS):
         inst = make_instance(seed=seed)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        base = inst["cfg"].solver_config()
+        base = inst["cfg"].solver
         for theta in (0.5, 0.0):
             sc = dataclasses.replace(base, theta=theta, max_iters=400)
             res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
@@ -200,16 +200,12 @@ def test_criterion_07_adaptive_step_benefit():
 
 def test_criterion_08_cluster_size_ordering(hp_instances):
     cfg, _ = hp_instances
-    solver_cfg = dataclasses.replace(cfg.solver_config(), max_iters=150, rel_tol=1e-12)
+    solver_cfg = dataclasses.replace(cfg.solver, max_iters=150, rel_tol=1e-12)
     medians = {}
     for b_sc in (1, 3, 7):
         finals = []
         for seed in range(N_SEEDS):
-            inst = make_instance(
-                seed=seed, tx_power_dbm=cfg.tx_power_dbm, B_sc=b_sc,
-                gamma=cfg.gamma, h0=cfg.h0, r_ctrl=cfg.r_ctrl,
-                h_max=cfg.h_max, rel_tol=1e-12,
-            )
+            inst = make_instance(seed=seed, tx_power_dbm=cfg.tx_power_dbm, B_sc=b_sc)
             init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
             res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, solver_cfg)
             finals.append(max(rec.wsr_bits for rec in res.trace))
@@ -242,12 +238,10 @@ def test_criterion_09_complexity_scaling():
 def test_criterion_10_single_user_optimality():
     worst = 0.0
     for seed in range(3):
-        inst = make_instance(
-            seed=seed, K=1, tx_power_dbm=24.0, gamma=8.0, h0=0.01, r_ctrl=1.0, h_max=1.0
-        )
+        inst = make_instance(seed=seed, K=1, tx_power_dbm=24.0)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         sc = SolverConfig(
-            gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12
+            gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12, h_max=1.0
         )
         res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
         got = max(rec.wsr_bits for rec in res.trace)

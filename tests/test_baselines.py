@@ -492,7 +492,7 @@ class TestEighWorker:
         guard = eigh_guard(fail_on=1)
         cfg = dataclasses.replace(
             ScenarioConfig(), gnb_count=2, sectors_per_gnb=1, M_t=48, K=4, B_sc=2,
-            seeds=(0,), max_iters=2,
+            seeds=(0,), solver=SolverConfig(max_iters=2),
         )
         summary = run_experiment(cfg, ["wmmse", "rzf"], tmp_path)
         assert guard.threads <= {"MainThread", "ucnprec-helper_0"}
@@ -1099,13 +1099,13 @@ class TestNonFiniteGradient:
         inst = make_instance(seed=2)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         nan_gradient_after(monkeypatch, 3)
-        config = SolverConfig(gamma=20.0, h0=0.002, h_max=0.005)
+        config = SolverConfig(gamma=20.0, h0=0.002, r_ctrl=1e-2, h_max=0.005)
         with np.errstate(invalid="ignore"), pytest.raises(SolverDivergence, match="iteration 2"):
             solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
 
     def test_run_experiment_records_error_row(self, tmp_path, monkeypatch):
         nan_gradient_after(monkeypatch, 3)
-        cfg = ScenarioConfig(seeds=(0,), max_iters=20)
+        cfg = ScenarioConfig(seeds=(0,), solver=SolverConfig(max_iters=20))
         with np.errstate(invalid="ignore"):
             summary = run_experiment(cfg, ["gd", "rzf"], tmp_path)
         gd_row = next(r for r in summary.rows if r.solver == "gd")

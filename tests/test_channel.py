@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ucnprec.channel import (
+    _BS_HEIGHT_M,
+    _UT_HEIGHT_M,
     ChannelSet,
     ClusterMap,
     RsrpTable,
@@ -59,13 +61,13 @@ class TestTopology:
 
 class TestChannels:
     def test_pathloss_doubles_distance_9dB(self):
-        # 10 * 3 * log10(2) = 9.03 dB under exponent 3, both UTs on boresight
+        # 10 * 3 * log10(2) = 9.03 dB under exponent 3, both UTs on boresight at
+        # 3-D distances of 100 m and 200 m over the fixed 23.5 m height gap
+        dz = _BS_HEIGHT_M - _UT_HEIGHT_M
         topo = Topology(
             bs_positions=[[0.0, 0.0]],
             bs_orientations=[0.0],
-            ut_positions=[[100.0, 0.0], [200.0, 0.0]],
-            bs_height=25.0,
-            ut_height=25.0,
+            ut_positions=[[math.sqrt(d**2 - dz**2), 0.0] for d in (100.0, 200.0)],
             M_t=2,
         )
         g = path_gains(topo)
@@ -93,8 +95,6 @@ class TestChannels:
             bs_positions=[[0.0, 0.0]],
             bs_orientations=[0.0],
             ut_positions=[[150.0, 0.0], [150.0, 0.0]],
-            bs_height=25.0,
-            ut_height=1.5,
             M_t=64,
         )
         expected = path_gains(topo)[0, 0] * topo.M_t
@@ -108,25 +108,11 @@ class TestChannels:
         assert means[1] == pytest.approx(expected, rel=0.05)
         assert means[0] == pytest.approx(means[1], rel=0.05)
 
-    def test_rejects_ut_coincident_with_bs(self):
-        topo = Topology(
-            bs_positions=[[0.0, 0.0]],
-            bs_orientations=[0.0],
-            ut_positions=[[0.0, 0.0]],
-            bs_height=1.5,
-            ut_height=1.5,
-            M_t=2,
-        )
-        with pytest.raises(ValueError):
-            generate_channels(topo, 0)
-
     def test_sector_backlobe_floor(self):
         topo = Topology(
             bs_positions=[[0.0, 0.0]],
             bs_orientations=[0.0],
             ut_positions=[[100.0, 0.0], [-100.0, 0.0]],
-            bs_height=25.0,
-            ut_height=25.0,
             M_t=1,
         )
         g = path_gains(topo)

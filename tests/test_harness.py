@@ -48,9 +48,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=":2:"):
             load_config(write_cfg(tmp_path, "K = 5\nnot_a_key = 1\n"))
 
-    # WMMSE runs max_iters sweeps, and the carrier, the noise and the step controller's
-    # exponent are fixed: no preset or benchmark batch set another value
-    @pytest.mark.parametrize("key", ["wmmse_iters", "carrier_freq_hz", "noise_dbm", "theta"])
+    # WMMSE runs max_iters sweeps, and the carrier, the noise, the step controller's
+    # exponent and the position projection are fixed: no preset or benchmark batch set
+    # another value. theta and project_positions stay SolverConfig fields, not keys.
+    @pytest.mark.parametrize(
+        "key", ["wmmse_iters", "carrier_freq_hz", "noise_dbm", "theta", "project_positions"]
+    )
     def test_removed_key_rejected_with_line(self, tmp_path, key):
         with pytest.raises(ValueError, match=f":2: unknown key '{key}'$"):
             load_config(write_cfg(tmp_path, f"K = 5\n{key} = 1\n"))
@@ -59,8 +62,14 @@ class TestLoadConfig:
         path = REPO / "configs" / "desk.cfg"
         lines = [raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines()]
         keys = [line.split("=", 1)[0].strip() for line in lines if line]
-        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(harness.ScenarioConfig))
+        assert sorted(keys) == sorted(harness._FIELD_PARSERS)
         assert load_config(path) == harness.ScenarioConfig()
+
+    def test_solver_keys_set_the_solver_config(self, tmp_path):
+        text = "K = 5\ngamma = 3.0\nh0 = 0.004\nr_ctrl = 0.5\nh_max = 0.25\nmax_iters = 7\n"
+        cfg = load_config(write_cfg(tmp_path, text + "rel_tol = 1e-6\n"))
+        solver = SolverConfig(gamma=3.0, h0=0.004, r_ctrl=0.5, h_max=0.25, max_iters=7, rel_tol=1e-6)
+        assert cfg == harness.ScenarioConfig(K=5, solver=solver)
 
     def test_bad_value_rejected_with_line(self, tmp_path):
         with pytest.raises(ValueError, match=":1:"):
@@ -112,7 +121,7 @@ class TestLoadConfig:
     def test_high_power_preset_parses(self):
         cfg = load_config(REPO / "configs" / "high_power.cfg")
         assert cfg.tx_power_dbm == 24.0
-        assert cfg.max_iters == 50
+        assert cfg.solver.max_iters == 50
 
     def test_every_field_default_round_trips(self, tmp_path):
         def text(value):
@@ -121,8 +130,10 @@ class TestLoadConfig:
             return str(value)
 
         defaults = harness.ScenarioConfig()
-        lines = [f"{f.name} = {text(getattr(defaults, f.name))}" for f in dataclasses.fields(defaults)]
-        assert len(lines) == len(harness._FIELD_PARSERS)
+        lines = [
+            f"{key} = {text(getattr(defaults.solver if key in harness._SOLVER_KEYS else defaults, key))}"
+            for key in harness._FIELD_PARSERS
+        ]
         assert load_config(write_cfg(tmp_path, "\n".join(lines) + "\n")) == defaults
 
     # a non-finite value used to pass and fail later without naming its key:
@@ -143,10 +154,12 @@ class TestLoadConfig:
             ("K = 12\nseeds = 0\n\n# solver\ngamma = 8.0\nh0 = 0.01\nh_max = nan\n", 7,
              "h_max must be finite"),
             ("K = 12\nB_sc = 25\n", 2, "B_sc must lie in [1, 7], got 25"),
+            ("K = 12\ngamma = 0\n", 2, "gamma must be > 0"),
+            ("max_iters = 0\nK = 12\n", 1, "max_iters must be >= 1"),
             ("seeds =\n", 1, "seeds must list at least one seed"),
             ("gnb_count = 2\nK = 12\n", None, "B_sc must lie in [1, 2], got 3"),
         ],
-        ids=["h_max", "B_sc", "seeds", "unset_key"],
+        ids=["h_max", "B_sc", "gamma", "max_iters", "seeds", "unset_key"],
     )
     def test_rejected_value_names_its_line(self, tmp_path, text, line, message):
         # a key the file did not set (B_sc, when gnb_count shrinks the network) has no line
@@ -178,7 +191,7 @@ class TestConfigConstruction:
 def _fast_cfg(**overrides):
     params = dict(
         gnb_count=2, sectors_per_gnb=1, M_t=4, K=4, B_sc=2,
-        seeds=(0, 1), max_iters=8,
+        seeds=(0, 1), solver=SolverConfig(max_iters=8),
     )
     params.update(overrides)
     return dataclasses.replace(harness.ScenarioConfig(), **params)
@@ -239,7 +252,7 @@ class TestRunExperiment:
         # four sweeps give three WSR changes: the rule holds for a large
         # tolerance and, as the WSR still moves, not for a vanishing one;
         # either way every sweep runs
-        summary = run_experiment(_fast_cfg(max_iters=4, rel_tol=rel_tol), ["wmmse"], tmp_path)
+        summary = run_experiment(_fast_cfg(solver=SolverConfig(max_iters=4, rel_tol=rel_tol)), ["wmmse"], tmp_path)
         for row in summary.rows:
             assert row.converged is flag
             assert row.iterations == 4

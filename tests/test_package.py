@@ -9,7 +9,7 @@ import threading
 from pathlib import Path
 
 import ucnprec as u
-from ucnprec import helper, symplectic
+from ucnprec import harness, helper, symplectic
 from ucnprec.channel import ClusterMap, RsrpTable
 from ucnprec.embedding import PowerBudget
 from ucnprec.harness import ScenarioConfig
@@ -27,10 +27,11 @@ EXPORTS = ["WsrObjective", "rzf_init", "solve"]
 
 
 # Adding a config key means adding its name here: every field is a value that a
-# shipped preset or a benchmark batch sets; the rest of the model is fixed.
+# shipped preset or a benchmark batch sets; the rest of the model is fixed. The
+# solver settings are the one field `solver`, a SolverConfig.
 CONFIG_FIELDS = [
-    "B_sc", "K", "M_t", "deployment_radius_m", "gamma", "gnb_count", "h0", "h_max", "init",
-    "max_iters", "r_ctrl", "rel_tol", "sectors_per_gnb", "seeds", "tx_power_dbm",
+    "B_sc", "K", "M_t", "deployment_radius_m", "gnb_count", "init", "sectors_per_gnb", "seeds",
+    "solver", "tx_power_dbm",
 ]
 
 # Adding a solver knob means adding its name here, as for CONFIG_FIELDS: the
@@ -77,6 +78,27 @@ def test_config_fields_are_pinned():
 
 def test_solver_fields_are_pinned():
     assert sorted(f.name for f in dataclasses.fields(SolverConfig)) == SOLVER_FIELDS
+
+
+def test_solver_settings_are_declared_once():
+    # ScenarioConfig holds the solver settings only through its one SolverConfig
+    assert not set(CONFIG_FIELDS) & set(SOLVER_FIELDS)
+    # a config file sets every field but `solver`, and every solver field but two
+    keys = set(CONFIG_FIELDS + SOLVER_FIELDS) - {"solver", "theta", "project_positions"}
+    assert sorted(harness._FIELD_PARSERS) == sorted(keys)
+    assert ScenarioConfig().solver == SolverConfig()
+
+
+def test_readme_key_table_matches_the_configs():
+    # every `key = value` cell of the key table is a config-file key at its default
+    text = README.read_text()
+    table = text[text.index("| group | keys |") :].split("\n\n", 1)[0]
+    cells = dict(re.findall(r"`(\w+) = ([^`]+)`", table))
+    assert sorted(cells) == sorted(harness._FIELD_PARSERS)
+    scenario = ScenarioConfig()
+    for key, value in cells.items():
+        owner = scenario.solver if key in SOLVER_FIELDS else scenario
+        assert harness._FIELD_PARSERS[key](value) == getattr(owner, key), key
 
 
 def test_scenario_facts_are_stored_once():
@@ -222,7 +244,7 @@ def test_public_callables_run_only_on_the_main_thread(monkeypatch, open_helper_g
 
     ch, clusters, state = table1_shaped_instance()
     rho = PowerBudget.uniform(ch.n_bs, 1.0)
-    config = SolverConfig(max_iters=3, rel_tol=1e-300)
+    config = SolverConfig(gamma=1.0, h0=0.01, r_ctrl=1e-2, h_max=1.0, max_iters=3, rel_tol=1e-300)
     result = symplectic.solve(ch, clusters, rho, Weights.uniform(ch.n_ut), state, config)
     assert result.iterations == 3
     assert loop_threads == {"MainThread", "ucnprec-helper_0"}

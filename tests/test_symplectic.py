@@ -320,7 +320,7 @@ class TestSolve:
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         result = solve(
             inst["ch"], inst["clusters"], inst["rho"], inst["w"], init,
-            inst["cfg"].solver_config(),
+            inst["cfg"].solver,
         )
         assert result.converged
         assert result.iterations <= 200
@@ -331,7 +331,7 @@ class TestSolve:
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         result = solve(
             inst["ch"], inst["clusters"], inst["rho"], inst["w"], init,
-            inst["cfg"].solver_config(),
+            inst["cfg"].solver,
         )
         obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
         final = obj.wsr_bits(result.precoder)
@@ -344,7 +344,7 @@ class TestSolve:
         inst = make_instance(seed=2, K=1, tx_power_dbm=24.0)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         config = SolverConfig(
-            gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12
+            gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12, h_max=1.0
         )
         result = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
         got = max(rec.wsr_bits for rec in result.trace)
@@ -379,7 +379,7 @@ class TestSolve:
         cm = ClusterMap([[0]], 1)
         ch = ChannelSet(entries=np.full((1, 1, 1), 1e150, dtype=complex), noise_power=1e-300)
         init = PrecoderState(layout, np.array([[1e150, 0.0]]))
-        config = SolverConfig(gamma=1.0, h0=1.0, max_iters=50, rel_tol=1e-12)
+        config = SolverConfig(gamma=1.0, h0=1.0, r_ctrl=1e-2, h_max=1.0, max_iters=50, rel_tol=1e-12)
         with np.errstate(all="ignore"), pytest.raises((SolverDivergence, ValueError)):
             solve(ch, cm, rho, Weights(np.ones(1)), init, config)
 
@@ -473,10 +473,7 @@ class TestTraceCsv:
     def test_schema_and_empty_cells(self, tmp_path):
         inst = make_instance(seed=0)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        config = SolverConfig(
-            gamma=20.0, h0=0.002, r_ctrl=0.25, theta=0.5, max_iters=5, rel_tol=1e-12,
-            h_max=0.005,
-        )
+        config = SolverConfig(max_iters=5, rel_tol=1e-12)
         result = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
         baseline_record = StepRecord(wsr_bits=1.5)
         path = tmp_path / "trace.csv"
@@ -693,7 +690,7 @@ class TestStepSplit:
         live = np.all(bs_block_norms(state)[state.layout.nonempty_bs] > 0)
         p = renormalize_power(state, rho) if live else state  # a zero row may leave a BS dead
         q = PrecoderState(p.layout, rng.standard_normal(p.blocks.shape))
-        config = SolverConfig(gamma=8.0, h0=0.01, r_ctrl=1.0, project_positions=project)
+        config = SolverConfig(gamma=8.0, h0=0.01, r_ctrl=1.0, h_max=1.0, project_positions=project)
         out = {}
         for route in ("split", "inline"):
             with pytest.MonkeyPatch.context() as mp:
