@@ -60,7 +60,7 @@ from .objective import (
     amplitude_matrix,
     terms_from_amplitudes,
 )
-from .symplectic import SolveResult, StepRecord, iterate
+from .symplectic import SolverConfig, SolveResult, StepRecord, iterate, settled
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
 _GRAMS_AHEAD = 8  # decomposed grams a sweep holds at most: at table1, 8 beat 4 and matched 12
@@ -98,6 +98,8 @@ def rzf_init(ch: ChannelSet, clusters: ClusterMap, rho: PowerBudget) -> Precoder
     BS block group scaled so its power equals rho_l, with the regularizer
     alpha_l = |U_l| * sigma_z^2 / rho_l.
     """
+    if rho.n_bs != ch.n_bs:
+        raise ValueError("power budget length must match the number of BSs")
     layout = BlockLayout(clusters, ch.M_t)
     cblocks = np.zeros((layout.n_blocks, ch.M_t), dtype=complex)
     for l, rows in enumerate(layout.bs_rows):
@@ -281,6 +283,10 @@ def wmmse_step(
     and returns it as WmmseState.products (after an error its contents are
     undefined); without it one is built from state.
     """
+    if rho.n_bs != ch.n_bs:
+        raise ValueError("power budget length must match the number of BSs")
+    if weights.w.size != ch.n_ut:
+        raise ValueError("need one weight per UT")
     if products is None:
         products = _pair_products(state, ch)
     blocks, ws = _wmmse_sweep(state, ch, rho, weights.w, lam0, products)
@@ -384,27 +390,25 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
 
 
 def wmmse_iterate(
-    state: PrecoderState,
-    ch: ChannelSet,
-    rho: PowerBudget,
-    weights: Weights,
-    n_iters: int,
-):
-    """Run n_iters WMMSE outer iterations; returns (state, per-iteration WSR).
+    init: PrecoderState, objective: WsrObjective, rho: PowerBudget, config: SolverConfig
+) -> SolveResult:
+    """Run config.max_iters WMMSE sweeps on objective's channels and weights from init.
 
     Each sweep's multiplier searches start from the previous sweep's
     multipliers, and each sweep reads and updates the previous sweep's pair
-    products.
+    products. The objective evaluates nothing here. Every sweep runs, and the
+    last state is returned; converged says whether settled() holds over the
+    last four sweep WSRs.
     """
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-    wsr_trace = np.zeros(n_iters)
+    state, ch, weights = init, objective.ch, objective.weights
+    trace = []
     lam = products = None
-    for i in range(n_iters):
+    for _ in range(config.max_iters):
         state, ws, wsr_bits = wmmse_step(state, ch, rho, weights, lam, products)
         lam, products = ws.lam, ws.products
-        wsr_trace[i] = wsr_bits
-    return state, wsr_trace
+        trace.append(StepRecord(wsr_bits=wsr_bits))
+    converged = settled([rec.wsr_bits for rec in trace], config.rel_tol)
+    return SolveResult(precoder=state, trace=trace, converged=converged)
 
 
 def _armijo(objective, layout, base_blocks, f0, grad_blocks, gnorm2, start, rho):
@@ -437,11 +441,7 @@ def _descent_record(wsr_bits, alpha, state, rho):
 
 
 def gd_solve(
-    init: PrecoderState,
-    objective: WsrObjective,
-    rho: PowerBudget | None = None,
-    max_iters: int = 100,
-    rel_tol: float = 1e-5,
+    init: PrecoderState, objective: WsrObjective, rho: PowerBudget | None, config: SolverConfig
 ) -> SolveResult:
     """Steepest descent with Armijo backtracking: the momentum-free descent.
 
@@ -449,15 +449,11 @@ def gd_solve(
     power; rho=None runs the plain unconstrained descent (used by the
     quadratic convergence checks).
     """
-    return _descent(init, objective, rho, 0.0, max_iters, rel_tol)
+    return _descent(init, objective, rho, 0.0, config)
 
 
 def nagd_solve(
-    init: PrecoderState,
-    objective: WsrObjective,
-    rho: PowerBudget | None = None,
-    max_iters: int = 100,
-    rel_tol: float = 1e-5,
+    init: PrecoderState, objective: WsrObjective, rho: PowerBudget | None, config: SolverConfig
 ) -> SolveResult:
     """Momentum extrapolation followed by an Armijo gradient step.
 
@@ -468,10 +464,10 @@ def nagd_solve(
     falls back to a plain gradient step from the current point, so the trace
     stays monotone.
     """
-    return _descent(init, objective, rho, _MOMENTUM, max_iters, rel_tol)
+    return _descent(init, objective, rho, _MOMENTUM, config)
 
 
-def _descent(init, objective, rho, momentum, max_iters, rel_tol) -> SolveResult:
+def _descent(init, objective, rho, momentum, config) -> SolveResult:
     """GD (momentum = 0) and NAGD as one step for symplectic.iterate.
 
     The gradient at an iterate is taken when a step first needs it, so none is
@@ -524,4 +520,4 @@ def _descent(init, objective, rho, momentum, max_iters, rel_tol) -> SolveResult:
     p0 = [renormalize_power(init, rho) if rho is not None else init]
     wsr0 = objective.wsr_bits(p0[0])
     # popped, not named: this frame must not keep the start alive once iterate() drops it
-    return iterate(step, p0.pop(), wsr0, max_iters, rel_tol)
+    return iterate(step, p0.pop(), wsr0, config.max_iters, config.rel_tol)

@@ -53,7 +53,6 @@ class ScenarioConfig:
     tx_power_dbm: float = 12.0
     # experiment
     seeds: tuple = (0, 1, 2, 3, 4)
-    init: str = "rzf"  # rzf | random
     # iteration budget and the dissipative solver's settings (SolverConfig checks them)
     solver: SolverConfig = SolverConfig()
 
@@ -72,8 +71,6 @@ class ScenarioConfig:
             raise ValueError(f"B_sc must lie in [1, {self.n_bs}], got {self.B_sc}")
         if self.deployment_radius_m <= 0:
             raise ValueError("deployment_radius_m must be > 0")
-        if self.init not in ("rzf", "random"):
-            raise ValueError(f"init must be 'rzf' or 'random', got {self.init!r}")
         if len(self.seeds) < 1:
             raise ValueError("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):
@@ -207,9 +204,12 @@ def random_precoder(layout: BlockLayout, rho: PowerBudget, seed: int) -> Precode
 
 
 def initial_precoder(config: ScenarioConfig, ch, clusters, rho, seed: int) -> PrecoderState:
-    if config.init == "rzf":
-        return baselines.rzf_init(ch, clusters, rho)
-    return random_precoder(BlockLayout(clusters, ch.M_t), rho, seed)
+    """Every solver's common start: the RZF precoder.
+
+    config and seed are unused; the five parameters stay because
+    perfbench/worker.py calls this and perfbench/tracer.py wraps it.
+    """
+    return baselines.rzf_init(ch, clusters, rho)
 
 
 def build_instance(config: ScenarioConfig, seed: int):
@@ -220,26 +220,21 @@ def build_instance(config: ScenarioConfig, seed: int):
     return topo, ch, clusters
 
 
-def _dispatch(name, config, ch, clusters, rho, weights, init, objective) -> SolveResult:
-    if name == "rzf":
-        state = init if config.init == "rzf" else baselines.rzf_init(ch, clusters, rho)
-        return SolveResult(precoder=state, trace=[], converged=True)
-    sc = config.solver
-    if name == "symplectic":
-        return symplectic.solve(ch, clusters, rho, weights, init, sc, objective=objective)
-    if name == "wmmse":
-        state, wsr_trace = baselines.wmmse_iterate(init, ch, rho, weights, sc.max_iters)
-        trace = [symplectic.StepRecord(wsr_bits=float(v)) for v in wsr_trace]
-        # a fixed number of sweeps: converged says whether the stopping rule holds at the end
-        converged = symplectic.settled(wsr_trace, sc.rel_tol)
-        return SolveResult(precoder=state, trace=trace, converged=converged)
-    if name == "gd":
-        return baselines.gd_solve(init, objective, rho, max_iters=sc.max_iters, rel_tol=sc.rel_tol)
-    if name == "nagd":
-        return baselines.nagd_solve(
-            init, objective, rho, max_iters=sc.max_iters, rel_tol=sc.rel_tol
-        )
-    raise ValueError(f"unknown solver {name!r}")
+# Each iterative solver's module and function name. The function is looked up
+# at call time, so one replaced on its module (as perfbench's tracer does) runs.
+_SOLVERS = {
+    "symplectic": (symplectic, "solve"),
+    "wmmse": (baselines, "wmmse_iterate"),
+    "gd": (baselines, "gd_solve"),
+    "nagd": (baselines, "nagd_solve"),
+}
+
+
+def _dispatch(name, init, objective, rho, config: SolverConfig) -> SolveResult:
+    if name == "rzf":  # the common start is the RZF precoder
+        return SolveResult(precoder=init, trace=[], converged=True)
+    module, attr = _SOLVERS[name]
+    return getattr(module, attr)(init, objective, rho, config)
 
 
 def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
@@ -269,7 +264,7 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
             objective = WsrObjective(ch, clusters, weights)
             start = time.perf_counter()
             try:
-                result = _dispatch(name, config, ch, clusters, rho, weights, init, objective)
+                result = _dispatch(name, init, objective, rho, config.solver)
             except Exception as exc:  # recorded per row; the batch continues
                 result, error = None, f"{type(exc).__name__}: {exc}"
             wall = time.perf_counter() - start

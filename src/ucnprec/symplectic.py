@@ -26,6 +26,8 @@ and G(p_next, grad_next) bit for bit.
 
 iterate() is the loop this solver, GD and NAGD share: the stopping rule,
 the best-iterate choice, the trace and the stall rule exist only there.
+solve() and the baselines' wmmse_iterate, gd_solve and nagd_solve share one
+call shape, solver(init, objective, rho, config) -> SolveResult.
 """
 
 import math
@@ -34,9 +36,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import helper
-from .channel import ChannelSet, ClusterMap
 from .embedding import PowerBudget, PrecoderState, power_residual, renormalize_power
-from .objective import ObjectiveEval, Weights, WsrObjective
+from .objective import ObjectiveEval, WsrObjective
 
 _HIDDEN_FLOOR = 1e-30
 _DELTA_FLOOR = 1e-30  # error estimates at or below this take the largest step
@@ -309,17 +310,9 @@ def iterate(step, p, wsr: float, max_iters: int, rel_tol: float) -> SolveResult:
 
 
 def solve(
-    ch: ChannelSet,
-    clusters: ClusterMap,
-    rho: PowerBudget,
-    weights: Weights,
-    init: PrecoderState,
-    config: SolverConfig,
-    objective: WsrObjective | None = None,
+    init: PrecoderState, objective: WsrObjective, rho: PowerBudget, config: SolverConfig
 ) -> SolveResult:
     """Run the dissipative constrained iteration from a full-power start through iterate()."""
-    if objective is None:
-        objective = WsrObjective(ch, clusters, weights)
     start = [renormalize_power(init, rho)]
     q = PrecoderState.zeros(init.layout)
     ev = objective.evaluate(start[0])

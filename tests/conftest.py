@@ -64,6 +64,11 @@ def make_instance(seed=0, **overrides):
     }
 
 
+def objective_for(inst):
+    """A fresh WsrObjective on an instance from make_instance."""
+    return WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+
+
 def random_state(layout, rho, seed):
     rng = np.random.default_rng(seed)
     blocks = rng.standard_normal((layout.n_blocks, layout.block_len))
@@ -158,7 +163,7 @@ def table1_wmmse_digest(sweeps=3, carried=False):
     """
     from ucnprec import baselines
 
-    ch, _, state = table1_shaped_instance()
+    ch, clusters, state = table1_shaped_instance()
     rho = PowerBudget.uniform(ch.n_bs, 1.0)
     w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
     step = baselines.wmmse_step
@@ -172,10 +177,12 @@ def table1_wmmse_digest(sweeps=3, carried=False):
     if carried:
         baselines.wmmse_step = recorded
         try:
-            state, wsr_trace = baselines.wmmse_iterate(state, ch, rho, w, sweeps)
+            objective = WsrObjective(ch, clusters, w)
+            result = baselines.wmmse_iterate(state, objective, rho, SolverConfig(max_iters=sweeps))
         finally:
             baselines.wmmse_step = step
-        assert wsr_trace.tolist() == [wsr_bits for wsr_bits, _ in sweeps_out]
+        state = result.precoder
+        assert [rec.wsr_bits for rec in result.trace] == [wsr_bits for wsr_bits, _ in sweeps_out]
     else:
         lam = None
         for _ in range(sweeps):

@@ -17,7 +17,7 @@ from ucnprec.embedding import PrecoderState, bs_block_norms, renormalize_power
 from ucnprec.harness import ScenarioConfig, build_instance, complexity_probe
 from ucnprec.objective import WsrObjective, fd_gradient
 from ucnprec.symplectic import SolverConfig, solve
-from conftest import load_preset, make_instance
+from conftest import load_preset, make_instance, objective_for
 
 N_SEEDS = 20
 
@@ -50,13 +50,14 @@ def hp_head_to_head(hp_instances):
     """Criterion 5 runs: dissipative solver and WMMSE, 50 iterations each."""
     cfg, insts = hp_instances
     solver_cfg = cfg.solver
+    wm_cfg = dataclasses.replace(solver_cfg, max_iters=50)
     sym, wm = [], []
     start = time.perf_counter()
     for inst in insts:
-        res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], solver_cfg)
+        res = solve(inst["init"], objective_for(inst), inst["rho"], solver_cfg)
         sym.append(max(rec.wsr_bits for rec in res.trace))
-        _, trace = wmmse_iterate(inst["init"], inst["ch"], inst["rho"], inst["w"], 50)
-        wm.append(float(trace[-1]))
+        wm_res = wmmse_iterate(inst["init"], objective_for(inst), inst["rho"], wm_cfg)
+        wm.append(wm_res.trace[-1].wsr_bits)
     elapsed = time.perf_counter() - start
     return np.array(sym), np.array(wm), elapsed
 
@@ -68,18 +69,14 @@ def hp_speed_traces(hp_instances):
     solver_cfg = cfg.solver
     horizon = 200
     out = {"symplectic": [], "nagd": [], "gd": []}
+    sc = dataclasses.replace(solver_cfg, max_iters=horizon, rel_tol=1e-12)
+    descent_cfg = dataclasses.replace(solver_cfg, max_iters=horizon, rel_tol=1e-300)
     for inst in insts:
-        args = (inst["ch"], inst["clusters"], inst["w"])
-        sc = dataclasses.replace(solver_cfg, max_iters=horizon, rel_tol=1e-12)
-        res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], inst["init"], sc)
+        res = solve(inst["init"], objective_for(inst), inst["rho"], sc)
         out["symplectic"].append([rec.wsr_bits for rec in res.trace])
-        na = nagd_solve(
-            inst["init"], WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
-        )
+        na = nagd_solve(inst["init"], objective_for(inst), inst["rho"], descent_cfg)
         out["nagd"].append([rec.wsr_bits for rec in na.trace])
-        gd = gd_solve(
-            inst["init"], WsrObjective(*args), inst["rho"], max_iters=horizon, rel_tol=1e-300
-        )
+        gd = gd_solve(inst["init"], objective_for(inst), inst["rho"], descent_cfg)
         out["gd"].append([rec.wsr_bits for rec in gd.trace])
     return out
 
@@ -110,7 +107,7 @@ def test_criterion_02_hidden_constraint_enforced():
     inst = make_instance(seed=0)
     init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
     sc = dataclasses.replace(inst["cfg"].solver, max_iters=200, rel_tol=1e-30)
-    res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+    res = solve(init, objective_for(inst), inst["rho"], sc)
     worst = max(rec.hidden_residual for rec in res.trace)
     ok = res.iterations == 200 and worst <= 1e-9
     assert _report(2, "hidden constraint", ok, f"(max residual {worst:.2e} over 200 iterations)")
@@ -124,7 +121,7 @@ def test_criterion_03_manifold_maintenance():
         base = inst["cfg"].solver
         for project in (True, False):
             sc = dataclasses.replace(base, max_iters=100, rel_tol=1e-30, project_positions=project)
-            res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+            res = solve(init, objective_for(inst), inst["rho"], sc)
             peak = max(rec.constraint_residual for rec in res.trace)
             if project:
                 worst_on = max(worst_on, peak)
@@ -187,7 +184,7 @@ def test_criterion_07_adaptive_step_benefit():
         base = inst["cfg"].solver
         for theta in (0.5, 0.0):
             sc = dataclasses.replace(base, theta=theta, max_iters=400)
-            res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+            res = solve(init, objective_for(inst), inst["rho"], sc)
             iters[theta].append(res.iterations if res.converged else 400)
     med_adaptive = float(np.median(iters[0.5]))
     med_fixed = float(np.median(iters[0.0]))
@@ -207,7 +204,7 @@ def test_criterion_08_cluster_size_ordering(hp_instances):
         for seed in range(N_SEEDS):
             inst = make_instance(seed=seed, tx_power_dbm=cfg.tx_power_dbm, B_sc=b_sc)
             init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, solver_cfg)
+            res = solve(init, objective_for(inst), inst["rho"], solver_cfg)
             finals.append(max(rec.wsr_bits for rec in res.trace))
         medians[b_sc] = float(np.median(finals))
     recovery = (medians[3] - medians[1]) / (medians[7] - medians[1])
@@ -243,7 +240,7 @@ def test_criterion_10_single_user_optimality():
         sc = SolverConfig(
             gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12, h_max=1.0
         )
-        res = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, sc)
+        res = solve(init, objective_for(inst), inst["rho"], sc)
         got = max(rec.wsr_bits for rec in res.trace)
         amp = sum(
             math.sqrt(inst["rho"].rho[l]) * np.linalg.norm(inst["ch"].entries[l, 0])

@@ -43,6 +43,7 @@ from ucnprec.symplectic import SolverConfig, SolverDivergence, solve
 from conftest import (
     load_preset,
     make_instance,
+    objective_for,
     random_served_instance,
     random_state,
     run_python,
@@ -207,9 +208,10 @@ class TestWmmse:
         for seed in range(10):
             inst = make_instance(seed=seed, gnb_count=3, M_t=4, K=6, B_sc=2)
             init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            _, trace = wmmse_iterate(init, inst["ch"], inst["rho"], inst["w"], 25)
-            start = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(init)
-            full = np.concatenate([[start], trace])
+            config = SolverConfig(max_iters=25)
+            result = wmmse_iterate(init, objective_for(inst), inst["rho"], config)
+            start = objective_for(inst).wsr_bits(init)
+            full = np.array([start] + [rec.wsr_bits for rec in result.trace])
             assert np.all(np.diff(full) >= -1e-8 * np.maximum(1.0, np.abs(full[:-1])))
 
     def test_power_feasible_every_iteration(self, small_instance):
@@ -263,13 +265,15 @@ class TestWmmse:
     def test_iterate_threads_multipliers(self, small_instance):
         args = (small_instance["ch"], small_instance["rho"], small_instance["w"])
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        _, trace = wmmse_iterate(init, *args, 6)
+        result = wmmse_iterate(
+            init, objective_for(small_instance), small_instance["rho"], SolverConfig(max_iters=6)
+        )
         state, lam, manual = init, None, []
         for _ in range(6):
             state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
             lam = ws.lam
             manual.append(wsr_bits)
-        assert trace.tolist() == manual
+        assert [rec.wsr_bits for rec in result.trace] == manual
 
     def test_matches_reference_sweep_on_singular_grams(self):
         # K < M_t: every gram is rank deficient
@@ -308,12 +312,12 @@ class TestWmmse:
 
     def test_iterate_returns_trace(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        state, trace = wmmse_iterate(
-            init, small_instance["ch"], small_instance["rho"], small_instance["w"], 8
+        result = wmmse_iterate(
+            init, objective_for(small_instance), small_instance["rho"], SolverConfig(max_iters=8)
         )
-        assert trace.shape == (8,)
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        assert obj.wsr_bits(state) == pytest.approx(trace[-1], rel=1e-9)
+        assert result.iterations == 8
+        obj = objective_for(small_instance)
+        assert obj.wsr_bits(result.precoder) == pytest.approx(result.trace[-1].wsr_bits, rel=1e-9)
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -612,6 +616,36 @@ class TestCarriedProducts:
         built, carried = (float(p) for p in peaks)
         assert built <= PEAK_BEFORE_CARRIED_PRODUCTS_MB[route]
         assert carried < built  # the carried buffer was allocated before the step
+
+
+class TestMismatchedInputs:
+    """A power budget or weight vector of the wrong length is rejected before any eigh."""
+
+    @pytest.mark.parametrize("extra", [-1, 2])
+    def test_rzf_init_rejects_budget_length(self, extra):
+        inst = make_instance(seed=0)
+        rho = PowerBudget.uniform(inst["ch"].n_bs + extra, 1.0)
+        with pytest.raises(ValueError, match="^power budget length must match the number of BSs$"):
+            rzf_init(inst["ch"], inst["clusters"], rho)
+
+    @pytest.mark.parametrize("extra", [-1, 2])
+    def test_wmmse_step_rejects_budget_length(self, eigh_guard, extra):
+        inst = make_instance(seed=0)
+        state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        rho = PowerBudget.uniform(inst["ch"].n_bs + extra, 1.0)
+        guard = eigh_guard()
+        with pytest.raises(ValueError, match="^power budget length must match the number of BSs$"):
+            wmmse_step(state, inst["ch"], rho, inst["w"])
+        assert guard.calls == 0
+
+    @pytest.mark.parametrize("n_ut", [1, 19, 21])
+    def test_wmmse_step_rejects_weight_count(self, eigh_guard, n_ut):
+        inst = make_instance(seed=0)
+        state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        guard = eigh_guard()
+        with pytest.raises(ValueError, match="^need one weight per UT$"):
+            wmmse_step(state, inst["ch"], inst["rho"], Weights.uniform(n_ut))
+        assert guard.calls == 0
 
 
 def three_sweeps(state, ch, rho, w):
@@ -935,7 +969,7 @@ class TestGd:
         layout = _single_pair_layout()
         init = PrecoderState(layout, np.ones((1, 8)))
         obj = QuadraticObjective(layout, np.ones(8), np.ones(8))
-        result = gd_solve(init, obj, rho=None, max_iters=50)
+        result = gd_solve(init, obj, None, SolverConfig(max_iters=50, rel_tol=1e-5))
         assert result.converged
         assert result.iterations == 0
         assert np.array_equal(result.precoder.blocks, init.blocks)
@@ -951,7 +985,7 @@ class TestGd:
         x_star = rng.standard_normal(10)
         obj = QuadraticObjective(layout, d, x_star)
         init = PrecoderState(layout, rng.standard_normal((1, 10)))
-        result = gd_solve(init, obj, rho=None, max_iters=60, rel_tol=1e-300)
+        result = gd_solve(init, obj, None, SolverConfig(max_iters=60, rel_tol=1e-300))
         assert result.iterations == 60
 
         def trial(x, ev, gnorm2, alpha):
@@ -987,13 +1021,15 @@ class TestGd:
         layout = _single_pair_layout()
         obj = QuadraticObjective(layout, np.full(8, 2.0 - slack * baselines._C1), np.zeros(8))
         init = PrecoderState(layout, np.ones((1, 8)))
-        result = gd_solve(init, obj, rho=None, max_iters=1)
+        result = gd_solve(init, obj, None, SolverConfig(max_iters=1, rel_tol=1e-5))
         assert result.trace[0].h_used == alpha
 
     def test_accepted_steps_strictly_decrease_objective(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        result = gd_solve(init, obj, small_instance["rho"], max_iters=30, rel_tol=1e-300)
+        result = gd_solve(
+            init, obj, small_instance["rho"], SolverConfig(max_iters=30, rel_tol=1e-300)
+        )
         ws = [obj.wsr_bits(renormalize_power(init, small_instance["rho"]))]
         ws += [rec.wsr_bits for rec in result.trace]
         for prev, cur, rec in zip(ws[:-1], ws[1:], result.trace):
@@ -1007,7 +1043,7 @@ class TestGd:
         layout = _single_pair_layout()
         init = PrecoderState(layout, np.ones((1, 8)))
         obj = InconsistentObjective(layout)
-        result = gd_solve(init, obj, rho=None, max_iters=50)
+        result = gd_solve(init, obj, None, SolverConfig(max_iters=50, rel_tol=1e-5))
         assert not result.converged
         assert result.iterations == 10
         assert all(rec.h_used == 0.0 for rec in result.trace)
@@ -1016,11 +1052,9 @@ class TestGd:
 class TestNagd:
     def test_first_iteration_has_no_momentum(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        args = (small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        gd = gd_solve(init, WsrObjective(*args), small_instance["rho"], max_iters=1, rel_tol=1e-300)
-        na = nagd_solve(
-            init, WsrObjective(*args), small_instance["rho"], max_iters=1, rel_tol=1e-300
-        )
+        config = SolverConfig(max_iters=1, rel_tol=1e-300)
+        gd = gd_solve(init, objective_for(small_instance), small_instance["rho"], config)
+        na = nagd_solve(init, objective_for(small_instance), small_instance["rho"], config)
         assert gd.trace[0].wsr_bits == na.trace[0].wsr_bits
 
     def test_momentum_beats_plain_descent(self):
@@ -1028,13 +1062,9 @@ class TestNagd:
         for seed in range(6):
             inst = make_instance(seed=seed, tx_power_dbm=24.0)
             init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            args = (inst["ch"], inst["clusters"], inst["w"])
-            na = nagd_solve(
-                init, WsrObjective(*args), inst["rho"], max_iters=80, rel_tol=1e-300
-            )
-            gd = gd_solve(
-                init, WsrObjective(*args), inst["rho"], max_iters=80, rel_tol=1e-300
-            )
+            config = SolverConfig(max_iters=80, rel_tol=1e-300)
+            na = nagd_solve(init, objective_for(inst), inst["rho"], config)
+            gd = gd_solve(init, objective_for(inst), inst["rho"], config)
             finals_na.append(na.trace[-1].wsr_bits)
             finals_gd.append(gd.trace[-1].wsr_bits)
         assert np.median(finals_na) > np.median(finals_gd)
@@ -1042,7 +1072,9 @@ class TestNagd:
     def test_trace_is_monotone(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
         obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
-        result = nagd_solve(init, obj, small_instance["rho"], max_iters=40, rel_tol=1e-300)
+        result = nagd_solve(
+            init, obj, small_instance["rho"], SolverConfig(max_iters=40, rel_tol=1e-300)
+        )
         ws = np.array([rec.wsr_bits for rec in result.trace])
         assert np.all(np.diff(ws) >= -1e-9 * np.maximum(1.0, np.abs(ws[:-1])))
 
@@ -1093,7 +1125,8 @@ class TestNonFiniteGradient:
         nan_gradient_after(monkeypatch, n_good)
         descend = gd_solve if solver == "gd" else nagd_solve
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="precoder blocks must be finite"):
-            descend(init, obj, inst["rho"] if budget else None)
+            rho = inst["rho"] if budget else None
+            descend(init, obj, rho, SolverConfig(max_iters=100, rel_tol=1e-5))
 
     def test_symplectic_raises_divergence(self, monkeypatch):
         inst = make_instance(seed=2)
@@ -1101,7 +1134,7 @@ class TestNonFiniteGradient:
         nan_gradient_after(monkeypatch, 3)
         config = SolverConfig(gamma=20.0, h0=0.002, r_ctrl=1e-2, h_max=0.005)
         with np.errstate(invalid="ignore"), pytest.raises(SolverDivergence, match="iteration 2"):
-            solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
+            solve(init, objective_for(inst), inst["rho"], config)
 
     def test_run_experiment_records_error_row(self, tmp_path, monkeypatch):
         nan_gradient_after(monkeypatch, 3)

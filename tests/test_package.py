@@ -9,12 +9,12 @@ import threading
 from pathlib import Path
 
 import ucnprec as u
-from ucnprec import harness, helper, symplectic
+from ucnprec import baselines, harness, helper, symplectic
 from ucnprec.channel import ClusterMap, RsrpTable
 from ucnprec.embedding import PowerBudget
 from ucnprec.harness import ScenarioConfig
-from ucnprec.objective import Weights
-from ucnprec.symplectic import SolverConfig
+from ucnprec.objective import Weights, WsrObjective
+from ucnprec.symplectic import SolveResult, SolverConfig
 from conftest import run_python, table1_shaped_instance, watch_split_loops
 
 REPO = Path(__file__).resolve().parent.parent
@@ -30,8 +30,8 @@ EXPORTS = ["WsrObjective", "rzf_init", "solve"]
 # shipped preset or a benchmark batch sets; the rest of the model is fixed. The
 # solver settings are the one field `solver`, a SolverConfig.
 CONFIG_FIELDS = [
-    "B_sc", "K", "M_t", "deployment_radius_m", "gnb_count", "init", "sectors_per_gnb", "seeds",
-    "solver", "tx_power_dbm",
+    "B_sc", "K", "M_t", "deployment_radius_m", "gnb_count", "sectors_per_gnb", "seeds", "solver",
+    "tx_power_dbm",
 ]
 
 # Adding a solver knob means adding its name here, as for CONFIG_FIELDS: the
@@ -40,6 +40,14 @@ CONFIG_FIELDS = [
 SOLVER_FIELDS = [
     "gamma", "h0", "h_max", "max_iters", "project_positions", "r_ctrl", "rel_tol", "theta",
 ]
+
+# Every iterative solver is called as solver(init, objective, rho, config) -> SolveResult,
+# so the harness calls each the same way and the benchmark's tracer wraps each by name.
+SOLVERS = {
+    symplectic: ["solve"],
+    baselines: ["wmmse_iterate", "gd_solve", "nagd_solve"],
+}
+SOLVER_PARAMS = ["init", "objective", "rho", "config"]
 
 # Each scenario fact is stored once: ClusterMap derives served_ut (U_l) from the
 # serving sets B_k, and RsrpTable derives the gap delta from the RSRP values. A second
@@ -78,6 +86,14 @@ def test_config_fields_are_pinned():
 
 def test_solver_fields_are_pinned():
     assert sorted(f.name for f in dataclasses.fields(SolverConfig)) == SOLVER_FIELDS
+
+
+def test_solvers_share_one_signature():
+    for module, names in SOLVERS.items():
+        for name in names:
+            sig = inspect.signature(getattr(module, name))
+            assert list(sig.parameters) == SOLVER_PARAMS, name
+            assert sig.return_annotation is SolveResult, name
 
 
 def test_solver_settings_are_declared_once():
@@ -245,7 +261,8 @@ def test_public_callables_run_only_on_the_main_thread(monkeypatch, open_helper_g
     ch, clusters, state = table1_shaped_instance()
     rho = PowerBudget.uniform(ch.n_bs, 1.0)
     config = SolverConfig(gamma=1.0, h0=0.01, r_ctrl=1e-2, h_max=1.0, max_iters=3, rel_tol=1e-300)
-    result = symplectic.solve(ch, clusters, rho, Weights.uniform(ch.n_ut), state, config)
+    objective = WsrObjective(ch, clusters, Weights.uniform(ch.n_ut))
+    result = symplectic.solve(state, objective, rho, config)
     assert result.iterations == 3
     assert loop_threads == {"MainThread", "ucnprec-helper_0"}
     names = {name for name, _ in calls}

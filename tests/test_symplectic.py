@@ -32,8 +32,8 @@ from ucnprec.symplectic import (
     write_trace_csv,
 )
 from conftest import (
-    REPO, make_instance, random_state, run_python, small_layouts, table1_shaped_instance,
-    watch_split_loops,
+    REPO, make_instance, objective_for, random_state, run_python, small_layouts,
+    table1_shaped_instance, watch_split_loops,
 )
 from oracles import (
     constraint_apply_G,
@@ -318,10 +318,7 @@ class TestSolve:
     def test_desk_run_converges(self):
         inst = make_instance(seed=0)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        result = solve(
-            inst["ch"], inst["clusters"], inst["rho"], inst["w"], init,
-            inst["cfg"].solver,
-        )
+        result = solve(init, objective_for(inst), inst["rho"], inst["cfg"].solver)
         assert result.converged
         assert result.iterations <= 200
         assert len(result.trace) == result.iterations
@@ -329,10 +326,7 @@ class TestSolve:
     def test_returned_precoder_is_best(self):
         inst = make_instance(seed=1)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        result = solve(
-            inst["ch"], inst["clusters"], inst["rho"], inst["w"], init,
-            inst["cfg"].solver,
-        )
+        result = solve(init, objective_for(inst), inst["rho"], inst["cfg"].solver)
         obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
         final = obj.wsr_bits(result.precoder)
         trace_best = max(rec.wsr_bits for rec in result.trace)
@@ -346,7 +340,7 @@ class TestSolve:
         config = SolverConfig(
             gamma=8.0, h0=0.01, r_ctrl=1.0, theta=0.5, max_iters=400, rel_tol=1e-12, h_max=1.0
         )
-        result = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
+        result = solve(init, objective_for(inst), inst["rho"], config)
         got = max(rec.wsr_bits for rec in result.trace)
         amp = sum(
             math.sqrt(inst["rho"].rho[l]) * np.linalg.norm(inst["ch"].entries[l, 0])
@@ -367,11 +361,9 @@ class TestSolve:
         scaled = SolverConfig(
             gamma=1e-300, h0=0.004 / math.sqrt(c), theta=0.0, max_iters=6, rel_tol=1e-300
         )
-        res_a = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, base)
-        res_b = solve(
-            inst["ch"], inst["clusters"], inst["rho"],
-            Weights(c * inst["w"].w), init, scaled,
-        )
+        res_a = solve(init, objective_for(inst), inst["rho"], base)
+        scaled_objective = WsrObjective(inst["ch"], inst["clusters"], Weights(c * inst["w"].w))
+        res_b = solve(init, scaled_objective, inst["rho"], scaled)
         assert np.allclose(res_a.precoder.blocks, res_b.precoder.blocks, rtol=1e-9)
 
     def test_propagates_divergence(self):
@@ -381,7 +373,7 @@ class TestSolve:
         init = PrecoderState(layout, np.array([[1e150, 0.0]]))
         config = SolverConfig(gamma=1.0, h0=1.0, r_ctrl=1e-2, h_max=1.0, max_iters=50, rel_tol=1e-12)
         with np.errstate(all="ignore"), pytest.raises((SolverDivergence, ValueError)):
-            solve(ch, cm, rho, Weights(np.ones(1)), init, config)
+            solve(init, WsrObjective(ch, cm, Weights(np.ones(1))), rho, config)
 
 
 STALL = "stall"
@@ -474,7 +466,7 @@ class TestTraceCsv:
         inst = make_instance(seed=0)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         config = SolverConfig(max_iters=5, rel_tol=1e-12)
-        result = solve(inst["ch"], inst["clusters"], inst["rho"], inst["w"], init, config)
+        result = solve(init, objective_for(inst), inst["rho"], config)
         baseline_record = StepRecord(wsr_bits=1.5)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, result.trace + [baseline_record])
@@ -675,7 +667,7 @@ class TestStepSplit:
             trace.append(record)
             h = step_controller(record.delta, h, config)
         config = dataclasses.replace(config, max_iters=4, rel_tol=1e-300)
-        result = symplectic.solve(None, None, rho, None, init, config, objective=objective)
+        result = symplectic.solve(init, objective, rho, config)
         assert result.iterations == 4
         for got, want in zip(result.trace, trace):
             assert_same_records(got, want)
