@@ -155,35 +155,22 @@ class RunSummary:
     rows: list = field(default_factory=list)
 
 
-_SUMMARY_COLUMNS = (
-    "solver",
-    "seed",
-    "wsr_bits",
-    "iterations",
-    "grad_evals",
-    "multiply_adds",
-    "converged",
-    "error",
-)
+# summary.csv holds every RunRow field but the wall time, which timings.csv holds
+_SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRow) if f.name != "wall_time_s")
+
+
+def _summary_cell(value) -> str:
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy float's repr would name its type
+    return str(int(value))  # converged as 0/1
 
 
 def _write_summary(path, rows) -> None:
     lines = [",".join(_SUMMARY_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.solver,
-                    str(r.seed),
-                    repr(float(r.wsr_bits)),
-                    str(r.iterations),
-                    str(r.grad_evals),
-                    str(r.multiply_adds),
-                    str(int(r.converged)),
-                    r.error.replace(",", ";").replace("\n", " "),
-                ]
-            )
-        )
+        lines.append(",".join(_summary_cell(getattr(r, name)) for name in _SUMMARY_COLUMNS))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -350,7 +337,9 @@ def complexity_probe(
 
     Compares instrumented counts against the nominal per-gradient count and
     reports the doubling factor between adjacent M_t values at fixed (K, B_sc).
+    Cluster sizes above config's BS count are left out.
     """
+    b_sc_grid = [b_sc for b_sc in b_sc_grid if b_sc <= config.n_bs]
     rows = []
     measured_at = {}
     for m_t in m_t_grid:
@@ -382,23 +371,23 @@ def complexity_probe(
     return ComplexityReport(rows=rows, mt_doubling=doubling)
 
 
-def gradcheck(trials: int = 20, seed0: int = 0, eps: float = 1e-5) -> float:
+def gradcheck(trials: int = 20) -> float:
     """Max relative L2 error between analytic and finite-difference gradients.
 
-    Uses seeded small instances (3 BSs, M_t = 4, K = 5, clusters of 2).
+    Uses small instances (3 BSs, M_t = 4, K = 5, clusters of 2) seeded 0 to
+    trials - 1, and central differences with step 1e-5.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     worst = 0.0
     cfg = ScenarioConfig(gnb_count=3, sectors_per_gnb=1, M_t=4, K=5, B_sc=2)
-    for i in range(trials):
-        seed = seed0 + i
+    for seed in range(trials):
         _, ch, clusters = build_instance(cfg, seed)
         rho = cfg.power_budget()
         state = random_precoder(BlockLayout(clusters, cfg.M_t), rho, seed)
         weights = cfg.weights()
         analytic = WsrObjective(ch, clusters, weights).evaluate(state).grad.blocks.ravel()
-        numeric = fd_gradient(state, ch, clusters, weights, eps).blocks.ravel()
+        numeric = fd_gradient(state, ch, clusters, weights, 1e-5).blocks.ravel()
         err = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         worst = max(worst, float(err))
     return worst

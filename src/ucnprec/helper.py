@@ -7,13 +7,13 @@ sweep's grams and eigendecompositions (fixed by its receivers and weights),
 and the RATTLE step's row work (multipliers, kicks, drift, projection, per-BS
 dots). At M_t >= MIN_MT, with more than one CPU and the OpenBLAS that numpy
 loaded running one thread, split_bs_loop calls its caller's closure on a head
-of the BSs here and on the tail on the helper, and in ordered_bs_jobs both
-threads claim a sweep's gram jobs a few BSs ahead of its updates. Only the
-thread that runs a call changes, so both routes give the same bits
-(objective.py says why). Below the gate the loops and jobs run inline, and a
-WMMSE sweep below both the gate and SPLIT_MIN_MACS stacks its grams instead
-(baselines.py). With multithreaded BLAS the gate stays closed: the split was
-measured slower.
+of the BSs here and on the tail on the helper, and ordered_bs_jobs queues a
+sweep's gram jobs on the helper a few BSs ahead of its updates, while this
+thread cancels and runs the front one whenever it waits. Only the thread that
+runs a call changes, so both routes give the same bits (objective.py says why).
+Below the gate the loops and jobs run inline, and a WMMSE sweep below both the
+gate and SPLIT_MIN_MACS stacks its grams instead (baselines.py). With
+multithreaded BLAS the gate stays closed: the split was measured slower.
 
 The helper runs only its callers' closures and LAPACK calls, never a public
 function of the package, so a tracer that wraps the package's public
@@ -26,7 +26,6 @@ table1 scale. A forked child, which has no copy of the thread, starts its own.
 
 import contextvars
 import os
-import threading
 
 import numpy as np
 
@@ -136,60 +135,51 @@ def split_bs_loop(layout, loop):
 def ordered_bs_jobs(m_t, todo, job, use, ahead):
     """Call use(l, job(l)) on this thread for each BS l in todo, in todo's order.
 
-    job(l) must read nothing that use writes. Past executor_for's gate both
-    threads claim the next unclaimed job and run it: the helper always, this
-    thread while the result it needs next is not in. Only the `ahead` jobs from
-    the one whose result use takes or holds are claimable, so at most `ahead`
-    results are held. A job's error (raised here when its result is due) or
-    use's stops all claims and propagates once the helper's job has finished:
-    no job runs after the call returns. Below the gate it is a plain loop.
+    job(l) must read nothing that use writes. Past executor_for's gate each job
+    is queued on the helper, in a copy of this thread's context, once it is
+    fewer than `ahead` past the one use takes next, so at most `ahead` results
+    are held. While the result it needs next is not in, this thread cancels the
+    first queued job and runs it itself: both threads take jobs from the front,
+    so jobs start in todo's order. After a job's error no job starts; the error
+    is raised here when its result is due. On an error here the queued jobs are
+    cancelled and the helper's job finishes first: no job runs after the call
+    returns. Below the gate it is a plain loop.
     """
     executor = executor_for(m_t)
     if executor is None:
         for l in todo:
             use(l, job(l))
         return
-    cond = threading.Condition()
-    done = {}  # index in todo -> (result, exception), until use takes it
-    claimed = taken = 0  # jobs claimed; index of the result use takes or holds
+    from concurrent.futures import Future, wait
 
-    def work(i=None):
-        """Job i's result, running claimable jobs until it is in (i=None: until all are claimed)."""
-        nonlocal claimed
-        while True:
-            with cond:
-                while i not in done and claimed >= min(len(todo), taken + ahead):
-                    if i is None and claimed == len(todo):
-                        return None
-                    cond.wait()
-                if i in done:
-                    result, exc = done.pop(i)
-                    if exc is not None:
-                        raise exc
-                    return result
-                j, claimed = claimed, claimed + 1
-            try:
-                out = job(todo[j]), None
-            except BaseException as exc:
-                out = None, exc
-            with cond:
-                done[j] = out
-                if out[1] is not None:
-                    claimed = len(todo)  # no job starts after an error
-                cond.notify_all()
+    failed = []  # the first job error; a job due to start after it raises it instead
 
-    share = executor.submit(contextvars.copy_context().run, work)
+    def run(l):
+        if failed:
+            raise failed[0]
+        try:
+            return job(l)
+        except BaseException as exc:
+            failed.append(exc)
+            raise
+
+    futures = {}  # index in todo -> future, for the queued jobs whose result use has not taken
     try:
         for i, l in enumerate(todo):
-            with cond:
-                taken = i
-                cond.notify_all()  # the helper may claim up to `ahead` past i now
-            use(l, work(i))
+            for j in range(i + len(futures), min(len(todo), i + ahead)):
+                futures[j] = executor.submit(contextvars.copy_context().run, run, todo[j])
+            while not futures[i].done():
+                j = next((j for j, f in futures.items() if f.cancel()), None)
+                if j is None:  # the helper has started every queued job
+                    break
+                futures[j] = Future()
+                try:
+                    futures[j].set_result(run(todo[j]))
+                except BaseException as exc:
+                    futures[j].set_exception(exc)
+            use(l, futures.pop(i).result())
     finally:
-        with cond:
-            claimed = len(todo)
-            cond.notify_all()
-        share.result()
+        wait([f for f in futures.values() if not f.cancel()])
 
 
 def _forget_executor():

@@ -55,7 +55,8 @@ class SolverConfig:
 
     The one declaration of these settings, their defaults and their checks:
     ScenarioConfig.solver holds one, and a config file sets each field but
-    theta and project_positions. max_iters and rel_tol bound WMMSE, GD and NAGD too.
+    theta and project_positions. max_iters and rel_tol bound GD and NAGD too;
+    WMMSE always runs max_iters sweeps, and rel_tol only sets its converged flag.
     """
 
     gamma: float = 20.0  # dissipation coefficient, 1/time
@@ -117,10 +118,10 @@ class SolveResult:
         return len(self.trace)
 
 
-def _bs_dots(row_bs, a: np.ndarray, b: np.ndarray, n: int, work=None) -> np.ndarray:
+def _bs_dots(row_bs, a: np.ndarray, b: np.ndarray, n: int, work) -> np.ndarray:
     """Per-BS sums of the row dots of a and b, for the first n BSs; row_bs names each row's BS.
 
-    work, if given, receives the elementwise products.
+    work receives the elementwise products.
     """
     # np.add.reduce is what np.sum runs, without its Python-level dispatch
     rows = np.add.reduce(np.multiply(a, b, out=work), axis=1)

@@ -282,6 +282,18 @@ class TestRunExperiment:
         header = (tmp_path / "summary.csv").read_text().split("\n")[0]
         assert header == "solver,seed,wsr_bits,iterations,grad_evals,multiply_adds,converged,error"
 
+    def test_summary_cells(self, tmp_path):
+        rows = [
+            harness.RunRow("wmmse", 3, np.float64(12.5), 7, 0.25, 9, 1234, True),
+            harness.RunRow("gd", 4, float("nan"), 0, 1.0, 0, 0, False, "ValueError: a, b\nc"),
+        ]
+        harness._write_summary(tmp_path / "summary.csv", rows)
+        assert (tmp_path / "summary.csv").read_text() == (
+            "solver,seed,wsr_bits,iterations,grad_evals,multiply_adds,converged,error\n"
+            "wmmse,3,12.5,7,9,1234,1,\n"
+            "gd,4,nan,0,0,0,0,ValueError: a; b c\n"
+        )
+
     def test_random_init_meets_power_budget(self):
         cfg = _fast_cfg()
         _, ch, clusters = harness.build_instance(cfg, 0)
@@ -386,6 +398,14 @@ class TestCli:
     def test_gradcheck_command(self, capsys):
         assert harness.main(["gradcheck", "--trials", "2"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    def test_probe_command_on_a_two_bs_network(self, tmp_path, capsys):
+        # the default grid's B_sc = 3 does not fit two BSs and is left out
+        cfg_path = write_cfg(tmp_path, "gnb_count = 2\nB_sc = 2\nseeds = 0\n")
+        assert harness.main(["probe-complexity", "--config", str(cfg_path)]) == 0
+        rows = capsys.readouterr().out.split("\n")[1:-3]
+        assert len(rows) == 18
+        assert {row.split(",")[2] for row in rows} == {"1", "2"}
 
     def test_probe_command(self, tmp_path, capsys, monkeypatch):
         # shrink the grid through a config with small defaults is not possible,

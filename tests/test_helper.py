@@ -148,6 +148,28 @@ def test_error_propagates_and_no_job_runs_after_return(open_helper_gate, fails):
     assert fails == "use" or fails in threads
 
 
+@pytest.mark.parametrize("fails", ["MainThread", HELPER])
+def test_no_job_starts_after_a_job_error(open_helper_gate, fails):
+    lock = threading.Lock()
+    raised, late = [], []  # the failing job once it has raised; jobs started after that
+
+    def job(l):
+        with lock:
+            if raised:
+                late.append(l)
+            elif thread() == fails and l >= 2:
+                raised.append(l)
+                raise KeyError(f"job {l}")
+        time.sleep(0.005)
+        return l
+
+    with pytest.raises(KeyError, match="job"):
+        helper.ordered_bs_jobs(M_T, list(range(30)), job, lambda l, r: None, 4)
+    wait_for_idle_helper()
+    assert raised
+    assert len(late) <= 1  # one may have started while the error was on its way to be recorded
+
+
 def test_helper_survives_an_error(open_helper_gate):
     def failing(l):
         raise ValueError("injected")
@@ -167,10 +189,6 @@ def test_helper_survives_an_error(open_helper_gate):
 
 
 def test_below_the_gate_runs_inline_in_order(open_helper_gate, monkeypatch):
-    def no_lock():
-        raise AssertionError("a lock below the gate")
-
-    monkeypatch.setattr(helper, "threading", SimpleNamespace(Condition=no_lock))
     monkeypatch.setattr(helper, "_executor", None)
     events = []
 
