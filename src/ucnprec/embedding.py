@@ -150,10 +150,6 @@ class PrecoderState:
             raise ValueError("complex blocks must have shape (n_blocks, M_t)")
         return cls(layout, np.hstack([cblocks.real, cblocks.imag]), copy=False)
 
-    def complex_blocks(self) -> np.ndarray:
-        m = self.layout.M_t
-        return self.blocks[:, :m] + 1j * self.blocks[:, m:]
-
 
 def bs_block_norms(state: PrecoderState) -> np.ndarray:
     """Per-BS transmit power: entry l is sum_{k in U_l} ||p_hat_{l,k}||^2.

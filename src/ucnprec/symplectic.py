@@ -14,15 +14,16 @@ precoder block (the 1/2-scaled Jacobian of the quadratic constraint; the
 multipliers absorb the constant). G is never materialized: both G v and
 G^T lam are per-BS block operations.
 
-Apart from its two evaluations and four reductions over all BSs (the error
+Apart from its one evaluation and four reductions over all BSs (the error
 estimate's norm, the Hamiltonian's sum of q_hat^2, the largest hidden residual
 and the power residual), a step is local to each BS's contiguous rows, so
 rattle_step writes that row work as two closures over a slice of BSs and
 their rows, kick_drift before evaluate(p_next) and kick_close after it, and
 hands each to helper.split_bs_loop; helper.py has its gate and objective.py
-why both routes give the same bits. solve() carries G(q, q) and
-G(p, grad) from step to step: they equal the previous step's G(q_next, q_next)
-and G(p_next, grad_next) bit for bit.
+why both routes give the same bits. A RattleState is what one step hands the
+next: p, q, the evaluation at p, and G(q, q) and G(p, grad), which the step
+before computed at its end. RattleState.start takes the first two with one
+bincount over all rows, which gives each BS the bits of per-slice sums.
 
 iterate() is the loop this solver, GD and NAGD share: the stopping rule,
 the best-iterate choice, the trace and the stall rule exist only there.
@@ -92,17 +93,18 @@ class SolverConfig:
 class StepRecord:
     """Diagnostics of one solver iteration; one trace schema for every solver.
 
-    A solver leaves the fields it does not produce at None.
+    A solver leaves the fields it does not produce at None. The scalar fields
+    are the trace's columns, in this order; the trace keeps lam's min and max.
     """
 
-    lam: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    delta: float | None = None
-    h_used: float | None = None
-    hamiltonian: float | None = None
     wsr_bits: float
+    hamiltonian: float | None = None
+    h_used: float | None = None
+    delta: float | None = None
     constraint_residual: float | None = None
     hidden_residual: float | None = None
+    lam: np.ndarray | None = None  # per-BS multipliers of the first kick
+    mu: np.ndarray | None = None  # and of the closing kick
 
 
 @dataclass
@@ -128,46 +130,51 @@ def _bs_dots(row_bs, a: np.ndarray, b: np.ndarray, n: int, work) -> np.ndarray:
     return np.bincount(row_bs, weights=rows, minlength=n)
 
 
-def rattle_step(
-    p: PrecoderState,
-    q: PrecoderState,
-    config: SolverConfig,
-    rho: PowerBudget,
-    objective,
-    h: float | None = None,
-    grad_eval: ObjectiveEval | None = None,
-    iteration: int | None = None,
-    carry: list | None = None,
-):
-    """One dissipative constrained step.
+@dataclass(frozen=True, slots=True)
+class RattleState:
+    """One point of the RATTLE iteration: what a step reads, and what the next reuses.
 
-    Returns (p_next, q_next, record, eval_next); eval_next is the objective
-    evaluation at p_next so the caller can feed it back as grad_eval and pay
-    for a single gradient per iteration.
-
-    carry passes two per-BS dots from one step to the next. A list that is
-    empty or holds [G(q, q), G(p, grad_eval.grad)] on entry holds
-    [G(q_next, q_next), G(p_next, eval_next.grad)] on return; the step uses
-    the values it holds instead of recomputing them, with the same bits.
-    solve() passes one list to all its steps.
-
-    The row work runs through helper.split_bs_loop in two closures, around
-    evaluate(p_next); see the module docstring.
+    ev is the objective evaluation at p, qq = G(q, q) and pg = G(p, ev.grad)
+    the per-BS dots of the step's first multiplier, and n the number of steps
+    taken. rattle_step returns the next state with the dots it computed.
     """
+
+    p: PrecoderState
+    q: PrecoderState
+    ev: ObjectiveEval
+    qq: np.ndarray
+    pg: np.ndarray
+    n: int
+
+    @classmethod
+    def start(cls, p: PrecoderState, q: PrecoderState, objective) -> "RattleState":
+        """The state at step 0: evaluates p and takes both dots over all rows."""
+        lay = p.layout
+        ev = objective.evaluate(p)
+        if not (q.layout.same_as(lay) and ev.grad.layout.same_as(lay)):
+            raise ValueError("states must share one layout")
+        w = np.empty(p.blocks.shape)  # scratch, freed on return
+        qq = _bs_dots(lay.row_bs, q.blocks, q.blocks, lay.n_bs, w)
+        pg = _bs_dots(lay.row_bs, p.blocks, ev.grad.blocks, lay.n_bs, w)
+        return cls(p, q, ev, qq, pg, 0)
+
+
+def rattle_step(x: RattleState, h: float, config: SolverConfig, rho: PowerBudget, objective):
+    """One dissipative constrained step of size h from x; returns (next state, record).
+
+    The one evaluation of a step is at the next state's p, which the step
+    after reuses. The row work runs through helper.split_bs_loop in two
+    closures, around evaluate(p_next); see the module docstring.
+    """
+    p, q, ev0 = x.p, x.q, x.ev
     lay = p.layout
-    if h is None:
-        h = config.h0
     if not h > 0:
         raise ValueError("h must be > 0")
     if rho.n_bs != lay.n_bs:
         raise ValueError("power budget length must match the number of BSs")
-    ev0 = grad_eval if grad_eval is not None else objective.evaluate(p)
-    if not (q.layout.same_as(lay) and ev0.grad.layout.same_as(lay)):
-        raise ValueError("states must share one layout")
     decay = math.exp(-config.gamma * h / 2.0)
     n_bs, shape = lay.n_bs, p.blocks.shape
-    qq, pg = carry if carry else (np.empty(n_bs), np.empty(n_bs))
-    lam = np.empty(n_bs)
+    lam = (x.qq - x.pg) / rho.rho
     # q_next holds q_half, the half-kicked momentum, until the closing kick
     p_next, q_next = np.empty(shape), np.empty(shape)
 
@@ -176,14 +183,10 @@ def rattle_step(
     # order, so helper.split_bs_loop may run them split or inline.
 
     def kick_drift(bs, rows):
-        """lam, the half kick to q_half, the drift to p_next and its projection."""
+        """The half kick to q_half, the drift to p_next and its projection."""
         n, row_bs, qh, p1 = bs.stop, lay.row_bs[rows], q_next[rows], p_next[rows]
         p0, q0, g0 = p.blocks[rows], q.blocks[rows], ev0.grad.blocks[rows]
         w = np.empty(p0.shape)  # scratch, freed before evaluate(p_next)
-        if not carry:  # G(q, q) and G(p, g0)
-            qq[bs] = _bs_dots(row_bs, q0, q0, n, w)[bs]
-            pg[bs] = _bs_dots(row_bs, p0, g0, n, w)[bs]
-        lam[bs] = (qq[bs] - pg[bs]) / rho.rho[bs]
         force = np.multiply(lam[row_bs][:, None], p0, out=w)
         force += g0
         force *= 0.5 * h
@@ -197,7 +200,7 @@ def rattle_step(
             scale = np.sqrt(np.divide(rho.rho[:n], drifted, out=np.ones(n), where=drifted > 0))
             p1 *= scale[row_bs][:, None]
         if not np.isfinite(p1).all():
-            raise SolverDivergence(f"non-finite precoder at iteration {iteration}")
+            raise SolverDivergence(f"non-finite precoder at iteration {x.n}")
 
     helper.split_bs_loop(lay, kick_drift)
     # q_half is finite too: p_next = p + h * q_half (then rescaled) would not be
@@ -221,7 +224,7 @@ def rattle_step(
         q1 -= force
         q1 *= decay
         if not np.isfinite(q1).all():
-            raise SolverDivergence(f"non-finite momentum at iteration {iteration}")
+            raise SolverDivergence(f"non-finite momentum at iteration {x.n}")
         # p - p_next - h/2 (g0 + g1), the error estimate's rows
         np.add(g0, g1, out=delta)
         delta *= 0.5 * h
@@ -231,8 +234,6 @@ def rattle_step(
         qq_next[bs] = _bs_dots(row_bs, q1, q1, n, w)[bs]
 
     helper.split_bs_loop(lay, kick_close)
-    if carry is not None:
-        carry[:] = (qq_next, pg1)
 
     hidden = np.abs(pq_next) / (np.sqrt(powers) * np.sqrt(qq_next) + _HIDDEN_FLOOR)
     flat_delta = delta_rows.ravel()
@@ -248,7 +249,8 @@ def rattle_step(
         constraint_residual=power_residual(lay, powers, rho),
         hidden_residual=float(np.maximum.reduce(hidden)) if n_bs else 0.0,
     )
-    return p_state, PrecoderState.trusted(lay, q_next), record, ev1
+    q_state = PrecoderState.trusted(lay, q_next)
+    return RattleState(p_state, q_state, ev1, qq_next, pg1, x.n + 1), record
 
 
 def step_controller(delta: float, h: float, config: SolverConfig) -> float:
@@ -314,37 +316,20 @@ def solve(
     init: PrecoderState, objective: WsrObjective, rho: PowerBudget, config: SolverConfig
 ) -> SolveResult:
     """Run the dissipative constrained iteration from a full-power start through iterate()."""
-    start = [renormalize_power(init, rho)]
-    q = PrecoderState.zeros(init.layout)
-    ev = objective.evaluate(start[0])
+    x = RattleState.start(renormalize_power(init, rho), PrecoderState.zeros(init.layout), objective)
     h = config.h0
-    n = 0
-    carry = []  # per-BS dots each step hands to the next
 
     def step(p, wsr):
-        nonlocal q, ev, h, n
-        p, q, record, ev = rattle_step(
-            p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n, carry=carry
-        )
-        n += 1
+        nonlocal x, h
+        x, record = rattle_step(x, h, config, rho, objective)
         h = step_controller(record.delta, h, config)
-        return p, record
+        return x.p, record
 
-    # popped, not named: this frame must not keep the start alive once iterate() drops it
-    return iterate(step, start.pop(), ev.wsr_bits, config.max_iters, config.rel_tol)
+    return iterate(step, x.p, x.ev.wsr_bits, config.max_iters, config.rel_tol)
 
 
-TRACE_COLUMNS = (
-    "iter",
-    "wsr_bits",
-    "hamiltonian",
-    "h_used",
-    "delta",
-    "constraint_residual",
-    "hidden_residual",
-    "lambda_min",
-    "lambda_max",
-)
+_TRACE_SCALARS = tuple(f.name for f in fields(StepRecord) if f.name not in ("lam", "mu"))
+TRACE_COLUMNS = ("iter", *_TRACE_SCALARS, "lambda_min", "lambda_max")
 
 
 def _cell(value) -> str:
@@ -358,19 +343,8 @@ def write_trace_csv(path, trace: list) -> None:
     """
     lines = [",".join(TRACE_COLUMNS)]
     for i, rec in enumerate(trace):
-        lam_min = None if rec.lam is None else rec.lam.min()
-        lam_max = None if rec.lam is None else rec.lam.max()
-        cells = [
-            str(i),
-            _cell(rec.wsr_bits),
-            _cell(rec.hamiltonian),
-            _cell(rec.h_used),
-            _cell(rec.delta),
-            _cell(rec.constraint_residual),
-            _cell(rec.hidden_residual),
-            _cell(lam_min),
-            _cell(lam_max),
-        ]
-        lines.append(",".join(cells))
+        lam = (None, None) if rec.lam is None else (rec.lam.min(), rec.lam.max())
+        values = [getattr(rec, name) for name in _TRACE_SCALARS] + list(lam)
+        lines.append(",".join([str(i)] + [_cell(v) for v in values]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -61,8 +61,14 @@ def extract_precoder(v: np.ndarray) -> np.ndarray:
     return v[:m] + 1j * v[m:]
 
 
+def complex_blocks(state):
+    """The (n_blocks, M_t) complex precoder blocks of a real state."""
+    m = state.layout.M_t
+    return state.blocks[:, :m] + 1j * state.blocks[:, m:]
+
+
 def complex_blocks_dict(state):
-    cb = state.complex_blocks()
+    cb = complex_blocks(state)
     return {pair: cb[i] for i, pair in enumerate(state.layout.pairs)}
 
 
@@ -121,7 +127,7 @@ def reference_wmmse_step(state, ch, clusters, rho, weights, power_tol=1e-10):
 
     layout = state.layout
     n_ut = ch.n_ut
-    cblocks = state.complex_blocks().copy()
+    cblocks = complex_blocks(state).copy()
     amps = np.zeros((n_ut, n_ut), dtype=complex)
     for i, (l, t) in enumerate(layout.pairs):
         amps[:, t] += ch.entries[l].conj() @ cblocks[i]
@@ -170,7 +176,7 @@ def reference_amplitude_matrix(state, ch):
     """
     lay = state.layout
     amps = np.zeros((ch.n_ut, ch.n_ut), dtype=complex)
-    cblocks = state.complex_blocks()
+    cblocks = complex_blocks(state)
     for l, rows in enumerate(lay.bs_rows):
         if rows.stop == rows.start:
             continue

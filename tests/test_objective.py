@@ -14,6 +14,7 @@ from conftest import (
     table1_shaped_instance,
 )
 from oracles import (
+    complex_blocks,
     complex_blocks_dict,
     embed_precoder,
     naive_signal_and_interference,
@@ -146,7 +147,7 @@ class TestGradient:
         state = random_state(small_instance["layout"], small_instance["rho"], 7)
         obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
         terms = obj.terms(state)
-        cblocks = state.complex_blocks().copy()
+        cblocks = complex_blocks(state).copy()
         phase = np.exp(1.3j)
         for i, (_, k) in enumerate(state.layout.pairs):
             if k == 1:

@@ -55,7 +55,7 @@ SOLVER_PARAMS = ["init", "objective", "rho", "config"]
 STORED_FIELDS = {ClusterMap: ["serving_bs", "n_bs"], RsrpTable: ["values"]}
 
 MAX_LINE = 100  # characters per line of package source
-MAX_PARAMS = 9  # parameters of a package function: rattle_step's count
+MAX_PARAMS = 8  # parameters of a package function: _armijo's count
 
 
 def readme_library_example():
@@ -189,7 +189,7 @@ def test_full_scale_work_starts_one_helper_thread():
         "from ucnprec.baselines import wmmse_step\n"
         "from ucnprec.embedding import PowerBudget, PrecoderState, renormalize_power\n"
         "from ucnprec.objective import Weights, WsrObjective\n"
-        "from ucnprec.symplectic import SolverConfig, rattle_step\n"
+        "from ucnprec.symplectic import RattleState, SolverConfig, rattle_step\n"
         "import conftest\n"
         "helper._cpus = lambda: 2\n"
         "ch, clusters, state = conftest.table1_shaped_instance()\n"
@@ -199,7 +199,9 @@ def test_full_scale_work_starts_one_helper_thread():
         "objective.evaluate(state)\n"
         "wmmse_step(state, ch, rho, w)\n"
         "p = renormalize_power(state, rho)\n"
-        "rattle_step(p, PrecoderState.zeros(p.layout), SolverConfig(), rho, objective)\n"
+        "x = RattleState.start(p, PrecoderState.zeros(p.layout), objective)\n"
+        "config = SolverConfig()\n"
+        "rattle_step(x, config.h0, config, rho, objective)\n"
         "print(sorted(t.name for t in threading.enumerate()))\n"
     )
     threads = run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")

@@ -22,6 +22,7 @@ from ucnprec.embedding import (
 )
 from ucnprec.objective import ObjectiveEval, Weights, WsrObjective
 from ucnprec.symplectic import (
+    RattleState,
     SolverConfig,
     SolverDivergence,
     StepRecord,
@@ -222,11 +223,12 @@ class TestRattleStep:
         config = SolverConfig(gamma=1e-300, h0=0.01)
         obj = ZeroObjective(layout)
         speed0 = 0.7
-        for n in range(10):
-            p, q, record, _ = rattle_step(p, q, config, rho, obj, iteration=n)
+        x = RattleState.start(p, q, obj)
+        for _ in range(10):
+            x, record = rattle_step(x, config.h0, config, rho, obj)
             assert record.constraint_residual < 1e-12
-        assert np.linalg.norm(q.blocks) == pytest.approx(speed0, rel=1e-5)
-        assert p.blocks[0, 1] != 0.0  # it actually moved along the sphere
+        assert np.linalg.norm(x.q.blocks) == pytest.approx(speed0, rel=1e-5)
+        assert x.p.blocks[0, 1] != 0.0  # it actually moved along the sphere
 
     def test_hidden_residual_tiny(self, small_instance):
         inst = small_instance
@@ -234,8 +236,9 @@ class TestRattleStep:
         q = PrecoderState.zeros(inst["layout"])
         config = SolverConfig(gamma=2.0, h0=0.01)
         obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
-        for n in range(25):
-            p, q, record, _ = rattle_step(p, q, config, rho=inst["rho"], objective=obj, iteration=n)
+        x = RattleState.start(p, q, obj)
+        for _ in range(25):
+            x, record = rattle_step(x, config.h0, config, inst["rho"], obj)
             assert record.hidden_residual < 1e-10
 
     def test_projection_keeps_manifold_exact(self, small_instance):
@@ -244,8 +247,9 @@ class TestRattleStep:
         q = PrecoderState.zeros(inst["layout"])
         config = SolverConfig(gamma=2.0, h0=0.02, project_positions=True)
         obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
-        for n in range(25):
-            p, q, record, _ = rattle_step(p, q, config, rho=inst["rho"], objective=obj, iteration=n)
+        x = RattleState.start(p, q, obj)
+        for _ in range(25):
+            x, record = rattle_step(x, config.h0, config, inst["rho"], obj)
             assert record.constraint_residual <= 1e-12
 
     def test_nonfinite_diagnostic_carries_iteration(self):
@@ -253,8 +257,11 @@ class TestRattleStep:
         p = PrecoderState(layout, np.array([[1.0, 0.0]]))
         q = PrecoderState(layout, np.array([[0.0, 1e200]]))
         config = SolverConfig(gamma=1.0, h0=0.01)
-        with np.errstate(all="ignore"), pytest.raises(SolverDivergence, match="iteration 7"):
-            rattle_step(p, q, config, rho, ZeroObjective(layout), iteration=7)
+        obj = ZeroObjective(layout)
+        with np.errstate(all="ignore"):
+            x = dataclasses.replace(RattleState.start(p, q, obj), n=7)
+            with pytest.raises(SolverDivergence, match="iteration 7"):
+                rattle_step(x, config.h0, config, rho, obj)
 
     def test_dissipation_decays_momentum(self):
         layout, rho = sphere_world(rho_val=1.0)
@@ -264,12 +271,30 @@ class TestRattleStep:
         config = SolverConfig(gamma=gamma, h0=h)
         obj = ZeroObjective(layout)
         norms = [1.0]
-        for n in range(50):
-            p, q, _, _ = rattle_step(p, q, config, rho, obj, iteration=n)
-            norms.append(float(np.linalg.norm(q.blocks)))
+        x = RattleState.start(p, q, obj)
+        for _ in range(50):
+            x, _ = rattle_step(x, h, config, rho, obj)
+            norms.append(float(np.linalg.norm(x.q.blocks)))
         norms = np.array(norms)
         assert np.all(np.diff(norms) < 0.0)
         assert norms[-1] == pytest.approx(math.exp(-gamma * 50 * h), rel=0.05)
+
+    def test_rejects_bad_inputs(self, small_instance):
+        inst = small_instance
+        p = random_state(inst["layout"], inst["rho"], 23)
+        q = tangent_momentum(p, 24)
+        obj = ZeroObjective(inst["layout"])
+        config = SolverConfig()
+        x = RattleState.start(p, q, obj)
+        for h in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="^h must be > 0$"):
+                rattle_step(x, h, config, inst["rho"], obj)
+        short = PowerBudget(inst["rho"].rho[:-1])
+        with pytest.raises(ValueError, match="^power budget length must match the number of BSs$"):
+            rattle_step(x, config.h0, config, short, obj)
+        other, _ = sphere_world()
+        with pytest.raises(ValueError, match="^states must share one layout$"):
+            RattleState.start(p, PrecoderState.zeros(other), obj)
 
 
 class TestStepController:
@@ -634,21 +659,22 @@ class TestStepSplit:
     @pytest.mark.parametrize("shape", ["desk", "table1"])
     def test_step_matches_public_definitions(self, step_route, shape):
         p, q, rho, objective, config = step_problem(shape)
-        ev = objective.evaluate(p)
+        x = RattleState.start(p, q, objective)
         h = config.h0
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n in range(3):
-                p_next, q_next, record, ev_next = rattle_step(
-                    p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n
+                nxt, record = rattle_step(x, h, config, rho, objective)
+                want_p, want_q, want = reference_step(
+                    x.p, x.q, config, rho, h, x.ev, objective.evaluate
                 )
-                want_p, want_q, want = reference_step(p, q, config, rho, h, ev, objective.evaluate)
-                assert_same_bits(p_next.blocks, want_p.blocks)
-                assert_same_bits(q_next.blocks, want_q.blocks)
+                assert_same_bits(nxt.p.blocks, want_p.blocks)
+                assert_same_bits(nxt.q.blocks, want_q.blocks)
                 assert_same_records(record, want)
-                assert ev_next is objective.evaluate(p_next)
-                p, q, ev = p_next, q_next, ev_next
+                assert nxt.ev is objective.evaluate(nxt.p)
+                assert nxt.n == n + 1
+                x = nxt
                 h = step_controller(record.delta, h, config)
         finally:
             sys.setswitchinterval(interval)
@@ -658,14 +684,19 @@ class TestStepSplit:
     def test_carried_dots_match_uncarried_steps(self, step_route, shape):
         init, _, rho, objective, config = step_problem(shape)
         p = renormalize_power(init, rho)  # solve()'s start
-        q = PrecoderState.zeros(p.layout)
-        ev = objective.evaluate(p)
+        x = RattleState.start(p, PrecoderState.zeros(p.layout), objective)
         h = config.h0
         trace = []
-        for n in range(4):
-            p, q, record, ev = rattle_step(p, q, config, rho, objective, h=h, grad_eval=ev, iteration=n)
+        for _ in range(4):
+            x, record = rattle_step(x, h, config, rho, objective)
             trace.append(record)
             h = step_controller(record.delta, h, config)
+        # the dots the steps carried are those a start at their last state takes
+        fresh = RattleState.start(x.p, x.q, objective)
+        assert fresh.ev is x.ev
+        assert_same_bits(fresh.qq, x.qq)
+        assert_same_bits(fresh.pg, x.pg)
+        assert x.n == 4
         config = dataclasses.replace(config, max_iters=4, rel_tol=1e-300)
         result = symplectic.solve(init, objective, rho, config)
         assert result.iterations == 4
@@ -675,7 +706,7 @@ class TestStepSplit:
 
     @given(instance=small_layouts(), project=st.booleans())
     def test_routes_give_the_same_bytes_on_small_layouts(self, instance, project):
-        # three steps from an uncarried start, objective loops split or inline with the step's
+        # three steps from a fresh start, objective loops split or inline with the step's
         ch, clusters, state, w = instance
         rng = np.random.default_rng(state.layout.n_blocks)
         rho = PowerBudget(rng.uniform(0.5, 2.0, ch.n_bs))
@@ -690,28 +721,28 @@ class TestStepSplit:
                 mp.setattr(helper, "_blas_threads", lambda: 1)
                 threads = set_step_route(mp, route)
                 objective = WsrObjective(ch, clusters, w)
-                p_n, q_n, ev, h, carry = p, q, objective.evaluate(p), config.h0, []
+                x, h = RattleState.start(p, q, objective), config.h0
                 steps = []
-                for n in range(3):
-                    p_n, q_n, rec, ev = rattle_step(
-                        p_n, q_n, config, rho, objective,
-                        h=h, grad_eval=ev, iteration=n, carry=carry,
+                for _ in range(3):
+                    x, rec = rattle_step(x, h, config, rho, objective)
+                    steps.append(
+                        (x.p.blocks, x.q.blocks, x.ev.grad.blocks, x.qq, x.pg, *record_fields(rec))
                     )
-                    steps.append((p_n.blocks, q_n.blocks, ev.grad.blocks, *record_fields(rec)))
                     h = step_controller(rec.delta, h, config)
                 assert_route(route, threads)
-            out[route] = [np.asarray(x).tobytes() for step in steps for x in step]
+            out[route] = [np.asarray(v).tobytes() for step in steps for v in step]
         assert out["split"] == out["inline"]
 
     @pytest.mark.parametrize("fail", [(1, True), (1, False), (2, True), (2, False)])
     def test_share_error_raises_from_step(self, split_guard, fail):
         p, q, rho, objective, config = step_problem("table1")
         objective = FixedObjective(objective.evaluate(p))
-        expected = rattle_step(p, q, config, rho, objective)
+        x = RattleState.start(p, q, objective)
+        expected = rattle_step(x, config.h0, config, rho, objective)
         # a failing main-thread share first waits for the helper's to start
         guard = split_guard(fail=fail, helper_delay=0.0 if fail[1] else 0.3)
         with pytest.raises(RuntimeError, match="injected"):
-            rattle_step(p, q, config, rho, objective)
+            rattle_step(x, config.h0, config, rho, objective)
         ended = guard.ended
         guard.close()
         assert guard.splits == fail[0]
@@ -720,11 +751,11 @@ class TestStepSplit:
         guard.fail = None
         guard.helper_delay = 0.0
         guard.closed = False
-        got = rattle_step(p, q, config, rho, objective)  # the next step succeeds
+        got = rattle_step(x, config.h0, config, rho, objective)  # the next step succeeds
         assert {on_helper for _, on_helper, _, _ in guard.shares} == {False, True}
-        assert_same_bits(got[0].blocks, expected[0].blocks)
-        assert_same_bits(got[1].blocks, expected[1].blocks)
-        assert_same_records(got[2], expected[2])
+        assert_same_bits(got[0].p.blocks, expected[0].p.blocks)
+        assert_same_bits(got[0].q.blocks, expected[0].q.blocks)
+        assert_same_records(got[1], expected[1])
 
     @pytest.mark.parametrize("half", ["precoder", "momentum"])
     @pytest.mark.parametrize("row", [1, -1])  # in the main thread's share, in the helper's
@@ -746,7 +777,8 @@ class TestStepSplit:
             # both shares run under the caller's errstate, so no warning escapes either route
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("error")
+                x = dataclasses.replace(RattleState.start(p, q, FixedObjective(ev0)), n=7)
                 with pytest.raises(SolverDivergence) as err:
-                    rattle_step(p, q, config, rho, FixedObjective(ev1), grad_eval=ev0, iteration=7)
+                    rattle_step(x, config.h0, config, rho, FixedObjective(ev1))
             messages.append(str(err.value))
         assert messages == [f"non-finite {half} at iteration 7"] * 2
