@@ -7,12 +7,13 @@ as a closed-form secular function of the multiplier, whose root is found by
 safeguarded Newton steps on 1/sqrt(power) (newton_multiplier), started from
 the multiplier of the previous sweep.
 
-A sweep keeps one (K, n_blocks + 1) buffer of per-pair channel products
-conj(H_l) @ p_{l,k}, which the objective's amplitude_matrix gathers from, and
-carries it to the next sweep: each BS update reads its old columns to take its
+wmmse_step(x, rho, objective) takes one WmmseState to the next. A state hands
+the next sweep its precoder, the sweep's multipliers and one (K, n_blocks + 1)
+buffer of per-pair channel products conj(H_l) @ p_{l,k}, which the objective's
+amplitude_matrix gathers from: each BS update reads its old columns to take its
 own signal out of the amplitudes and overwrites them with the product of its
-new blocks, the GEMM the update needs anyway. So only a run's first sweep
-computes amplitude products; every later amplitude matrix is a gather.
+new blocks, the GEMM the update needs anyway. So only WmmseState.start computes
+amplitude products; every amplitude matrix of a sweep is a gather.
 
 A BS's gram and its eigendecomposition depend only on the receivers and
 weights. A small sweep (below split_bs_loop's SPLIT_MIN_MACS and the helper's
@@ -53,13 +54,7 @@ from .embedding import (
     power_residual,
     renormalize_power,
 )
-from .objective import (
-    Weights,
-    WsrObjective,
-    _pair_products,
-    amplitude_matrix,
-    terms_from_amplitudes,
-)
+from .objective import WsrObjective, _pair_products, amplitude_matrix, terms_from_amplitudes
 from .symplectic import SolverConfig, SolveResult, StepRecord, iterate, settled
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
@@ -74,21 +69,31 @@ class BisectionError(RuntimeError):
     """Raised when the power multiplier cannot be bracketed or is ill-posed."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class WmmseState:
-    """MMSE weights, per-BS power multipliers and the new precoder's pair products."""
+    """One WMMSE iterate: the precoder and what the sweep that made it hands the next.
 
-    W: np.ndarray  # (K,) MMSE weights, >= 1
-    lam: np.ndarray  # (B,) multipliers from newton_multiplier, >= 0; warm-start the next sweep
-    power_evals: np.ndarray  # (B,) power evaluations each BS's multiplier search took, 0 if empty
-    products: np.ndarray  # (K, n_blocks + 1) pair products of the new precoder; see wmmse_step
+    products holds p's pair products as objective._pair_products lays them out;
+    the next sweep overwrites it in place with its own precoder's, so a state
+    feeds one sweep (after an error its contents are undefined). lam holds the
+    per-BS multipliers that start the next sweep's searches, None for cold
+    starts, and power_evals the Newton evaluations each BS's search took.
+    """
+
+    p: PrecoderState
+    products: np.ndarray  # (K, n_blocks + 1) complex
+    lam: np.ndarray | None  # (B,) from newton_multiplier, >= 0
+    power_evals: np.ndarray  # (B,) 0 for an empty BS and at the start
 
     def __post_init__(self):
-        # fmin skips NaN entries, as the elementwise comparisons do
-        if np.fmin.reduce(self.W) < 1.0 - 1e-9:
-            raise ValueError("MMSE weights must be >= 1")
-        if np.fmin.reduce(self.lam) < 0:
+        # fmin skips NaN entries, as the elementwise comparison does
+        if self.lam is not None and np.fmin.reduce(self.lam) < 0:
             raise ValueError("power multipliers must be nonnegative")
+
+    @classmethod
+    def start(cls, p: PrecoderState, ch: ChannelSet) -> "WmmseState":
+        """The state before the first sweep: p's pair products, cold multiplier searches."""
+        return cls(p, _pair_products(p, ch), None, np.zeros(p.layout.n_bs, dtype=int))
 
 
 def rzf_init(ch: ChannelSet, clusters: ClusterMap, rho: PowerBudget) -> PrecoderState:
@@ -261,47 +266,32 @@ def newton_multiplier(
     raise BisectionError("power multiplier not found within 100 evaluations")
 
 
-def wmmse_step(
-    state: PrecoderState,
-    ch: ChannelSet,
-    rho: PowerBudget,
-    weights: Weights,
-    lam0: np.ndarray | None = None,
-    products: np.ndarray | None = None,
-):
-    """One WMMSE outer iteration.
+def wmmse_step(x: WmmseState, rho: PowerBudget, objective: WsrObjective):
+    """One WMMSE sweep from x on objective's channels and weights; returns (next state, record).
 
-    Returns (new_state, WmmseState, wsr_bits) with wsr_bits evaluated at the
-    new precoder. Receiver coefficients and weights are held fixed while the
-    per-BS solves sweep in ascending BS order using the latest precoders.
-    lam0 holds each BS's starting multiplier, normally the previous sweep's
-    WmmseState.lam; without it every multiplier search starts cold (see
-    newton_multiplier). products holds state's per-pair channel products,
-    normally the previous sweep's WmmseState.products: a complex (K, n_blocks
-    + 1) array whose column i is conj(H_l) @ p_{l,k} for pair i and whose last
-    column is zero. The sweep overwrites it in place with new_state's products
-    and returns it as WmmseState.products (after an error its contents are
-    undefined); without it one is built from state.
+    Receiver coefficients and weights are held fixed while the per-BS solves
+    sweep in ascending BS order using the latest precoders; each multiplier
+    search starts from x.lam (see newton_multiplier). record.wsr_bits is the
+    WSR at the new precoder. The sweep overwrites x.products in place with the
+    new precoder's pair products and hands the buffer on in the next state.
     """
+    ch, w = objective.ch, objective.weights.w
     if rho.n_bs != ch.n_bs:
         raise ValueError("power budget length must match the number of BSs")
-    if weights.w.size != ch.n_ut:
-        raise ValueError("need one weight per UT")
-    if products is None:
-        products = _pair_products(state, ch)
-    blocks, ws = _wmmse_sweep(state, ch, rho, weights.w, lam0, products)
+    blocks, lam, evals = _wmmse_sweep(x, ch, rho, w)
     # the sweep's K x K and per-BS arrays are released before the closing amplitudes
-    new_state = PrecoderState(state.layout, blocks, copy=False)
-    terms = terms_from_amplitudes(amplitude_matrix(new_state, ch, products), ch.noise_power)
-    wsr_bits = float(np.dot(weights.w, terms.rate_bits))
-    return new_state, ws, wsr_bits
+    p = PrecoderState(x.p.layout, blocks, copy=False)
+    terms = terms_from_amplitudes(amplitude_matrix(p, ch, x.products), ch.noise_power)
+    wsr_bits = float(np.dot(w, terms.rate_bits))
+    return WmmseState(p, x.products, lam, evals), StepRecord(wsr_bits=wsr_bits)
 
 
-def _wmmse_sweep(state, ch, rho, w, lam0, products):
-    """Receiver and weight update plus the per-BS sweep; returns (real blocks, WmmseState).
+def _wmmse_sweep(x, ch, rho, w):
+    """Receiver and weight update plus the per-BS sweep; returns (real blocks, lam, evals).
 
-    products holds state's pair products on entry and the new blocks' on return.
+    x.products holds x.p's pair products on entry and the new blocks' on return.
     """
+    state, lam0, products = x.p, x.lam, x.products
     layout = state.layout
     m = layout.M_t
     sigma2 = ch.noise_power
@@ -313,8 +303,7 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
     total = np.add.reduce(amps.real**2 + amps.imag**2, axis=1)
     r = total - a + sigma2
     u = np.conj(diag) / (total + sigma2)  # full received energy
-    big_w = 1.0 + a / r
-    w_big_w = w * big_w
+    w_big_w = w * (1.0 + a / r)  # w_k times the MMSE weight W_k
     coef = w_big_w * (u.real**2 + u.imag**2)
     # desired-signal term of the pair (l, k): w_k W_k conj(u_k) h_{l,k}
     desired_coef = w_big_w * np.conj(u)
@@ -385,8 +374,7 @@ def _wmmse_sweep(state, ch, rho, w, lam0, products):
             update(l, e_all[i], vecs_all[i], i)
     else:
         helper.ordered_bs_jobs(m, todo, decompose, lambda l, ev: update(l, *ev), _GRAMS_AHEAD)
-    ws = WmmseState(W=big_w, lam=lam_out, power_evals=evals_out, products=products)
-    return blocks, ws
+    return blocks, lam_out, evals_out
 
 
 def wmmse_iterate(
@@ -394,25 +382,22 @@ def wmmse_iterate(
 ) -> SolveResult:
     """Run config.max_iters WMMSE sweeps on objective's channels and weights from init.
 
-    Each sweep's multiplier searches start from the previous sweep's
-    multipliers, and each sweep reads and updates the previous sweep's pair
-    products. The objective evaluates nothing here. Every sweep runs, and the
-    last state is returned; converged says whether settled() holds over the
-    last four sweep WSRs.
+    Each sweep starts from the WmmseState the previous one returned, so it
+    reuses that sweep's multipliers and pair products. The objective evaluates
+    nothing here. Every sweep runs, and the last precoder is returned;
+    converged says whether settled() holds over the last four sweep WSRs.
     """
-    state, ch, weights = init, objective.ch, objective.weights
+    x = WmmseState.start(init, objective.ch)
     trace = []
-    lam = products = None
     for _ in range(config.max_iters):
-        state, ws, wsr_bits = wmmse_step(state, ch, rho, weights, lam, products)
-        lam, products = ws.lam, ws.products
-        trace.append(StepRecord(wsr_bits=wsr_bits))
+        x, record = wmmse_step(x, rho, objective)
+        trace.append(record)
     converged = settled([rec.wsr_bits for rec in trace], config.rel_tol)
-    return SolveResult(precoder=state, trace=trace, converged=converged)
+    return SolveResult(precoder=x.p, trace=trace, converged=converged)
 
 
-def _armijo(objective, layout, base_blocks, f0, grad_blocks, gnorm2, start, rho):
-    """Backtracking search along -grad; returns (alpha, state) or (None, None).
+def _armijo(objective, base, ev, gnorm2, start, rho):
+    """Backtracking search from base along -ev.grad; returns (alpha, state) or (None, None).
 
     With a power budget the sufficient-decrease test is applied to the
     renormalized candidate (projection-arc search), so every accepted iterate
@@ -421,9 +406,10 @@ def _armijo(objective, layout, base_blocks, f0, grad_blocks, gnorm2, start, rho)
     destabilizes the momentum variant. The search starts from the caller's
     warm-started step, never above it.
     """
+    f0, grad_blocks = ev.g_value, ev.grad.blocks
     alpha = start
     for _ in range(_MAX_BACKTRACKS):
-        cand = PrecoderState.trusted(layout, base_blocks - alpha * grad_blocks)
+        cand = PrecoderState.trusted(base.layout, base.blocks - alpha * grad_blocks)
         # the constructor's one check that can fail here; the shape is the base's
         if not np.isfinite(cand.blocks).all():
             raise ValueError("precoder blocks must be finite")
@@ -489,9 +475,7 @@ def _descent(init, objective, rho, momentum, config) -> SolveResult:
             grad_blocks = ev_y.grad.blocks
             gnorm2 = float(np.add.reduce(grad_blocks**2, axis=None))
             if gnorm2 > 0.0:
-                alpha, cand = _armijo(
-                    objective, layout, y.blocks, ev_y.g_value, grad_blocks, gnorm2, start, rho
-                )
+                alpha, cand = _armijo(objective, y, ev_y, gnorm2, start, rho)
                 if cand is not None:
                     wsr_cand = objective.wsr_bits(cand)
                     if wsr_cand >= wsr - 1e-12 * max(1.0, abs(wsr)):
@@ -504,9 +488,7 @@ def _descent(init, objective, rho, momentum, config) -> SolveResult:
             gnorm2 = float(np.add.reduce(grad_blocks**2, axis=None))
             if gnorm2 == 0.0:
                 return None
-            alpha, cand = _armijo(
-                objective, layout, p.blocks, ev_p.g_value, grad_blocks, gnorm2, start, rho
-            )
+            alpha, cand = _armijo(objective, p, ev_p, gnorm2, start, rho)
             if cand is None:
                 start *= 0.5
                 return p, _descent_record(wsr, 0.0, p, rho)

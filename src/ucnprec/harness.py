@@ -248,7 +248,7 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
         weights = config.weights()
         init = initial_precoder(config, ch, clusters, rho, seed)
         for name in solvers:
-            objective = WsrObjective(ch, clusters, weights)
+            objective = WsrObjective(ch, weights)
             start = time.perf_counter()
             try:
                 result = _dispatch(name, init, objective, rho, config.solver)
@@ -349,7 +349,7 @@ def complexity_probe(
                 _, ch, clusters = build_instance(cfg, seed)
                 rho = cfg.power_budget()
                 state = random_precoder(BlockLayout(clusters, m_t), rho, seed)
-                objective = WsrObjective(ch, clusters, cfg.weights())
+                objective = WsrObjective(ch, cfg.weights())
                 objective.evaluate(state)
                 row = ProbeRow(
                     M_t=m_t,
@@ -386,8 +386,8 @@ def gradcheck(trials: int = 20) -> float:
         rho = cfg.power_budget()
         state = random_precoder(BlockLayout(clusters, cfg.M_t), rho, seed)
         weights = cfg.weights()
-        analytic = WsrObjective(ch, clusters, weights).evaluate(state).grad.blocks.ravel()
-        numeric = fd_gradient(state, ch, clusters, weights, 1e-5).blocks.ravel()
+        analytic = WsrObjective(ch, weights).evaluate(state).grad.blocks.ravel()
+        numeric = fd_gradient(state, ch, weights, 1e-5).blocks.ravel()
         err = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         worst = max(worst, float(err))
     return worst

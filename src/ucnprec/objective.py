@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import helper
-from .channel import ChannelSet, ClusterMap
+from .channel import ChannelSet
 from .embedding import PrecoderState
 
 _LN2 = math.log(2.0)
@@ -238,15 +238,11 @@ def _central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
 
 
 def fd_gradient(
-    state: PrecoderState,
-    ch: ChannelSet,
-    clusters: ClusterMap,
-    weights: Weights,
-    eps: float = 1e-5,
+    state: PrecoderState, ch: ChannelSet, weights: Weights, eps: float = 1e-5
 ) -> PrecoderState:
     """Finite-difference oracle for the gradient, independent of the analytic path."""
     lay = state.layout
-    objective = WsrObjective(ch, clusters, weights)
+    objective = WsrObjective(ch, weights)
 
     def f(vec):
         return objective.value(PrecoderState(lay, vec.reshape(lay.n_blocks, lay.block_len)))
@@ -265,7 +261,7 @@ class ObjectiveEval:
 
 
 class WsrObjective:
-    """Bundles channels, clusters and weights for repeated solver evaluations.
+    """Bundles channels and weights for repeated solver evaluations.
 
     evaluate() shares one amplitude matrix between the rate terms and the
     gradient, increments grad_evals and adds the complex multiply-adds of the
@@ -286,11 +282,9 @@ class WsrObjective:
     built from it (rattle_step's check, the Armijo candidates' constructor).
     """
 
-    def __init__(self, ch: ChannelSet, clusters: ClusterMap, weights: Weights):
+    def __init__(self, ch: ChannelSet, weights: Weights):
         if weights.w.size != ch.n_ut:
             raise ValueError("need one weight per UT")
-        if clusters.n_bs != ch.n_bs or clusters.n_ut != ch.n_ut:
-            raise ValueError("cluster map does not match the channel set")
         self.ch = ch
         self.weights = weights
         self.grad_evals = 0

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from ucnprec import helper
+from ucnprec import baselines, helper
 from ucnprec.channel import ChannelSet, ClusterMap
 from ucnprec.embedding import BlockLayout, PowerBudget, PrecoderState, renormalize_power
 from ucnprec.harness import ScenarioConfig, build_instance, load_config
-from ucnprec.objective import Weights, WsrObjective, amplitude_matrix
+from ucnprec.objective import Weights, WsrObjective, _pair_products, amplitude_matrix
 from ucnprec.symplectic import RattleState, SolverConfig, rattle_step, step_controller
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,7 +66,7 @@ def make_instance(seed=0, **overrides):
 
 def objective_for(inst):
     """A fresh WsrObjective on an instance from make_instance."""
-    return WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+    return WsrObjective(inst["ch"], inst["w"])
 
 
 def random_state(layout, rho, seed):
@@ -144,50 +144,54 @@ def table1_shaped_instance():
 
 
 def table1_args():
-    """(state, ch, rho, weights) for wmmse_step on table1_shaped_instance.
+    """(x, rho, objective) for wmmse_step on table1_shaped_instance.
 
-    Every BS has unit power and every UT unit weight.
+    x is the WmmseState that starts from its random precoder. Every BS has unit
+    power and every UT unit weight.
     """
     ch, _, state = table1_shaped_instance()
-    return state, ch, PowerBudget.uniform(ch.n_bs, 1.0), Weights.uniform(ch.n_ut)
+    objective = WsrObjective(ch, Weights.uniform(ch.n_ut))
+    return baselines.WmmseState.start(state, ch), PowerBudget.uniform(ch.n_bs, 1.0), objective
+
+
+def fresh_products(x, ch):
+    """x with its pair products built afresh: a sweep from it reuses x's multipliers only."""
+    return dataclasses.replace(x, products=_pair_products(x.p, ch))
 
 
 def table1_wmmse_digest(sweeps=3, carried=False):
     """sha256 of warm-started WMMSE sweeps on table1_shaped_instance.
 
     Hashes each sweep's WSR and multipliers, then the final precoder blocks.
-    By default each wmmse_step call is given the previous multipliers only, so
-    it builds its pair products afresh; carried=True runs wmmse_iterate, which
-    also hands each sweep the previous sweep's pair products, and reads every
-    sweep's outputs through a wrapped wmmse_step.
+    By default each sweep starts from the previous sweep's multipliers with its
+    pair products built afresh (fresh_products); carried=True runs
+    wmmse_iterate, which also hands each sweep the previous sweep's pair
+    products, and reads every sweep's outputs through a wrapped wmmse_step.
     """
-    from ucnprec import baselines
-
-    ch, clusters, state = table1_shaped_instance()
+    ch, _, state = table1_shaped_instance()
     rho = PowerBudget.uniform(ch.n_bs, 1.0)
-    w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
+    objective = WsrObjective(ch, Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut)))
     step = baselines.wmmse_step
     sweeps_out = []  # (wsr_bits, multipliers) per sweep
 
-    def recorded(*args, **kwargs):
-        new_state, ws, wsr_bits = step(*args, **kwargs)
-        sweeps_out.append((wsr_bits, ws.lam))
-        return new_state, ws, wsr_bits
+    def recorded(x, rho, objective):
+        x, rec = step(x, rho, objective)
+        sweeps_out.append((rec.wsr_bits, x.lam))
+        return x, rec
 
     if carried:
         baselines.wmmse_step = recorded
         try:
-            objective = WsrObjective(ch, clusters, w)
             result = baselines.wmmse_iterate(state, objective, rho, SolverConfig(max_iters=sweeps))
         finally:
             baselines.wmmse_step = step
         state = result.precoder
         assert [rec.wsr_bits for rec in result.trace] == [wsr_bits for wsr_bits, _ in sweeps_out]
     else:
-        lam = None
+        x = baselines.WmmseState.start(state, ch)
         for _ in range(sweeps):
-            state, ws, _ = recorded(state, ch, rho, w, lam0=lam)
-            lam = ws.lam
+            x, _ = recorded(fresh_products(x, ch), rho, objective)
+        state = x.p
     digest = hashlib.sha256()
     for wsr_bits, lam in sweeps_out:
         digest.update(np.float64(wsr_bits).tobytes())
@@ -202,11 +206,11 @@ def table1_objective_digest():
     Hashes amplitude_matrix, then evaluate()'s g_value, wsr_bits and gradient
     blocks, then value() at a second random state.
     """
-    ch, clusters, state = table1_shaped_instance()
+    ch, _, state = table1_shaped_instance()
     w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
     rng = np.random.default_rng(3)
     other = PrecoderState(state.layout, rng.standard_normal(state.blocks.shape))
-    objective = WsrObjective(ch, clusters, w)
+    objective = WsrObjective(ch, w)
     digest = hashlib.sha256()
     digest.update(amplitude_matrix(state, ch).tobytes())
     ev = objective.evaluate(state)
@@ -224,10 +228,10 @@ def table1_symplectic_digest(steps=4):
     step's state and controlled step size to the next, as solve() does. Hashes
     every record field of each step, then the final p and q blocks.
     """
-    ch, clusters, state = table1_shaped_instance()
+    ch, _, state = table1_shaped_instance()
     rho = PowerBudget.uniform(ch.n_bs, 1.0)
     w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
-    objective = WsrObjective(ch, clusters, w)
+    objective = WsrObjective(ch, w)
     config = SolverConfig(gamma=1.0, h0=0.01, r_ctrl=1e-2, h_max=1.0)
     p = renormalize_power(state, rho)
     x = RattleState.start(p, PrecoderState.zeros(p.layout), objective)

@@ -12,7 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from ucnprec.baselines import gd_solve, nagd_solve, rzf_init, wmmse_iterate, wmmse_step
+from ucnprec.baselines import (
+    WmmseState,
+    gd_solve,
+    nagd_solve,
+    rzf_init,
+    wmmse_iterate,
+    wmmse_step,
+)
 from ucnprec.embedding import PrecoderState, bs_block_norms, renormalize_power
 from ucnprec.harness import ScenarioConfig, build_instance, complexity_probe
 from ucnprec.objective import WsrObjective, fd_gradient
@@ -92,8 +99,8 @@ def test_criterion_01_gradient_oracle():
             PrecoderState(layout, rng.standard_normal((layout.n_blocks, layout.block_len))),
             inst["rho"],
         )
-        analytic = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state).grad
-        numeric = fd_gradient(state, inst["ch"], inst["clusters"], inst["w"], eps=1e-5)
+        analytic = WsrObjective(inst["ch"], inst["w"]).evaluate(state).grad
+        numeric = fd_gradient(state, inst["ch"], inst["w"], eps=1e-5)
         err = np.linalg.norm(analytic.blocks - numeric.blocks) / np.linalg.norm(numeric.blocks)
         worst = max(worst, float(err))
     elapsed = time.perf_counter() - start
@@ -139,11 +146,13 @@ def test_criterion_04_wmmse_sanity():
     for seed in range(N_SEEDS):
         inst = make_instance(seed=seed)
         state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        prev = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
+        objective = WsrObjective(inst["ch"], inst["w"])
+        prev = objective.wsr_bits(state)
         for _ in range(25):
-            state, _, wsr_now = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
-            worst_drop = max(worst_drop, prev - wsr_now)
-            prev = wsr_now
+            x, rec = wmmse_step(WmmseState.start(state, inst["ch"]), inst["rho"], objective)
+            state = x.p
+            worst_drop = max(worst_drop, prev - rec.wsr_bits)
+            prev = rec.wsr_bits
             excess = bs_block_norms(state) / inst["rho"].rho - 1.0
             worst_power = max(worst_power, float(excess.max()))
     ok = worst_drop <= 1e-8 and worst_power <= 1e-8

@@ -20,6 +20,7 @@ from ucnprec.baselines import (
     nagd_solve,
     newton_multiplier,
     rzf_init,
+    WmmseState,
     wmmse_iterate,
     wmmse_step,
 )
@@ -41,6 +42,7 @@ from ucnprec.harness import (
 from ucnprec.objective import ObjectiveEval, Weights, WsrObjective, _pair_products, amplitude_matrix
 from ucnprec.symplectic import SolverConfig, SolverDivergence, solve
 from conftest import (
+    fresh_products,
     load_preset,
     make_instance,
     objective_for,
@@ -140,16 +142,16 @@ def warm_frozen_runs():
         cfg = load_config(REPO / "configs" / case["config"])
         _, ch, clusters = build_instance(cfg, case["seed"])
         rho, w = cfg.power_budget(), cfg.weights()
-        state = initial_precoder(cfg, ch, clusters, rho, case["seed"])
-        mask = state.layout.nonempty_bs
-        lam, wsr_trace, worst, evals = None, [], 0.0, []
+        x = WmmseState.start(initial_precoder(cfg, ch, clusters, rho, case["seed"]), ch)
+        objective = WsrObjective(ch, w)
+        mask = x.p.layout.nonempty_bs
+        wsr_trace, worst, evals = [], 0.0, []
         for _ in range(case["sweeps"]):
-            state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam)
-            lam = ws.lam
-            wsr_trace.append(wsr_bits)
-            powers = bs_block_norms(state)
+            x, rec = wmmse_step(fresh_products(x, ch), rho, objective)
+            wsr_trace.append(rec.wsr_bits)
+            powers = bs_block_norms(x.p)
             worst = max(worst, float(np.max(np.abs(powers[mask] / rho.rho[mask] - 1.0))))
-            evals.extend(ws.power_evals[mask])
+            evals.extend(x.power_evals[mask])
         runs[(case["config"], case["seed"])] = (wsr_trace, worst, evals)
     return runs
 
@@ -192,17 +194,19 @@ class TestWmmse:
     def test_reaches_fixed_point(self):
         inst = make_instance(seed=1, gnb_count=2, M_t=2, K=2, B_sc=1)
         state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        prev = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).wsr_bits(state)
+        objective = objective_for(inst)
+        prev = objective.wsr_bits(state)
         settled = False
         for _ in range(3000):
-            state, _, wsr_now = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
-            if abs(wsr_now - prev) < 1e-10:
+            x, rec = wmmse_step(WmmseState.start(state, inst["ch"]), inst["rho"], objective)
+            state = x.p
+            if abs(rec.wsr_bits - prev) < 1e-10:
                 settled = True
                 break
-            prev = wsr_now
+            prev = rec.wsr_bits
         assert settled
-        _, _, wsr_next = wmmse_step(state, inst["ch"], inst["rho"], inst["w"])
-        assert abs(wsr_next - prev) < 1e-10
+        _, rec = wmmse_step(WmmseState.start(state, inst["ch"]), inst["rho"], objective)
+        assert abs(rec.wsr_bits - prev) < 1e-10
 
     def test_monotone_over_random_instances(self):
         for seed in range(10):
@@ -215,14 +219,23 @@ class TestWmmse:
             assert np.all(np.diff(full) >= -1e-8 * np.maximum(1.0, np.abs(full[:-1])))
 
     def test_power_feasible_every_iteration(self, small_instance):
-        state = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        rho = small_instance["rho"]
+        ch, rho = small_instance["ch"], small_instance["rho"]
+        state = rzf_init(ch, small_instance["clusters"], rho)
+        objective = objective_for(small_instance)
         for _ in range(15):
-            state, ws, _ = wmmse_step(state, small_instance["ch"], rho, small_instance["w"])
+            x, _ = wmmse_step(WmmseState.start(state, ch), rho, objective)
+            state = x.p
             powers = bs_block_norms(state)
             assert np.all(powers <= rho.rho * (1.0 + 1e-8))
-            assert np.all(ws.W >= 1.0 - 1e-9)
-            assert np.all(ws.lam >= 0.0)
+            assert np.all(x.lam >= 0.0)
+
+    def test_state_rejects_negative_multiplier(self, small_instance):
+        state = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
+        x = WmmseState.start(state, small_instance["ch"])
+        lam = np.zeros(state.layout.n_bs)
+        lam[-1] = -1e-300
+        with pytest.raises(ValueError, match="^power multipliers must be nonnegative$"):
+            dataclasses.replace(x, lam=lam)
 
     @pytest.mark.parametrize(
         "case", FROZEN_WSR, ids=lambda c: f"{c['config']}-seed{c['seed']}"
@@ -234,11 +247,13 @@ class TestWmmse:
         _, ch, clusters = build_instance(cfg, case["seed"])
         rho, w = cfg.power_budget(), cfg.weights()
         state = initial_precoder(cfg, ch, clusters, rho, case["seed"])
+        objective = WsrObjective(ch, w)
         mask = state.layout.nonempty_bs
         wsr_trace = []
         for _ in range(case["sweeps"]):
-            state, _, wsr_bits = wmmse_step(state, ch, rho, w)
-            wsr_trace.append(wsr_bits)
+            x, rec = wmmse_step(WmmseState.start(state, ch), rho, objective)
+            state = x.p
+            wsr_trace.append(rec.wsr_bits)
             powers = bs_block_norms(state)
             assert np.all(np.abs(powers[mask] - rho.rho[mask]) <= 1e-10 * rho.rho[mask])
         np.testing.assert_allclose(wsr_trace, case["wsr_bits"], rtol=1e-9, atol=0.0)
@@ -263,33 +278,29 @@ class TestWmmse:
         assert np.mean(evals) <= 5.0
 
     def test_iterate_threads_multipliers(self, small_instance):
-        args = (small_instance["ch"], small_instance["rho"], small_instance["w"])
-        init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        result = wmmse_iterate(
-            init, objective_for(small_instance), small_instance["rho"], SolverConfig(max_iters=6)
-        )
-        state, lam, manual = init, None, []
+        ch, rho = small_instance["ch"], small_instance["rho"]
+        init = rzf_init(ch, small_instance["clusters"], rho)
+        objective = objective_for(small_instance)
+        result = wmmse_iterate(init, objective, rho, SolverConfig(max_iters=6))
+        x, manual = WmmseState.start(init, ch), []
         for _ in range(6):
-            state, ws, wsr_bits = wmmse_step(state, *args, lam0=lam)
-            lam = ws.lam
-            manual.append(wsr_bits)
-        assert [rec.wsr_bits for rec in result.trace] == manual
+            x, rec = wmmse_step(x, rho, objective)
+            manual.append(rec)
+        assert result.trace == manual
+        assert result.precoder.blocks.tobytes() == x.p.blocks.tobytes()
 
     def test_matches_reference_sweep_on_singular_grams(self):
         # K < M_t: every gram is rank deficient
         for seed in range(6):
             inst = make_instance(seed=seed, gnb_count=3, M_t=8, K=5, B_sc=2)
-            state = ref = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            lam = None
+            ref = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+            x, objective = WmmseState.start(ref, inst["ch"]), objective_for(inst)
             for _ in range(15):
-                state, ws, wsr_bits = wmmse_step(
-                    state, inst["ch"], inst["rho"], inst["w"], lam0=lam
-                )
-                lam = ws.lam
+                x, rec = wmmse_step(fresh_products(x, inst["ch"]), inst["rho"], objective)
                 ref, _, ref_bits = reference_wmmse_step(
                     ref, inst["ch"], inst["clusters"], inst["rho"], inst["w"]
                 )
-                assert wsr_bits == pytest.approx(ref_bits, rel=1e-9)
+                assert rec.wsr_bits == pytest.approx(ref_bits, rel=1e-9)
 
     def test_zero_weight_bs_stays_finite(self):
         # one weighted UT, B_sc = 1: a BS serving only zero-weight UTs gets a
@@ -299,16 +310,15 @@ class TestWmmse:
                 seed=seed, gnb_count=3, M_t=8, K=4, B_sc=1, tx_power_dbm=40.0
             )
             w = Weights(np.array([1.0, 0.0, 0.0, 0.0]))
-            state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-            prev = WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state)
-            lam = None
+            x = WmmseState.start(rzf_init(inst["ch"], inst["clusters"], inst["rho"]), inst["ch"])
+            objective = WsrObjective(inst["ch"], w)
+            prev = objective.wsr_bits(x.p)
             for _ in range(30):
-                state, ws, wsr_bits = wmmse_step(state, inst["ch"], inst["rho"], w, lam0=lam)
-                lam = ws.lam
-                assert np.all(np.isfinite(state.blocks))
-                assert np.all(bs_block_norms(state) <= inst["rho"].rho * (1.0 + 1e-10))
-                assert wsr_bits >= prev - 1e-9 * max(1.0, abs(prev))
-                prev = wsr_bits
+                x, rec = wmmse_step(fresh_products(x, inst["ch"]), inst["rho"], objective)
+                assert np.all(np.isfinite(x.p.blocks))
+                assert np.all(bs_block_norms(x.p) <= inst["rho"].rho * (1.0 + 1e-10))
+                assert rec.wsr_bits >= prev - 1e-9 * max(1.0, abs(prev))
+                prev = rec.wsr_bits
 
     def test_iterate_returns_trace(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
@@ -432,15 +442,13 @@ class TestEighWorker:
 
     def test_one_call_per_bs_on_both_threads(self, eigh_guard):
         guard = eigh_guard()
-        state, ch, rho, w = table1_args()
-        n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
-        lam = None
+        x, rho, objective = table1_args()
+        n_nonempty = int(np.count_nonzero(x.p.layout.nonempty_bs))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
             for sweep in range(1, 3):
-                state, ws, _ = wmmse_step(state, ch, rho, w, lam0=lam)
-                lam = ws.lam
+                x, _ = wmmse_step(x, rho, objective)
                 guard.close()
                 assert guard.calls == sweep * n_nonempty
                 guard.closed = False
@@ -452,16 +460,17 @@ class TestEighWorker:
     @pytest.mark.parametrize("k", [1, 2, 20])
     def test_worker_error_raises_in_sweep(self, eigh_guard, k):
         guard = eigh_guard(fail_on=k)
-        state, ch, rho, w = table1_args()
-        n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
+        x, rho, objective = table1_args()
+        n_nonempty = int(np.count_nonzero(x.p.layout.nonempty_bs))
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
-            wmmse_step(state, ch, rho, w)
+            wmmse_step(x, rho, objective)
         guard.close()
         assert guard.late == 0
         assert k <= guard.calls <= min(k + 1, n_nonempty)  # the next BS's eigh may have started
         guard.closed = False
         calls = guard.calls
-        wmmse_step(state, ch, rho, w)  # the worker survives the error
+        # the worker survives the error; the failed sweep left x's products undefined
+        wmmse_step(WmmseState.start(x.p, objective.ch), rho, objective)
         assert guard.calls == calls + n_nonempty
 
     def test_main_thread_error_leaves_no_eigh_running(self, eigh_guard, monkeypatch):
@@ -480,9 +489,8 @@ class TestEighWorker:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_starts_its_own_worker(self, eigh_guard):
         eigh_guard()
-        args = table1_args()
-        wmmse_step(*args)  # the worker thread exists in this process now
-        child = multiprocessing.get_context("fork").Process(target=wmmse_step, args=args)
+        wmmse_step(*table1_args())  # the worker thread exists in this process now
+        child = multiprocessing.get_context("fork").Process(target=wmmse_step, args=table1_args())
         child.start()
         child.join(timeout=30)  # a child that reused the executor would wait forever
         hung = child.is_alive()
@@ -508,21 +516,22 @@ class TestEighWorker:
 
     def test_worker_error_at_last_bs_of_deep_queue(self, eigh_guard):
         assert baselines._GRAMS_AHEAD >= 3  # the failing eigh is claimed behind others
-        state, ch, rho, w = table1_args()
-        n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
+        x, rho, objective = table1_args()
+        n_nonempty = int(np.count_nonzero(x.p.layout.nonempty_bs))
         guard = eigh_guard(fail_on=n_nonempty)
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
-            wmmse_step(state, ch, rho, w)
+            wmmse_step(x, rho, objective)
         guard.close()
         assert guard.calls == n_nonempty
         assert guard.late == 0
         guard.closed = False
-        wmmse_step(state, ch, rho, w)  # the helper survives the error
+        # the helper survives the error; the failed sweep left x's products undefined
+        wmmse_step(WmmseState.start(x.p, objective.ch), rho, objective)
         assert guard.calls == 2 * n_nonempty
 
 
 # tracemalloc peaks (MB) of one wmmse_step on table1_args() before WMMSE carried its
-# pair products, each step building its own: PEAK_SCRIPT's step with products=None, run
+# pair products, each step building its own: PEAK_SCRIPT's first measured step, run
 # with that code (numpy 2.4.6, OPENBLAS_NUM_THREADS=1, helper gate opened by _cpus = 2).
 PEAK_BEFORE_CARRIED_PRODUCTS_MB = {"inline": 6.641, "helper": 8.516}
 PEAK_SCRIPT = """
@@ -533,11 +542,13 @@ from ucnprec import baselines, helper
 helper._cpus = lambda: 2
 if {inline}:
     helper.MIN_MT = 10**9
-state, ch, rho, w = conftest.table1_args()
-state, ws, _ = baselines.wmmse_step(state, ch, rho, w)  # starts the helper and numpy's caches
-for products in (None, ws.products):  # built inside the step, then carried in
+x, rho, objective = conftest.table1_args()
+x, _ = baselines.wmmse_step(x, rho, objective)  # starts the helper and numpy's caches
+for carried in (False, True):  # products built for the step, then carried in
     tracemalloc.start()
-    out = baselines.wmmse_step(state, ch, rho, w, lam0=ws.lam, products=products)
+    out = baselines.wmmse_step(
+        x if carried else conftest.fresh_products(x, objective.ch), rho, objective
+    )
     print(tracemalloc.get_traced_memory()[1] / 1e6)
     tracemalloc.stop()
     del out
@@ -554,26 +565,29 @@ class TestCarriedProducts:
         if instance == "desk.cfg":
             cfg = load_preset("desk.cfg")
             _, ch, clusters = build_instance(cfg, 0)
-            rho, w = cfg.power_budget(), cfg.weights()
-            state = initial_precoder(cfg, ch, clusters, rho, 0)
+            rho, objective = cfg.power_budget(), WsrObjective(ch, cfg.weights())
+            x = WmmseState.start(initial_precoder(cfg, ch, clusters, rho, 0), ch)
             sweeps = 6
         else:
-            state, ch, rho, w = table1_args()
+            x, rho, objective = table1_args()
+            ch = objective.ch
             sweeps = 3
         monkeypatch.setattr(helper, "MIN_MT", 10**9 if route == "inline" else 1)
         guard = eigh_guard()
-        fresh, lam, products = state, None, None
+        fresh = x  # swept from its precoder alone, with products built afresh
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
             for _ in range(sweeps):
-                state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam, products=products)
-                assert products is None or ws.products is products  # updated in place
-                lam, products = ws.lam, ws.products
-                assert products.tobytes() == _pair_products(state, ch).tobytes()
-                fresh, _, fresh_bits = wmmse_step(fresh, ch, rho, w, lam0=lam)
-                assert fresh_bits == wsr_bits
-                assert fresh.blocks.tobytes() == state.blocks.tobytes()
+                products = x.products
+                x, rec = wmmse_step(x, rho, objective)
+                assert x.products is products  # updated in place
+                assert products.tobytes() == _pair_products(x.p, ch).tobytes()
+                y = dataclasses.replace(WmmseState.start(fresh.p, ch), lam=x.lam)
+                fresh, fresh_rec = wmmse_step(y, rho, objective)
+                assert fresh_rec == rec
+                assert fresh.p.blocks.tobytes() == x.p.blocks.tobytes()
+
         finally:
             sys.setswitchinterval(interval)
         if route == "inline":
@@ -593,19 +607,21 @@ class TestCarriedProducts:
     )
     def test_rejects_misfit_products_before_any_eigh(self, make_bad, eigh_guard):
         guard = eigh_guard()
-        state, ch, rho, w = table1_args()
-        products = _pair_products(state, ch)
+        x, rho, objective = table1_args()
+        bad = dataclasses.replace(x, products=make_bad(x.products, objective.ch))
         with pytest.raises(ValueError, match="pair products"):
-            wmmse_step(state, ch, rho, w, products=make_bad(products, ch))
+            wmmse_step(bad, rho, objective)
         assert guard.calls == 0
 
     def test_rejects_products_of_another_channel_set(self, eigh_guard):
         guard = eigh_guard()
-        state, ch, rho, w = table1_args()
-        products = _pair_products(state, ch)
+        x, _, objective = table1_args()
+        ch = objective.ch
         other = ChannelSet(entries=ch.entries[1:], noise_power=ch.noise_power)
         with pytest.raises(ValueError, match="pair products"):
-            wmmse_step(state, other, PowerBudget.uniform(other.n_bs, 1.0), w, products=products)
+            wmmse_step(
+                x, PowerBudget.uniform(other.n_bs, 1.0), WsrObjective(other, objective.weights)
+            )
         assert guard.calls == 0
 
     @pytest.mark.parametrize("route", ["inline", "helper"])
@@ -619,7 +635,7 @@ class TestCarriedProducts:
 
 
 class TestMismatchedInputs:
-    """A power budget or weight vector of the wrong length is rejected before any eigh."""
+    """A power budget of the wrong length is rejected before any eigh."""
 
     @pytest.mark.parametrize("extra", [-1, 2])
     def test_rzf_init_rejects_budget_length(self, extra):
@@ -631,34 +647,24 @@ class TestMismatchedInputs:
     @pytest.mark.parametrize("extra", [-1, 2])
     def test_wmmse_step_rejects_budget_length(self, eigh_guard, extra):
         inst = make_instance(seed=0)
-        state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        x = WmmseState.start(rzf_init(inst["ch"], inst["clusters"], inst["rho"]), inst["ch"])
         rho = PowerBudget.uniform(inst["ch"].n_bs + extra, 1.0)
         guard = eigh_guard()
         with pytest.raises(ValueError, match="^power budget length must match the number of BSs$"):
-            wmmse_step(state, inst["ch"], rho, inst["w"])
-        assert guard.calls == 0
-
-    @pytest.mark.parametrize("n_ut", [1, 19, 21])
-    def test_wmmse_step_rejects_weight_count(self, eigh_guard, n_ut):
-        inst = make_instance(seed=0)
-        state = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        guard = eigh_guard()
-        with pytest.raises(ValueError, match="^need one weight per UT$"):
-            wmmse_step(state, inst["ch"], inst["rho"], Weights.uniform(n_ut))
+            wmmse_step(x, rho, objective_for(inst))
         assert guard.calls == 0
 
 
-def three_sweeps(state, ch, rho, w):
-    """Bytes of three warm-started wmmse_step calls, each given the last one's pair products.
+def three_sweeps(state, rho, objective):
+    """Bytes of three chained wmmse_step calls from WmmseState.start(state, objective.ch).
 
     Per call: the blocks, multipliers, power evaluations, carried products and WSR.
     """
-    lam = products = None
+    x = WmmseState.start(state, objective.ch)
     out = []
     for _ in range(3):
-        state, ws, wsr_bits = wmmse_step(state, ch, rho, w, lam0=lam, products=products)
-        lam, products = ws.lam, ws.products
-        for arr in (state.blocks, ws.lam, ws.power_evals, ws.products, np.float64(wsr_bits)):
+        x, rec = wmmse_step(x, rho, objective)
+        for arr in (x.p.blocks, x.lam, x.power_evals, x.products, np.float64(rec.wsr_bits)):
             out.append(arr.tobytes())
     return out
 
@@ -671,12 +677,11 @@ class TestStackedRoute:
         cfg = load_preset("desk.cfg")
         _, ch, clusters = build_instance(cfg, 0)
         rho, w = cfg.power_budget(), cfg.weights()
-        state = initial_precoder(cfg, ch, clusters, rho, 0)
-        assert np.count_nonzero(state.layout.nonempty_bs) > 1
-        lam = None
+        x = WmmseState.start(initial_precoder(cfg, ch, clusters, rho, 0), ch)
+        objective = WsrObjective(ch, w)
+        assert np.count_nonzero(x.p.layout.nonempty_bs) > 1
         for sweep in range(1, 4):
-            state, ws, _ = wmmse_step(state, ch, rho, w, lam0=lam)
-            lam = ws.lam
+            x, _ = wmmse_step(x, rho, objective)
             assert guard.calls == sweep
         assert guard.threads == {"MainThread"}
 
@@ -684,9 +689,9 @@ class TestStackedRoute:
         # above SPLIT_MIN_MACS a sweep keeps one eigh per BS even with the helper's gate shut
         monkeypatch.setattr(helper, "MIN_MT", 10**9)
         guard = eigh_guard()
-        state, ch, rho, w = table1_args()
-        wmmse_step(state, ch, rho, w)
-        assert guard.calls == np.count_nonzero(state.layout.nonempty_bs)
+        x, rho, objective = table1_args()
+        wmmse_step(x, rho, objective)
+        assert guard.calls == np.count_nonzero(x.p.layout.nonempty_bs)
         assert guard.threads == {"MainThread"}
 
     @given(seed=st.integers(0, 2**32 - 1), log_watts=st.floats(-3.0, 3.0))
@@ -696,23 +701,23 @@ class TestStackedRoute:
         ch, _, state = random_served_instance(seed)
         rng = np.random.default_rng(seed)
         rho = PowerBudget(10.0**log_watts * rng.uniform(0.5, 2.0, ch.n_bs))
-        w = Weights(rng.uniform(0.5, 1.5, ch.n_ut))
+        objective = WsrObjective(ch, Weights(rng.uniform(0.5, 1.5, ch.n_ut)))
         n_nonempty = int(np.count_nonzero(state.layout.nonempty_bs))
         routes = {}
         with pytest.MonkeyPatch.context() as mp:
             guard = EighGuard()
             mp.setattr(np.linalg, "eigh", guard)
-            routes["stacked"] = three_sweeps(state, ch, rho, w)
+            routes["stacked"] = three_sweeps(state, rho, objective)
             assert guard.calls == 3
             mp.setattr(helper, "SPLIT_MIN_MACS", 0)  # every layout is big: one job per BS
-            routes["inline"] = three_sweeps(state, ch, rho, w)
+            routes["inline"] = three_sweeps(state, rho, objective)
             assert guard.calls == 3 + 3 * n_nonempty
             assert guard.threads == {"MainThread"}
             # the helper's gate opened: both threads claim the per-BS jobs
             mp.setattr(helper, "MIN_MT", 1)
             mp.setattr(helper, "_cpus", lambda: 2)
             mp.setattr(helper, "_blas_threads", lambda: 1)
-            routes["helper"] = three_sweeps(state, ch, rho, w)
+            routes["helper"] = three_sweeps(state, rho, objective)
             assert guard.calls == 3 + 6 * n_nonempty
         assert routes["inline"] == routes["stacked"]
         assert routes["helper"] == routes["stacked"]
@@ -720,8 +725,8 @@ class TestStackedRoute:
 
 def _split_evaluation():
     """evaluate() at table1 shape; fails unless the loops ran split (fork target)."""
-    ch, clusters, state = table1_shaped_instance()
-    WsrObjective(ch, clusters, Weights.uniform(ch.n_ut)).evaluate(state)
+    ch, _, state = table1_shaped_instance()
+    WsrObjective(ch, Weights.uniform(ch.n_ut)).evaluate(state)
     assert helper._executor is not None
 
 
@@ -768,8 +773,8 @@ class TestHelperSplit:
 
     def test_helper_used_at_table1_shape_not_at_desk_shape(self, split_guard):
         guard = split_guard()
-        ch, clusters, state = table1_shaped_instance()
-        WsrObjective(ch, clusters, Weights.uniform(ch.n_ut)).evaluate(state)
+        ch, _, state = table1_shaped_instance()
+        WsrObjective(ch, Weights.uniform(ch.n_ut)).evaluate(state)
         # BSs 16-20 hold 233 of the 438 columns, the tail nearest to half
         assert sorted(guard.shares) == [
             (1, False, 0, 16), (1, True, 16, 21), (2, False, 0, 16), (2, True, 16, 21)
@@ -779,7 +784,7 @@ class TestHelperSplit:
             guard.shares.clear()
             inst = make_instance(seed=0, M_t=m_t)
             state = random_state(inst["layout"], inst["rho"], 0)
-            WsrObjective(inst["ch"], inst["clusters"], inst["w"]).evaluate(state)
+            WsrObjective(inst["ch"], inst["w"]).evaluate(state)
             n_bs = inst["ch"].n_bs
             last = guard.splits
             assert guard.shares == [(last - 1, False, 0, n_bs), (last, False, 0, n_bs)]
@@ -788,8 +793,8 @@ class TestHelperSplit:
         "call, split", [("amplitude_matrix", 1), ("evaluate", 1), ("evaluate", 2)]
     )
     def test_helper_error_raises_in_caller(self, split_guard, call, split):
-        ch, clusters, state = table1_shaped_instance()
-        objective = WsrObjective(ch, clusters, Weights.uniform(ch.n_ut))
+        ch, _, state = table1_shaped_instance()
+        objective = WsrObjective(ch, Weights.uniform(ch.n_ut))
         run = {
             "amplitude_matrix": lambda: amplitude_matrix(state, ch),
             "evaluate": lambda: objective.evaluate(state).grad.blocks,
@@ -1026,7 +1031,7 @@ class TestGd:
 
     def test_accepted_steps_strictly_decrease_objective(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         result = gd_solve(
             init, obj, small_instance["rho"], SolverConfig(max_iters=30, rel_tol=1e-300)
         )
@@ -1071,7 +1076,7 @@ class TestNagd:
 
     def test_trace_is_monotone(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         result = nagd_solve(
             init, obj, small_instance["rho"], SolverConfig(max_iters=40, rel_tol=1e-300)
         )
@@ -1105,14 +1110,12 @@ class TestNonFiniteGradient:
         # finiteness check stops it
         inst = make_instance(seed=2)
         p = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         grad = np.zeros(p.blocks.shape)
         grad[-1, -1] = -np.inf
+        ev = ObjectiveEval(obj.value(p), obj.wsr_bits(p), PrecoderState.trusted(p.layout, grad))
         with pytest.raises(ValueError, match="^precoder blocks must be finite$"):
-            baselines._armijo(
-                obj, p.layout, p.blocks, obj.value(p), grad, 1.0, 1.0,
-                inst["rho"] if budget else None,
-            )
+            baselines._armijo(obj, p, ev, 1.0, 1.0, inst["rho"] if budget else None)
 
     @pytest.mark.parametrize("budget", [True, False])
     @pytest.mark.parametrize("n_good", [0, 3])
@@ -1121,7 +1124,7 @@ class TestNonFiniteGradient:
         # without a budget the Armijo candidate's constructor is the only check left
         inst = make_instance(seed=2)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         nan_gradient_after(monkeypatch, n_good)
         descend = gd_solve if solver == "gd" else nagd_solve
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="precoder blocks must be finite"):

@@ -26,22 +26,21 @@ from oracles import (
 def scalar_world():
     """One BS with one antenna, one UT, h = 1, p = 1, noise 1."""
     ch = ChannelSet(entries=np.ones((1, 1, 1), dtype=complex), noise_power=1.0)
-    cm = ClusterMap([[0]], 1)
-    layout = BlockLayout(cm, 1)
+    layout = BlockLayout(ClusterMap([[0]], 1), 1)
     state = PrecoderState(layout, np.array([[1.0, 0.0]]))
-    return ch, cm, state
+    return ch, state
 
 
 class TestRateTerms:
     def test_single_user_noise_only(self):
         inst = make_instance(seed=0, K=1, B_sc=2)
         state = random_state(inst["layout"], inst["rho"], 0)
-        terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+        terms = WsrObjective(inst["ch"], inst["w"]).terms(state)
         assert terms.r[0] == pytest.approx(inst["ch"].noise_power, rel=1e-12)
 
     def test_scalar_example(self):
-        ch, cm, state = scalar_world()
-        terms = WsrObjective(ch, cm, Weights(np.ones(1))).terms(state)
+        ch, state = scalar_world()
+        terms = WsrObjective(ch, Weights(np.ones(1))).terms(state)
         assert terms.a[0] == pytest.approx(1.0)
         assert terms.r[0] == pytest.approx(1.0)
         assert terms.b[0] == pytest.approx(0.5)
@@ -51,7 +50,7 @@ class TestRateTerms:
         for seed in range(5):
             inst = make_instance(seed=seed, gnb_count=3, M_t=3, K=4, B_sc=2)
             state = random_state(inst["layout"], inst["rho"], seed + 100)
-            terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+            terms = WsrObjective(inst["ch"], inst["w"]).terms(state)
             a, r = naive_signal_and_interference(inst["ch"], inst["clusters"], state)
             assert np.allclose(terms.a, a, rtol=1e-12)
             assert np.allclose(terms.r, r, rtol=1e-12)
@@ -59,7 +58,7 @@ class TestRateTerms:
     def test_two_user_interference(self):
         inst = make_instance(seed=3, K=2, B_sc=2)
         state = random_state(inst["layout"], inst["rho"], 42)
-        terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+        terms = WsrObjective(inst["ch"], inst["w"]).terms(state)
         a, r = naive_signal_and_interference(inst["ch"], inst["clusters"], state)
         assert np.allclose(terms.r, r, rtol=1e-12)
         assert np.all(terms.r > inst["ch"].noise_power)
@@ -69,33 +68,27 @@ class TestWsr:
     def test_single_positive_weight(self):
         inst = make_instance(seed=1, K=3)
         state = random_state(inst["layout"], inst["rho"], 1)
-        terms = WsrObjective(inst["ch"], inst["clusters"], inst["w"]).terms(state)
+        terms = WsrObjective(inst["ch"], inst["w"]).terms(state)
         w = Weights(np.array([0.0, 1.0, 0.0]))
-        assert WsrObjective(inst["ch"], inst["clusters"], w).wsr_bits(state) == pytest.approx(
+        assert WsrObjective(inst["ch"], w).wsr_bits(state) == pytest.approx(
             terms.rate_bits[1], rel=1e-12
         )
 
     def test_zero_precoder_zero_wsr(self, small_instance):
         state = PrecoderState.zeros(small_instance["layout"])
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         val = obj.wsr_bits(state)
         assert val == 0.0
 
     def test_weight_scaling_linearity(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 2)
-        base = WsrObjective(
-            small_instance["ch"], small_instance["clusters"], small_instance["w"]
-        ).wsr_bits(state)
-        scaled = WsrObjective(
-            small_instance["ch"],
-            small_instance["clusters"],
-            Weights(3.5 * small_instance["w"].w),
-        ).wsr_bits(state)
-        assert scaled == pytest.approx(3.5 * base, rel=1e-12)
+        base = WsrObjective(small_instance["ch"], small_instance["w"]).wsr_bits(state)
+        scaled = WsrObjective(small_instance["ch"], Weights(3.5 * small_instance["w"].w))
+        assert scaled.wsr_bits(state) == pytest.approx(3.5 * base, rel=1e-12)
 
     def test_matches_oracle(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 3)
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         got = obj.wsr_bits(state)
         want = naive_wsr_bits(
             small_instance["ch"], small_instance["clusters"], state, small_instance["w"]
@@ -104,7 +97,7 @@ class TestWsr:
 
     def test_g_value_is_negated_nats(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 4)
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         g = obj.value(state)
         bits = obj.wsr_bits(state)
         assert g == pytest.approx(-bits * np.log(2.0), rel=1e-12)
@@ -112,30 +105,28 @@ class TestWsr:
 
 class TestGradient:
     def test_scalar_case(self):
-        ch, cm, state = scalar_world()
-        grad = WsrObjective(ch, cm, Weights(np.ones(1))).evaluate(state).grad
+        ch, state = scalar_world()
+        grad = WsrObjective(ch, Weights(np.ones(1))).evaluate(state).grad
         assert np.allclose(grad.blocks, [[-1.0, 0.0]], atol=1e-14)
 
     def test_zero_precoder_stationary(self, small_instance):
         state = PrecoderState.zeros(small_instance["layout"])
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         grad = obj.evaluate(state).grad
         assert np.array_equal(grad.blocks, np.zeros_like(state.blocks))
 
     def test_matches_finite_differences(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 5)
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         grad = obj.evaluate(state).grad
-        fd = fd_gradient(
-            state, small_instance["ch"], small_instance["clusters"], small_instance["w"], 1e-5
-        )
+        fd = fd_gradient(state, small_instance["ch"], small_instance["w"], 1e-5)
         err = np.linalg.norm(grad.blocks - fd.blocks) / np.linalg.norm(fd.blocks)
         assert err < 1e-6
 
     def test_single_user_reduces_to_signal_term(self):
         inst = make_instance(seed=6, K=1, B_sc=3)
         state = random_state(inst["layout"], inst["rho"], 6)
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         grad, terms = obj.evaluate(state).grad, obj.terms(state)
         amps = amplitude_matrix(state, inst["ch"])
         coef = 2.0 * inst["w"].w[0] * terms.b[0] / terms.r[0]
@@ -145,7 +136,7 @@ class TestGradient:
 
     def test_rotation_invariance(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 7)
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         terms = obj.terms(state)
         cblocks = complex_blocks(state).copy()
         phase = np.exp(1.3j)
@@ -165,7 +156,7 @@ class TestGradient:
             small_instance["layout"],
         )
         state = random_state(layout, small_instance["rho"], 8)
-        base = WsrObjective(ch, clusters, small_instance["w"]).wsr_bits(state)
+        base = WsrObjective(ch, small_instance["w"]).wsr_bits(state)
 
         n_ut = ch.n_ut
         perm = np.roll(np.arange(n_ut), 2)  # new index of old UT k is perm[k]
@@ -182,7 +173,7 @@ class TestGradient:
             blocks[layout_p.pairs.index((l, perm[k]))] = state.blocks[i]
         state_p = PrecoderState(layout_p, blocks)
         w_p = Weights(small_instance["w"].w[np.argsort(perm)])
-        assert WsrObjective(ch_p, clusters_p, w_p).wsr_bits(state_p) == pytest.approx(
+        assert WsrObjective(ch_p, w_p).wsr_bits(state_p) == pytest.approx(
             base, rel=1e-12
         )
 
@@ -225,17 +216,22 @@ class TestWeightsAndCounter:
             Weights(np.array([-1.0, 1.0]))
 
     def test_objective_rejects_mismatched_inputs(self, small_instance):
-        # the channel set has 3 BSs and 5 UTs
-        for n_bs, n_ut in [(4, 5), (2, 5), (3, 4), (3, 6)]:
-            clusters = ClusterMap([[0]] * n_ut, n_bs)
-            with pytest.raises(ValueError, match="cluster map does not match"):
-                WsrObjective(small_instance["ch"], clusters, Weights.uniform(5))
         with pytest.raises(ValueError, match="one weight per UT"):
-            WsrObjective(small_instance["ch"], small_instance["clusters"], Weights.uniform(4))
+            WsrObjective(small_instance["ch"], Weights.uniform(4))
+
+    @pytest.mark.parametrize("n_bs, n_ut", [(4, 5), (2, 5), (3, 4), (3, 6)])
+    def test_objective_rejects_state_of_another_layout(self, small_instance, n_bs, n_ut):
+        # the channel set has 3 BSs and 5 UTs
+        layout = BlockLayout(ClusterMap([[0]] * n_ut, n_bs), small_instance["cfg"].M_t)
+        state = PrecoderState.zeros(layout)
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
+        for method in (obj.evaluate, obj.value, obj.wsr_bits):
+            with pytest.raises(ValueError, match="^state layout does not match the channel set$"):
+                method(state)
 
     def test_counter_counts_gradient_work(self, small_instance):
         state = random_state(small_instance["layout"], small_instance["rho"], 10)
-        obj = WsrObjective(small_instance["ch"], small_instance["clusters"], small_instance["w"])
+        obj = WsrObjective(small_instance["ch"], small_instance["w"])
         assert obj.multiply_adds == 0
         obj.evaluate(state)
         n_active = small_instance["layout"].n_blocks
@@ -246,10 +242,10 @@ class TestWeightsAndCounter:
 
     def test_objective_bundle_consistency(self, small_instance):
         ch, clusters, w = small_instance["ch"], small_instance["clusters"], small_instance["w"]
-        obj = WsrObjective(ch, clusters, w)
+        obj = WsrObjective(ch, w)
         state = random_state(small_instance["layout"], small_instance["rho"], 11)
         ev = obj.evaluate(state)
-        assert ev.g_value == WsrObjective(ch, clusters, w).value(state)
+        assert ev.g_value == WsrObjective(ch, w).value(state)
         assert ev.g_value == pytest.approx(
             -naive_wsr_bits(ch, clusters, state, w) * np.log(2.0), rel=1e-12
         )
@@ -293,14 +289,14 @@ def assert_same_evaluation(obj, ref, state):
 
 class TestObjectiveMemo:
     def _objective(self, inst):
-        return WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        return WsrObjective(inst["ch"], inst["w"])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flat_gradient_matches_loop_bitwise(self, seed):
         # B_sc = 1 over 7 BSs leaves some BSs without UTs
         inst = make_instance(seed=seed, M_t=4, K=6, B_sc=1 + seed % 3)
         state = random_state(inst["layout"], inst["rho"], seed)
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         ev = obj.evaluate(state)
         amps = amplitude_matrix(state, inst["ch"])
         ref = loop_gradient_blocks(state, inst["ch"], inst["w"], amps, obj.terms(state))
@@ -310,8 +306,8 @@ class TestObjectiveMemo:
     def test_evaluate_matches_per_bs_loops_bytewise(self, instance):
         # byte for byte, signed zeros included, on layouts with empty BSs, unserved UTs and
         # M_t or K down to 1, where the GEMMs' shapes take numpy's and OpenBLAS's special paths
-        ch, clusters, state, w = instance
-        obj = WsrObjective(ch, clusters, w)
+        ch, _, state, w = instance
+        obj = WsrObjective(ch, w)
         ev = obj.evaluate(state)
         amps = reference_amplitude_matrix(state, ch)
         assert amplitude_matrix(state, ch).tobytes() == amps.tobytes()
@@ -398,18 +394,18 @@ class TestAmplitudeMatrix:
 
     def test_counts_one_product_per_pair(self):
         # an empty BS and an unserved UT add no products to an evaluation's charge
-        ch, clusters, state = random_served_instance(0)
-        obj = WsrObjective(ch, clusters, Weights(np.ones(ch.n_ut)))
+        ch, _, state = random_served_instance(0)
+        obj = WsrObjective(ch, Weights(np.ones(ch.n_ut)))
         obj.evaluate(state)
         n_ut, pair_macs = ch.n_ut, state.layout.M_t * state.layout.n_blocks
         assert obj.multiply_adds == n_ut * (pair_macs + n_ut) + (n_ut + 1) * pair_macs
 
     @pytest.mark.parametrize("seed", [*range(4), "table1"])
     def test_gradient_matches_loop_on_uneven_clusters(self, seed):
-        ch, clusters, state = served_instance(seed)
+        ch, _, state = served_instance(seed)
         rng = np.random.default_rng(4 if seed == "table1" else seed)
         w = Weights(rng.uniform(0.5, 2.0, ch.n_ut))
-        obj = WsrObjective(ch, clusters, w)
+        obj = WsrObjective(ch, w)
         ev = obj.evaluate(state)
         amps = reference_amplitude_matrix(state, ch)
         ref = loop_gradient_blocks(state, ch, w, amps, obj.terms(state))

@@ -55,7 +55,7 @@ SOLVER_PARAMS = ["init", "objective", "rho", "config"]
 STORED_FIELDS = {ClusterMap: ["serving_bs", "n_bs"], RsrpTable: ["values"]}
 
 MAX_LINE = 100  # characters per line of package source
-MAX_PARAMS = 8  # parameters of a package function: _armijo's count
+MAX_PARAMS = 6  # parameters of a package function: _armijo's count
 
 
 def readme_library_example():
@@ -94,6 +94,15 @@ def test_solvers_share_one_signature():
             sig = inspect.signature(getattr(module, name))
             assert list(sig.parameters) == SOLVER_PARAMS, name
             assert sig.return_annotation is SolveResult, name
+
+
+def test_wmmse_step_has_one_call_shape():
+    # one sweep takes a WmmseState to the next; no mode of it is an optional argument
+    sig = inspect.signature(baselines.wmmse_step)
+    assert list(sig.parameters) == ["x", "rho", "objective"]
+    assert all(p.default is inspect.Parameter.empty for p in sig.parameters.values())
+    fields = [f.name for f in dataclasses.fields(baselines.WmmseState)]
+    assert fields == ["p", "products", "lam", "power_evals"]
 
 
 def test_solver_settings_are_declared_once():
@@ -186,7 +195,7 @@ def test_full_scale_work_starts_one_helper_thread():
     script = (
         "import threading\n"
         "from ucnprec import helper\n"
-        "from ucnprec.baselines import wmmse_step\n"
+        "from ucnprec.baselines import WmmseState, wmmse_step\n"
         "from ucnprec.embedding import PowerBudget, PrecoderState, renormalize_power\n"
         "from ucnprec.objective import Weights, WsrObjective\n"
         "from ucnprec.symplectic import RattleState, SolverConfig, rattle_step\n"
@@ -195,9 +204,9 @@ def test_full_scale_work_starts_one_helper_thread():
         "ch, clusters, state = conftest.table1_shaped_instance()\n"
         "w = Weights.uniform(ch.n_ut)\n"
         "rho = PowerBudget.uniform(ch.n_bs, 1.0)\n"
-        "objective = WsrObjective(ch, clusters, w)\n"
+        "objective = WsrObjective(ch, w)\n"
         "objective.evaluate(state)\n"
-        "wmmse_step(state, ch, rho, w)\n"
+        "wmmse_step(WmmseState.start(state, ch), rho, objective)\n"
         "p = renormalize_power(state, rho)\n"
         "x = RattleState.start(p, PrecoderState.zeros(p.layout), objective)\n"
         "config = SolverConfig()\n"
@@ -260,10 +269,10 @@ def test_public_callables_run_only_on_the_main_thread(monkeypatch, open_helper_g
                         monkeypatch.setattr(holder, key, wrapped)
     loop_threads = watch_split_loops("rattle_step", monkeypatch.setattr)
 
-    ch, clusters, state = table1_shaped_instance()
+    ch, _, state = table1_shaped_instance()
     rho = PowerBudget.uniform(ch.n_bs, 1.0)
     config = SolverConfig(gamma=1.0, h0=0.01, r_ctrl=1e-2, h_max=1.0, max_iters=3, rel_tol=1e-300)
-    objective = WsrObjective(ch, clusters, Weights.uniform(ch.n_ut))
+    objective = WsrObjective(ch, Weights.uniform(ch.n_ut))
     result = symplectic.solve(state, objective, rho, config)
     assert result.iterations == 3
     assert loop_threads == {"MainThread", "ucnprec-helper_0"}

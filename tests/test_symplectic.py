@@ -154,7 +154,7 @@ class TestFlowMultiplier:
         inst = small_instance
         p = random_state(inst["layout"], inst["rho"], 10)
         q = tangent_momentum(p, 11)
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         grad = obj.evaluate(p).grad
         lam = flow_multiplier(p, q, grad, inst["rho"])
 
@@ -235,7 +235,7 @@ class TestRattleStep:
         p = random_state(inst["layout"], inst["rho"], 20)
         q = PrecoderState.zeros(inst["layout"])
         config = SolverConfig(gamma=2.0, h0=0.01)
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         x = RattleState.start(p, q, obj)
         for _ in range(25):
             x, record = rattle_step(x, config.h0, config, inst["rho"], obj)
@@ -246,7 +246,7 @@ class TestRattleStep:
         p = random_state(inst["layout"], inst["rho"], 21)
         q = PrecoderState.zeros(inst["layout"])
         config = SolverConfig(gamma=2.0, h0=0.02, project_positions=True)
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         x = RattleState.start(p, q, obj)
         for _ in range(25):
             x, record = rattle_step(x, config.h0, config, inst["rho"], obj)
@@ -352,7 +352,7 @@ class TestSolve:
         inst = make_instance(seed=1)
         init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
         result = solve(init, objective_for(inst), inst["rho"], inst["cfg"].solver)
-        obj = WsrObjective(inst["ch"], inst["clusters"], inst["w"])
+        obj = WsrObjective(inst["ch"], inst["w"])
         final = obj.wsr_bits(result.precoder)
         trace_best = max(rec.wsr_bits for rec in result.trace)
         init_wsr = obj.wsr_bits(renormalize_power(init, inst["rho"]))
@@ -387,18 +387,17 @@ class TestSolve:
             gamma=1e-300, h0=0.004 / math.sqrt(c), theta=0.0, max_iters=6, rel_tol=1e-300
         )
         res_a = solve(init, objective_for(inst), inst["rho"], base)
-        scaled_objective = WsrObjective(inst["ch"], inst["clusters"], Weights(c * inst["w"].w))
+        scaled_objective = WsrObjective(inst["ch"], Weights(c * inst["w"].w))
         res_b = solve(init, scaled_objective, inst["rho"], scaled)
         assert np.allclose(res_a.precoder.blocks, res_b.precoder.blocks, rtol=1e-9)
 
     def test_propagates_divergence(self):
         layout, rho = sphere_world()
-        cm = ClusterMap([[0]], 1)
         ch = ChannelSet(entries=np.full((1, 1, 1), 1e150, dtype=complex), noise_power=1e-300)
         init = PrecoderState(layout, np.array([[1e150, 0.0]]))
         config = SolverConfig(gamma=1.0, h0=1.0, r_ctrl=1e-2, h_max=1.0, max_iters=50, rel_tol=1e-12)
         with np.errstate(all="ignore"), pytest.raises((SolverDivergence, ValueError)):
-            solve(init, WsrObjective(ch, cm, Weights(np.ones(1))), rho, config)
+            solve(init, WsrObjective(ch, Weights(np.ones(1))), rho, config)
 
 
 STALL = "stall"
@@ -593,17 +592,17 @@ def step_problem(shape):
     """(p, q, rho, objective, config) at desk.cfg's or table1_shaped_instance's shape."""
     if shape == "desk":
         inst = make_instance(seed=0)
-        ch, clusters, w = inst["ch"], inst["clusters"], inst["w"]
+        ch, w = inst["ch"], inst["w"]
         rho = inst["rho"]
         p = random_state(inst["layout"], rho, 30)
     else:
-        ch, clusters, state = table1_shaped_instance()
+        ch, _, state = table1_shaped_instance()
         w = Weights(np.random.default_rng(2).uniform(0.5, 1.5, ch.n_ut))
         rho = PowerBudget.uniform(ch.n_bs, 1.0)
         p = renormalize_power(state, rho)
     q = tangent_momentum(p, 31)
     config = SolverConfig(gamma=8.0, h0=0.01, r_ctrl=1.0, h_max=1.0)
-    return p, q, rho, ReplayObjective(WsrObjective(ch, clusters, w)), config
+    return p, q, rho, ReplayObjective(WsrObjective(ch, w)), config
 
 
 def set_step_route(mp, route):
@@ -707,7 +706,7 @@ class TestStepSplit:
     @given(instance=small_layouts(), project=st.booleans())
     def test_routes_give_the_same_bytes_on_small_layouts(self, instance, project):
         # three steps from a fresh start, objective loops split or inline with the step's
-        ch, clusters, state, w = instance
+        ch, _, state, w = instance
         rng = np.random.default_rng(state.layout.n_blocks)
         rho = PowerBudget(rng.uniform(0.5, 2.0, ch.n_bs))
         live = np.all(bs_block_norms(state)[state.layout.nonempty_bs] > 0)
@@ -720,7 +719,7 @@ class TestStepSplit:
                 mp.setattr(helper, "_cpus", lambda: 2)
                 mp.setattr(helper, "_blas_threads", lambda: 1)
                 threads = set_step_route(mp, route)
-                objective = WsrObjective(ch, clusters, w)
+                objective = WsrObjective(ch, w)
                 x, h = RattleState.start(p, q, objective), config.h0
                 steps = []
                 for _ in range(3):
