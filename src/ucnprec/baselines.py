@@ -35,7 +35,7 @@ because perfbench/tracer.py wraps it by name.
 GD and NAGD run Armijo backtracking on the negated objective and renormalize
 to the per-BS power budget after every accepted step so all solvers are
 compared on the same feasible set. GD is NAGD without momentum: both are one
-step function run by symplectic.iterate.
+step from one DescentState to the next, run by symplectic.iterate.
 """
 
 import math
@@ -54,7 +54,8 @@ from .embedding import (
     power_residual,
     renormalize_power,
 )
-from .objective import WsrObjective, _pair_products, amplitude_matrix, terms_from_amplitudes
+from .objective import ObjectiveEval, WsrObjective, _pair_products, amplitude_matrix
+from .objective import terms_from_amplitudes
 from .symplectic import SolverConfig, SolveResult, StepRecord, iterate, settled
 
 _POWER_TOL = 1e-10  # relative per-BS power error at which a WMMSE multiplier search stops
@@ -94,6 +95,17 @@ class WmmseState:
     def start(cls, p: PrecoderState, ch: ChannelSet) -> "WmmseState":
         """The state before the first sweep: p's pair products, cold multiplier searches."""
         return cls(p, _pair_products(p, ch), None, np.zeros(p.layout.n_bs, dtype=int))
+
+
+@dataclass(frozen=True, slots=True)
+class DescentState:
+    """One GD/NAGD iterate p with its WSR, and what the next step reuses."""
+
+    p: PrecoderState
+    wsr: float
+    ev: ObjectiveEval | None  # the evaluation at p, once a step took it
+    y: PrecoderState | None  # NAGD's extrapolation point, after an accepted step
+    start: float  # the next line search's first step
 
 
 def rzf_init(ch: ChannelSet, clusters: ClusterMap, rho: PowerBudget) -> PrecoderState:
@@ -435,7 +447,10 @@ def gd_solve(
     power; rho=None runs the plain unconstrained descent (used by the
     quadratic convergence checks).
     """
-    return _descent(init, objective, rho, 0.0, config)
+    return iterate(
+        _descent_start(init, objective, rho),
+        lambda x: _descent_step(x, objective, rho, 0.0), config.max_iters, config.rel_tol
+    )
 
 
 def nagd_solve(
@@ -450,56 +465,48 @@ def nagd_solve(
     falls back to a plain gradient step from the current point, so the trace
     stays monotone.
     """
-    return _descent(init, objective, rho, _MOMENTUM, config)
+    return iterate(
+        _descent_start(init, objective, rho),
+        lambda x: _descent_step(x, objective, rho, _MOMENTUM), config.max_iters, config.rel_tol
+    )
 
 
-def _descent(init, objective, rho, momentum, config) -> SolveResult:
-    """GD (momentum = 0) and NAGD as one step for symplectic.iterate.
+def _descent_start(init, objective, rho) -> DescentState:
+    p = renormalize_power(init, rho) if rho is not None else init
+    return DescentState(p, objective.wsr_bits(p), None, None, _ALPHA0)
+
+
+def _descent_step(x: DescentState, objective, rho, momentum):
+    """One GD (momentum = 0) or NAGD step from x; see symplectic.iterate.
 
     The gradient at an iterate is taken when a step first needs it, so none is
-    taken at the final iterate.
+    taken at the final iterate; a failed line search keeps it and halves start.
     """
-    layout = init.layout
-    p_prev = None  # the previous iterate, while momentum may extrapolate from it
-    ev_p = None  # evaluation at the current iterate, kept across failed line searches
-    start = _ALPHA0
-
-    def step(p, wsr):
-        nonlocal p_prev, ev_p, start
-        found = None  # (alpha, state, wsr)
-        if p_prev is not None:
-            y_blocks = p.blocks + momentum * (p.blocks - p_prev.blocks)
-            p_prev = None  # not held through the line search; an accepted step sets it again
-            y = PrecoderState(layout, y_blocks, copy=False)
-            ev_y = objective.evaluate(y)
-            grad_blocks = ev_y.grad.blocks
-            gnorm2 = float(np.add.reduce(grad_blocks**2, axis=None))
-            if gnorm2 > 0.0:
-                alpha, cand = _armijo(objective, y, ev_y, gnorm2, start, rho)
-                if cand is not None:
-                    wsr_cand = objective.wsr_bits(cand)
-                    if wsr_cand >= wsr - 1e-12 * max(1.0, abs(wsr)):
-                        found = (alpha, cand, wsr_cand)
-        if found is None:
-            # plain descent, first iteration, failed extrapolation or adaptive restart
-            if ev_p is None:
-                ev_p = objective.evaluate(p)
-            grad_blocks = ev_p.grad.blocks
-            gnorm2 = float(np.add.reduce(grad_blocks**2, axis=None))
-            if gnorm2 == 0.0:
-                return None
-            alpha, cand = _armijo(objective, p, ev_p, gnorm2, start, rho)
-            if cand is None:
-                start *= 0.5
-                return p, _descent_record(wsr, 0.0, p, rho)
-            found = (alpha, cand, objective.wsr_bits(cand))
-        alpha, cand, wsr_now = found
-        start = min(_ALPHA0, alpha / _BACKTRACK)  # warm start, one notch above
-        p_prev = p if momentum > 0.0 else None
-        ev_p = None
-        return cand, _descent_record(wsr_now, alpha, cand, rho)
-
-    p0 = [renormalize_power(init, rho) if rho is not None else init]
-    wsr0 = objective.wsr_bits(p0[0])
-    # popped, not named: this frame must not keep the start alive once iterate() drops it
-    return iterate(step, p0.pop(), wsr0, config.max_iters, config.rel_tol)
+    p, wsr, ev = x.p, x.wsr, x.ev
+    found = None  # (alpha, state, wsr)
+    if x.y is not None:
+        ev_y = objective.evaluate(x.y)
+        gnorm2 = float(np.add.reduce(ev_y.grad.blocks**2, axis=None))
+        if gnorm2 > 0.0:
+            alpha, cand = _armijo(objective, x.y, ev_y, gnorm2, x.start, rho)
+            if cand is not None:
+                wsr_cand = objective.wsr_bits(cand)
+                if wsr_cand >= wsr - 1e-12 * max(1.0, abs(wsr)):
+                    found = (alpha, cand, wsr_cand)
+    if found is None:
+        # plain descent, first iteration, failed extrapolation or adaptive restart
+        if ev is None:
+            ev = objective.evaluate(p)
+        gnorm2 = float(np.add.reduce(ev.grad.blocks**2, axis=None))
+        if gnorm2 == 0.0:
+            return None
+        alpha, cand = _armijo(objective, p, ev, gnorm2, x.start, rho)
+        if cand is None:
+            return DescentState(p, wsr, ev, None, 0.5 * x.start), _descent_record(wsr, 0.0, p, rho)
+        found = (alpha, cand, objective.wsr_bits(cand))
+    alpha, cand, wsr_now = found
+    y = None
+    if momentum > 0.0:
+        y = PrecoderState(p.layout, cand.blocks + momentum * (cand.blocks - p.blocks), copy=False)
+    start = min(_ALPHA0, alpha / _BACKTRACK)  # warm start, one notch above
+    return DescentState(cand, wsr_now, None, y, start), _descent_record(wsr_now, alpha, cand, rho)

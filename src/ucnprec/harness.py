@@ -171,16 +171,19 @@ def _write_summary(path, rows) -> None:
     lines = [",".join(_SUMMARY_COLUMNS)]
     for r in rows:
         lines.append(",".join(_summary_cell(getattr(r, name)) for name in _SUMMARY_COLUMNS))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _write_timings(path, rows) -> None:
-    lines = ["solver,seed,wall_time_s"]
-    for r in rows:
-        lines.append(f"{r.solver},{r.seed},{r.wall_time_s:.6f}")
-    with open(path, "w") as f:
+    lines = [f"{r.solver},{r.seed},{r.wall_time_s:.6f}" for r in rows]
+    _write_lines(path, ["solver,seed,wall_time_s"] + lines)
+
+
+def _write_lines(path, lines) -> None:
+    """Write lines to a temporary file beside path, then move it over path in one step."""
+    with open(f"{path}.tmp", "w") as f:
         f.write("\n".join(lines) + "\n")
+    os.replace(f"{path}.tmp", path)
 
 
 def random_precoder(layout: BlockLayout, rho: PowerBudget, seed: int) -> PrecoderState:
@@ -227,9 +230,9 @@ def _dispatch(name, init, objective, rho, config: SolverConfig) -> SolveResult:
 def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
     """Run every requested solver on every seed and write trace + summary CSVs.
 
-    Solver failures are recorded in their summary row, with no trace file,
-    and do not abort the batch. Deterministic given (config, solvers): summary
-    and trace bytes contain no timing data.
+    Solver failures are recorded in their summary row, with no trace file, and
+    do not abort the batch; each seed ends by replacing both CSVs whole. Summary
+    and trace bytes hold no timing data: they depend only on (config, solvers).
     """
     solvers = list(solvers)
     if not solvers:
@@ -277,8 +280,8 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
                     error=error,
                 )
             )
-    _write_summary(os.path.join(out_dir, "summary.csv"), summary.rows)
-    _write_timings(os.path.join(out_dir, "timings.csv"), summary.rows)
+        _write_summary(os.path.join(out_dir, "summary.csv"), summary.rows)
+        _write_timings(os.path.join(out_dir, "timings.csv"), summary.rows)
     return summary
 
 

@@ -22,11 +22,12 @@ their rows, kick_drift before evaluate(p_next) and kick_close after it, and
 hands each to helper.split_bs_loop; helper.py has its gate and objective.py
 why both routes give the same bits. A RattleState is what one step hands the
 next: p, q, the evaluation at p, and G(q, q) and G(p, grad), which the step
-before computed at its end. RattleState.start takes the first two with one
-bincount over all rows, which gives each BS the bits of per-slice sums.
+before computed at its end, and its step size h. RattleState.start takes
+the dots with one bincount over all rows: each BS gets per-slice sums' bits.
 
-iterate() is the loop this solver, GD and NAGD share: the stopping rule,
-the best-iterate choice, the trace and the stall rule exist only there.
+iterate(x, step, max_iters, rel_tol) is the loop this solver, GD and NAGD
+share, each a frozen state plus a step(x) -> (x_next, record): the stopping
+rule, the best-iterate choice, the trace and the stall rule exist only there.
 solve() and the baselines' wmmse_iterate, gd_solve and nagd_solve share one
 call shape, solver(init, objective, rho, config) -> SolveResult.
 """
@@ -134,21 +135,26 @@ def _bs_dots(row_bs, a: np.ndarray, b: np.ndarray, n: int, work) -> np.ndarray:
 class RattleState:
     """One point of the RATTLE iteration: what a step reads, and what the next reuses.
 
-    ev is the objective evaluation at p, qq = G(q, q) and pg = G(p, ev.grad)
-    the per-BS dots of the step's first multiplier, and n the number of steps
-    taken. rattle_step returns the next state with the dots it computed.
+    h is the size of its step (step_controller's choice after the first), ev the
+    objective evaluation at p, qq = G(q, q) and pg = G(p, ev.grad) the per-BS
+    dots of the step's first multiplier, and n the number of steps taken.
     """
 
     p: PrecoderState
     q: PrecoderState
+    h: float
     ev: ObjectiveEval
     qq: np.ndarray
     pg: np.ndarray
     n: int
 
+    @property
+    def wsr(self) -> float:
+        return self.ev.wsr_bits
+
     @classmethod
-    def start(cls, p: PrecoderState, q: PrecoderState, objective) -> "RattleState":
-        """The state at step 0: evaluates p and takes both dots over all rows."""
+    def start(cls, p: PrecoderState, q: PrecoderState, h: float, objective) -> "RattleState":
+        """The state at step 0, whose step has size h: evaluates p and takes both dots."""
         lay = p.layout
         ev = objective.evaluate(p)
         if not (q.layout.same_as(lay) and ev.grad.layout.same_as(lay)):
@@ -156,17 +162,17 @@ class RattleState:
         w = np.empty(p.blocks.shape)  # scratch, freed on return
         qq = _bs_dots(lay.row_bs, q.blocks, q.blocks, lay.n_bs, w)
         pg = _bs_dots(lay.row_bs, p.blocks, ev.grad.blocks, lay.n_bs, w)
-        return cls(p, q, ev, qq, pg, 0)
+        return cls(p, q, h, ev, qq, pg, 0)
 
 
-def rattle_step(x: RattleState, h: float, config: SolverConfig, rho: PowerBudget, objective):
-    """One dissipative constrained step of size h from x; returns (next state, record).
+def rattle_step(x: RattleState, config: SolverConfig, rho: PowerBudget, objective):
+    """One dissipative constrained step of size x.h from x; returns (next state, record).
 
     The one evaluation of a step is at the next state's p, which the step
     after reuses. The row work runs through helper.split_bs_loop in two
     closures, around evaluate(p_next); see the module docstring.
     """
-    p, q, ev0 = x.p, x.q, x.ev
+    p, q, h, ev0 = x.p, x.q, x.h, x.ev
     lay = p.layout
     if not h > 0:
         raise ValueError("h must be > 0")
@@ -250,7 +256,8 @@ def rattle_step(x: RattleState, h: float, config: SolverConfig, rho: PowerBudget
         hidden_residual=float(np.maximum.reduce(hidden)) if n_bs else 0.0,
     )
     q_state = PrecoderState.trusted(lay, q_next)
-    return RattleState(p_state, q_state, ev1, qq_next, pg1, x.n + 1), record
+    h_next = step_controller(record.delta, h, config)
+    return RattleState(p_state, q_state, h_next, ev1, qq_next, pg1, x.n + 1), record
 
 
 def step_controller(delta: float, h: float, config: SolverConfig) -> float:
@@ -273,59 +280,52 @@ def settled(wsrs, rel_tol: float) -> bool:
     )
 
 
-def iterate(step, p, wsr: float, max_iters: int, rel_tol: float) -> SolveResult:
-    """The iteration loop every gradient-based solver shares.
+def iterate(x, step, max_iters: int, rel_tol: float) -> SolveResult:
+    """The iteration loop every gradient-based solver shares, from the state x.
 
-    step(p, wsr) returns (p_next, record), with record.wsr_bits the WSR at
-    p_next, or None once the gradient vanishes (converged). Returning p itself
-    marks a failed line search: it empties the stopping rule's window, and
-    _MAX_STALLS in a row end the run unconverged. The run converges when
-    settled() holds for the WSRs since the last failure or the start. Returns
-    the best iterate by WSR (the start included) and one record per step.
+    A state has p and wsr, the WSR at p. step(x) returns (x_next, record), or
+    None once the gradient vanishes (converged). An x_next with x's own p marks
+    a failed line search: it empties the stopping rule's window, and _MAX_STALLS
+    in a row end the run unconverged. The run converges when settled() holds for
+    the WSRs since the last failure or the start. Returns the best iterate by
+    WSR (the start included) and one record per step.
     """
-    best, best_wsr = p, wsr
-    window = [wsr]
+    best, best_wsr = x.p, x.wsr
+    window = [best_wsr]
     trace = []
     stalls = 0
-    converged = False
     for _ in range(max_iters):
-        out = step(p, wsr)
+        out = step(x)
         if out is None:
-            converged = True
-            break
-        p_next, record = out
+            return SolveResult(precoder=best, trace=trace, converged=True)
+        x_next, record = out
         trace.append(record)
-        if p_next is p:
+        stalled, x = x_next.p is x.p, x_next  # x_next is adopted either way
+        if stalled:
             stalls += 1
-            window = [wsr]
+            window = [x.wsr]
             if stalls == _MAX_STALLS:
                 break
             continue
         stalls = 0
-        p, wsr = p_next, record.wsr_bits
-        if wsr > best_wsr:
-            best, best_wsr = p, wsr
-        window.append(wsr)
+        if x.wsr > best_wsr:
+            best, best_wsr = x.p, x.wsr
+        window.append(x.wsr)
         if settled(window, rel_tol):
-            converged = True
-            break
-    return SolveResult(precoder=best, trace=trace, converged=converged)
+            return SolveResult(precoder=best, trace=trace, converged=True)
+    return SolveResult(precoder=best, trace=trace, converged=False)
 
 
 def solve(
     init: PrecoderState, objective: WsrObjective, rho: PowerBudget, config: SolverConfig
 ) -> SolveResult:
     """Run the dissipative constrained iteration from a full-power start through iterate()."""
-    x = RattleState.start(renormalize_power(init, rho), PrecoderState.zeros(init.layout), objective)
-    h = config.h0
-
-    def step(p, wsr):
-        nonlocal x, h
-        x, record = rattle_step(x, h, config, rho, objective)
-        h = step_controller(record.delta, h, config)
-        return x.p, record
-
-    return iterate(step, x.p, x.ev.wsr_bits, config.max_iters, config.rel_tol)
+    return iterate(
+        RattleState.start(
+            renormalize_power(init, rho), PrecoderState.zeros(init.layout), config.h0, objective
+        ),
+        lambda x: rattle_step(x, config, rho, objective), config.max_iters, config.rel_tol
+    )
 
 
 _TRACE_SCALARS = tuple(f.name for f in fields(StepRecord) if f.name not in ("lam", "mu"))

@@ -17,7 +17,7 @@ from ucnprec.channel import ChannelSet, ClusterMap
 from ucnprec.embedding import BlockLayout, PowerBudget, PrecoderState, renormalize_power
 from ucnprec.harness import ScenarioConfig, build_instance, load_config
 from ucnprec.objective import Weights, WsrObjective, _pair_products, amplitude_matrix
-from ucnprec.symplectic import RattleState, SolverConfig, rattle_step, step_controller
+from ucnprec.symplectic import RattleState, SolverConfig, rattle_step
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -225,7 +225,7 @@ def table1_symplectic_digest(steps=4):
     """sha256 of rattle_step iterations on table1_shaped_instance.
 
     Starts from the renormalized random state with zero momentum and feeds each
-    step's state and controlled step size to the next, as solve() does. Hashes
+    step's state, with its controlled step size, to the next, as solve() does. Hashes
     every record field of each step, then the final p and q blocks.
     """
     ch, _, state = table1_shaped_instance()
@@ -234,17 +234,15 @@ def table1_symplectic_digest(steps=4):
     objective = WsrObjective(ch, w)
     config = SolverConfig(gamma=1.0, h0=0.01, r_ctrl=1e-2, h_max=1.0)
     p = renormalize_power(state, rho)
-    x = RattleState.start(p, PrecoderState.zeros(p.layout), objective)
-    h = config.h0
+    x = RattleState.start(p, PrecoderState.zeros(p.layout), config.h0, objective)
     digest = hashlib.sha256()
     for _ in range(steps):
-        x, rec = rattle_step(x, h, config, rho, objective)
+        x, rec = rattle_step(x, config, rho, objective)
         for value in (
             rec.lam, rec.mu, rec.delta, rec.h_used, rec.hamiltonian, rec.wsr_bits,
             rec.constraint_residual, rec.hidden_residual,
         ):
             digest.update(np.asarray(value, dtype=np.float64).tobytes())
-        h = step_controller(rec.delta, h, config)
     digest.update(x.p.blocks.tobytes())
     digest.update(x.q.blocks.tobytes())
     return digest.hexdigest()

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1073,6 +1074,24 @@ class TestNagd:
             finals_na.append(na.trace[-1].wsr_bits)
             finals_gd.append(gd.trace[-1].wsr_bits)
         assert np.median(finals_na) > np.median(finals_gd)
+
+    def test_accepted_step_frees_the_previous_precoder(self, small_instance):
+        # NAGD carries its extrapolation point y, not the iterate before it, so once the caller
+        # drops a state its precoder dies
+        inst = small_instance
+        init = rzf_init(inst["ch"], inst["clusters"], inst["rho"])
+        obj = WsrObjective(inst["ch"], inst["w"])
+        x, rec = baselines._descent_step(
+            baselines._descent_start(init, obj, inst["rho"]), obj, inst["rho"], baselines._MOMENTUM
+        )
+        assert rec.h_used > 0.0 and x.y is not None
+        nxt, rec = baselines._descent_step(x, obj, inst["rho"], baselines._MOMENTUM)
+        assert rec.h_used > 0.0 and nxt.y is not None and nxt.p is not x.p
+        expected = nxt.p.blocks + baselines._MOMENTUM * (nxt.p.blocks - x.p.blocks)
+        assert nxt.y.blocks.tobytes() == expected.tobytes()
+        previous = weakref.ref(x.p)
+        del x
+        assert previous() is None
 
     def test_trace_is_monotone(self, small_instance):
         init = rzf_init(small_instance["ch"], small_instance["clusters"], small_instance["rho"])

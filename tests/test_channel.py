@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,27 @@ class TestTopology:
     def test_rejects_degenerate_scenarios(self, overrides):
         with pytest.raises(ValueError):
             make_instance(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(bs_positions=[0.0, 0.0]), "bs_positions must have shape (B, 2)"),
+            (dict(bs_positions=[[0.0, 0.0, 0.0]]), "bs_positions must have shape (B, 2)"),
+            (dict(ut_positions=[[1.0, 2.0, 3.0]]), "ut_positions must have shape (K, 2)"),
+            (dict(bs_positions=np.zeros((0, 2)), bs_orientations=[]), "need at least one BS"),
+            (dict(ut_positions=np.zeros((0, 2))), "need at least one UT"),
+            (dict(bs_orientations=[0.0, 1.0]), "one boresight azimuth per BS required"),
+            (dict(M_t=0), "M_t must be a positive integer"),
+        ],
+        ids=["bs_flat", "bs_3d", "ut_3d", "no_bs", "no_ut", "azimuths", "M_t"],
+    )
+    def test_constructor_names_each_bad_field(self, overrides, message):
+        fields = dict(
+            bs_positions=[[0.0, 0.0]], bs_orientations=[0.0], ut_positions=[[1.0, 2.0]], M_t=4
+        )
+        Topology(**fields)  # the base case is valid
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Topology(**{**fields, **overrides})
 
 
 class TestChannels:

@@ -277,6 +277,28 @@ class TestRunExperiment:
         assert row.iterations == 196
         assert row.grad_evals == row.iterations
 
+    def test_summary_is_written_after_each_seed(self, tmp_path, monkeypatch):
+        # a batch that dies on its second seed leaves the first seed's rows, written whole
+        full = tmp_path / "full"
+        run_experiment(_fast_cfg(seeds=(0,)), ["rzf", "gd"], full)
+        build = harness.build_instance
+
+        def build_once(config, seed):
+            if seed == 1:
+                raise RuntimeError("injected")
+            return build(config, seed)
+
+        monkeypatch.setattr(harness, "build_instance", build_once)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(_fast_cfg(seeds=(0, 1)), ["rzf", "gd"], tmp_path / "cut")
+        cut = tmp_path / "cut"
+        assert (cut / "summary.csv").read_bytes() == (full / "summary.csv").read_bytes()
+        timings = (cut / "timings.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in timings] == ["solver,seed", "rzf,0", "gd,0"]
+        assert sorted(path.name for path in cut.iterdir()) == sorted(
+            path.name for path in full.iterdir()
+        )
+
     def test_summary_columns(self, tmp_path):
         run_experiment(_fast_cfg(seeds=(0,)), ["rzf"], tmp_path)
         header = (tmp_path / "summary.csv").read_text().split("\n")[0]

@@ -15,7 +15,6 @@ from conftest import (
 )
 from oracles import (
     complex_blocks,
-    complex_blocks_dict,
     embed_precoder,
     naive_signal_and_interference,
     naive_wsr_bits,

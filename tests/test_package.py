@@ -105,6 +105,37 @@ def test_wmmse_step_has_one_call_shape():
     assert fields == ["p", "products", "lam", "power_evals"]
 
 
+def test_gradient_solvers_share_one_state_protocol():
+    # RATTLE, GD and NAGD are each a frozen state plus a step(x) -> (x_next, record),
+    # which iterate() drives; the step size lives in the RATTLE state
+    params = {
+        symplectic.rattle_step: ["x", "config", "rho", "objective"],
+        symplectic.iterate: ["x", "step", "max_iters", "rel_tol"],
+    }
+    for fn, names in params.items():
+        sig = inspect.signature(fn)
+        assert list(sig.parameters) == names, fn.__name__
+        assert all(p.default is inspect.Parameter.empty for p in sig.parameters.values())
+    fields = {
+        symplectic.RattleState: ["p", "q", "h", "ev", "qq", "pg", "n"],
+        baselines.DescentState: ["p", "wsr", "ev", "y", "start"],
+    }
+    for cls, names in fields.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+        assert cls.__dataclass_params__.frozen and "__slots__" in vars(cls), cls.__name__
+
+
+def test_no_solver_keeps_state_in_a_closure():
+    # a solver's state is a value handed from step to step, never a cell a closure rebinds
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((REPO / "src" / "ucnprec").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Nonlocal)
+    ]
+    assert found == []
+
+
 def test_solver_settings_are_declared_once():
     # ScenarioConfig holds the solver settings only through its one SolverConfig
     assert not set(CONFIG_FIELDS) & set(SOLVER_FIELDS)
@@ -208,9 +239,9 @@ def test_full_scale_work_starts_one_helper_thread():
         "objective.evaluate(state)\n"
         "wmmse_step(WmmseState.start(state, ch), rho, objective)\n"
         "p = renormalize_power(state, rho)\n"
-        "x = RattleState.start(p, PrecoderState.zeros(p.layout), objective)\n"
         "config = SolverConfig()\n"
-        "rattle_step(x, config.h0, config, rho, objective)\n"
+        "x = RattleState.start(p, PrecoderState.zeros(p.layout), config.h0, objective)\n"
+        "rattle_step(x, config, rho, objective)\n"
         "print(sorted(t.name for t in threading.enumerate()))\n"
     )
     threads = run_python(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")

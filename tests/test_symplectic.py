@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -68,6 +69,12 @@ def sphere_world(rho_val=1.0, m_t=1):
     layout = BlockLayout(cm, m_t)
     rho = PowerBudget(np.array([rho_val]))
     return layout, rho
+
+
+def fixed_step(x, config, rho, objective):
+    """rattle_step at x's own step size, with the next state kept at that size."""
+    nxt, record = rattle_step(x, config, rho, objective)
+    return dataclasses.replace(nxt, h=x.h), record
 
 
 def apply_gt(p, lam):
@@ -223,9 +230,9 @@ class TestRattleStep:
         config = SolverConfig(gamma=1e-300, h0=0.01)
         obj = ZeroObjective(layout)
         speed0 = 0.7
-        x = RattleState.start(p, q, obj)
+        x = RattleState.start(p, q, config.h0, obj)
         for _ in range(10):
-            x, record = rattle_step(x, config.h0, config, rho, obj)
+            x, record = fixed_step(x, config, rho, obj)
             assert record.constraint_residual < 1e-12
         assert np.linalg.norm(x.q.blocks) == pytest.approx(speed0, rel=1e-5)
         assert x.p.blocks[0, 1] != 0.0  # it actually moved along the sphere
@@ -236,9 +243,9 @@ class TestRattleStep:
         q = PrecoderState.zeros(inst["layout"])
         config = SolverConfig(gamma=2.0, h0=0.01)
         obj = WsrObjective(inst["ch"], inst["w"])
-        x = RattleState.start(p, q, obj)
+        x = RattleState.start(p, q, config.h0, obj)
         for _ in range(25):
-            x, record = rattle_step(x, config.h0, config, inst["rho"], obj)
+            x, record = fixed_step(x, config, inst["rho"], obj)
             assert record.hidden_residual < 1e-10
 
     def test_projection_keeps_manifold_exact(self, small_instance):
@@ -247,9 +254,9 @@ class TestRattleStep:
         q = PrecoderState.zeros(inst["layout"])
         config = SolverConfig(gamma=2.0, h0=0.02, project_positions=True)
         obj = WsrObjective(inst["ch"], inst["w"])
-        x = RattleState.start(p, q, obj)
+        x = RattleState.start(p, q, config.h0, obj)
         for _ in range(25):
-            x, record = rattle_step(x, config.h0, config, inst["rho"], obj)
+            x, record = fixed_step(x, config, inst["rho"], obj)
             assert record.constraint_residual <= 1e-12
 
     def test_nonfinite_diagnostic_carries_iteration(self):
@@ -259,9 +266,9 @@ class TestRattleStep:
         config = SolverConfig(gamma=1.0, h0=0.01)
         obj = ZeroObjective(layout)
         with np.errstate(all="ignore"):
-            x = dataclasses.replace(RattleState.start(p, q, obj), n=7)
+            x = dataclasses.replace(RattleState.start(p, q, config.h0, obj), n=7)
             with pytest.raises(SolverDivergence, match="iteration 7"):
-                rattle_step(x, config.h0, config, rho, obj)
+                rattle_step(x, config, rho, obj)
 
     def test_dissipation_decays_momentum(self):
         layout, rho = sphere_world(rho_val=1.0)
@@ -271,9 +278,9 @@ class TestRattleStep:
         config = SolverConfig(gamma=gamma, h0=h)
         obj = ZeroObjective(layout)
         norms = [1.0]
-        x = RattleState.start(p, q, obj)
+        x = RattleState.start(p, q, h, obj)
         for _ in range(50):
-            x, _ = rattle_step(x, h, config, rho, obj)
+            x, _ = fixed_step(x, config, rho, obj)
             norms.append(float(np.linalg.norm(x.q.blocks)))
         norms = np.array(norms)
         assert np.all(np.diff(norms) < 0.0)
@@ -285,16 +292,33 @@ class TestRattleStep:
         q = tangent_momentum(p, 24)
         obj = ZeroObjective(inst["layout"])
         config = SolverConfig()
-        x = RattleState.start(p, q, obj)
+        x = RattleState.start(p, q, config.h0, obj)
         for h in (0.0, -0.01, math.nan):
             with pytest.raises(ValueError, match="^h must be > 0$"):
-                rattle_step(x, h, config, inst["rho"], obj)
+                rattle_step(dataclasses.replace(x, h=h), config, inst["rho"], obj)
         short = PowerBudget(inst["rho"].rho[:-1])
         with pytest.raises(ValueError, match="^power budget length must match the number of BSs$"):
-            rattle_step(x, config.h0, config, short, obj)
+            rattle_step(x, config, short, obj)
         other, _ = sphere_world()
         with pytest.raises(ValueError, match="^states must share one layout$"):
-            RattleState.start(p, PrecoderState.zeros(other), obj)
+            RattleState.start(p, PrecoderState.zeros(other), config.h0, obj)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("h0", 0.0, "h0 must be > 0"),
+            ("h0", -1e-3, "h0 must be > 0"),
+            ("r_ctrl", 0.0, "r_ctrl must be > 0"),
+            ("theta", -0.5, "theta must be >= 0"),
+            ("rel_tol", 0.0, "rel_tol must be > 0"),
+            ("h_max", 0.5 * symplectic._H_MIN, f"h_max must be >= {symplectic._H_MIN}"),
+        ],
+    )
+    def test_rejects_each_out_of_range_setting(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverConfig(**{field: value})
 
 
 class TestStepController:
@@ -337,6 +361,21 @@ class TestStepController:
             step_controller(-1.0, 0.1, config)
         with pytest.raises(ValueError):
             step_controller(0.1, 0.0, config)
+
+    def test_rattle_step_hands_on_the_controlled_step(self, small_instance):
+        # the step's size is x.h, and the next state's is the controller's answer to its error
+        inst = small_instance
+        p = random_state(inst["layout"], inst["rho"], 25)
+        q = tangent_momentum(p, 26)
+        config = self._config(gamma=2.0, h0=0.003, r_ctrl=1e-3)
+        obj = WsrObjective(inst["ch"], inst["w"])
+        x = RattleState.start(p, q, config.h0, obj)
+        for _ in range(4):
+            nxt, record = rattle_step(x, config, inst["rho"], obj)
+            assert record.h_used == x.h
+            assert nxt.h == step_controller(record.delta, x.h, config)
+            x = nxt
+        assert x.h != config.h0  # the controller moved the step
 
 
 class TestSolve:
@@ -404,29 +443,40 @@ STALL = "stall"
 
 
 class Point:
-    """Stand-in iterate: the driver only compares iterates by identity."""
+    """Stand-in state: iterate() reads its wsr and compares its p by identity.
 
-    def __init__(self, n):
+    p is the Point that holds the iterate: the Point itself, or for a stall
+    the state before it.
+    """
+
+    def __init__(self, n, wsr, p=None):
         self.n = n  # the step that produced it, 0 for the start
+        self.wsr = wsr
+        self.p = self if p is None else p
 
 
-def scripted_step(script):
-    """A fake step that plays script: a WSR accepts a new iterate, STALL fails, None ends."""
+def scripted_step(script, seen=None):
+    """A fake step that plays script: a WSR accepts a new iterate, STALL fails, None ends.
+
+    Each state the step is handed is appended to seen, if given.
+    """
     moves = enumerate(script, start=1)
 
-    def step(p, wsr):
+    def step(x):
+        if seen is not None:
+            seen.append(x)
         n, move = next(moves)
         if move is None:
             return None
         if move == STALL:
-            return p, StepRecord(wsr_bits=wsr, h_used=0.0)
-        return Point(n), StepRecord(wsr_bits=move)
+            return Point(n, x.wsr, x.p), StepRecord(wsr_bits=x.wsr, h_used=0.0)
+        return Point(n, move), StepRecord(wsr_bits=move)
 
     return step
 
 
-def run_script(script, start_wsr=1.0, max_iters=50, rel_tol=1e-6):
-    return iterate(scripted_step(script), Point(0), start_wsr, max_iters, rel_tol)
+def run_script(script, start_wsr=1.0, max_iters=50, rel_tol=1e-6, seen=None):
+    return iterate(Point(0, start_wsr), scripted_step(script, seen), max_iters, rel_tol)
 
 
 class TestIterate:
@@ -449,6 +499,14 @@ class TestIterate:
         assert result.converged
         assert result.iterations == 7
         assert result.trace[3].h_used == 0.0
+
+    def test_stalled_state_is_adopted(self):
+        # a stall keeps the iterate, but the next step starts from the state it returned
+        seen = []
+        result = run_script([2.0, STALL, STALL, 3.0], max_iters=4, seen=seen)
+        assert [x.n for x in seen] == [0, 1, 2, 3]
+        assert seen[2].p is seen[3].p is seen[1]
+        assert result.precoder.n == 4
 
     def test_ten_stalls_end_unconverged(self):
         result = run_script([STALL] * 10 + [2.0])
@@ -658,15 +716,14 @@ class TestStepSplit:
     @pytest.mark.parametrize("shape", ["desk", "table1"])
     def test_step_matches_public_definitions(self, step_route, shape):
         p, q, rho, objective, config = step_problem(shape)
-        x = RattleState.start(p, q, objective)
-        h = config.h0
+        x = RattleState.start(p, q, config.h0, objective)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n in range(3):
-                nxt, record = rattle_step(x, h, config, rho, objective)
+                nxt, record = rattle_step(x, config, rho, objective)
                 want_p, want_q, want = reference_step(
-                    x.p, x.q, config, rho, h, x.ev, objective.evaluate
+                    x.p, x.q, config, rho, x.h, x.ev, objective.evaluate
                 )
                 assert_same_bits(nxt.p.blocks, want_p.blocks)
                 assert_same_bits(nxt.q.blocks, want_q.blocks)
@@ -674,7 +731,6 @@ class TestStepSplit:
                 assert nxt.ev is objective.evaluate(nxt.p)
                 assert nxt.n == n + 1
                 x = nxt
-                h = step_controller(record.delta, h, config)
         finally:
             sys.setswitchinterval(interval)
         assert_route(*step_route)
@@ -683,15 +739,13 @@ class TestStepSplit:
     def test_carried_dots_match_uncarried_steps(self, step_route, shape):
         init, _, rho, objective, config = step_problem(shape)
         p = renormalize_power(init, rho)  # solve()'s start
-        x = RattleState.start(p, PrecoderState.zeros(p.layout), objective)
-        h = config.h0
+        x = RattleState.start(p, PrecoderState.zeros(p.layout), config.h0, objective)
         trace = []
         for _ in range(4):
-            x, record = rattle_step(x, h, config, rho, objective)
+            x, record = rattle_step(x, config, rho, objective)
             trace.append(record)
-            h = step_controller(record.delta, h, config)
         # the dots the steps carried are those a start at their last state takes
-        fresh = RattleState.start(x.p, x.q, objective)
+        fresh = RattleState.start(x.p, x.q, x.h, objective)
         assert fresh.ev is x.ev
         assert_same_bits(fresh.qq, x.qq)
         assert_same_bits(fresh.pg, x.pg)
@@ -720,14 +774,14 @@ class TestStepSplit:
                 mp.setattr(helper, "_blas_threads", lambda: 1)
                 threads = set_step_route(mp, route)
                 objective = WsrObjective(ch, w)
-                x, h = RattleState.start(p, q, objective), config.h0
+                x = RattleState.start(p, q, config.h0, objective)
                 steps = []
                 for _ in range(3):
-                    x, rec = rattle_step(x, h, config, rho, objective)
-                    steps.append(
-                        (x.p.blocks, x.q.blocks, x.ev.grad.blocks, x.qq, x.pg, *record_fields(rec))
-                    )
-                    h = step_controller(rec.delta, h, config)
+                    x, rec = rattle_step(x, config, rho, objective)
+                    steps.append((
+                        x.p.blocks, x.q.blocks, x.ev.grad.blocks, x.qq, x.pg, x.h,
+                        *record_fields(rec),
+                    ))
                 assert_route(route, threads)
             out[route] = [np.asarray(v).tobytes() for step in steps for v in step]
         assert out["split"] == out["inline"]
@@ -736,12 +790,12 @@ class TestStepSplit:
     def test_share_error_raises_from_step(self, split_guard, fail):
         p, q, rho, objective, config = step_problem("table1")
         objective = FixedObjective(objective.evaluate(p))
-        x = RattleState.start(p, q, objective)
-        expected = rattle_step(x, config.h0, config, rho, objective)
+        x = RattleState.start(p, q, config.h0, objective)
+        expected = rattle_step(x, config, rho, objective)
         # a failing main-thread share first waits for the helper's to start
         guard = split_guard(fail=fail, helper_delay=0.0 if fail[1] else 0.3)
         with pytest.raises(RuntimeError, match="injected"):
-            rattle_step(x, config.h0, config, rho, objective)
+            rattle_step(x, config, rho, objective)
         ended = guard.ended
         guard.close()
         assert guard.splits == fail[0]
@@ -750,7 +804,7 @@ class TestStepSplit:
         guard.fail = None
         guard.helper_delay = 0.0
         guard.closed = False
-        got = rattle_step(x, config.h0, config, rho, objective)  # the next step succeeds
+        got = rattle_step(x, config, rho, objective)  # the next step succeeds
         assert {on_helper for _, on_helper, _, _ in guard.shares} == {False, True}
         assert_same_bits(got[0].p.blocks, expected[0].p.blocks)
         assert_same_bits(got[0].q.blocks, expected[0].q.blocks)
@@ -776,8 +830,9 @@ class TestStepSplit:
             # both shares run under the caller's errstate, so no warning escapes either route
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("error")
-                x = dataclasses.replace(RattleState.start(p, q, FixedObjective(ev0)), n=7)
+                x = RattleState.start(p, q, config.h0, FixedObjective(ev0))
+                x = dataclasses.replace(x, n=7)
                 with pytest.raises(SolverDivergence) as err:
-                    rattle_step(x, config.h0, config, rho, FixedObjective(ev1))
+                    rattle_step(x, config, rho, FixedObjective(ev1))
             messages.append(str(err.value))
         assert messages == [f"non-finite {half} at iteration 7"] * 2
