@@ -5,7 +5,7 @@ and repeated keys are rejected. A run generates topology, channels and
 clusters once per seed, executes each requested solver from a common initial
 precoder, and writes per-run trace CSVs plus a deterministic summary CSV
 (wall-clock times go to a separate timings CSV so summary bytes depend only
-on config and seeds).
+on config and seeds). Every one of these files goes through symplectic.write_csv.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from . import baselines, symplectic
 from .channel import build_clusters, compute_rsrp, generate_channels, generate_topology
 from .embedding import BlockLayout, PowerBudget, PrecoderState, renormalize_power
 from .objective import Weights, WsrObjective, fd_gradient
-from .symplectic import SolverConfig, SolveResult, write_trace_csv
+from .symplectic import SolverConfig, SolveResult, write_csv, write_trace_csv
 
 _INIT_STREAM = 2
 
@@ -159,33 +159,6 @@ class RunSummary:
 _SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRow) if f.name != "wall_time_s")
 
 
-def _summary_cell(value) -> str:
-    if isinstance(value, str):
-        return value.replace(",", ";").replace("\n", " ")
-    if isinstance(value, float):
-        return repr(float(value))  # a numpy float's repr would name its type
-    return str(int(value))  # converged as 0/1
-
-
-def _write_summary(path, rows) -> None:
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_summary_cell(getattr(r, name)) for name in _SUMMARY_COLUMNS))
-    _write_lines(path, lines)
-
-
-def _write_timings(path, rows) -> None:
-    lines = [f"{r.solver},{r.seed},{r.wall_time_s:.6f}" for r in rows]
-    _write_lines(path, ["solver,seed,wall_time_s"] + lines)
-
-
-def _write_lines(path, lines) -> None:
-    """Write lines to a temporary file beside path, then move it over path in one step."""
-    with open(f"{path}.tmp", "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(f"{path}.tmp", path)
-
-
 def random_precoder(layout: BlockLayout, rho: PowerBudget, seed: int) -> PrecoderState:
     """Standard-normal real blocks renormalized to full per-BS power."""
     rng = np.random.default_rng([_INIT_STREAM, seed])
@@ -231,8 +204,8 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
     """Run every requested solver on every seed and write trace + summary CSVs.
 
     Solver failures are recorded in their summary row, with no trace file, and
-    do not abort the batch; each seed ends by replacing both CSVs whole. Summary
-    and trace bytes hold no timing data: they depend only on (config, solvers).
+    do not abort the batch; each seed ends by rewriting both CSVs through write_csv.
+    Summary and trace bytes hold no timing data: they depend only on (config, solvers).
     """
     solvers = list(solvers)
     if not solvers:
@@ -280,8 +253,10 @@ def run_experiment(config: ScenarioConfig, solvers, out_dir) -> RunSummary:
                     error=error,
                 )
             )
-        _write_summary(os.path.join(out_dir, "summary.csv"), summary.rows)
-        _write_timings(os.path.join(out_dir, "timings.csv"), summary.rows)
+        cells = [[getattr(r, name) for name in _SUMMARY_COLUMNS] for r in summary.rows]
+        write_csv(os.path.join(out_dir, "summary.csv"), _SUMMARY_COLUMNS, cells)
+        times = [(r.solver, r.seed, f"{r.wall_time_s:.6f}") for r in summary.rows]
+        write_csv(os.path.join(out_dir, "timings.csv"), ("solver", "seed", "wall_time_s"), times)
     return summary
 
 

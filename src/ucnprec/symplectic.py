@@ -30,9 +30,13 @@ share, each a frozen state plus a step(x) -> (x_next, record): the stopping
 rule, the best-iterate choice, the trace and the stall rule exist only there.
 solve() and the baselines' wmmse_iterate, gd_solve and nagd_solve share one
 call shape, solver(init, objective, rho, config) -> SolveResult.
+
+write_csv is the package's one CSV writer and cell rule: write_trace_csv writes
+each solver's trace through it, and the harness its summary and timings.
 """
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -333,18 +337,36 @@ TRACE_COLUMNS = ("iter", *_TRACE_SCALARS, "lambda_min", "lambda_max")
 
 
 def _cell(value) -> str:
-    return "" if value is None else repr(float(value))
+    if isinstance(value, (float, np.floating)):  # first: nearly every cell is one
+        return repr(float(value))  # a numpy float's repr would name its type
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    return str(int(value))  # ints, and flags as 0/1
+
+
+def write_csv(path, header, rows) -> None:
+    """Write header and rows, one cell rule for all, as path's whole new content.
+
+    Every line is formatted before path.tmp is opened, so a bad cell raises with
+    no file touched; os.replace then swaps path.tmp in, so path always holds one
+    run's complete file. The package opens no other file for writing.
+    """
+    lines = [",".join(header)]
+    lines += [",".join([_cell(v) for v in row]) for row in rows]
+    with open(f"{path}.tmp", "w") as f:
+        f.write("\n".join(lines) + "\n")
+    os.replace(f"{path}.tmp", path)
 
 
 def write_trace_csv(path, trace: list) -> None:
-    """Write one iteration per line in the shared trace schema.
+    """Write one iteration per line in the shared trace schema, through write_csv.
 
     Columns a solver does not produce are left empty.
     """
-    lines = [",".join(TRACE_COLUMNS)]
+    rows = []
     for i, rec in enumerate(trace):
         lam = (None, None) if rec.lam is None else (rec.lam.min(), rec.lam.max())
-        values = [getattr(rec, name) for name in _TRACE_SCALARS] + list(lam)
-        lines.append(",".join([str(i)] + [_cell(v) for v in values]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        rows.append([i, *[getattr(rec, name) for name in _TRACE_SCALARS], *lam])
+    write_csv(path, TRACE_COLUMNS, rows)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ucnprec import baselines, helper
@@ -50,6 +50,7 @@ from conftest import (
     random_served_instance,
     random_state,
     run_python,
+    small_layouts,
     table1_args,
     table1_shaped_instance,
 )
@@ -218,6 +219,22 @@ class TestWmmse:
             start = objective_for(inst).wsr_bits(init)
             full = np.array([start] + [rec.wsr_bits for rec in result.trace])
             assert np.all(np.diff(full) >= -1e-8 * np.maximum(1.0, np.abs(full[:-1])))
+
+    @given(instance=small_layouts(), log_rho=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+    def test_three_sweeps_never_lower_the_rate_on_small_layouts(self, instance, log_rho):
+        # WMMSE is a block-coordinate ascent: from a full-power start, each sweep's
+        # WSR is at least the one before it, up to rounding
+        ch, _, state, w = instance
+        layout = state.layout
+        assume(not np.any(layout.nonempty_bs & (bs_block_norms(state) == 0.0)))
+        rho = PowerBudget(10.0 ** np.array(log_rho[: layout.n_bs]))
+        objective = WsrObjective(ch, w)
+        x = WmmseState.start(renormalize_power(state, rho), ch)
+        wsr = objective.wsr_bits(x.p)
+        for _ in range(3):
+            x, rec = wmmse_step(x, rho, objective)
+            assert rec.wsr_bits >= wsr - 1e-12 * abs(wsr)
+            wsr = rec.wsr_bits
 
     def test_power_feasible_every_iteration(self, small_instance):
         ch, rho = small_instance["ch"], small_instance["rho"]

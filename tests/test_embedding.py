@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ucnprec.channel import ClusterMap
 from ucnprec.embedding import (
@@ -10,7 +12,7 @@ from ucnprec.embedding import (
     power_residual,
     renormalize_power,
 )
-from conftest import random_state
+from conftest import random_state, small_layouts
 from oracles import (
     embed_channel,
     embed_precoder,
@@ -154,6 +156,21 @@ class TestPower:
         powers = bs_block_norms(out)
         mask = layout.nonempty_bs
         assert np.allclose(powers[mask], rho.rho[mask], rtol=1e-14)
+
+    @given(instance=small_layouts(), log_rho=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+    def test_renormalize_hits_every_budget_on_small_layouts(self, instance, log_rho):
+        # every nonempty BS lands on its own limit; a nonempty BS with no power is refused
+        _, _, state, _ = instance
+        layout = state.layout
+        rho = PowerBudget(10.0 ** np.array(log_rho[: layout.n_bs]))
+        if np.any(layout.nonempty_bs & (bs_block_norms(state) == 0.0)):
+            with pytest.raises(ValueError, match="^cannot renormalize zero-power blocks"):
+                renormalize_power(state, rho)
+            return
+        powers = bs_block_norms(renormalize_power(state, rho))
+        mask = layout.nonempty_bs
+        assert np.all(np.abs(powers[mask] - rho.rho[mask]) <= 1e-12 * rho.rho[mask])
+        assert np.all(powers[~mask] == 0.0)
 
     def test_renormalize_rejects_zero_power_bs(self, small_instance):
         state = PrecoderState.zeros(small_instance["layout"])

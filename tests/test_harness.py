@@ -309,7 +309,8 @@ class TestRunExperiment:
             harness.RunRow("wmmse", 3, np.float64(12.5), 7, 0.25, 9, 1234, True),
             harness.RunRow("gd", 4, float("nan"), 0, 1.0, 0, 0, False, "ValueError: a, b\nc"),
         ]
-        harness._write_summary(tmp_path / "summary.csv", rows)
+        cells = [[getattr(r, name) for name in harness._SUMMARY_COLUMNS] for r in rows]
+        symplectic.write_csv(tmp_path / "summary.csv", harness._SUMMARY_COLUMNS, cells)
         assert (tmp_path / "summary.csv").read_text() == (
             "solver,seed,wsr_bits,iterations,grad_evals,multiply_adds,converged,error\n"
             "wmmse,3,12.5,7,9,1234,1,\n"
@@ -393,6 +394,16 @@ class TestGradcheckHelper:
             gradcheck(trials=0)
 
 
+def run_module(*argv):
+    """Run `python -m ucnprec argv` from the repository root; returns the finished process."""
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "ucnprec", *argv], cwd=REPO, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+
+
 class TestCli:
     def test_run_command(self, tmp_path):
         cfg_path = write_cfg(
@@ -404,13 +415,23 @@ class TestCli:
         assert (out / "summary.csv").exists()
 
     def test_module_entry_point(self):
-        src = str(Path(harness.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ucnprec", "--help"], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0, proc.stderr
         assert "probe-complexity" in proc.stdout
+
+    def test_module_gradcheck_prints_one_summary_line(self):
+        proc = run_module("gradcheck", "--trials", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(r"max relative gradient error over 1 trials: \S+\n", proc.stdout)
+
+    def test_module_run_reports_one_error_line(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_module("run", "--config", "configs/desk.cfg", "--solvers", "zf", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: unknown solver 'zf'; known: symplectic, wmmse, rzf, gd, nagd"
+        ]
+        assert proc.stdout == "" and not out.exists()
 
     def test_missing_config_is_error(self, tmp_path, capsys):
         code = harness.main(["run", "--config", str(tmp_path / "nope.cfg")])

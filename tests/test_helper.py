@@ -204,3 +204,23 @@ def test_below_the_gate_runs_inline_in_order(open_helper_gate, monkeypatch):
         (kind, l, "MainThread") for l in (3, 1, 2) for kind in ("job", "use")
     ]
     assert helper._executor is None  # no thread was started
+
+
+def test_without_an_openblas_library_the_gate_stays_shut(monkeypatch):
+    # a numpy whose BLAS is no OpenBLAS it can find reads 0 threads: no helper thread
+    import glob
+
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(helper, "_blas_threads_fn", None)  # the cached look-up, restored after
+    monkeypatch.setattr(helper, "_cpus", lambda: 2)
+    assert helper._find_blas_threads_fn()() == 0
+    assert helper.executor_for(helper.MIN_MT) is None
+    assert helper._blas_threads_fn() == 0
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_cpus_falls_back_to_cpu_count(monkeypatch, count, cpus):
+    # a platform without an affinity call counts every CPU, and at least one
+    monkeypatch.delattr(helper.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(helper.os, "cpu_count", lambda: count)
+    assert helper._cpus() == cpus

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ucnprec.channel import ChannelSet, ClusterMap
 from ucnprec.embedding import BlockLayout, PrecoderState
@@ -175,6 +176,23 @@ class TestGradient:
         assert WsrObjective(ch_p, w_p).wsr_bits(state_p) == pytest.approx(
             base, rel=1e-12
         )
+
+
+class TestDirectionalDerivative:
+    @given(instance=small_layouts(), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_matches_central_difference_along_a_random_direction(self, instance, seed):
+        # two evaluations per example: g(p + eps d) and g(p - eps d) for one unit direction d;
+        # a zero precoder has a zero gradient, and g is even, so the difference is 0 too
+        ch, _, state, w = instance
+        d = np.random.default_rng(seed).standard_normal(state.blocks.shape)
+        d /= max(np.linalg.norm(d), 1e-300)
+        obj = WsrObjective(ch, w)
+        grad = obj.evaluate(state).grad.blocks
+        eps = 1e-5
+        up = obj.value(PrecoderState(state.layout, state.blocks + eps * d))
+        down = obj.value(PrecoderState(state.layout, state.blocks - eps * d))
+        fd = (up - down) / (2.0 * eps)
+        assert abs(fd - float(np.vdot(grad, d))) <= 1e-6 * np.linalg.norm(grad)
 
 
 class TestFiniteDifferences:

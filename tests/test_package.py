@@ -136,6 +136,30 @@ def test_no_solver_keeps_state_in_a_closure():
     assert found == []
 
 
+def write_opens(node, owner):
+    """Yield the enclosing function's name for each open() call under node with a write mode."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from write_opens(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+            modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+            # a mode that is no literal could be anything, so it counts as writing
+            if any(not isinstance(m, ast.Constant) or set(m.value) - set("rbt") for m in modes):
+                yield owner
+        yield from write_opens(child, owner)
+
+
+def test_only_write_csv_opens_a_file_for_writing():
+    # every file the package writes goes through one writer: whole, via path.tmp and os.replace
+    found = [
+        f"{path.stem}.{owner}"
+        for path in sorted((REPO / "src" / "ucnprec").glob("*.py"))
+        for owner in write_opens(ast.parse(path.read_text()), "<module>")
+    ]
+    assert found == ["symplectic.write_csv"]
+
+
 def test_solver_settings_are_declared_once():
     # ScenarioConfig holds the solver settings only through its one SolverConfig
     assert not set(CONFIG_FIELDS) & set(SOLVER_FIELDS)

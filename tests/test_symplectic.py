@@ -31,6 +31,7 @@ from ucnprec.symplectic import (
     rattle_step,
     solve,
     step_controller,
+    write_csv,
     write_trace_csv,
 )
 from conftest import (
@@ -258,6 +259,18 @@ class TestRattleStep:
         for _ in range(25):
             x, record = fixed_step(x, config, inst["rho"], obj)
             assert record.constraint_residual <= 1e-12
+
+    def test_zero_momentum_multiplier_is_the_kkt_multiplier(self, small_instance):
+        # at q = 0, lam_l = (G(q, q) - G(p, g))_l / rho_l is the KKT multiplier -p_l . g_l / rho_l
+        inst = small_instance
+        p = random_state(inst["layout"], inst["rho"], 22)
+        obj = WsrObjective(inst["ch"], inst["w"])
+        x = RattleState.start(p, PrecoderState.zeros(inst["layout"]), SolverConfig().h0, obj)
+        _, record = rattle_step(x, SolverConfig(), inst["rho"], obj)
+        assert np.array_equal(record.lam, -x.pg / inst["rho"].rho)
+        kkt = -constraint_apply_G(p, x.ev.grad) / inst["rho"].rho
+        np.testing.assert_allclose(record.lam, kkt, rtol=1e-12, atol=0.0)
+        assert np.count_nonzero(kkt) > 0
 
     def test_nonfinite_diagnostic_carries_iteration(self):
         layout, rho = sphere_world()
@@ -560,6 +573,48 @@ class TestTraceCsv:
         assert last[2] == "" and last[-1] == ""
         # symplectic rows are fully populated
         assert all(cell != "" for cell in lines[1].split(","))
+
+    @pytest.mark.parametrize(
+        "value, cell",
+        [
+            (None, ""),
+            ("ValueError: a, b\nc", "ValueError: a; b c"),
+            (12.5, "12.5"),
+            (np.float64(0.1), "0.1"),
+            (np.float32(0.5), "0.5"),
+            (float("nan"), "nan"),
+            (True, "1"),
+            (False, "0"),
+            (7, "7"),
+            (np.int64(1234), "1234"),
+        ],
+        ids=["none", "str", "float", "float64", "float32", "nan", "true", "false", "int", "int64"],
+    )
+    def test_write_csv_cell_rule(self, tmp_path, value, cell):
+        # the one rule for every cell of every trace, summary.csv and timings.csv
+        path = tmp_path / "cells.csv"
+        write_csv(path, ("name", "value"), [("x", value)])
+        assert path.read_text() == f"name,value\nx,{cell}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.csv"]
+
+    def test_failed_rewrite_keeps_the_previous_trace(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, [StepRecord(wsr_bits=1.5)])
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("injected")
+
+        monkeypatch.setattr(symplectic.os, "replace", fail)
+        with pytest.raises(OSError, match="injected"):
+            write_trace_csv(path, [StepRecord(wsr_bits=2.5), StepRecord(wsr_bits=3.5)])
+        assert path.read_bytes() == before
+
+    def test_bad_cell_raises_before_any_file_exists(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(TypeError):
+            write_csv(path, ("iter", "wsr_bits"), [(0, 1.5), (1, object())])
+        assert list(tmp_path.iterdir()) == []
 
 
 def reference_step(p, q, config, rho, h, ev0, evaluate):
